@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/event_queue.h"
 
 namespace chronos::mapreduce {
@@ -182,6 +183,10 @@ struct JobRecord {
   std::vector<std::uint8_t> stage_started;
   std::vector<double> stage_start_time;  ///< absolute; valid once started
   std::vector<int> stage_tasks_completed;
+  /// Pre-validated duration samplers, built once at submission so the
+  /// per-attempt hot path skips parameter validation and exponent
+  /// derivation (draws stay bit-identical to Rng::pareto).
+  std::vector<ParetoSampler> stage_samplers;
 
   double completion_time = 0.0;  ///< relative to submission
   double machine_time = 0.0;     ///< accrued VM seconds

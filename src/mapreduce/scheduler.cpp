@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/error.h"
 
@@ -24,24 +25,28 @@ Scheduler::Scheduler(sim::Simulator& simulator, sim::Cluster& cluster,
 }
 
 void Scheduler::compact_job(int job) {
-  auto& record = job_mut(job);
-  CHRONOS_EXPECTS(record.done, "compact_job requires a completed job");
-  record.attempts.clear();
-  record.attempts.shrink_to_fit();
-  for (auto& task : record.tasks) {
-    task.attempt_ids.clear();
-    task.attempt_ids.shrink_to_fit();
-  }
+  CHRONOS_EXPECTS(job_mut(job).done, "compact_job requires a completed job");
+  std::uint32_t& slot = slot_of_[static_cast<std::size_t>(job)];
+  records_[slot] = JobRecord{};
+  free_slots_.push_back(slot);
+  slot = kRetired;
 }
 
 const JobRecord& Scheduler::job(int job) const {
   CHRONOS_EXPECTS(job >= 0 && job < num_jobs(), "job index out of range");
-  return jobs_[static_cast<std::size_t>(job)];
+  const std::uint32_t slot = slot_of_[static_cast<std::size_t>(job)];
+  CHRONOS_EXPECTS(slot != kRetired, "job was retired");
+  return records_[slot];
 }
 
 JobRecord& Scheduler::job_mut(int job) {
+  return const_cast<JobRecord&>(std::as_const(*this).job(job));
+}
+
+bool Scheduler::job_done(int job) const {
   CHRONOS_EXPECTS(job >= 0 && job < num_jobs(), "job index out of range");
-  return jobs_[static_cast<std::size_t>(job)];
+  const std::uint32_t slot = slot_of_[static_cast<std::size_t>(job)];
+  return slot == kRetired || records_[slot].done;
 }
 
 int Scheduler::submit(const JobSpec& spec) {
@@ -57,13 +62,18 @@ int Scheduler::submit(const JobSpec& spec) {
   record.stage_started.assign(stages, 0);
   record.stage_start_time.assign(stages, 0.0);
   record.stage_tasks_completed.assign(stages, 0);
-  jobs_.push_back(std::move(record));
-  std::vector<ParetoSampler> samplers;
-  samplers.reserve(stages);
+  record.stage_samplers.reserve(stages);
   for (const StageSpec& st : spec.stages) {
-    samplers.emplace_back(st.t_min, st.beta);
+    record.stage_samplers.emplace_back(st.t_min, st.beta);
   }
-  job_samplers_.push_back(std::move(samplers));
+  if (free_slots_.empty()) {
+    slot_of_.push_back(static_cast<std::uint32_t>(records_.size()));
+    records_.push_back(std::move(record));
+  } else {
+    slot_of_.push_back(free_slots_.back());
+    free_slots_.pop_back();
+    records_[slot_of_.back()] = std::move(record);
+  }
 
   // Capacity hint: every task gets its stage's initial attempts (one
   // finish/crash event each) plus up to its stage's r speculative ones.
@@ -144,13 +154,13 @@ int Scheduler::launch_attempt(int job, int task, double offset) {
 }
 
 void Scheduler::on_container_granted(int job, int attempt_id, int node) {
-  auto& record = job_mut(job);
-  if (attempt_id >= static_cast<int>(record.attempts.size())) {
+  if (slot_of_[static_cast<std::size_t>(job)] == kRetired) {
     // The attempt was killed while queued and the job has since been
-    // compacted away; only the cluster's grant callback survived.
+    // retired; only the cluster's grant callback survived.
     cluster_.release_container(node);
     return;
   }
+  auto& record = job_mut(job);
   auto& attempt = record.attempts[static_cast<std::size_t>(attempt_id)];
   if (attempt.state != AttemptState::kWaiting) {
     // Killed while queued (or the task finished): return the container.
@@ -165,8 +175,7 @@ void Scheduler::on_container_granted(int job, int attempt_id, int node) {
   // Total execution time of a full-split attempt follows the stage's Pareto
   // law, scaled by the node's contention slowdown (§VII-A observed the
   // combined distribution is Pareto with beta < 2).
-  const auto& samplers = job_samplers_[static_cast<std::size_t>(job)];
-  const ParetoSampler& stage = samplers[static_cast<std::size_t>(
+  const ParetoSampler& stage = record.stage_samplers[static_cast<std::size_t>(
       record.stage_of_task(attempt.task_index))];
   const double slowdown = cluster_.sample_slowdown(node, rng_);
   const double total = stage(rng_) * slowdown;
@@ -321,8 +330,6 @@ void Scheduler::maybe_complete_job(int job) {
 
 double SchedulerApi::now() const { return scheduler_.simulator_.now(); }
 
-Rng& SchedulerApi::rng() { return scheduler_.rng_; }
-
 const JobSpec& SchedulerApi::spec(int job) const {
   return scheduler_.job(job).spec;
 }
@@ -331,9 +338,7 @@ const JobRecord& SchedulerApi::job(int job) const {
   return scheduler_.job(job);
 }
 
-double SchedulerApi::job_time(int job) const {
-  return now() - scheduler_.job(job).submit_time;
-}
+bool SchedulerApi::job_done(int job) const { return scheduler_.job_done(job); }
 
 std::vector<int> SchedulerApi::incomplete_tasks(int job) const {
   const auto& record = scheduler_.job(job);
@@ -499,10 +504,6 @@ double SchedulerApi::mean_completed_task_time(int job) const {
     }
   }
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
-}
-
-int SchedulerApi::completed_task_count(int job) const {
-  return scheduler_.job(job).tasks_completed;
 }
 
 }  // namespace chronos::mapreduce

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -26,7 +27,8 @@ namespace chronos::mapreduce {
 class SchedulerApi;
 
 /// Strategy hook interface. Policies keep per-job state keyed by the job
-/// index passed to each hook and drive themselves with api.schedule_after.
+/// index passed to each hook and drive themselves with api.schedule_after;
+/// a timer may outlive its job, so it checks api.job_done first.
 class SpeculationPolicy {
  public:
   virtual ~SpeculationPolicy() = default;
@@ -111,16 +113,23 @@ class Scheduler {
   /// Metrics of all completed jobs.
   const sim::RunMetrics& metrics() const { return metrics_; }
 
-  /// Read access for tests and policies.
+  /// Read access for tests and policies. Throws for a retired job.
   const JobRecord& job(int job) const;
-  int num_jobs() const { return static_cast<int>(jobs_.size()); }
+  int num_jobs() const { return static_cast<int>(slot_of_.size()); }
 
-  /// Releases the per-attempt state of a completed job (attempts plus each
-  /// task's attempt-id lists), keeping the aggregate counters. Long-running
-  /// open-system drivers call this from on_job_completed so memory stays
-  /// proportional to in-flight work rather than total jobs submitted.
-  /// Requires the job to be done. Container grants still queued for killed
-  /// attempts of a compacted job are detected and returned on arrival.
+  /// True once the job completed, including after it was retired.
+  bool job_done(int job) const;
+
+  /// Jobs whose record is still held: submitted and not yet retired.
+  int live_jobs() const {
+    return static_cast<int>(records_.size() - free_slots_.size());
+  }
+
+  /// Retires a completed job: frees its whole record and hands its slot to
+  /// a later submission. Open-system drivers call this from on_job_completed
+  /// so memory tracks in-flight work, not total jobs submitted. Later policy
+  /// timers see job_done(); grants still queued for killed attempts of a
+  /// retired job are returned to the cluster on arrival.
   void compact_job(int job);
 
  private:
@@ -166,12 +175,13 @@ class Scheduler {
   SpeculationPolicy& policy_;
   SchedulerConfig config_;
   Rng rng_;
-  std::vector<JobRecord> jobs_;
-  /// Pre-validated per-stage duration samplers (one per stage, parallel to
-  /// jobs_), built once per job at submission so the per-attempt hot path
-  /// skips parameter validation and exponent derivation (draws stay
-  /// bit-identical to Rng::pareto).
-  std::vector<std::vector<ParetoSampler>> job_samplers_;
+  static constexpr std::uint32_t kRetired = ~std::uint32_t{0};
+  /// Job records by slot. A retired job's slot is cleared and reused by a
+  /// later submission, so the table holds at most the peak live jobs.
+  std::vector<JobRecord> records_;
+  /// Job index -> slot in records_, kRetired once the job is retired.
+  std::vector<std::uint32_t> slot_of_;
+  std::vector<std::uint32_t> free_slots_;
   std::optional<ExponentialSampler> crash_sampler_;  ///< when failures on
   sim::RunMetrics metrics_;
   std::unique_ptr<SchedulerApi> api_;
@@ -183,13 +193,12 @@ class SchedulerApi {
   explicit SchedulerApi(Scheduler& scheduler) : scheduler_(scheduler) {}
 
   double now() const;
-  Rng& rng();
 
   const JobSpec& spec(int job) const;
   const JobRecord& job(int job) const;
 
-  /// Time relative to the job's submission (strategy timers are job-local).
-  double job_time(int job) const;
+  /// True once the job completed; the only query valid after retirement.
+  bool job_done(int job) const;
 
   /// Indices of tasks not yet completed (all stages).
   std::vector<int> incomplete_tasks(int job) const;
@@ -239,8 +248,6 @@ class SchedulerApi {
   /// Mean completion time (relative to submission) of completed tasks.
   /// Returns 0 when none have completed.
   double mean_completed_task_time(int job) const;
-
-  int completed_task_count(int job) const;
 
  private:
   Scheduler& scheduler_;

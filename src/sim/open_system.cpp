@@ -5,7 +5,6 @@
 #include <memory>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -79,12 +78,14 @@ class WindowedArea {
 /// stage-0 hooks of a submission therefore see `staged_` still pointing at
 /// its backend. Later stages start asynchronously (when their barrier
 /// clears, arbitrarily interleaved with other arrivals), so the backend is
-/// pinned per job at stage-0 start — by scheduler job index for the hooks,
-/// and by spec.job_id for initial_attempts, which receives only the spec.
+/// pinned per job at stage-0 start, keyed by spec.job_id because
+/// initial_attempts receives only the spec.
 class MuxPolicy final : public mapreduce::SpeculationPolicy {
  public:
   explicit MuxPolicy(strategies::PolicyOptions options) : options_(options) {}
 
+  /// Called after the job's backend saw on_job_completed; the callee may
+  /// retire the job's scheduler record.
   void set_on_complete(std::function<void(int job)> fn) {
     on_complete_ = std::move(fn);
   }
@@ -104,29 +105,26 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
   }
 
   void on_job_start(int job, mapreduce::SchedulerApi& api) override {
-    per_job_[static_cast<std::size_t>(job)]->on_job_start(job, api);
+    pinned(job, api).on_job_start(job, api);
   }
 
   void on_task_completed(int job, int task,
                          mapreduce::SchedulerApi& api) override {
-    per_job_[static_cast<std::size_t>(job)]->on_task_completed(job, task, api);
+    pinned(job, api).on_task_completed(job, task, api);
   }
 
   void on_stage_start(int job, int stage,
                       mapreduce::SchedulerApi& api) override {
     if (stage == 0) {
-      if (static_cast<std::size_t>(job) >= per_job_.size()) {
-        per_job_.resize(static_cast<std::size_t>(job) + 1, nullptr);
-      }
-      per_job_[static_cast<std::size_t>(job)] = staged_;
       by_job_id_[api.spec(job).job_id] = staged_;
     }
-    per_job_[static_cast<std::size_t>(job)]->on_stage_start(job, stage, api);
+    pinned(job, api).on_stage_start(job, stage, api);
   }
 
   void on_job_completed(int job, mapreduce::SchedulerApi& api) override {
-    per_job_[static_cast<std::size_t>(job)]->on_job_completed(job, api);
-    by_job_id_.erase(api.spec(job).job_id);
+    const auto it = by_job_id_.find(api.spec(job).job_id);
+    it->second->on_job_completed(job, api);
+    by_job_id_.erase(it);
     if (on_complete_) {
       on_complete_(job);
     }
@@ -141,13 +139,16 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
     return *slot;
   }
 
+  mapreduce::SpeculationPolicy& pinned(int job,
+                                       const mapreduce::SchedulerApi& api) {
+    return *by_job_id_.at(api.spec(job).job_id);
+  }
+
   strategies::PolicyOptions options_;
   std::array<std::unique_ptr<mapreduce::SpeculationPolicy>, 6> backends_;
   mapreduce::SpeculationPolicy* staged_ = nullptr;
-  std::vector<mapreduce::SpeculationPolicy*> per_job_;
-  /// job_id -> backend, erased at completion so memory tracks in-flight
-  /// work. Keyed by job_id (not scheduler index) because initial_attempts
-  /// only sees the spec.
+  /// job_id -> backend of every in-flight job, erased at completion so
+  /// memory tracks in-flight work.
   std::unordered_map<int, mapreduce::SpeculationPolicy*> by_job_id_;
   std::function<void(int job)> on_complete_;
 };
@@ -205,8 +206,6 @@ class OpenEngine {
   }
 
  private:
-  enum class Decision { kAdmit, kDegrade, kReject };
-
   void on_arrival(double t) {
     ++result_.arrivals;
     c_arrivals.add();
@@ -238,11 +237,11 @@ class OpenEngine {
     }
 
     switch (admit_decision(spec)) {
-      case Decision::kReject:
+      case AdmissionDecision::kReject:
         ++result_.rejected;
         c_rejected.add();
         break;
-      case Decision::kDegrade:
+      case AdmissionDecision::kDegrade:
         kind = strategies::PolicyKind::kHadoopNS;
         for (auto& st : spec.stages) {
           st.r = 0;
@@ -250,8 +249,8 @@ class OpenEngine {
         ++result_.degraded;
         c_degraded.add();
         [[fallthrough]];
-      case Decision::kAdmit:
-        admit(spec, kind, t, measured);
+      case AdmissionDecision::kAdmit:
+        admit(spec, kind, measured);
         break;
     }
 
@@ -262,7 +261,7 @@ class OpenEngine {
   }
 
   void admit(const mapreduce::JobSpec& spec, strategies::PolicyKind kind,
-             double t, bool measured) {
+             bool measured) {
     ++result_.admitted;
     c_admitted.add();
     if (measured) {
@@ -272,17 +271,15 @@ class OpenEngine {
     kPlanCounters[static_cast<std::size_t>(kind)].add();
 
     mux_.stage(kind);
-    const int job = scheduler_.submit(spec);
-    // Struct-of-arrays per-job state, indexed by the scheduler's job index
-    // (submit returns sequential indices, so these stay parallel).
-    job_strategy_.push_back(static_cast<std::uint8_t>(kind));
-    job_measured_.push_back(measured ? 1 : 0);
-    job_arrival_.push_back(t);
-    CHRONOS_ENSURES(job_arrival_.size() == static_cast<std::size_t>(job) + 1,
-                    "per-job arrays out of sync with scheduler indices");
+    scheduler_.submit(spec);
     ++in_flight_;
     jobs_area_.update(simulator_.now(), static_cast<double>(in_flight_));
     g_in_flight.update(static_cast<std::uint64_t>(in_flight_));
+    result_.in_flight_max = std::max(
+        result_.in_flight_max, static_cast<std::uint64_t>(in_flight_));
+    result_.live_jobs_max =
+        std::max(result_.live_jobs_max,
+                 static_cast<std::uint64_t>(scheduler_.live_jobs()));
   }
 
   void on_complete(int job) {
@@ -292,7 +289,9 @@ class OpenEngine {
     jobs_area_.update(simulator_.now(), static_cast<double>(in_flight_));
 
     const auto& record = scheduler_.job(job);
-    if (job_measured_[static_cast<std::size_t>(job)] != 0) {
+    // The job was submitted at its arrival instant, so in-window arrivals
+    // are exactly the records submitted past warm-up.
+    if (record.submit_time >= config_.warm_up) {
       JobOutcome outcome;
       outcome.job_id = record.spec.job_id;
       outcome.met_deadline = record.completion_time <= record.spec.deadline;
@@ -313,20 +312,11 @@ class OpenEngine {
     scheduler_.compact_job(job);
   }
 
-  Decision admit_decision(const mapreduce::JobSpec& spec) const {
-    switch (admission_decide(
-        config_.admission, spec,
-        static_cast<double>(cluster_.pending_requests()),
-        static_cast<double>(cluster_.idle_containers()),
-        static_cast<double>(cluster_.total_containers()))) {
-      case AdmissionDecision::kReject:
-        return Decision::kReject;
-      case AdmissionDecision::kDegrade:
-        return Decision::kDegrade;
-      case AdmissionDecision::kAdmit:
-        break;
-    }
-    return Decision::kAdmit;
+  AdmissionDecision admit_decision(const mapreduce::JobSpec& spec) const {
+    return admission_decide(config_.admission, spec,
+                            static_cast<double>(cluster_.pending_requests()),
+                            static_cast<double>(cluster_.idle_containers()),
+                            static_cast<double>(cluster_.total_containers()));
   }
 
   double analytic_baseline_pocd(const mapreduce::JobSpec& spec) const {
@@ -346,6 +336,8 @@ class OpenEngine {
   OpenSystemResult finalize(obs::TraceSpan& span) {
     result_.window = config_.duration - config_.warm_up;
     result_.in_flight_at_end = static_cast<std::uint64_t>(in_flight_);
+    result_.live_jobs_at_end =
+        static_cast<std::uint64_t>(scheduler_.live_jobs());
     result_.offered_rate =
         static_cast<double>(result_.window_arrivals) / result_.window;
     result_.admitted_rate =
@@ -408,9 +400,6 @@ class OpenEngine {
   RunMetrics measured_;
   stats::RunningStats sojourn_;
   stats::RunningStats baseline_pocd_;
-  std::vector<std::uint8_t> job_strategy_;
-  std::vector<std::uint8_t> job_measured_;
-  std::vector<double> job_arrival_;
   std::int64_t in_flight_ = 0;
   int next_job_id_ = 0;
 };

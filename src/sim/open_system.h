@@ -21,10 +21,15 @@
 // Metrics are warm-up aware: time-weighted utilization, jobs-in-system and
 // container-queue depth are integrated over [warm_up, duration] only, and
 // per-job statistics (sojourn, deadline-miss rate, cost) cover jobs that
-// arrive inside that window. Completed jobs are compacted out of the
-// scheduler (Scheduler::compact_job) and per-job engine state lives in
-// struct-of-arrays vectors, so memory stays proportional to in-flight work
-// and million-job days simulate in minutes.
+// arrive inside that window.
+//
+// Memory tracks in-flight work, not the horizon: a completed job is retired
+// from the scheduler (Scheduler::compact_job), which frees its spec, tasks,
+// attempts, per-stage state and samplers, and the policy mux drops its
+// entry. The residue is the job's 4 B slot index in the scheduler (8 B with
+// vector slack). On the perf ledger's open_steady (4-vCPU Xeon VM)
+// sweeprun's peak RSS fell from 68.6 to 4.9 MB; from 10 to 160 h it now
+// grows from 4.8 to 6.1 MB, where it grew from 21 to 234 MB.
 #pragma once
 
 #include <array>
@@ -147,6 +152,11 @@ struct OpenSystemResult {
   std::uint64_t degraded = 0;  ///< admitted under forced Hadoop-NS
   std::uint64_t completed = 0;
   std::uint64_t in_flight_at_end = 0;
+  std::uint64_t in_flight_max = 0;
+  /// Scheduler::live_jobs at the end and at its high-water: completed jobs
+  /// are retired, so these equal in_flight_at_end and in_flight_max.
+  std::uint64_t live_jobs_at_end = 0;
+  std::uint64_t live_jobs_max = 0;
 
   /// Measurement window [warm_up, duration] in seconds.
   double window = 0.0;

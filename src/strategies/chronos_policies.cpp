@@ -47,7 +47,7 @@ void Clone::on_stage_start(int job, int stage, SchedulerApi& api) {
   // The kill timer runs relative to the stage's start.
   api.schedule_after(api.spec(job).stage(stage).tau_kill,
                      [job, stage, &api] {
-                       if (api.job(job).done) {
+                       if (api.job_done(job)) {
                          return;
                        }
                        for (const int task :
@@ -69,7 +69,7 @@ void SpeculativeRestart::on_stage_start(int job, int stage,
 }
 
 void SpeculativeRestart::detect(int job, int stage, SchedulerApi& api) {
-  if (api.job(job).done) {
+  if (api.job_done(job)) {
     return;
   }
   const long long extras = api.spec(job).stage(stage).r;
@@ -87,7 +87,7 @@ void SpeculativeRestart::detect(int job, int stage, SchedulerApi& api) {
 }
 
 void SpeculativeRestart::reap(int job, int stage, SchedulerApi& api) {
-  if (api.job(job).done) {
+  if (api.job_done(job)) {
     return;
   }
   for (const int task : api.incomplete_stage_tasks(job, stage)) {
@@ -107,7 +107,7 @@ void SpeculativeResume::on_stage_start(int job, int stage,
 }
 
 void SpeculativeResume::detect(int job, int stage, SchedulerApi& api) {
-  if (api.job(job).done) {
+  if (api.job_done(job)) {
     return;
   }
   const long long extras = api.spec(job).stage(stage).r;
@@ -134,7 +134,7 @@ void SpeculativeResume::detect(int job, int stage, SchedulerApi& api) {
 }
 
 void SpeculativeResume::reap(int job, int stage, SchedulerApi& api) {
-  if (api.job(job).done) {
+  if (api.job_done(job)) {
     return;
   }
   for (const int task : api.incomplete_stage_tasks(job, stage)) {

@@ -12,7 +12,7 @@ using mapreduce::SchedulerApi;
 
 void HadoopSpeculation::on_task_completed(int job, int /*task*/,
                                           SchedulerApi& api) {
-  if (api.job(job).done) {
+  if (api.job_done(job)) {
     return;
   }
   // Hadoop only speculates after at least one task of the job has finished;
@@ -25,7 +25,7 @@ void HadoopSpeculation::on_task_completed(int job, int /*task*/,
 }
 
 void HadoopSpeculation::check(int job, SchedulerApi& api) {
-  if (api.job(job).done) {
+  if (api.job_done(job)) {
     monitoring_.erase(job);
     return;
   }
@@ -95,7 +95,7 @@ void Mantri::on_job_start(int job, SchedulerApi& api) {
 }
 
 void Mantri::prune(int job, SchedulerApi& api) {
-  if (api.job(job).done) {
+  if (api.job_done(job)) {
     return;
   }
   // "Leaves one attempt with the best progress running": keep the attempt
@@ -143,7 +143,7 @@ void Mantri::prune(int job, SchedulerApi& api) {
 }
 
 void Mantri::check(int job, SchedulerApi& api) {
-  if (api.job(job).done) {
+  if (api.job_done(job)) {
     return;
   }
   const double submit = api.job(job).submit_time;

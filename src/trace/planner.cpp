@@ -143,10 +143,13 @@ double expected_stage_makespan(int num_tasks, double t_min, double beta) {
                   "makespan requires t_min > 0 and beta > 1");
   // E[max of N] for Pareto via the Beta-function identity
   // E[max] = t_min N B(N, 1 - 1/beta).
+  // lgamma_r, not std::lgamma: this runs on parallel cell set-up threads,
+  // and std::lgamma writes the global signgam.
   const double n = static_cast<double>(num_tasks);
   const double a = 1.0 - 1.0 / beta;
-  return t_min * std::exp(std::lgamma(n + 1.0) + std::lgamma(a) -
-                          std::lgamma(n + a));
+  int sign = 0;
+  return t_min * std::exp(lgamma_r(n + 1.0, &sign) + lgamma_r(a, &sign) -
+                          lgamma_r(n + a, &sign));
 }
 
 std::vector<double> critical_path_split(const mapreduce::JobSpec& spec) {

@@ -150,6 +150,35 @@ TEST(OpenSystemLaws, ConservationWithHardStop) {
   EXPECT_DOUBLE_EQ(result.end_time, config.duration);
 }
 
+// --- bounded memory ---------------------------------------------------------
+
+TEST(OpenSystemMemory, CompletedJobsLeaveNoSchedulerRecord) {
+  auto config = base_config(1.0, 2, 4);
+  const auto drained = sim::run_open_system(config);
+  EXPECT_GT(drained.completed, 100u);
+  EXPECT_EQ(drained.live_jobs_at_end, 0u);
+  // Hard stop: exactly the jobs still in flight hold a record.
+  config.drain = false;
+  const auto stopped = sim::run_open_system(config);
+  EXPECT_GT(stopped.in_flight_at_end, 0u);
+  EXPECT_EQ(stopped.live_jobs_at_end, stopped.in_flight_at_end);
+}
+
+TEST(OpenSystemMemory, LiveRecordsTrackInFlightNotHorizon) {
+  // Held records peak with the jobs in flight, at H and at 4H, while the
+  // number of completed jobs grows with the horizon.
+  for (const double horizon : {2000.0, 8000.0}) {
+    auto config = base_config(0.3, 4, 4);
+    config.policy = strategies::PolicyKind::kSResume;
+    config.admission.enabled = true;
+    config.duration = horizon;
+    const auto result = sim::run_open_system(config);
+    EXPECT_GT(result.completed, 10 * result.in_flight_max) << horizon;
+    EXPECT_GT(result.live_jobs_max, 0u) << horizon;
+    EXPECT_LE(result.live_jobs_max, result.in_flight_max) << horizon;
+  }
+}
+
 // --- admission control ------------------------------------------------------
 
 TEST(OpenSystemAdmission, OverloadTriggersRejectAndDegrade) {

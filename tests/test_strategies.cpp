@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "mapreduce/scheduler.h"
 #include "sim/cluster.h"
@@ -255,6 +258,134 @@ TEST(AllPolicies, EveryJobCompletes) {
     EXPECT_TRUE(run.job().done) << to_string(kind);
     EXPECT_EQ(run.scheduler->metrics().jobs(), 1u) << to_string(kind);
   }
+}
+
+// --- retired jobs -------------------------------------------------------------
+
+/// Forwards every hook to a real policy and retires each job the moment it
+/// completes, as the open-system engine does, so the policy's timers and
+/// the cluster's queued grants can outlive the job's record.
+class RetiringPolicy final : public mapreduce::SpeculationPolicy {
+ public:
+  explicit RetiringPolicy(PolicyKind kind) : inner_(make_policy(kind)) {}
+
+  Scheduler* scheduler = nullptr;
+
+  std::string name() const override { return inner_->name(); }
+  int initial_attempts(const JobSpec& spec, int stage) const override {
+    return inner_->initial_attempts(spec, stage);
+  }
+  void on_job_start(int job, mapreduce::SchedulerApi& api) override {
+    inner_->on_job_start(job, api);
+  }
+  void on_task_completed(int job, int task,
+                         mapreduce::SchedulerApi& api) override {
+    inner_->on_task_completed(job, task, api);
+  }
+  void on_stage_start(int job, int stage,
+                      mapreduce::SchedulerApi& api) override {
+    inner_->on_stage_start(job, stage, api);
+  }
+  void on_job_completed(int job, mapreduce::SchedulerApi& api) override {
+    inner_->on_job_completed(job, api);
+    scheduler->compact_job(job);
+  }
+
+ private:
+  std::unique_ptr<mapreduce::SpeculationPolicy> inner_;
+};
+
+struct RetiringRun {
+  sim::Simulator simulator;
+  sim::Cluster cluster;
+  RetiringPolicy policy;
+  Scheduler scheduler;
+
+  RetiringRun(PolicyKind kind, int containers)
+      : cluster(sim::ClusterConfig::uniform(1, [&] {
+          sim::NodeConfig node;
+          node.containers = containers;
+          return node;
+        }())),
+        policy(kind),
+        scheduler(simulator, cluster, policy, SchedulerConfig{}, Rng(5)) {
+    policy.scheduler = &scheduler;
+  }
+};
+
+TEST(RetiredJobs, TimersFiringAfterRetirementAreNoOps) {
+  // Tasks of ~1.5 s against timers at 45-100 s (and Hadoop-S / Mantri
+  // checks every second): every policy timer still pending at completion
+  // fires after the record is gone. Each must return without touching it,
+  // so the run executes exactly the events of one that keeps the record.
+  JobSpec spec = chronos_job(10, 2);
+  spec.stage(0).t_min = 1.0;
+  spec.stage(0).beta = 3.0;
+  spec.stage(0).tau_est = 50.0;
+  spec.stage(0).tau_kill = 100.0;
+  for (const PolicyKind kind :
+       {PolicyKind::kHadoopS, PolicyKind::kMantri, PolicyKind::kClone,
+        PolicyKind::kSRestart, PolicyKind::kSResume}) {
+    RetiringRun retiring(kind, 64);
+    retiring.scheduler.submit(spec);
+    retiring.simulator.run();
+    PolicyRun kept(kind, spec, 5, 1, 64);
+
+    EXPECT_EQ(retiring.scheduler.live_jobs(), 0) << to_string(kind);
+    EXPECT_TRUE(retiring.scheduler.job_done(0)) << to_string(kind);
+    EXPECT_THROW(retiring.scheduler.job(0), PreconditionError)
+        << to_string(kind);
+    const auto& outcome = retiring.scheduler.metrics().outcomes().at(0);
+    EXPECT_GT(retiring.simulator.now(), outcome.completion_time)
+        << to_string(kind) << ": no timer outlived the job";
+    EXPECT_EQ(retiring.simulator.events_executed(),
+              kept.simulator.events_executed())
+        << to_string(kind);
+    EXPECT_EQ(outcome.machine_time, kept.job().machine_time)
+        << to_string(kind);
+    EXPECT_EQ(retiring.cluster.busy_containers(), 0) << to_string(kind);
+  }
+}
+
+TEST(RetiredJobs, GrantForKilledQueuedAttemptReturnsTheContainer) {
+  // Two containers. Y holds one for ~100 s, X's original the other for
+  // ~10 s, and Z (submitted at t = 1) queues. At tau_est = 2 X's original
+  // is a straggler (deadline 1 s) and S-Restart queues two extras behind Z.
+  // When the original finishes, its container goes to Z and X's extras
+  // are killed while still queued; X completes and is retired. When Y
+  // finishes, the cluster grants the extras' stale requests: each grant
+  // must hand its container straight back.
+  auto job = [](int id, double t_min, long long r, double deadline) {
+    JobSpec spec;
+    spec.job_id = id;
+    spec.deadline = deadline;
+    spec.stage(0).num_tasks = 1;
+    spec.stage(0).t_min = t_min;
+    spec.stage(0).beta = 50.0;
+    spec.stage(0).tau_est = 2.0;
+    spec.stage(0).tau_kill = 30.0;
+    spec.stage(0).r = r;
+    return spec;
+  };
+  RetiringRun run(PolicyKind::kSRestart, 2);
+  run.scheduler.submit(job(0, 100.0, 0, 1000.0));  // Y
+  run.scheduler.submit(job(1, 10.0, 2, 1.0));      // X
+  run.simulator.at(1.0, [&] {
+    run.scheduler.submit(job(2, 100.0, 0, 1000.0));  // Z
+  });
+  run.simulator.run();
+
+  EXPECT_EQ(run.scheduler.live_jobs(), 0);
+  EXPECT_EQ(run.cluster.busy_containers(), 0);
+  EXPECT_EQ(run.cluster.pending_requests(), 0u);
+  const auto& outcomes = run.scheduler.metrics().outcomes();
+  ASSERT_EQ(outcomes.size(), 3u);
+  const auto& x = outcomes[0];  // X completes first
+  EXPECT_EQ(x.job_id, 1);
+  EXPECT_EQ(x.attempts_launched, 3);
+  EXPECT_EQ(x.attempts_killed, 2);
+  // The killed extras never ran: X's machine time is its original alone.
+  EXPECT_NEAR(x.machine_time, x.completion_time, 1e-9);
 }
 
 }  // namespace

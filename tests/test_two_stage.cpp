@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -298,6 +299,21 @@ TEST(StagedPlanner, MakespanFormulaMatchesMonteCarlo) {
   }
   const double expected = trace::expected_stage_makespan(n, t_min, beta);
   EXPECT_NEAR(sum / trials, expected, 0.05 * expected);
+}
+
+TEST(StagedPlanner, MakespanIsBitIdenticalToLgammaFormula) {
+  // The reentrant lgamma_r must not move a bit of the planner's deadline
+  // split relative to the std::lgamma formula it replaced.
+  for (const int n : {1, 2, 7, 50, 370, 4096}) {
+    for (const double beta : {1.05, 1.3, 1.5, 1.6, 2.0, 3.7, 10.0}) {
+      const double a = 1.0 - 1.0 / beta;
+      const double reference =
+          30.0 * std::exp(std::lgamma(n + 1.0) + std::lgamma(a) -
+                          std::lgamma(n + a));
+      EXPECT_EQ(trace::expected_stage_makespan(n, 30.0, beta), reference)
+          << "n " << n << " beta " << beta;
+    }
+  }
 }
 
 TEST(StagedPlanner, MakespanGrowsWithTasksAndTail) {
