@@ -37,8 +37,8 @@ std::vector<trace::TracedJob> make_jobs(PolicyKind policy,
     trace::PlannerConfig planner;
     planner.theta = kTheta;
     if (trace::has_analytic_strategy(policy)) {
-      plan_job(job, policy, planner, prices);
-      // plan_job rewrites the taus from factors; restore the absolute ones.
+      plan_staged_job(job, policy, planner, prices);
+      // Planning rewrites the taus from factors; restore the absolute ones.
       stage.tau_est = 40.0;
       stage.tau_kill = 80.0;
     }

@@ -49,7 +49,7 @@ int main() {
     planner.theta = series[s].theta;
     auto jobs = base_jobs;
     for (auto& job : jobs) {
-      plan_job(job, series[s].policy, planner, prices);
+      plan_staged_job(job, series[s].policy, planner, prices);
       histograms[s].add(job.spec.stage(0).r);
       max_r = std::max(max_r, job.spec.stage(0).r);
     }

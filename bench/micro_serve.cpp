@@ -110,10 +110,9 @@ void BM_PlansPerSecondWarmQuantized(benchmark::State& state) {
 }
 BENCHMARK(BM_PlansPerSecondWarmQuantized);
 
-// Full staged planning on a 3-stage chain: critical-path deadline split
-// plus one Algorithm-1 run per stage, with SharedAnalytics reused across
-// the two same-shape reduce stages. The staged analogue of
-// BM_PlansPerSecondCold.
+// Full staged planning on a 3-stage chain (two same-shape reduce stages):
+// critical-path deadline split plus one Algorithm-1 run per stage. The
+// staged analogue of BM_PlansPerSecondCold.
 void BM_StagedJobPlan(benchmark::State& state) {
   chronos::mapreduce::JobSpec proto;
   proto.stage(0).num_tasks = 40;

@@ -141,16 +141,11 @@ OptimizationResult brute_force_optimize(Strategy strategy,
 
 BestStrategy optimize_all(const JobParams& params, const Economics& econ,
                           const OptimizerOptions& options) {
+  obs::TraceSpan span("core.optimize_all", "core");
   // One SharedAnalytics instance computes the constants every strategy's
   // context needs (P(T > D) and the truncated Pareto means) exactly once;
   // the three contexts borrow them instead of recomputing per strategy.
   const SharedAnalytics shared(params);
-  return optimize_all(shared, econ, options);
-}
-
-BestStrategy optimize_all(const SharedAnalytics& shared, const Economics& econ,
-                          const OptimizerOptions& options) {
-  obs::TraceSpan span("core.optimize_all", "core");
   BestStrategy best;
   bool first = true;
   for (const Strategy strategy :

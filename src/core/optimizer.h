@@ -67,11 +67,4 @@ struct BestStrategy {
 BestStrategy optimize_all(const JobParams& params, const Economics& econ,
                           const OptimizerOptions& options = {});
 
-/// As above, but borrows an already-built SharedAnalytics (whose params are
-/// the job's S-Resume-style params). Lets a batch planner amortize the
-/// strategy-independent constants across many economics (price / theta)
-/// values for the same job shape; bit-identical to the params overload.
-BestStrategy optimize_all(const SharedAnalytics& shared, const Economics& econ,
-                          const OptimizerOptions& options = {});
-
 }  // namespace chronos::core

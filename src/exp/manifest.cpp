@@ -14,7 +14,6 @@
 
 #include "common/error.h"
 #include "common/numeric.h"
-#include "core/pocd.h"
 #include "sim/open_system.h"
 #include "trace/planner.h"
 #include "trace/spot_price.h"
@@ -335,12 +334,7 @@ std::optional<Binding> optional_binding(const SectionReader& reader,
 double mean_baseline_pocd(const std::vector<trace::TracedJob>& jobs) {
   double sum = 0.0;
   for (const auto& job : jobs) {
-    core::JobParams params;
-    params.num_tasks = job.spec.stage(0).num_tasks;
-    params.deadline = job.spec.deadline;
-    params.t_min = job.spec.stage(0).t_min;
-    params.beta = job.spec.stage(0).beta;
-    sum += core::pocd_no_speculation(params);
+    sum += trace::baseline_pocd(job.spec.stage(0), job.spec.deadline);
   }
   return sum / static_cast<double>(jobs.size());
 }
@@ -363,6 +357,39 @@ std::vector<mapreduce::StageSpec> resolve_stages(
     resolved.push_back(std::move(st));
   }
   return resolved;
+}
+
+/// One cell's trace template: [trace] with its beta and deadline-factor
+/// bindings and the [stage.N] templates resolved at the cell's point.
+trace::TraceConfig resolve_trace(const Manifest& m, const SweepPoint& point) {
+  trace::TraceConfig config = m.trace;
+  if (m.trace_beta.has_value()) {
+    const double beta = m.trace_beta->resolve(point);
+    config.beta_lo = beta;
+    config.beta_hi = beta;
+  }
+  if (m.trace_deadline_factor.has_value()) {
+    const double factor = m.trace_deadline_factor->resolve(point);
+    config.deadline_factor_lo = factor;
+    config.deadline_factor_hi = factor;
+  }
+  config.extra_stages = resolve_stages(m.stages, point);
+  return config;
+}
+
+/// One cell's planner knobs: theta and the tau factors resolved at the
+/// cell's point.
+trace::PlannerConfig resolve_planner(const Manifest& m,
+                                     const SweepPoint& point) {
+  trace::PlannerConfig planner;
+  planner.theta = m.planner_theta.resolve(point);
+  if (m.planner_tau_est_factor.has_value()) {
+    planner.tau_est_factor = m.planner_tau_est_factor->resolve(point);
+  }
+  if (m.planner_tau_kill_factor.has_value()) {
+    planner.tau_kill_factor = m.planner_tau_kill_factor->resolve(point);
+  }
+  return planner;
 }
 
 }  // namespace
@@ -937,19 +964,7 @@ SweepHooks make_hooks(const Manifest& manifest) {
       }
       return shared;
     }
-    trace::TraceConfig config = m->trace;
-    if (m->trace_beta.has_value()) {
-      const double beta = m->trace_beta->resolve(point);
-      config.beta_lo = beta;
-      config.beta_hi = beta;
-    }
-    if (m->trace_deadline_factor.has_value()) {
-      const double factor = m->trace_deadline_factor->resolve(point);
-      config.deadline_factor_lo = factor;
-      config.deadline_factor_hi = factor;
-    }
-    config.extra_stages = resolve_stages(m->stages, point);
-    auto jobs = generate_trace(config);
+    auto jobs = generate_trace(resolve_trace(*m, point));
 
     SharedCell shared;
     if (m->report_utility) {
@@ -959,16 +974,8 @@ SweepHooks make_hooks(const Manifest& manifest) {
       shared.r_min = std::max(0.0, base + m->r_min_offset);
     }
 
-    trace::PlannerConfig planner;
-    planner.theta = m->planner_theta.resolve(point);
-    if (m->planner_tau_est_factor.has_value()) {
-      planner.tau_est_factor = m->planner_tau_est_factor->resolve(point);
-    }
-    if (m->planner_tau_kill_factor.has_value()) {
-      planner.tau_kill_factor = m->planner_tau_kill_factor->resolve(point);
-    }
     const trace::SpotPriceModel prices;
-    plan_trace(jobs, point.policy, planner, prices);
+    plan_trace(jobs, point.policy, resolve_planner(*m, point), prices);
     shared.jobs = std::make_shared<const std::vector<trace::TracedJob>>(
         std::move(jobs));
     return shared;
@@ -987,27 +994,8 @@ SweepHooks make_hooks(const Manifest& manifest) {
       if (a.spec.kind != trace::ArrivalKind::kTrace) {
         open->arrivals.rate = a.rate.resolve(point);
       }
-      open->workload = m->trace;
-      if (m->trace_beta.has_value()) {
-        const double beta = m->trace_beta->resolve(point);
-        open->workload.beta_lo = beta;
-        open->workload.beta_hi = beta;
-      }
-      if (m->trace_deadline_factor.has_value()) {
-        const double factor = m->trace_deadline_factor->resolve(point);
-        open->workload.deadline_factor_lo = factor;
-        open->workload.deadline_factor_hi = factor;
-      }
-      open->workload.extra_stages = resolve_stages(m->stages, point);
-      open->planner.theta = m->planner_theta.resolve(point);
-      if (m->planner_tau_est_factor.has_value()) {
-        open->planner.tau_est_factor =
-            m->planner_tau_est_factor->resolve(point);
-      }
-      if (m->planner_tau_kill_factor.has_value()) {
-        open->planner.tau_kill_factor =
-            m->planner_tau_kill_factor->resolve(point);
-      }
+      open->workload = resolve_trace(*m, point);
+      open->planner = resolve_planner(*m, point);
       open->plan_cache = a.plan_cache;
       open->admission.enabled = a.admission_enabled;
       open->admission.degrade_headroom = a.degrade_headroom;

@@ -47,7 +47,6 @@ std::uint64_t hash_key(const PlanKey& key) {
   mix(static_cast<std::uint64_t>(key.num_stages));
   mix(static_cast<std::uint64_t>(key.deadline));
   mix(static_cast<std::uint64_t>(key.price));
-  mix(static_cast<std::uint64_t>(key.theta));
   for (const PlanStageKey& stage : key.stages) {
     mix(static_cast<std::uint64_t>(stage.num_tasks));
     mix(static_cast<std::uint64_t>(stage.t_min));

@@ -2,7 +2,7 @@
 // "planner-as-a-service" item).
 //
 // A plan is a pure function of the planning inputs (job shape, deadline,
-// spot price, theta, policy-or-auto) under a fixed PlannerConfig, so a
+// spot price, policy-or-auto) under a fixed PlannerConfig, so a
 // long-running front-end can memoize it. The cache key is those inputs
 // either bit-exact (kExact: a hit is only ever served for bit-identical
 // inputs, so cached planning is byte-identical to uncached planning) or
@@ -87,15 +87,14 @@ struct PlanStageKey {
 /// Canonical cache key: the planning mode plus every request field the plan
 /// depends on, encoded as integers (bit patterns in kExact mode, bucket
 /// indices in kQuantized mode). The full stage vector is keyed — stage
-/// slots past num_stages stay zero-initialized. PlannerConfig knobs are
-/// deliberately absent: they are fixed for the lifetime of a
-/// PlannerService.
+/// slots past num_stages stay zero-initialized. PlannerConfig knobs (theta
+/// among them) are deliberately absent: they are fixed for the lifetime of
+/// a PlannerService.
 struct PlanKey {
   std::uint64_t mode = 0;  ///< PolicyKind ordinal, or kAutoMode
   std::int64_t num_stages = 0;
   std::int64_t deadline = 0;
   std::int64_t price = 0;
-  std::int64_t theta = 0;
   std::array<PlanStageKey, kMaxKeyStages> stages{};
 
   friend bool operator==(const PlanKey&, const PlanKey&) = default;

@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "core/chronos.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/planner.h"
@@ -233,7 +232,9 @@ class OpenEngine {
     CHRONOS_ENSURES(spec.price == prices_.price_at(t),
                     "arrival priced off its arrival-time spot price");
     if (measured) {
-      baseline_pocd_.add(analytic_baseline_pocd(spec));
+      // Root-stage view under the whole job deadline — the baseline the
+      // planner's r_min_from_baseline mode computes for single-stage jobs.
+      baseline_pocd_.add(trace::baseline_pocd(spec.stage(0), spec.deadline));
     }
 
     switch (admit_decision(spec)) {
@@ -317,20 +318,6 @@ class OpenEngine {
                             static_cast<double>(cluster_.pending_requests()),
                             static_cast<double>(cluster_.idle_containers()),
                             static_cast<double>(cluster_.total_containers()));
-  }
-
-  double analytic_baseline_pocd(const mapreduce::JobSpec& spec) const {
-    // Root-stage view under the whole job deadline — the same baseline the
-    // planner's r_min_from_baseline mode computes for single-stage jobs.
-    core::JobParams params;
-    params.num_tasks = spec.stage(0).num_tasks;
-    params.deadline = spec.deadline;
-    params.t_min = spec.stage(0).t_min;
-    params.beta = spec.stage(0).beta;
-    params.tau_est = 0.0;
-    params.tau_kill = 0.0;
-    params.phi_est = 0.0;
-    return core::pocd_no_speculation(params);
   }
 
   OpenSystemResult finalize(obs::TraceSpan& span) {

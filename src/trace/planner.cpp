@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "common/error.h"
@@ -26,25 +25,23 @@ core::JobParams stage_job_params(const mapreduce::StageSpec& stage,
   return params;
 }
 
+double baseline_pocd(const mapreduce::StageSpec& stage, double deadline) {
+  core::JobParams params;  // tau_est = tau_kill = phi_est = 0
+  params.num_tasks = stage.num_tasks;
+  params.deadline = deadline;
+  params.t_min = stage.t_min;
+  params.beta = stage.beta;
+  return core::pocd_no_speculation(params);
+}
+
 core::Economics stage_economics(const mapreduce::StageSpec& stage,
                                 double deadline, const PlannerConfig& config,
                                 double price) {
   core::Economics econ;
   econ.price = price;
   econ.theta = config.theta;
-  if (config.r_min_from_baseline) {
-    core::JobParams baseline;
-    baseline.num_tasks = stage.num_tasks;
-    baseline.deadline = deadline;
-    baseline.t_min = stage.t_min;
-    baseline.beta = stage.beta;
-    baseline.tau_est = 0.0;
-    baseline.tau_kill = 0.0;
-    baseline.phi_est = 0.0;
-    econ.r_min = core::pocd_no_speculation(baseline);
-  } else {
-    econ.r_min = config.r_min;
-  }
+  econ.r_min = config.r_min_from_baseline ? baseline_pocd(stage, deadline)
+                                          : config.r_min;
   return econ;
 }
 
@@ -96,47 +93,6 @@ strategies::PolicyKind policy_of(core::Strategy strategy) {
   CHRONOS_EXPECTS(false, "unknown analytic strategy");
 }
 
-core::OptimizationResult plan_spec(mapreduce::JobSpec& spec,
-                                   strategies::PolicyKind policy,
-                                   const PlannerConfig& config, double price) {
-  if (spec.num_stages() > 1) {
-    return plan_staged_spec(spec, policy, config, price).stages.front();
-  }
-  spec.price = price;
-  auto& st = spec.stage(0);
-
-  if (!has_analytic_strategy(policy)) {
-    st.r = 0;
-    st.tau_est = config.tau_est_factor * st.t_min;
-    st.tau_kill = config.tau_kill_factor * st.t_min;
-    return core::OptimizationResult{};
-  }
-
-  const core::Strategy strategy = analytic_strategy(policy);
-  const auto params = to_job_params(spec, config, strategy);
-  const auto econ = to_economics(spec, config, spec.price);
-  auto result = core::optimize(strategy, params, econ, config.optimizer);
-  st.tau_est = params.tau_est;
-  st.tau_kill = params.tau_kill;
-  st.r = result.feasible ? result.r_opt : 1;  // fall back to one copy
-  return result;
-}
-
-core::OptimizationResult plan_job(TracedJob& job,
-                                  strategies::PolicyKind policy,
-                                  const PlannerConfig& config,
-                                  const SpotPriceModel& prices) {
-  return plan_spec(job.spec, policy, config,
-                   prices.price_at(job.submit_time));
-}
-
-void plan_trace(std::vector<TracedJob>& jobs, strategies::PolicyKind policy,
-                const PlannerConfig& config, const SpotPriceModel& prices) {
-  for (auto& job : jobs) {
-    plan_job(job, policy, config, prices);
-  }
-}
-
 double expected_stage_makespan(int num_tasks, double t_min, double beta) {
   CHRONOS_EXPECTS(num_tasks >= 1, "num_tasks must be >= 1");
   CHRONOS_EXPECTS(t_min > 0.0 && beta > 1.0,
@@ -152,8 +108,16 @@ double expected_stage_makespan(int num_tasks, double t_min, double beta) {
                           lgamma_r(n + a, &sign));
 }
 
-std::vector<double> critical_path_split(const mapreduce::JobSpec& spec) {
+namespace {
+
+/// critical_path_split into `deadlines`, reusing its storage.
+void split_into(const mapreduce::JobSpec& spec,
+                std::vector<double>& deadlines) {
   const int stages = spec.num_stages();
+  if (stages == 1) {
+    deadlines.assign(1, spec.deadline);
+    return;
+  }
   std::vector<double> span(static_cast<std::size_t>(stages));
   std::vector<double> finish(static_cast<std::size_t>(stages));
   double longest = 0.0;
@@ -171,105 +135,111 @@ std::vector<double> critical_path_split(const mapreduce::JobSpec& spec) {
         start + span[static_cast<std::size_t>(s)];
     longest = std::max(longest, finish[static_cast<std::size_t>(s)]);
   }
-  std::vector<double> deadlines(static_cast<std::size_t>(stages));
+  deadlines.resize(static_cast<std::size_t>(stages));
   for (int s = 0; s < stages; ++s) {
     deadlines[static_cast<std::size_t>(s)] =
         spec.deadline * (span[static_cast<std::size_t>(s)] / longest);
   }
-  return deadlines;
 }
 
-namespace {
-
-bool same_shape(const core::JobParams& a, const core::JobParams& b) {
-  return a.num_tasks == b.num_tasks && a.deadline == b.deadline &&
-         a.t_min == b.t_min && a.beta == b.beta && a.tau_est == b.tau_est &&
-         a.tau_kill == b.tau_kill && a.phi_est == b.phi_est;
+/// Feasibility floor: randomly sampled DAGs can be so deadline-tight that a
+/// stage's proportional share drops below t_min + tau_est, which no valid
+/// analytic JobParams can express. Clamp the share to that floor — the
+/// stage is effectively infeasible either way, and the optimizer then
+/// reports it as such instead of rejecting the parameters outright. A
+/// single-stage job keeps its whole deadline as given.
+void clamp_to_floor(std::vector<double>& deadlines,
+                    const mapreduce::JobSpec& spec,
+                    const PlannerConfig& config) {
+  if (spec.num_stages() == 1) {
+    return;
+  }
+  for (std::size_t s = 0; s < deadlines.size(); ++s) {
+    const double floor = spec.stages[s].t_min *
+                         (1.0 + config.tau_est_factor) * (1.0 + 1e-9);
+    deadlines[s] = std::max(deadlines[s], floor);
+  }
 }
 
 }  // namespace
+
+std::vector<double> critical_path_split(const mapreduce::JobSpec& spec) {
+  std::vector<double> deadlines;
+  split_into(spec, deadlines);
+  return deadlines;
+}
+
+bool StagedPlan::feasible() const {
+  return std::all_of(stages.begin(), stages.end(),
+                     [](const core::OptimizationResult& result) {
+                       return result.feasible;
+                     });
+}
+
+void write_plan(mapreduce::JobSpec& spec, strategies::PolicyKind kind,
+                std::span<const long long> r, const PlannerConfig& config,
+                double price) {
+  CHRONOS_EXPECTS(r.size() == spec.stages.size(), "one r per stage");
+  const bool analytic = has_analytic_strategy(kind);
+  spec.price = price;
+  for (std::size_t s = 0; s < r.size(); ++s) {
+    auto& st = spec.stages[s];
+    st.tau_est = kind == strategies::PolicyKind::kClone
+                     ? 0.0
+                     : config.tau_est_factor * st.t_min;
+    st.tau_kill = config.tau_kill_factor * st.t_min;
+    st.r = analytic ? r[s] : 0;
+  }
+}
+
+void plan_into(mapreduce::JobSpec& spec, bool auto_strategy,
+               strategies::PolicyKind policy, const PlannerConfig& config,
+               double price, StagedPlan& plan) {
+  const std::size_t stages = spec.stages.size();
+  plan.kind = policy;
+  split_into(spec, plan.stage_deadlines);
+  plan.stages.assign(stages, core::OptimizationResult{});
+  plan.r.assign(stages, 0);
+  std::size_t first = 0;  // first stage still to optimize
+  if (auto_strategy) {
+    // Choose on the root stage's (unclamped) critical-path view; one policy
+    // then runs the whole job.
+    const auto& root = spec.stages.front();
+    const double deadline = plan.stage_deadlines.front();
+    const auto best = core::optimize_all(
+        stage_job_params(root, deadline, config,
+                         core::Strategy::kSpeculativeResume),
+        stage_economics(root, deadline, config, price), config.optimizer);
+    plan.kind = policy_of(best.strategy);
+    if (stages == 1) {
+      plan.stages.front() = best.result;
+      first = 1;
+    }
+  }
+  clamp_to_floor(plan.stage_deadlines, spec, config);
+
+  if (has_analytic_strategy(plan.kind)) {
+    const core::Strategy strategy = analytic_strategy(plan.kind);
+    for (std::size_t s = first; s < stages; ++s) {
+      const auto& st = spec.stages[s];
+      const double deadline = plan.stage_deadlines[s];
+      plan.stages[s] = core::optimize(
+          strategy, stage_job_params(st, deadline, config, strategy),
+          stage_economics(st, deadline, config, price), config.optimizer);
+    }
+    for (std::size_t s = 0; s < stages; ++s) {
+      const auto& result = plan.stages[s];
+      plan.r[s] = result.feasible ? result.r_opt : 1;  // fall back to one copy
+    }
+  }
+  write_plan(spec, plan.kind, plan.r, config, price);
+}
 
 StagedPlan plan_staged_spec(mapreduce::JobSpec& spec,
                             strategies::PolicyKind policy,
                             const PlannerConfig& config, double price) {
   StagedPlan plan;
-  const int stages = spec.num_stages();
-  if (stages == 1) {
-    // Single-stage jobs take the historical path (the whole job deadline,
-    // no split arithmetic) so existing map-only plans stay bit-identical.
-    plan.stages.push_back(plan_spec(spec, policy, config, price));
-    plan.stage_deadlines.push_back(spec.deadline);
-    return plan;
-  }
-  spec.price = price;
-  plan.stage_deadlines = critical_path_split(spec);
-  // Feasibility floor: randomly sampled DAGs can be so deadline-tight that
-  // a stage's proportional share drops below t_min + tau_est, which no
-  // valid analytic JobParams can express. Clamp the share to that floor —
-  // the stage is effectively infeasible either way, and the optimizer then
-  // reports it as such instead of rejecting the parameters outright. The
-  // floor depends only on t_min, so same-shape stages keep equal shares.
-  for (int s = 0; s < stages; ++s) {
-    const double floor = spec.stage(s).t_min *
-                         (1.0 + config.tau_est_factor) * (1.0 + 1e-9);
-    plan.stage_deadlines[static_cast<std::size_t>(s)] =
-        std::max(plan.stage_deadlines[static_cast<std::size_t>(s)], floor);
-  }
-  plan.stages.resize(static_cast<std::size_t>(stages));
-
-  if (!has_analytic_strategy(policy)) {
-    for (auto& st : spec.stages) {
-      st.r = 0;
-      st.tau_est = config.tau_est_factor * st.t_min;
-      st.tau_kill = config.tau_kill_factor * st.t_min;
-    }
-    return plan;
-  }
-
-  const core::Strategy strategy = analytic_strategy(policy);
-  // One optimize() per stage (§III optimizes stage PoCDs separately). The
-  // strategy-independent constants are shared across same-shape stages —
-  // identical (num_tasks, t_min, beta) implies identical spans and hence
-  // identical deadline shares, so their JobParams match bit-for-bit.
-  std::vector<core::JobParams> params(static_cast<std::size_t>(stages));
-  std::vector<std::unique_ptr<core::SharedAnalytics>> analytics(
-      static_cast<std::size_t>(stages));
-  std::vector<int> shape_of(static_cast<std::size_t>(stages));
-  for (int s = 0; s < stages; ++s) {
-    params[static_cast<std::size_t>(s)] = stage_job_params(
-        spec.stage(s), plan.stage_deadlines[static_cast<std::size_t>(s)],
-        config, strategy);
-    int owner = s;
-    for (int q = 0; q < s; ++q) {
-      if (same_shape(params[static_cast<std::size_t>(q)],
-                     params[static_cast<std::size_t>(s)])) {
-        owner = shape_of[static_cast<std::size_t>(q)];
-        break;
-      }
-    }
-    shape_of[static_cast<std::size_t>(s)] = owner;
-    if (owner == s) {
-      analytics[static_cast<std::size_t>(s)] =
-          std::make_unique<core::SharedAnalytics>(
-              params[static_cast<std::size_t>(s)]);
-    }
-  }
-  for (int s = 0; s < stages; ++s) {
-    auto& st = spec.stage(s);
-    const auto econ = stage_economics(
-        st, plan.stage_deadlines[static_cast<std::size_t>(s)], config,
-        spec.price);
-    const core::AnalyticContext context(
-        strategy,
-        *analytics[static_cast<std::size_t>(
-            shape_of[static_cast<std::size_t>(s)])],
-        econ);
-    auto& result = plan.stages[static_cast<std::size_t>(s)];
-    result = core::optimize(context, config.optimizer);
-    st.tau_est = params[static_cast<std::size_t>(s)].tau_est;
-    st.tau_kill = params[static_cast<std::size_t>(s)].tau_kill;
-    st.r = result.feasible ? result.r_opt : 1;  // fall back to one copy
-  }
+  plan_into(spec, false, policy, config, price, plan);
   return plan;
 }
 
@@ -278,6 +248,13 @@ StagedPlan plan_staged_job(TracedJob& job, strategies::PolicyKind policy,
                            const SpotPriceModel& prices) {
   return plan_staged_spec(job.spec, policy, config,
                           prices.price_at(job.submit_time));
+}
+
+void plan_trace(std::vector<TracedJob>& jobs, strategies::PolicyKind policy,
+                const PlannerConfig& config, const SpotPriceModel& prices) {
+  for (auto& job : jobs) {
+    plan_staged_job(job, policy, config, prices);
+  }
 }
 
 }  // namespace chronos::trace

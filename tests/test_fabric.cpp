@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <filesystem>
@@ -764,10 +766,16 @@ TEST(FabricIntegration, TwoCleanWorkersMatchSingleProcess) {
   const exp::SweepSpec spec = tiny_spec();
   const FabricRun run = run_fabric(spec, {FaultPlan{}, FaultPlan{}}, "clean");
   EXPECT_EQ(fabric_csv(spec, run), single_process_csv(spec));
-  EXPECT_EQ(run.outcomes[0], WorkerOutcome::kDone);
-  EXPECT_EQ(run.outcomes[1], WorkerOutcome::kDone);
+  // The first worker can finish all six tiny cells before the second one
+  // connects; the controller then exits and the late worker, never having
+  // joined, ends kLost once its connect budget runs out. Every worker that
+  // did join must end kDone.
+  const auto done = static_cast<std::uint64_t>(
+      std::count(run.outcomes.begin(), run.outcomes.end(),
+                 WorkerOutcome::kDone));
+  EXPECT_GE(run.controller.stats.workers_joined, 1u);
+  EXPECT_EQ(done, run.controller.stats.workers_joined);
   EXPECT_EQ(run.controller.stats.results, 6u);
-  EXPECT_EQ(run.controller.stats.workers_joined, 2u);
   EXPECT_EQ(run.controller.stats.duplicates, 0u);
   EXPECT_EQ(run.controller.stats.cells_reassigned, 0u);
   EXPECT_EQ(run.controller.stats.workers_lost, 0u);

@@ -79,7 +79,8 @@ TEST(Planner, PlanJobFillsChronosFields) {
   PlannerConfig config;
   const SpotPriceModel prices;
   const auto result =
-      plan_job(job, strategies::PolicyKind::kSResume, config, prices);
+      plan_staged_job(job, strategies::PolicyKind::kSResume, config, prices)
+          .stages.front();
   EXPECT_TRUE(result.feasible);
   EXPECT_GT(job.spec.price, 0.0);
   EXPECT_EQ(job.spec.price, prices.price_at(1000.0));
@@ -94,7 +95,8 @@ TEST(Planner, BaselinePoliciesGetPriceOnly) {
   PlannerConfig config;
   const SpotPriceModel prices;
   const auto result =
-      plan_job(job, strategies::PolicyKind::kMantri, config, prices);
+      plan_staged_job(job, strategies::PolicyKind::kMantri, config, prices)
+          .stages.front();
   EXPECT_EQ(job.spec.stage(0).r, 0);
   EXPECT_GT(job.spec.price, 0.0);
   EXPECT_EQ(result.r_opt, 0);
@@ -109,7 +111,7 @@ TEST(Planner, HigherThetaNeverIncreasesR) {
       auto job = sample_job();
       PlannerConfig config;
       config.theta = theta;
-      plan_job(job, policy, config, prices);
+      plan_staged_job(job, policy, config, prices);
       EXPECT_LE(job.spec.stage(0).r, prev_r) << "theta=" << theta;
       prev_r = job.spec.stage(0).r;
     }

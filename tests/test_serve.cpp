@@ -4,10 +4,10 @@
 // uncached planning (a hit is only ever served for bit-identical inputs,
 // and the per-request fields — price, tau timers — are recomputed, never
 // cached), quantized keys bucket on the geometric grid exactly where
-// quantize_bucket says they do, plan_batch is result- and stats-equivalent
-// to sequential plan() calls while doing strictly fewer optimizer runs,
-// and the lock-free table survives a multi-threaded reader/inserter hammer
-// (run under ASan/UBSan in CI).
+// quantize_bucket says they do, auto mode plans staged jobs exactly as
+// the root-view choice plus trace::plan_staged_spec does, and the lock-free
+// table survives a multi-threaded reader/inserter hammer (run under
+// ASan/UBSan in CI).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -80,7 +80,7 @@ void expect_same_plan(const mapreduce::JobSpec& a,
 TEST(PlannerService, ExactHitsAreBitIdenticalToPlanSpec) {
   // A grid of shapes planned twice through an exact-key service: the second
   // pass must be all hits and every planned field must equal what the
-  // uncached trace::plan_spec path computes, bit for bit.
+  // uncached trace::plan_staged_spec path computes, bit for bit.
   PlannerService service(service_config(CacheMode::kExact));
   const trace::PlannerConfig planner = service.config().planner;
   for (const auto policy :
@@ -99,7 +99,7 @@ TEST(PlannerService, ExactHitsAreBitIdenticalToPlanSpec) {
             service.plan(request_for(warm, price, false, policy));
         EXPECT_TRUE(second.cache_hit);
 
-        trace::plan_spec(reference, policy, planner, price);
+        trace::plan_staged_spec(reference, policy, planner, price);
         expect_same_plan(cold, reference);
         expect_same_plan(warm, reference);
         EXPECT_EQ(first.r, second.r);
@@ -330,83 +330,59 @@ TEST(PlannerService, WideDagsBypassTheCache) {
   EXPECT_EQ(stats.cache_size, 0u);
 }
 
-// --- batch API ---------------------------------------------------------------
+// --- auto mode on staged jobs ----------------------------------------------
 
-TEST(PlannerService, BatchMatchesSequentialPlans) {
-  // The same request stream through plan_batch and through sequential
-  // plan() calls on a twin service: bit-identical specs, identical replies
-  // and identical hit/miss accounting.
-  const auto shapes = std::vector<mapreduce::JobSpec>{
-      make_spec(50, 20.0, 1.8, 120.0), make_spec(80, 30.0, 1.6, 200.0),
-      make_spec(50, 20.0, 1.8, 120.0),  // duplicate of [0]
-      make_spec(12, 8.0, 2.4, 60.0)};
-  const std::vector<double> prices = {0.4, 0.5, 0.4, 0.6};
-  const std::vector<bool> autos = {false, true, false, false};
-  const std::vector<strategies::PolicyKind> policies = {
-      strategies::PolicyKind::kSResume, strategies::PolicyKind::kSResume,
-      strategies::PolicyKind::kSResume, strategies::PolicyKind::kHadoopS};
+TEST(PlannerService, StagedAutoMatchesRootViewChoice) {
+  // Auto mode on a staged job picks the strategy with optimize_all on the
+  // root stage's critical-path view, then plans every stage under the
+  // winner. An off service, an exact-mode miss and an exact-mode hit must
+  // all reproduce that reference, for a keyable 2-stage job and for a
+  // 5-stage job too wide to key.
+  auto two = make_spec(40, 25.0, 1.4, 500.0);
+  two.add_reduce_stage(10, 45.0, 1.7);
+  auto five = make_spec(8, 25.0, 1.4, 900.0);
+  for (int s = 0; s < serve::kMaxKeyStages; ++s) {
+    five.add_reduce_stage(4, 30.0 + 5.0 * s, 1.5);
+  }
+  ASSERT_GT(five.num_stages(), serve::kMaxKeyStages);
+  const double price = 0.4;
+  for (const mapreduce::JobSpec& shape : {two, five}) {
+    PlannerService off(service_config(CacheMode::kOff));
+    PlannerService exact(service_config(CacheMode::kExact));
+    const trace::PlannerConfig planner = off.config().planner;
 
-  for (const CacheMode mode :
-       {CacheMode::kOff, CacheMode::kExact, CacheMode::kQuantized}) {
-    const double grid = mode == CacheMode::kQuantized ? 0.05 : 0.0;
-    PlannerService batched(service_config(mode, grid));
-    PlannerService sequential(service_config(mode, grid));
+    const auto deadlines = trace::critical_path_split(shape);
+    const auto best = core::optimize_all(
+        trace::stage_job_params(shape.stage(0), deadlines[0], planner,
+                                core::Strategy::kSpeculativeResume),
+        trace::stage_economics(shape.stage(0), deadlines[0], planner, price),
+        planner.optimizer);
+    const auto kind = trace::policy_of(best.strategy);
+    auto reference = shape;
+    trace::plan_staged_spec(reference, kind, planner, price);
 
-    auto batch_specs = shapes;
-    std::vector<PlanRequest> requests;
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      requests.push_back(request_for(batch_specs[i], prices[i], autos[i],
-                                     policies[i]));
+    auto uncached = shape;
+    auto miss = shape;
+    auto hit = shape;
+    const PlanReply replies[] = {
+        off.plan(request_for(uncached, price, true,
+                             strategies::PolicyKind::kSResume)),
+        exact.plan(request_for(miss, price, true,
+                               strategies::PolicyKind::kSResume)),
+        exact.plan(request_for(hit, price, true,
+                               strategies::PolicyKind::kSResume))};
+    for (const auto* planned : {&uncached, &miss, &hit}) {
+      expect_same_plan(*planned, reference);
     }
-    const auto batch_replies = batched.plan_batch(requests);
-
-    auto seq_specs = shapes;
-    std::vector<PlanReply> seq_replies;
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      seq_replies.push_back(sequential.plan(request_for(
-          seq_specs[i], prices[i], autos[i], policies[i])));
+    for (const PlanReply& reply : replies) {
+      EXPECT_EQ(reply.kind, kind);
+      EXPECT_EQ(reply.r, reference.stage(0).r);
     }
-
-    ASSERT_EQ(batch_replies.size(), seq_replies.size());
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      expect_same_plan(batch_specs[i], seq_specs[i]);
-      EXPECT_EQ(batch_replies[i].kind, seq_replies[i].kind) << i;
-      EXPECT_EQ(batch_replies[i].r, seq_replies[i].r) << i;
-      EXPECT_EQ(batch_replies[i].cache_hit, seq_replies[i].cache_hit) << i;
-    }
-    const auto lhs = batched.stats();
-    const auto rhs = sequential.stats();
-    EXPECT_EQ(lhs.requests, rhs.requests);
-    EXPECT_EQ(lhs.hits, rhs.hits);
-    EXPECT_EQ(lhs.misses, rhs.misses);
-    EXPECT_EQ(lhs.inserts, rhs.inserts);
-    EXPECT_EQ(lhs.cache_size, rhs.cache_size);
+    const bool keyable = shape.num_stages() <= serve::kMaxKeyStages;
+    EXPECT_FALSE(replies[1].cache_hit);
+    EXPECT_EQ(replies[2].cache_hit, keyable);
+    EXPECT_EQ(exact.stats().hits, keyable ? 1u : 0u);
   }
-}
-
-TEST(PlannerService, BatchWarmPassIsAllHits) {
-  PlannerService service(service_config(CacheMode::kExact));
-  auto specs = std::vector<mapreduce::JobSpec>{
-      make_spec(50, 20.0, 1.8, 120.0), make_spec(80, 30.0, 1.6, 200.0)};
-  std::vector<PlanRequest> requests;
-  for (auto& spec : specs) {
-    requests.push_back(
-        request_for(spec, 0.4, true, strategies::PolicyKind::kSResume));
-  }
-  for (const auto& reply : service.plan_batch(requests)) {
-    EXPECT_FALSE(reply.cache_hit);
-  }
-  auto warm_specs = specs;
-  std::vector<PlanRequest> warm;
-  for (auto& spec : warm_specs) {
-    warm.push_back(
-        request_for(spec, 0.4, true, strategies::PolicyKind::kSResume));
-  }
-  for (const auto& reply : service.plan_batch(warm)) {
-    EXPECT_TRUE(reply.cache_hit);
-  }
-  expect_same_plan(specs[0], warm_specs[0]);
-  expect_same_plan(specs[1], warm_specs[1]);
 }
 
 // --- the lock-free table ----------------------------------------------------
@@ -460,8 +436,8 @@ TEST(PlannerService, TinyCacheStillPlansCorrectly) {
     auto reference = spec;
     service.plan(request_for(spec, 0.4, false,
                              strategies::PolicyKind::kSResume));
-    trace::plan_spec(reference, strategies::PolicyKind::kSResume, planner,
-                     0.4);
+    trace::plan_staged_spec(reference, strategies::PolicyKind::kSResume,
+                            planner, 0.4);
     expect_same_plan(spec, reference);
   }
   const auto stats = service.stats();
@@ -554,7 +530,8 @@ TEST(PlannerServiceConcurrency, HammerReadersAndInserters) {
       EXPECT_EQ(reply.kind, trace::policy_of(best.strategy)) << s;
       EXPECT_EQ(spec.stage(0).r, best.result.feasible ? best.result.r_opt : 1) << s;
     } else {
-      trace::plan_spec(reference, request.policy, planner, request.price);
+      trace::plan_staged_spec(reference, request.policy, planner,
+                              request.price);
       expect_same_plan(spec, reference);
     }
   }
