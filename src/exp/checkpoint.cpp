@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/log.h"
 #include "common/numeric.h"
 #include "exp/sweep.h"
 #include "obs/metrics.h"
@@ -279,15 +280,34 @@ std::string shard_journal_path(const std::string& dir,
   return path;
 }
 
-MergeStats merge_journals(const std::vector<std::string>& paths,
-                          const std::string& fingerprint,
-                          std::size_t num_cells) {
+bool FinishedCells::add(const JournalEntry& entry,
+                        const std::string& source) {
+  CHRONOS_EXPECTS(entry.cell < num_cells_,
+                  "cell " + std::to_string(entry.cell) + " from " + source +
+                      " is beyond the " + std::to_string(num_cells_) +
+                      "-cell grid");
+  std::string line = encode_journal_entry(entry);
+  const auto it = first_.find(entry.cell);
+  if (it == first_.end()) {
+    first_.emplace(entry.cell, First{source, std::move(line)});
+    cells_.emplace(entry.cell, entry.aggregate);
+    return true;
+  }
+  CHRONOS_EXPECTS(it->second.line == line,
+                  "conflicting result for cell " +
+                      std::to_string(entry.cell) + ": " + it->second.source +
+                      " and " + source +
+                      " hold different aggregates; they did not run the "
+                      "same sweep");
+  ++duplicates_;
+  return false;
+}
+
+FinishedCells merge_journals(const std::vector<std::string>& paths,
+                             const std::string& fingerprint,
+                             std::size_t num_cells) {
   CHRONOS_EXPECTS(!paths.empty(), "merge needs at least one journal");
-  MergeStats merged;
-  // Which journal first finished each cell, plus the cell's exact encoded
-  // line: conflicts are detected on bytes, the same currency the journals
-  // and reports deal in, so "equal" can never mean "close enough".
-  std::map<std::size_t, std::pair<std::string, std::string>> first_seen;
+  FinishedCells merged(num_cells);
   for (const std::string& path : paths) {
     const JournalContents contents = read_journal(path, fingerprint);
     CHRONOS_EXPECTS(contents.found,
@@ -297,31 +317,14 @@ MergeStats merge_journals(const std::vector<std::string>& paths,
                         "' belongs to a different sweep (fingerprint "
                         "mismatch); refusing to merge");
     for (const auto& [cell, aggregate] : contents.cells) {
-      CHRONOS_EXPECTS(cell < num_cells,
-                      "shard journal '" + path + "' has cell " +
-                          std::to_string(cell) + ", beyond the " +
-                          std::to_string(num_cells) + "-cell grid");
-      const std::string line = encode_journal_entry({cell, aggregate});
-      const auto [it, inserted] =
-          first_seen.try_emplace(cell, path, line);
-      if (!inserted) {
-        CHRONOS_EXPECTS(it->second.second == line,
-                        "cell " + std::to_string(cell) +
-                            " appears in '" + it->second.first + "' and '" +
-                            path +
-                            "' with different aggregates; the shards did "
-                            "not run the same sweep");
-        ++merged.duplicates;
-        continue;
-      }
-      merged.cells.insert_or_assign(cell, aggregate);
+      merged.add({cell, aggregate}, "shard journal '" + path + "'");
     }
   }
-  if (merged.cells.size() != num_cells) {
+  if (merged.size() != num_cells) {
     std::string missing;
     std::size_t listed = 0;
     for (std::size_t c = 0; c < num_cells && listed < 8; ++c) {
-      if (merged.cells.find(c) == merged.cells.end()) {
+      if (merged.cells().find(c) == merged.cells().end()) {
         missing += missing.empty() ? "" : ", ";
         missing += std::to_string(c);
         ++listed;
@@ -329,11 +332,10 @@ MergeStats merge_journals(const std::vector<std::string>& paths,
     }
     CHRONOS_EXPECTS(false,
                     "merged journals cover " +
-                        std::to_string(merged.cells.size()) + " of " +
+                        std::to_string(merged.size()) + " of " +
                         std::to_string(num_cells) +
                         " cells; missing cell(s): " + missing +
-                        (merged.cells.size() + listed < num_cells ? ", ..."
-                                                                  : ""));
+                        (merged.size() + listed < num_cells ? ", ..." : ""));
   }
   return merged;
 }
@@ -388,14 +390,15 @@ CompactStats compact_journal(const std::string& path,
 }
 
 JournalWriter::JournalWriter(const std::string& path,
-                             const std::string& fingerprint, bool resume,
-                             std::size_t resume_valid_bytes)
+                             const std::string& fingerprint,
+                             std::size_t resume_at)
     : path_(path) {
+  const bool resume = resume_at > 0;
   if (resume) {
     // Drop any torn tail before appending, or the next entry would fuse
     // with it into one corrupt line.
     std::error_code ignored;
-    std::filesystem::resize_file(path, resume_valid_bytes, ignored);
+    std::filesystem::resize_file(path, resume_at, ignored);
   }
   file_ = std::fopen(path.c_str(), resume ? "ab" : "wb");
   CHRONOS_EXPECTS(file_ != nullptr,
@@ -408,6 +411,27 @@ JournalWriter::JournalWriter(const std::string& path,
     CHRONOS_EXPECTS(written == header.size() && std::fflush(file_) == 0,
                     "short write to journal '" + path + "'");
   }
+}
+
+ResumedJournal resume_journal(const std::string& path,
+                              const std::string& fingerprint,
+                              std::size_t num_cells) {
+  JournalContents contents = read_journal(path, fingerprint);
+  if (contents.found && !contents.compatible) {
+    CHRONOS_LOG(kWarn) << "journal '" << path
+                       << "' belongs to a different sweep; starting fresh";
+  }
+  ResumedJournal resumed;
+  for (auto& [cell, aggregate] : contents.cells) {
+    if (cell < num_cells) {
+      resumed.cells.emplace(cell, std::move(aggregate));
+    }
+  }
+  // valid_bytes is 0 unless the header matched: a foreign or missing
+  // journal starts a fresh file.
+  resumed.writer =
+      std::make_unique<JournalWriter>(path, fingerprint, contents.valid_bytes);
+  return resumed;
 }
 
 JournalWriter::~JournalWriter() {

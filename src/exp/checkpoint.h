@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -73,23 +74,53 @@ std::string shard_journal_path(const std::string& dir,
                                const std::string& name, std::size_t index,
                                std::size_t count);
 
-/// Fused view of several shard journals.
-struct MergeStats {
-  std::map<std::size_t, CellAggregate> cells;  ///< the single-run cell map
-  std::size_t duplicates = 0;  ///< cells found identically in >1 journal
+/// The one dedup rule for cell results that can arrive more than once: the
+/// fabric controller's result frames and --merge's shard journals both go
+/// through add(). Per-cell seed streams make honest re-execution
+/// bit-identical, so results are compared on their encoded journal bytes —
+/// the currency journals and reports deal in, where "equal" can never mean
+/// "close enough". The first result for a cell is stored, a byte-identical
+/// repeat is counted and dropped, and a byte-different one can only mean
+/// corruption or a foreign workload.
+class FinishedCells {
+ public:
+  explicit FinishedCells(std::size_t num_cells) : num_cells_(num_cells) {}
+
+  /// Records `entry`, delivered by `source` (named in errors). Returns true
+  /// for the cell's first result and false for a byte-identical duplicate.
+  /// Throws PreconditionError for a cell outside the grid and for a
+  /// byte-different result for a cell already recorded.
+  bool add(const JournalEntry& entry, const std::string& source);
+
+  const std::map<std::size_t, CellAggregate>& cells() const {
+    return cells_;
+  }
+  std::size_t size() const { return cells_.size(); }
+  std::size_t duplicates() const { return duplicates_; }
+
+ private:
+  struct First {
+    std::string source;
+    std::string line;  ///< encode_journal_entry bytes
+  };
+  std::size_t num_cells_;
+  std::map<std::size_t, CellAggregate> cells_;
+  std::map<std::size_t, First> first_;
+  std::size_t duplicates_ = 0;
 };
 
-/// Merges per-shard journals into the cell map a single uninterrupted run
-/// would have produced. Every journal must exist and carry `fingerprint`;
-/// the fused map must cover exactly the cells [0, num_cells). Throws
-/// PreconditionError on a missing or foreign journal, on a conflict (the
-/// same cell with different aggregates in two journals — overlapping
-/// identical entries are deduplicated instead), and on a gap (cells no
-/// journal finished). Torn tails are dropped exactly as read_journal does,
-/// but a torn shard then surfaces as a gap rather than a partial result.
-MergeStats merge_journals(const std::vector<std::string>& paths,
-                          const std::string& fingerprint,
-                          std::size_t num_cells);
+/// Fuses per-shard journals into the cell map a single uninterrupted run
+/// would have produced, applying the fabric controller's dedup rule
+/// (FinishedCells) to every entry: identical overlap is counted, a
+/// conflict or a cell beyond the grid throws. Every journal must exist and
+/// carry `fingerprint`, and the fused map must cover exactly the cells
+/// [0, num_cells); a missing or foreign journal or a gap (cells no journal
+/// finished) throws PreconditionError. Torn tails are dropped exactly as
+/// read_journal does, so a torn shard surfaces as a gap rather than a
+/// partial result.
+FinishedCells merge_journals(const std::vector<std::string>& paths,
+                             const std::string& fingerprint,
+                             std::size_t num_cells);
 
 /// Outcome of compact_journal.
 struct CompactStats {
@@ -109,15 +140,16 @@ struct CompactStats {
 CompactStats compact_journal(const std::string& path,
                              const std::string& fingerprint);
 
-/// Append-only journal writer. With `resume` set the file is first cut back
-/// to `resume_valid_bytes` (read_journal's valid prefix — dropping any torn
-/// tail) and opened for append; otherwise it is truncated entirely and a
-/// fresh header is written. Appends are flushed per entry so a crash can
-/// lose at most the line being written.
+/// Append-only journal writer. By default the file is truncated and a fresh
+/// header is written. A non-zero `resume_at` — read_journal's valid_bytes
+/// for a compatible journal, as resume_journal passes it — cuts the file
+/// back to that prefix (dropping any torn tail) and appends after it.
+/// Appends are flushed per entry so a crash can lose at most the line being
+/// written.
 class JournalWriter {
  public:
   JournalWriter(const std::string& path, const std::string& fingerprint,
-                bool resume, std::size_t resume_valid_bytes = 0);
+                std::size_t resume_at = 0);
   ~JournalWriter();
 
   JournalWriter(const JournalWriter&) = delete;
@@ -137,5 +169,21 @@ class JournalWriter {
   std::string path_;
   std::mutex mu_;
 };
+
+/// A journal opened for resume.
+struct ResumedJournal {
+  std::map<std::size_t, CellAggregate> cells;  ///< restored, inside the grid
+  std::unique_ptr<JournalWriter> writer;       ///< appends after them
+};
+
+/// The one resume routine, shared by run_sweep and the fabric controller:
+/// reads the journal at `path`, keeps its valid entries for cells of a
+/// `num_cells`-cell grid, and opens a writer that appends at the valid
+/// prefix (cutting a torn tail). A missing journal starts a fresh file; a
+/// foreign one (another fingerprint) is rewritten from scratch with a
+/// warning on the log rather than half-trusted.
+ResumedJournal resume_journal(const std::string& path,
+                              const std::string& fingerprint,
+                              std::size_t num_cells);
 
 }  // namespace chronos::exp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <numeric>
 #include <utility>
 
 #include "common/error.h"
@@ -104,39 +105,21 @@ double metric_ci(const CellAggregate& aggregate, const std::string& metric) {
   return summary->ci95;
 }
 
-/// One unfinished cell while the sweep runs: its decoded point, the shared
-/// setup product, the replications so far, and the replication target for
-/// the current round.
+/// One unfinished cell while the sweep runs: its decoded point, its seed
+/// stream, the shared setup product, the replications so far, and the
+/// replication target for the current round.
 struct CellWork {
   std::size_t cell = 0;
   SweepPoint point;
+  Rng stream;
   SharedCell shared;
   std::vector<RunRecord> runs;
   std::size_t target = 0;
 };
 
-/// The barrier decision: does this cell need another adaptive batch? Shared
-/// by run_sweep and run_single_cell so a fabric worker reaches the exact
-/// same replication count (and hence the same aggregate bits) as the
-/// single-process engine would for the same cell.
-bool wants_more_replications(const SweepSpec& spec,
-                             const CellAggregate& aggregate, std::size_t runs,
-                             std::size_t rep_cap) {
-  return spec.adaptive.enabled() && runs < rep_cap &&
-         (runs < 2 || metric_ci(aggregate, spec.adaptive.metric) >
-                          spec.adaptive.target_ci95);
-}
-
-/// Replication target of the next adaptive round.
-std::size_t next_replication_target(const SweepSpec& spec, std::size_t runs,
-                                    std::size_t rep_cap) {
-  return std::min(rep_cap,
-                  runs + static_cast<std::size_t>(spec.adaptive.batch));
-}
-
 void run_one_replication(const SweepHooks& hooks, const CellWork& work,
                          std::uint64_t seed, RunRecord& record,
-                         ProgressTracker* progress) {
+                         ProgressTracker& progress) {
   {
     obs::TraceSpan span("sweep.rep", "exp");
     span.note("cell", static_cast<double>(work.cell));
@@ -162,9 +145,7 @@ void run_one_replication(const SweepHooks& hooks, const CellWork& work,
     }
   }
   c_replications.add();
-  if (progress != nullptr) {
-    progress->replication_done();
-  }
+  progress.replication_done();
 }
 
 }  // namespace
@@ -190,28 +171,34 @@ void AdaptiveSpec::validate(int base_replications) const {
                   "unknown adaptive metric '" + metric + "'");
 }
 
-void ShardSpec::validate() const {
-  CHRONOS_EXPECTS(count >= 1, "shard count must be >= 1");
+std::vector<std::size_t> partition_cells(std::size_t num_cells,
+                                         std::size_t index,
+                                         std::size_t count) {
   CHRONOS_EXPECTS(index < count,
                   "shard index " + std::to_string(index) +
                       " out of range for " + std::to_string(count) +
                       " shard(s)");
-}
-
-ShardRange shard_cell_range(std::size_t num_cells, const ShardSpec& shard) {
-  shard.validate();
-  // Balanced contiguous ranges: sizes differ by at most one, the union is
-  // [0, num_cells) and distinct shards never overlap. The intermediate
-  // product is widened so huge grid x shard-count combinations cannot
+  // The product is widened so huge grid x shard-count combinations cannot
   // overflow and silently break disjointness.
   const auto cut = [&](std::size_t i) {
     return static_cast<std::size_t>(static_cast<unsigned __int128>(num_cells) *
-                                    i / shard.count);
+                                    i / count);
   };
-  ShardRange range;
-  range.begin = cut(shard.index);
-  range.end = cut(shard.index + 1);
-  return range;
+  std::vector<std::size_t> cells(cut(index + 1) - cut(index));
+  std::iota(cells.begin(), cells.end(), cut(index));
+  return cells;
+}
+
+void check_cell_list(const std::vector<std::size_t>& cells,
+                     std::size_t num_cells) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    CHRONOS_EXPECTS(cells[i] < num_cells,
+                    "cell " + std::to_string(cells[i]) +
+                        " out of range for a " + std::to_string(num_cells) +
+                        "-cell sweep");
+    CHRONOS_EXPECTS(i == 0 || cells[i] > cells[i - 1],
+                    "cell lists must be strictly ascending");
+  }
 }
 
 void SweepSpec::validate() const {
@@ -256,54 +243,49 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepHooks& hooks,
   CHRONOS_EXPECTS(options.threads >= 0, "threads must be >= 0");
 
   const std::size_t cells = spec.num_cells();
-  const ShardRange owned = shard_cell_range(cells, options.shard);
+  std::vector<std::size_t> owned;
+  if (options.cells.has_value()) {
+    check_cell_list(*options.cells, cells);
+    owned = *options.cells;
+  } else {
+    owned.resize(cells);
+    std::iota(owned.begin(), owned.end(), std::size_t{0});
+  }
   const std::size_t base_reps = static_cast<std::size_t>(spec.replications);
   const std::size_t rep_cap =
       spec.adaptive.enabled()
           ? static_cast<std::size_t>(spec.adaptive.max_replications)
           : base_reps;
 
-  // Restore finished cells from the journal, when one is configured. An
-  // incompatible journal (another spec's, or a stale format) is discarded
-  // and rewritten rather than half-trusted.
-  std::map<std::size_t, CellAggregate> finished;
-  std::unique_ptr<JournalWriter> journal;
+  ResumedJournal journal;
   if (!options.journal.empty()) {
-    const std::string fingerprint =
-        spec_fingerprint(spec, options.journal_salt);
-    JournalContents contents = read_journal(options.journal, fingerprint);
-    if (contents.compatible) {
-      for (auto& [cell, aggregate] : contents.cells) {
-        if (cell < cells) {
-          finished.insert_or_assign(cell, std::move(aggregate));
-        }
-      }
-    }
-    journal = std::make_unique<JournalWriter>(options.journal, fingerprint,
-                                              contents.compatible,
-                                              contents.valid_bytes);
+    journal = resume_journal(options.journal,
+                             spec_fingerprint(spec, options.journal_salt),
+                             cells);
   }
+  std::map<std::size_t, CellAggregate>& finished = journal.cells;
 
-  // One seed stream per cell, split off the master serially and in cell
-  // order before any task runs: the seed of replication k of cell c depends
-  // only on (spec.seed, c, k) — never on thread scheduling, on which cells
-  // the journal already held, or on how many extra replications other cells
-  // requested adaptively.
+  // One seed stream per cell, split off the master serially and in full
+  // grid order before any task runs: the seed of replication k of cell c
+  // depends only on (spec.seed, c, k) — never on thread scheduling, on
+  // which cells this process owns or the journal already held, or on how
+  // many extra replications other cells requested adaptively.
   Rng master(spec.seed);
-  std::vector<Rng> streams;
-  streams.reserve(cells);
-  for (std::size_t c = 0; c < cells; ++c) {
-    streams.push_back(master.split());
-  }
-
+  std::size_t next_stream = 0;
   std::vector<CellWork> pending;
-  for (std::size_t c = owned.begin; c < owned.end; ++c) {
+  for (const std::size_t c : owned) {
+    for (; next_stream < c; ++next_stream) {
+      master.split();
+    }
+    Rng stream = master.split();
+    ++next_stream;
     if (finished.find(c) != finished.end()) {
       continue;
     }
     CellWork work;
     work.cell = c;
     work.point = decode_cell(spec, c);
+    work.stream = stream;
     work.target = base_reps;
     pending.push_back(std::move(work));
   }
@@ -348,8 +330,8 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepHooks& hooks,
       // survives the process exit that normally follows.
       if (options.cancel != nullptr &&
           options.cancel->load(std::memory_order_relaxed)) {
-        if (journal != nullptr) {
-          journal->sync();
+        if (journal.writer != nullptr) {
+          journal.writer->sync();
         }
         throw SweepCancelled();
       }
@@ -357,10 +339,10 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepHooks& hooks,
         const std::size_t have = work.runs.size();
         work.runs.resize(work.target);
         for (std::size_t k = have; k < work.target; ++k) {
-          const std::uint64_t seed = streams[work.cell].split_seed();
+          const std::uint64_t seed = work.stream.split_seed();
           RunRecord& record = work.runs[k];
           pool.submit([&hooks, &work, &record, seed, &progress] {
-            run_one_replication(hooks, work, seed, record, &progress);
+            run_one_replication(hooks, work, seed, record, progress);
           });
         }
       }
@@ -369,15 +351,17 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepHooks& hooks,
       std::vector<CellWork> still_running;
       for (CellWork& work : pending) {
         CellAggregate aggregate = aggregate_runs(work.runs);
-        if (wants_more_replications(spec, aggregate, work.runs.size(),
-                                    rep_cap)) {
-          work.target =
-              next_replication_target(spec, work.runs.size(), rep_cap);
+        const std::size_t runs = work.runs.size();
+        if (spec.adaptive.enabled() && runs < rep_cap &&
+            (runs < 2 || metric_ci(aggregate, spec.adaptive.metric) >
+                             spec.adaptive.target_ci95)) {
+          work.target = std::min(
+              rep_cap, runs + static_cast<std::size_t>(spec.adaptive.batch));
           c_adaptive_batches.add();
           still_running.push_back(std::move(work));
         } else {
-          if (journal != nullptr) {
-            journal->append({work.cell, aggregate});
+          if (journal.writer != nullptr) {
+            journal.writer->append({work.cell, aggregate});
           }
           finished.insert_or_assign(work.cell, std::move(aggregate));
           c_cells_finished.add();
@@ -388,10 +372,10 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepHooks& hooks,
     }
   }
 
-  // A sharded run reports only its own slice; restored journal entries
-  // outside it (say, resuming a shard from a fused journal) are dropped.
+  // Only the owned cells are reported; restored journal entries outside
+  // them (say, resuming a shard from a fused journal) are dropped.
   std::map<std::size_t, CellAggregate> owned_cells;
-  for (std::size_t c = owned.begin; c < owned.end; ++c) {
+  for (const std::size_t c : owned) {
     owned_cells.insert_or_assign(c, std::move(finished.at(c)));
   }
   return assemble_result(spec, owned_cells);
@@ -430,58 +414,6 @@ SweepResult run_sweep(const SweepSpec& spec, const CellFactory& factory,
   hooks.run = [&factory](const SweepPoint& point, std::uint64_t seed,
                          const SharedCell&) { return factory(point, seed); };
   return run_sweep(spec, hooks, options);
-}
-
-CellAggregate run_single_cell(const SweepSpec& spec, const SweepHooks& hooks,
-                              std::size_t cell) {
-  spec.validate();
-  CHRONOS_EXPECTS(hooks.run != nullptr, "sweep needs a cell runner");
-  const std::size_t cells = spec.num_cells();
-  CHRONOS_EXPECTS(cell < cells,
-                  "cell index " + std::to_string(cell) +
-                      " out of range for a " + std::to_string(cells) +
-                      "-cell sweep");
-  const std::size_t base_reps = static_cast<std::size_t>(spec.replications);
-  const std::size_t rep_cap =
-      spec.adaptive.enabled()
-          ? static_cast<std::size_t>(spec.adaptive.max_replications)
-          : base_reps;
-
-  // Re-derive this cell's seed stream exactly as run_sweep does: the master
-  // is split serially in full grid order and this cell owns the (cell+1)-th
-  // stream, so the seeds below match the full-sweep ones bit for bit.
-  Rng master(spec.seed);
-  for (std::size_t c = 0; c < cell; ++c) {
-    master.split();
-  }
-  Rng stream = master.split();
-
-  CellWork work;
-  work.cell = cell;
-  work.point = decode_cell(spec, cell);
-  work.target = base_reps;
-  if (hooks.setup) {
-    obs::TraceSpan span("sweep.setup", "exp");
-    span.note("cell", static_cast<double>(cell));
-    work.shared = hooks.setup(work.point);
-  }
-
-  while (true) {
-    const std::size_t have = work.runs.size();
-    work.runs.resize(work.target);
-    for (std::size_t k = have; k < work.target; ++k) {
-      const std::uint64_t seed = stream.split_seed();
-      run_one_replication(hooks, work, seed, work.runs[k], nullptr);
-    }
-    CellAggregate aggregate = aggregate_runs(work.runs);
-    if (!wants_more_replications(spec, aggregate, work.runs.size(),
-                                 rep_cap)) {
-      c_cells_finished.add();
-      return aggregate;
-    }
-    work.target = next_replication_target(spec, work.runs.size(), rep_cap);
-    c_adaptive_batches.add();
-  }
 }
 
 }  // namespace chronos::exp

@@ -26,6 +26,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -180,36 +181,23 @@ struct SweepResult {
   std::vector<CellResult> cells;
 };
 
-/// One shard of a cell grid for process-level sharding: shard `index` of
-/// `count` owns the contiguous, balanced cell range
-/// [num_cells*index/count, num_cells*(index+1)/count). Shards are disjoint
-/// and cover every cell. Sharding only filters which cells a process runs —
-/// per-cell seed streams are still split off the master in full grid order,
-/// so any shard assignment (including none) yields identical numbers and
-/// per-shard journals merge to the exact single-run result.
-struct ShardSpec {
-  std::size_t index = 0;  ///< 0-based
-  std::size_t count = 1;  ///< total shards; 1 = unsharded
+/// Cells owned by fixed lease `index` of `count` (sweeprun's --shard I/N):
+/// the contiguous, balanced range [num_cells*index/count,
+/// num_cells*(index+1)/count), ascending. Leases are disjoint, cover every
+/// cell, differ in size by at most one, and are empty when count exceeds
+/// num_cells. Throws PreconditionError unless index < count.
+std::vector<std::size_t> partition_cells(std::size_t num_cells,
+                                         std::size_t index,
+                                         std::size_t count);
 
-  bool enabled() const { return count > 1; }
-  void validate() const;
-};
-
-/// Half-open cell range [begin, end).
-struct ShardRange {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-
-  std::size_t size() const { return end - begin; }
-  bool contains(std::size_t cell) const { return cell >= begin && cell < end; }
-};
-
-/// The cell range `shard` owns in a grid of `num_cells` cells.
-ShardRange shard_cell_range(std::size_t num_cells, const ShardSpec& shard);
+/// Throws PreconditionError unless `cells` is strictly ascending and every
+/// entry is a cell of a `num_cells`-cell grid — the contract of
+/// SweepOptions::cells and of the fabric controller's todo list.
+void check_cell_list(const std::vector<std::size_t>& cells,
+                     std::size_t num_cells);
 
 /// Live progress of a running sweep, as passed to SweepOptions::on_progress.
-/// Counts cover this process's owned cell range only (sharded runs report
-/// their own slice).
+/// Counts cover only the cells this process owns (SweepOptions::cells).
 struct SweepProgress {
   std::size_t cells_total = 0;    ///< cells this process owns
   std::size_t cells_done = 0;     ///< finished, incl. journal-restored cells
@@ -221,11 +209,17 @@ struct SweepOptions {
   /// Worker threads; 0 means ThreadPool::hardware_threads().
   int threads = 1;
 
-  /// Which slice of the grid this process runs; default is the whole grid.
-  /// A sharded run's SweepResult covers only the owned cells — render the
-  /// full reports by merging the shard journals (exp/checkpoint.h) and
-  /// passing the fused cell map to assemble_result.
-  ShardSpec shard;
+  /// The cells this process runs, strictly ascending — the vocabulary of
+  /// the fabric's ControllerConfig::todo. Unset means the whole grid; a set
+  /// list may be empty (a --shard lease on a grid with fewer cells than
+  /// shards). A static shard is the fixed lease partition_cells returns, and
+  /// a fabric worker runs each leased cell as a one-cell list. Per-cell seed
+  /// streams are split off the master in full grid order whatever the list,
+  /// so any assignment yields the numbers of a whole-grid run. The result
+  /// covers only these cells, and restored journal entries outside them are
+  /// dropped; render full reports by fusing the journals (merge_journals in
+  /// exp/checkpoint.h) and passing the cell map to assemble_result.
+  std::optional<std::vector<std::size_t>> cells;
 
   /// Path of the checkpoint journal; empty disables checkpointing. When the
   /// file exists and matches the spec (see exp/checkpoint.h), finished
@@ -266,7 +260,10 @@ class SweepCancelled : public std::runtime_error {
 /// Runs the sweep. The result (and hence any report rendered from it) is
 /// byte-identical for every `options.threads` value, and — when a journal
 /// is used — byte-identical between an interrupted-and-restarted run and an
-/// uninterrupted one.
+/// uninterrupted one. A fabric worker runs each leased cell through here as
+/// a one-cell list, so a cell re-executed after a worker crash (or twice
+/// during a lease handover) yields the exact same journal entry — what
+/// makes fabric reassignment idempotent and its dedup byte-exact.
 SweepResult run_sweep(const SweepSpec& spec, const SweepHooks& hooks,
                       const SweepOptions& options = {});
 
@@ -281,16 +278,5 @@ SweepResult assemble_result(
 /// Convenience overload for sweeps without a setup hook.
 SweepResult run_sweep(const SweepSpec& spec, const CellFactory& factory,
                       const SweepOptions& options = {});
-
-/// Runs every replication of one cell exactly as run_sweep would — the same
-/// per-cell seed stream (split off the master in full grid order), the same
-/// base + adaptive replication rounds, the same aggregate bits — without a
-/// journal or thread pool. This is what a fabric worker executes per leased
-/// cell: because it is bit-identical to the single-process engine, a cell
-/// can be re-executed after a worker crash (or executed twice during a lease
-/// handover race) and still produce the exact same journal entry, which is
-/// what makes fabric reassignment idempotent and its dedup byte-exact.
-CellAggregate run_single_cell(const SweepSpec& spec, const SweepHooks& hooks,
-                              std::size_t cell);
 
 }  // namespace chronos::exp

@@ -38,7 +38,9 @@ std::uint64_t steady_now_ms() {
 }  // namespace
 
 ControllerCore::ControllerCore(ControllerConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      pending_(config_.todo.begin(), config_.todo.end()),
+      finished_(config_.num_cells) {
   CHRONOS_EXPECTS(!config_.fingerprint.empty(),
                   "controller needs a spec fingerprint");
   CHRONOS_EXPECTS(config_.max_lease_cells >= 1,
@@ -46,19 +48,7 @@ ControllerCore::ControllerCore(ControllerConfig config)
   CHRONOS_EXPECTS(config_.heartbeat_ms >= 1, "heartbeat_ms must be >= 1");
   CHRONOS_EXPECTS(config_.lease_timeout_ms > config_.heartbeat_ms,
                   "lease_timeout_ms must exceed heartbeat_ms");
-  std::size_t previous = 0;
-  bool first = true;
-  for (const std::size_t cell : config_.todo) {
-    CHRONOS_EXPECTS(cell < config_.num_cells,
-                    "todo cell " + std::to_string(cell) +
-                        " out of range for a " +
-                        std::to_string(config_.num_cells) + "-cell sweep");
-    CHRONOS_EXPECTS(first || cell > previous,
-                    "todo cells must be strictly ascending");
-    first = false;
-    previous = cell;
-    pending_.push_back(cell);
-  }
+  exp::check_cell_list(config_.todo, config_.num_cells);
 }
 
 void ControllerCore::start(std::uint64_t now_ms) {
@@ -210,28 +200,25 @@ Actions ControllerCore::handle_result(WorkerState& worker,
                                       std::uint64_t now) {
   const std::optional<exp::JournalEntry> entry =
       exp::decode_journal_entry(frame.entry);
-  if (!entry.has_value() || entry->cell >= config_.num_cells ||
+  if (!entry.has_value() ||
       !std::binary_search(config_.todo.begin(), config_.todo.end(),
                           entry->cell)) {
     return protocol_error(worker.conn, now);
   }
   const std::size_t cell = entry->cell;
   worker.last_progress_ms = now;
-  const auto seen = finished_lines_.find(cell);
-  if (seen != finished_lines_.end()) {
-    // Already finished: a late or duplicated delivery. Per-cell seed
-    // streams make honest re-execution bit-identical, so the bytes must
-    // match; anything else is corruption and poisons the whole sweep.
-    if (seen->second == frame.entry) {
-      stats_.duplicates += 1;
-      c_duplicates.add();
-      return {};
-    }
-    return fail("conflicting result for cell " + std::to_string(cell) +
-                ": two workers produced different bytes");
+  bool first = false;
+  try {
+    first = finished_.add(*entry, "worker '" + worker.name + "'");
+  } catch (const PreconditionError& error) {
+    return fail(error.what());
   }
-  finished_lines_.emplace(cell, frame.entry);
-  finished_.emplace(cell, entry->aggregate);
+  if (!first) {
+    // A late or duplicated delivery with the stored bytes.
+    stats_.duplicates += 1;
+    c_duplicates.add();
+    return {};
+  }
   stats_.results += 1;
   c_results.add();
   if (on_cell_finished) {

@@ -21,6 +21,8 @@
 //    bit-identical, so a duplicate delivery must match the stored entry
 //    byte for byte (counted, dropped). A byte-different duplicate can only
 //    mean corruption or a foreign workload and fails the sweep loudly.
+//    This is exp::FinishedCells, the same rule --merge applies to shard
+//    journals.
 //  - Conservation: when the run completes, every cell in `todo` was
 //    recorded exactly once (stats().results == todo.size()); duplicates are
 //    tallied separately and never double-count.
@@ -43,7 +45,8 @@ namespace chronos::fabric {
 struct ControllerConfig {
   std::string fingerprint;    ///< spec fingerprint workers must present
   std::size_t num_cells = 0;  ///< grid size (for validating result indices)
-  std::vector<std::size_t> todo;  ///< cells to compute, ascending
+  /// Cells to compute, strictly ascending (exp::check_cell_list).
+  std::vector<std::size_t> todo;
   std::uint64_t max_lease_cells = 4;   ///< cap per lease grant
   std::uint64_t heartbeat_ms = 500;    ///< interval advertised in welcome
   std::uint64_t lease_timeout_ms = 5000;  ///< silence => worker expired
@@ -105,7 +108,7 @@ class ControllerCore {
   std::size_t live_workers() const { return workers_.size(); }
 
   const std::map<std::size_t, exp::CellAggregate>& finished() const {
-    return finished_;
+    return finished_.cells();
   }
   const ControllerStats& stats() const { return stats_; }
 
@@ -136,8 +139,7 @@ class ControllerCore {
   std::uint64_t started_ms_ = 0;
   std::uint64_t last_alive_ms_ = 0;  ///< last instant with >= 1 live worker
   std::vector<std::size_t> pending_;  ///< unleased todo cells, FIFO
-  std::map<std::size_t, std::string> finished_lines_;  ///< entry bytes
-  std::map<std::size_t, exp::CellAggregate> finished_;
+  exp::FinishedCells finished_;
   std::map<ConnId, std::uint64_t> conns_;     ///< conn -> worker id (0 = new)
   std::map<std::uint64_t, WorkerState> workers_;
   std::uint64_t next_worker_ = 1;

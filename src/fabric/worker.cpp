@@ -157,6 +157,7 @@ WorkerOutcome run_worker(const exp::SweepSpec& spec,
   };
 
   // --- lease loop ---------------------------------------------------------
+  exp::SweepOptions one_cell;  // single-threaded; cells set per leased cell
   std::uint64_t results_sent = 0;
   int consecutive_timeouts = 0;
   while (true) {
@@ -234,12 +235,12 @@ WorkerOutcome run_worker(const exp::SweepSpec& spec,
 
     c_worker_leases.add();
     for (const std::uint64_t cell : reply->cells) {
-      const exp::CellAggregate aggregate =
-          exp::run_single_cell(spec, hooks, static_cast<std::size_t>(cell));
-      c_worker_cells.add();
       exp::JournalEntry entry;
       entry.cell = static_cast<std::size_t>(cell);
-      entry.aggregate = aggregate;
+      one_cell.cells = std::vector<std::size_t>{entry.cell};
+      entry.aggregate =
+          exp::run_sweep(spec, hooks, one_cell).cells.front().aggregate;
+      c_worker_cells.add();
       Frame result;
       result.type = FrameType::kResult;
       result.worker = worker_id;

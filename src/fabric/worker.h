@@ -1,14 +1,16 @@
-// Sweep-fabric worker: connects to a controller, leases cells, computes
-// them with exp::run_single_cell, and streams the results back as journal
-// entries.
+// Sweep-fabric worker: connects to a controller, leases cells, runs each
+// leased cell through exp::run_sweep on one thread with SweepOptions::cells
+// set to that one cell, and streams the results back as journal entries,
+// one per cell.
 //
-// Because run_single_cell re-derives each cell's seed stream from the
-// master seed, a worker needs nothing but the manifest the controller also
-// loaded: any worker can compute any cell, any number of times, with
-// bit-identical bytes. The worker keeps a heartbeat thread so the
-// controller can tell a slow worker from a dead one, retries its initial
-// connect with exponential backoff, and re-requests work when a reply goes
-// missing — the controller's revoke-on-request logic makes that safe.
+// run_sweep splits every cell's seed stream off the master in full grid
+// order whatever cells it is given, so a worker needs nothing but the
+// manifest the controller also loaded: any worker can compute any cell, any
+// number of times, with bit-identical bytes. The worker keeps a heartbeat
+// thread so the controller can tell a slow worker from a dead one, retries
+// its initial connect with exponential backoff, and re-requests work when a
+// reply goes missing — the controller's revoke-on-request logic makes that
+// safe.
 #pragma once
 
 #include <atomic>

@@ -166,7 +166,7 @@ TEST(Journal, ReadStopsAtTornTail) {
   JournalEntry second = first;
   second.cell = 1;
   {
-    JournalWriter writer(path, "fp123", /*resume=*/false);
+    JournalWriter writer(path, "fp123");
     writer.append(first);
     writer.append(second);
   }

@@ -1,15 +1,17 @@
-// Sharded multi-process sweeps: the cell partitioner (disjoint, covering,
-// balanced — property-tested over random grids), journal merge (fingerprint
-// validation, overlap dedup, conflict and gap detection), journal
-// compaction (atomic, idempotent, resume-identical), the headline
-// guarantee — per-shard journals, one shard crash-resumed, merge to reports
-// byte-identical to a single unsharded run of manifests/tiny.ini, checked
-// against committed goldens — and the sweeprun CLI's error behavior.
+// Sharded multi-process sweeps: the fixed-lease partitioner (disjoint,
+// covering, balanced — property-tested over random grids), the shared
+// dedup rule (FinishedCells), journal merge (fingerprint validation,
+// overlap dedup, conflict and gap detection), journal compaction (atomic,
+// idempotent, resume-identical), the headline guarantee — per-shard
+// journals, one shard crash-resumed, merge to reports byte-identical to a
+// single unsharded run of manifests/tiny.ini, checked against committed
+// goldens — and the sweeprun CLI's error behavior.
 #include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -56,23 +58,21 @@ void expect_partition(std::size_t num_cells, std::size_t count) {
   std::vector<int> covered(num_cells, 0);
   std::size_t smallest = num_cells + 1;
   std::size_t largest = 0;
-  std::size_t previous_end = 0;
+  std::size_t next = 0;
   for (std::size_t index = 0; index < count; ++index) {
-    const ShardRange range =
-        shard_cell_range(num_cells, {.index = index, .count = count});
-    ASSERT_LE(range.begin, range.end);
-    ASSERT_LE(range.end, num_cells);
-    // Contiguous in shard order: no gaps, no overlap.
-    ASSERT_EQ(range.begin, previous_end)
-        << num_cells << " cells / " << count << " shards, shard " << index;
-    previous_end = range.end;
-    for (std::size_t c = range.begin; c < range.end; ++c) {
-      ++covered[c];
+    const std::vector<std::size_t> lease =
+        partition_cells(num_cells, index, count);
+    // Contiguous and ascending in shard order: no gaps, no overlap.
+    for (const std::size_t cell : lease) {
+      ASSERT_EQ(cell, next) << num_cells << " cells / " << count
+                            << " shards, shard " << index;
+      ++covered[cell];
+      ++next;
     }
-    smallest = std::min(smallest, range.size());
-    largest = std::max(largest, range.size());
+    smallest = std::min(smallest, lease.size());
+    largest = std::max(largest, lease.size());
   }
-  ASSERT_EQ(previous_end, num_cells);
+  ASSERT_EQ(next, num_cells);
   for (std::size_t c = 0; c < num_cells; ++c) {
     ASSERT_EQ(covered[c], 1) << "cell " << c << " covered " << covered[c]
                              << " times";
@@ -100,14 +100,25 @@ TEST(ShardPartition, RandomGridsPartitionCorrectly) {
   }
 }
 
+TEST(ShardPartition, HugeGridsDoNotOverflowTheCut) {
+  // num_cells * index is far beyond 2^64 here; a 64-bit product would wrap
+  // and hand out overlapping or out-of-range leases.
+  const std::size_t count = std::size_t{1} << 40;
+  const std::size_t last = count - 1;
+  EXPECT_EQ(partition_cells(count, last, count),
+            std::vector<std::size_t>{last});
+  EXPECT_EQ(partition_cells(3 * count, last, count),
+            (std::vector<std::size_t>{3 * last, 3 * last + 1, 3 * last + 2}));
+  EXPECT_EQ(partition_cells(count + 1, last, count),
+            (std::vector<std::size_t>{last, last + 1}));
+}
+
 TEST(ShardPartition, ValidatesIndexAndCount) {
-  EXPECT_THROW(ShardSpec({.index = 0, .count = 0}).validate(),
-               PreconditionError);
-  EXPECT_THROW(ShardSpec({.index = 3, .count = 3}).validate(),
-               PreconditionError);
-  EXPECT_NO_THROW(ShardSpec({.index = 2, .count = 3}).validate());
-  EXPECT_THROW(shard_cell_range(10, {.index = 5, .count = 2}),
-               PreconditionError);
+  EXPECT_THROW(partition_cells(10, 0, 0), PreconditionError);
+  EXPECT_THROW(partition_cells(10, 3, 3), PreconditionError);
+  EXPECT_THROW(partition_cells(10, 5, 2), PreconditionError);
+  EXPECT_EQ(partition_cells(10, 2, 3), (std::vector<std::size_t>{6, 7, 8, 9}));
+  EXPECT_TRUE(partition_cells(2, 0, 3).empty());
 }
 
 TEST(ShardPartition, JournalPathsFollowTheSharedDirectoryConvention) {
@@ -177,13 +188,56 @@ TEST(ShardedSweep, RunsOnlyTheOwnedCellRange) {
   const SweepSpec spec = small_spec();
   SweepOptions options;
   options.threads = 2;
-  options.shard = {.index = 0, .count = 2};
+  options.cells = partition_cells(spec.num_cells(), 0, 2);
   const SweepResult result = run_sweep(spec, small_hooks(), options);
-  const ShardRange owned = shard_cell_range(spec.num_cells(), options.shard);
-  ASSERT_EQ(result.cells.size(), owned.size());
+  ASSERT_EQ(result.cells.size(), options.cells->size());
   for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    EXPECT_EQ(result.cells[i].point.cell, owned.begin + i);
+    EXPECT_EQ(result.cells[i].point.cell, (*options.cells)[i]);
   }
+
+  // Any ascending list works, gaps included, and an empty list runs
+  // nothing; an unsorted or out-of-grid list is rejected.
+  options.cells = std::vector<std::size_t>{1, 4};
+  EXPECT_EQ(run_sweep(spec, small_hooks(), options).cells.size(), 2u);
+  options.cells = std::vector<std::size_t>{};
+  EXPECT_TRUE(run_sweep(spec, small_hooks(), options).cells.empty());
+  options.cells = std::vector<std::size_t>{4, 1};
+  EXPECT_THROW(run_sweep(spec, small_hooks(), options), PreconditionError);
+  options.cells = std::vector<std::size_t>{spec.num_cells()};
+  EXPECT_THROW(run_sweep(spec, small_hooks(), options), PreconditionError);
+}
+
+TEST(ShardedSweep, ShardResumedFromAFusedJournalRunsNothing) {
+  // A journal that already holds every cell — what --merge writes — handed
+  // to one shard: the shard restores its own slice, drops the rest, and
+  // executes zero replications.
+  const SweepSpec spec = small_spec();
+  const std::string path = temp_path("fused.journal");
+  std::remove(path.c_str());
+  SweepOptions options;
+  options.threads = 2;
+  options.journal = path;
+  const SweepResult full = run_sweep(spec, small_hooks(), options);
+
+  std::atomic<int> runs{0};
+  SweepHooks counting = small_hooks();
+  const CellRunner run = counting.run;
+  counting.run = [&runs, run](const SweepPoint& point, std::uint64_t seed,
+                              const SharedCell& shared) {
+    runs.fetch_add(1);
+    return run(point, seed, shared);
+  };
+  options.cells = partition_cells(spec.num_cells(), 1, 2);
+  const SweepResult shard = run_sweep(spec, counting, options);
+  EXPECT_EQ(runs.load(), 0);
+  ASSERT_EQ(shard.cells.size(), options.cells->size());
+  for (std::size_t i = 0; i < shard.cells.size(); ++i) {
+    const std::size_t cell = (*options.cells)[i];
+    EXPECT_EQ(shard.cells[i].point.cell, cell);
+    EXPECT_EQ(encode_journal_entry({cell, shard.cells[i].aggregate}),
+              encode_journal_entry({cell, full.cells[cell].aggregate}));
+  }
+  std::remove(path.c_str());
 }
 
 TEST(ShardedSweep, AnyShardCountMergesToTheSingleRunResult) {
@@ -213,18 +267,18 @@ TEST(ShardedSweep, AnyShardCountMergesToTheSingleRunResult) {
       SweepOptions options;
       // Vary the thread count per shard: numbers must not depend on it.
       options.threads = 1 + static_cast<int>(index % 3);
-      options.shard = {.index = index, .count = count};
+      options.cells = partition_cells(cells, index, count);
       options.journal = path;
       run_sweep(spec, hooks, options);
       paths.push_back(path);
     }
-    const MergeStats merged = merge_journals(paths, fingerprint, cells);
-    EXPECT_EQ(merged.duplicates, 0u);
+    const FinishedCells merged = merge_journals(paths, fingerprint, cells);
+    EXPECT_EQ(merged.duplicates(), 0u);
     // The fused map is entry-for-entry the single run's journal...
-    EXPECT_EQ(encoded_cells(merged.cells), expected_cells)
+    EXPECT_EQ(encoded_cells(merged.cells()), expected_cells)
         << count << " shards";
     // ...and renders to the same report bytes.
-    EXPECT_EQ(to_csv(assemble_result(spec, merged.cells)), expected_csv)
+    EXPECT_EQ(to_csv(assemble_result(spec, merged.cells())), expected_csv)
         << count << " shards";
     for (const std::string& path : paths) {
       std::remove(path.c_str());
@@ -233,7 +287,7 @@ TEST(ShardedSweep, AnyShardCountMergesToTheSingleRunResult) {
   std::remove(full_path.c_str());
 }
 
-// --- merge error handling --------------------------------------------------
+// --- the shared dedup rule -------------------------------------------------
 
 CellAggregate tagged_aggregate(double tag) {
   CellAggregate aggregate;
@@ -243,10 +297,57 @@ CellAggregate tagged_aggregate(double tag) {
   return aggregate;
 }
 
+std::string add_error(FinishedCells& finished, const JournalEntry& entry,
+                      const std::string& source) {
+  try {
+    finished.add(entry, source);
+  } catch (const PreconditionError& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "add accepted cell " << entry.cell;
+  return {};
+}
+
+TEST(FinishedCells, StoresFirstCountsDuplicatesAndRejectsConflicts) {
+  FinishedCells finished(3);
+  // A first result is stored.
+  EXPECT_TRUE(finished.add({1, tagged_aggregate(1.0)}, "a"));
+  EXPECT_EQ(finished.size(), 1u);
+  EXPECT_EQ(finished.duplicates(), 0u);
+  EXPECT_EQ(encoded_cells(finished.cells()).at(1),
+            encode_journal_entry({1, tagged_aggregate(1.0)}));
+
+  // A byte-identical duplicate is counted, not stored twice.
+  EXPECT_FALSE(finished.add({1, tagged_aggregate(1.0)}, "b"));
+  EXPECT_EQ(finished.size(), 1u);
+  EXPECT_EQ(finished.duplicates(), 1u);
+
+  // A byte-different result is an error naming the cell and both sources,
+  // and leaves the stored result alone.
+  const std::string conflict =
+      add_error(finished, {1, tagged_aggregate(2.0)}, "source-c");
+  EXPECT_NE(conflict.find("conflicting result for cell 1"), std::string::npos)
+      << conflict;
+  EXPECT_NE(conflict.find("a and source-c"), std::string::npos) << conflict;
+  EXPECT_EQ(encoded_cells(finished.cells()).at(1),
+            encode_journal_entry({1, tagged_aggregate(1.0)}));
+
+  // A cell outside the grid is rejected.
+  const std::string outside =
+      add_error(finished, {3, tagged_aggregate(1.0)}, "d");
+  EXPECT_NE(outside.find("cell 3 from d is beyond the 3-cell grid"),
+            std::string::npos)
+      << outside;
+  EXPECT_EQ(finished.size(), 1u);
+  EXPECT_EQ(finished.duplicates(), 1u);
+}
+
+// --- merge error handling --------------------------------------------------
+
 /// Writes a journal holding `entries` under `fingerprint`.
 void write_journal(const std::string& path, const std::string& fingerprint,
                    const std::vector<JournalEntry>& entries) {
-  JournalWriter writer(path, fingerprint, /*resume=*/false);
+  JournalWriter writer(path, fingerprint);
   for (const JournalEntry& entry : entries) {
     writer.append(entry);
   }
@@ -303,9 +404,9 @@ TEST(JournalMerge, DeduplicatesIdenticalOverlap) {
                 {{0, tagged_aggregate(1.0)}, {1, tagged_aggregate(2.0)}});
   write_journal(b, "fp1",
                 {{0, tagged_aggregate(1.0)}, {2, tagged_aggregate(3.0)}});
-  const MergeStats merged = merge_journals({a, b}, "fp1", 3);
-  EXPECT_EQ(merged.duplicates, 1u);
-  EXPECT_EQ(merged.cells.size(), 3u);
+  const FinishedCells merged = merge_journals({a, b}, "fp1", 3);
+  EXPECT_EQ(merged.duplicates(), 1u);
+  EXPECT_EQ(merged.size(), 3u);
   std::remove(a.c_str());
   std::remove(b.c_str());
 }
@@ -467,7 +568,8 @@ SweepResult run_tiny_sharded(const Manifest& manifest, std::size_t count,
     std::remove(path.c_str());
     SweepOptions options;
     options.threads = 1 + static_cast<int>(index % 4);
-    options.shard = {.index = index, .count = count};
+    options.cells =
+        partition_cells(manifest.spec.num_cells(), index, count);
     options.journal = path;
     options.journal_salt = salt;
     run_sweep(manifest.spec, hooks, options);
@@ -481,12 +583,12 @@ SweepResult run_tiny_sharded(const Manifest& manifest, std::size_t count,
     }
     paths.push_back(path);
   }
-  const MergeStats merged =
+  const FinishedCells merged =
       merge_journals(paths, fingerprint, manifest.spec.num_cells());
   for (const std::string& path : paths) {
     std::remove(path.c_str());
   }
-  return assemble_result(manifest.spec, merged.cells);
+  return assemble_result(manifest.spec, merged.cells());
 }
 
 TEST(GoldenShardEquivalence, TinyManifestShardsMergeToTheCommittedBytes) {
@@ -566,7 +668,7 @@ TEST(SweeprunCli, MissingManifestFileExitsNonzero) {
       << result.output;
 }
 
-TEST(SweeprunCli, UnknownFlagsAndBadShardSpecsExitWithUsage) {
+TEST(SweeprunCli, UnknownFlagsAndBadValuesExitWithUsage) {
   const std::string manifest = temp_path("ok_manifest.ini");
   spill(manifest, "[sweep]\npolicies = clone\n");
 
@@ -586,6 +688,19 @@ TEST(SweeprunCli, UnknownFlagsAndBadShardSpecsExitWithUsage) {
     EXPECT_NE(result.output.find("sweeprun: --shard wants I/N"),
               std::string::npos)
         << result.output;
+  }
+
+  // Numeric flags reject garbage, trailing junk, signs and empty values
+  // instead of reading a prefix (or nothing) as a number.
+  for (const char* flag : {"--threads", "--reps", "--connect-attempts"}) {
+    for (const char* bad : {"abc", "2x", "-1", ""}) {
+      result = run_command(kSweeprun + " " + manifest + " " + flag + " '" +
+                           bad + "'");
+      EXPECT_EQ(result.status, 2)
+          << flag << " '" << bad << "': " << result.output;
+      EXPECT_NE(result.output.find("usage:"), std::string::npos)
+          << result.output;
+    }
   }
 
   // Flag diagnostics consistently carry the tool-name prefix so cluster

@@ -14,15 +14,24 @@
 //            [--progress-timeout-ms N] [--worker-timeout-ms N]
 //            [--connect-attempts N] [--fault SPEC]
 //
-// Distributed sweeps: `--controller ADDR` serves the manifest's grid as
-// cell leases over a unix/tcp socket (src/fabric/), journals every result
-// as it lands, and renders the usual reports when all cells are in —
-// byte-identical to a single-process run. `--worker ADDR` connects to that
-// controller (same manifest!), computes leased cells and streams them
-// back. Workers may join late, crash, or hang: the controller reassigns
-// their unfinished cells and deduplicates re-deliveries byte-exactly.
-// `--fault SPEC` injects deterministic failures (see src/fabric/fault.h);
-// it exists for tests and CI.
+// Distribution: every mode runs cells through exp::run_sweep, resumes
+// through exp::resume_journal and dedups through exp::FinishedCells.
+// `--controller ADDR` serves the manifest's grid as live cell leases over a
+// unix/tcp socket (src/fabric/), journals every result as it lands, and
+// renders the usual reports when all cells are in. `--worker ADDR`
+// connects to that controller (same manifest!), runs each leased cell and
+// streams it back. Workers may join late, crash, or hang: the controller
+// reassigns their unfinished cells and deduplicates re-deliveries
+// byte-exactly. `--shard I/N` is a fixed lease instead: shard I runs its
+// deterministic slice of the grid (exp::partition_cells) into
+// `<shard-dir>/<name>.shard-I-of-N.journal`; run the N shards on N machines
+// against one shared directory, then `--merge` on any of them applies the
+// controller's dedup rule to the shard journals (gaps, conflicts and
+// foreign fingerprints are hard errors). Both paths render reports
+// byte-identical to a single-process run. `--compact` rewrites a journal
+// as its minimal deduplicated equivalent (atomic rename), which resumes
+// identically. `--fault SPEC` injects deterministic worker failures (see
+// src/fabric/fault.h); it exists for tests and CI.
 //
 // SIGINT/SIGTERM drain every mode gracefully: the current replication
 // round (or fabric event loop) winds down, finished cells are flushed and
@@ -40,13 +49,6 @@
 // and a rerun after a crash (or a kill) skips them — the final reports are
 // byte-identical to an uninterrupted run at any thread count.
 //
-// Cluster sharding: `--shard I/N` runs only shard I's deterministic cell
-// range and journals it to `<shard-dir>/<name>.shard-I-of-N.journal`; run
-// the N shards on N machines against one shared directory, then `--merge`
-// on any of them validates the shard fingerprints, fuses the entries
-// (overlap/gap/conflict are hard errors) and renders reports byte-identical
-// to a single unsharded run. `--compact` rewrites a journal as its minimal
-// deduplicated equivalent (atomic rename), which resumes identically.
 #include <atomic>
 #include <charconv>
 #include <chrono>
@@ -143,8 +145,11 @@ struct Cli {
   std::exit(2);
 }
 
-bool parse_size(const std::string& text, std::size_t& out) {
-  if (text.empty()) {
+/// Parses all of `text` as an unsigned decimal: no sign, no trailing junk,
+/// no overflow of T.
+template <typename T>
+bool parse_size(const std::string& text, T& out) {
+  if (text.empty() || text.front() < '0' || text.front() > '9') {
     return false;
   }
   const auto result =
@@ -162,14 +167,18 @@ Cli parse_cli(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // A numeric flag: garbage, a sign or a value below `min` exits with usage.
+  const auto number = [&](int& i, auto& out, std::size_t min) {
+    if (!parse_size(value(i), out) || static_cast<std::size_t>(out) < min) {
+      usage(argv[0]);
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads") {
-      cli.threads = std::atoi(value(i));
-      if (cli.threads < 0) usage(argv[0]);
+      number(i, cli.threads, 0);
     } else if (arg == "--reps") {
-      cli.reps = std::atoi(value(i));
-      if (cli.reps < 0) usage(argv[0]);
+      number(i, cli.reps, 0);
     } else if (arg == "--journal") {
       cli.journal = value(i);
     } else if (arg == "--csv") {
@@ -226,30 +235,17 @@ Cli parse_cli(int argc, char** argv) {
     } else if (arg == "--name") {
       cli.worker_name = value(i);
     } else if (arg == "--lease-cells") {
-      if (!parse_size(value(i), cli.lease_cells) || cli.lease_cells < 1) {
-        usage(argv[0]);
-      }
+      number(i, cli.lease_cells, 1);
     } else if (arg == "--heartbeat-ms") {
-      if (!parse_size(value(i), cli.heartbeat_ms) || cli.heartbeat_ms < 1) {
-        usage(argv[0]);
-      }
+      number(i, cli.heartbeat_ms, 1);
     } else if (arg == "--lease-timeout-ms") {
-      if (!parse_size(value(i), cli.lease_timeout_ms) ||
-          cli.lease_timeout_ms < 1) {
-        usage(argv[0]);
-      }
+      number(i, cli.lease_timeout_ms, 1);
     } else if (arg == "--progress-timeout-ms") {
-      if (!parse_size(value(i), cli.progress_timeout_ms)) {
-        usage(argv[0]);
-      }
+      number(i, cli.progress_timeout_ms, 0);
     } else if (arg == "--worker-timeout-ms") {
-      if (!parse_size(value(i), cli.worker_timeout_ms) ||
-          cli.worker_timeout_ms < 1) {
-        usage(argv[0]);
-      }
+      number(i, cli.worker_timeout_ms, 1);
     } else if (arg == "--connect-attempts") {
-      cli.connect_attempts = std::atoi(value(i));
-      if (cli.connect_attempts < 1) usage(argv[0]);
+      number(i, cli.connect_attempts, 1);
     } else if (arg == "--fault") {
       cli.fault = value(i);
     } else if (!arg.empty() && arg.front() == '-') {
@@ -367,32 +363,25 @@ void render_reports(const exp::SweepResult& result,
   }
 }
 
-/// --compact: rewrite the target journal (the shard's with --shard, the
+/// --compact: rewrite this process's journal (the shard's with --shard, the
 /// configured one otherwise) as its minimal equivalent.
-int run_compact(const exp::Manifest& manifest, const Cli& cli,
-                const std::string& fingerprint,
-                const std::string& shard_dir) {
-  std::string path;
-  if (cli.shard_count > 0) {
-    path = exp::shard_journal_path(shard_dir, manifest.spec.name,
-                                   cli.shard_index, cli.shard_count);
-  } else {
-    path = manifest.outputs.journal;
-  }
-  if (path.empty()) {
+int run_compact(const std::string& journal, const std::string& fingerprint) {
+  if (journal.empty()) {
     std::fprintf(stderr,
                  "sweeprun: --compact needs a journal (a [output] journal, "
                  "--journal, or --shard I/N)\n");
     return 2;
   }
-  const exp::CompactStats stats = exp::compact_journal(path, fingerprint);
-  std::printf("compacted %s: %zu entr%s, %zu -> %zu bytes\n", path.c_str(),
-              stats.entries, stats.entries == 1 ? "y" : "ies",
-              stats.bytes_before, stats.bytes_after);
+  const exp::CompactStats stats = exp::compact_journal(journal, fingerprint);
+  std::printf("compacted %s: %zu entr%s, %zu -> %zu bytes\n",
+              journal.c_str(), stats.entries,
+              stats.entries == 1 ? "y" : "ies", stats.bytes_before,
+              stats.bytes_after);
   return 0;
 }
 
-/// --merge: fuse every shard journal and render the full-grid reports.
+/// --merge: fuse every shard journal under the controller's dedup rule and
+/// render the full-grid reports.
 int run_merge(const exp::Manifest& manifest, const Cli& cli,
               const std::string& fingerprint,
               const std::string& shard_dir) {
@@ -415,12 +404,12 @@ int run_merge(const exp::Manifest& manifest, const Cli& cli,
                                             i, count));
   }
   const std::size_t cells = manifest.spec.num_cells();
-  const exp::MergeStats merged =
+  const exp::FinishedCells merged =
       exp::merge_journals(paths, fingerprint, cells);
   std::printf("merged %zu shard journal(s): %zu cells", count, cells);
-  if (merged.duplicates > 0) {
-    std::printf(", %zu duplicate entr%s dropped", merged.duplicates,
-                merged.duplicates == 1 ? "y" : "ies");
+  if (merged.duplicates() > 0) {
+    std::printf(", %zu duplicate entr%s dropped", merged.duplicates(),
+                merged.duplicates() == 1 ? "y" : "ies");
   }
   std::printf("\n\n");
 
@@ -428,16 +417,15 @@ int run_merge(const exp::Manifest& manifest, const Cli& cli,
   // one when the manifest asks for a journal, so later unsharded runs (or
   // re-renders) can resume from the merged state.
   if (!manifest.outputs.journal.empty()) {
-    exp::JournalWriter writer(manifest.outputs.journal, fingerprint,
-                              /*resume=*/false);
-    for (const auto& [cell, aggregate] : merged.cells) {
+    exp::JournalWriter writer(manifest.outputs.journal, fingerprint);
+    for (const auto& [cell, aggregate] : merged.cells()) {
       writer.append({cell, aggregate});
     }
     std::printf("fused journal written to %s\n\n",
                 manifest.outputs.journal.c_str());
   }
 
-  render_reports(exp::assemble_result(manifest.spec, merged.cells),
+  render_reports(exp::assemble_result(manifest.spec, merged.cells()),
                  manifest.outputs);
   return 0;
 }
@@ -448,34 +436,21 @@ int run_controller_mode(const exp::Manifest& manifest, const Cli& cli,
                         const std::string& fingerprint) {
   const std::size_t cells = manifest.spec.num_cells();
 
-  // Resume support works exactly like run_sweep's: journaled cells are
-  // never leased again, and newly finished cells append as they arrive —
-  // so a controller crash (or a SIGINT drain) costs only in-flight work.
-  std::map<std::size_t, exp::CellAggregate> resumed;
-  std::unique_ptr<exp::JournalWriter> writer;
+  // Resume exactly like run_sweep: journaled cells are never leased again
+  // and newly finished cells append as they arrive, so a controller crash
+  // (or a SIGINT drain) costs only in-flight work.
+  exp::ResumedJournal journal;
   if (!manifest.outputs.journal.empty()) {
-    if (cli.fresh) {
-      std::remove(manifest.outputs.journal.c_str());
-    }
-    const exp::JournalContents contents =
-        exp::read_journal(manifest.outputs.journal, fingerprint);
-    if (contents.compatible) {
-      for (const auto& [cell, aggregate] : contents.cells) {
-        if (cell < cells) {
-          resumed.emplace(cell, aggregate);
-        }
-      }
-    }
-    writer = std::make_unique<exp::JournalWriter>(
-        manifest.outputs.journal, fingerprint, contents.compatible,
-        contents.valid_bytes);
+    journal = exp::resume_journal(manifest.outputs.journal, fingerprint,
+                                  cells);
   }
+  exp::JournalWriter* const writer = journal.writer.get();
 
   fabric::ControllerConfig config;
   config.fingerprint = fingerprint;
   config.num_cells = cells;
   for (std::size_t c = 0; c < cells; ++c) {
-    if (resumed.find(c) == resumed.end()) {
+    if (journal.cells.find(c) == journal.cells.end()) {
       config.todo.push_back(c);
     }
   }
@@ -488,14 +463,14 @@ int run_controller_mode(const exp::Manifest& manifest, const Cli& cli,
   std::printf("controller '%s' on %s: %zu cells (%zu resumed), lease <= "
               "%zu cells, heartbeat %zu ms\n",
               manifest.spec.name.c_str(), cli.controller.c_str(), cells,
-              resumed.size(), cli.lease_cells, cli.heartbeat_ms);
+              journal.cells.size(), cli.lease_cells, cli.heartbeat_ms);
   std::fflush(stdout);
 
   fabric::ControllerRunResult run;
   try {
     run = fabric::run_controller(
         cli.controller, config,
-        [&writer](const exp::JournalEntry& entry) {
+        [writer](const exp::JournalEntry& entry) {
           if (writer != nullptr) {
             writer->append(entry);
           }
@@ -524,7 +499,7 @@ int run_controller_mode(const exp::Manifest& manifest, const Cli& cli,
               static_cast<unsigned long long>(run.stats.cells_reassigned),
               static_cast<unsigned long long>(run.stats.duplicates));
 
-  std::map<std::size_t, exp::CellAggregate> all = std::move(resumed);
+  std::map<std::size_t, exp::CellAggregate> all = std::move(journal.cells);
   for (const auto& [cell, aggregate] : run.cells) {
     all.emplace(cell, aggregate);
   }
@@ -615,8 +590,17 @@ int main(int argc, char** argv) {
     const std::string fingerprint =
         exp::spec_fingerprint(manifest.spec, salt);
 
+    // The one journal this process resumes and appends to: with --shard,
+    // the shard's own file inside the shared directory (the manifest's
+    // [output] journal then names the merge product); else the manifest's.
+    const bool sharded = cli.shard_count > 0;
+    const std::string journal =
+        sharded ? exp::shard_journal_path(shard_dir, manifest.spec.name,
+                                          cli.shard_index, cli.shard_count)
+                : manifest.outputs.journal;
+
     if (cli.compact) {
-      const int rc = run_compact(manifest, cli, fingerprint, shard_dir);
+      const int rc = run_compact(journal, fingerprint);
       if (rc == 0) write_obs_outputs(cli);
       return rc;
     }
@@ -625,58 +609,38 @@ int main(int argc, char** argv) {
       if (rc == 0) write_obs_outputs(cli);
       return rc;
     }
-    if (!cli.controller.empty()) {
-      const int rc = run_controller_mode(manifest, cli, fingerprint);
-      if (rc == 0) write_obs_outputs(cli);
-      return rc;
-    }
     if (!cli.worker.empty()) {
       const int rc = run_worker_mode(manifest, cli, fingerprint);
       if (rc == 0) write_obs_outputs(cli);
       return rc;
     }
-
-    exp::SweepOptions options;
-    options.threads = cli.threads;
-    options.journal = manifest.outputs.journal;
-    options.journal_salt = salt;
-    options.cancel = &g_cancel;
-    if (cli.progress) {
-      options.on_progress = [&progress_printer](
-                                const exp::SweepProgress& progress) {
-        progress_printer.report(progress);
-      };
+    if (cli.fresh && !journal.empty()) {
+      std::remove(journal.c_str());
     }
-    const bool sharded = cli.shard_count > 0;
-    if (sharded) {
-      options.shard.index = cli.shard_index;
-      options.shard.count = cli.shard_count;
-      // Each shard owns its journal inside the shared directory; the
-      // manifest's [output] journal names the merge product instead.
-      std::error_code ignored;
-      std::filesystem::create_directories(shard_dir, ignored);
-      options.journal = exp::shard_journal_path(
-          shard_dir, manifest.spec.name, cli.shard_index, cli.shard_count);
-    }
-    if (cli.fresh && !options.journal.empty()) {
-      std::remove(options.journal.c_str());
+    if (!cli.controller.empty()) {
+      const int rc = run_controller_mode(manifest, cli, fingerprint);
+      if (rc == 0) write_obs_outputs(cli);
+      return rc;
     }
 
     const std::size_t cells = manifest.spec.num_cells();
-    const exp::ShardRange owned = shard_cell_range(cells, options.shard);
-    std::size_t resumed = 0;
-    if (!options.journal.empty()) {
-      const auto contents = exp::read_journal(options.journal, fingerprint);
-      if (contents.found && !contents.compatible) {
-        std::fprintf(stderr,
-                     "sweeprun: note: journal '%s' belongs to a different "
-                     "sweep; starting fresh\n",
-                     options.journal.c_str());
+    exp::SweepOptions options;
+    options.threads = cli.threads;
+    options.journal = journal;
+    options.journal_salt = salt;
+    options.cancel = &g_cancel;
+    // run_sweep's first progress call is its startup snapshot, made on this
+    // thread before any cell runs: it reports what the journal restored.
+    std::atomic<bool> started{false};
+    options.on_progress = [&](const exp::SweepProgress& progress) {
+      if (!started.exchange(true) && progress.cells_resumed > 0) {
+        std::printf("  resuming from journal: %zu/%zu cells already done\n",
+                    progress.cells_resumed, progress.cells_total);
       }
-      for (const auto& [cell, aggregate] : contents.cells) {
-        resumed += owned.contains(cell) ? 1 : 0;
+      if (cli.progress) {
+        progress_printer.report(progress);
       }
-    }
+    };
 
     std::printf("sweep '%s': %zu cells x %d replication(s)%s\n",
                 manifest.spec.name.c_str(), cells,
@@ -690,13 +654,19 @@ int main(int argc, char** argv) {
                   manifest.spec.adaptive.max_replications);
     }
     if (sharded) {
-      std::printf("  shard %zu/%zu: cells [%zu, %zu)\n",
-                  cli.shard_index + 1, cli.shard_count, owned.begin,
-                  owned.end);
-    }
-    if (resumed > 0) {
-      std::printf("  resuming from journal: %zu/%zu cells already done\n",
-                  resumed, owned.size());
+      options.cells =
+          exp::partition_cells(cells, cli.shard_index, cli.shard_count);
+      const std::vector<std::size_t>& lease = *options.cells;
+      if (lease.empty()) {
+        std::printf("  shard %zu/%zu: no cells\n", cli.shard_index + 1,
+                    cli.shard_count);
+      } else {
+        std::printf("  shard %zu/%zu: cells [%zu, %zu)\n",
+                    cli.shard_index + 1, cli.shard_count, lease.front(),
+                    lease.back() + 1);
+      }
+      std::error_code ignored;
+      std::filesystem::create_directories(shard_dir, ignored);
     }
 
     const auto start = std::chrono::steady_clock::now();
@@ -712,7 +682,7 @@ int main(int argc, char** argv) {
       // once every shard journal is in the shared directory.
       std::printf("shard journal written to %s; run --merge once all %zu "
                   "shards are done\n",
-                  options.journal.c_str(), cli.shard_count);
+                  journal.c_str(), cli.shard_count);
       write_obs_outputs(cli);
       return 0;
     }
