@@ -2,7 +2,8 @@
 
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "core/thresholds.h"
@@ -27,18 +28,36 @@ const obs::Counter c_lookups = obs::counter("core.optimizer.lookups");
 /// ternary search revisits probe points when the bracket shrinks; the memo
 /// guarantees each distinct r is evaluated exactly once (evaluations()),
 /// while lookups() counts every query including memo hits.
+///
+/// Two flat stores replace a hash map: `dense_` holds U(0 .. n-1), the
+/// contiguous prefix that the exhaustive scan (and the brute-force scan)
+/// fills in ascending order, and `probes_` holds the few ternary-search
+/// points beyond it (about 2 log_{3/2}(max_r), searched linearly).
 class Objective {
  public:
-  explicit Objective(const AnalyticContext& context) : context_(context) {}
+  Objective(const AnalyticContext& context, std::size_t dense_hint)
+      : context_(context) {
+    dense_.reserve(dense_hint);
+    probes_.reserve(kProbeHint);
+  }
 
   double operator()(long long r) {
     ++lookups_;
-    if (const auto it = memo_.find(r); it != memo_.end()) {
-      return it->second;
+    if (r < static_cast<long long>(dense_.size())) {
+      return dense_[static_cast<std::size_t>(r)];
+    }
+    for (const auto& [probe, utility] : probes_) {
+      if (probe == r) {
+        return utility;
+      }
     }
     const auto point = context_.evaluate(static_cast<double>(r));
-    memo_.emplace(r, point.utility);
-    if (memo_.size() == 1 || point.utility > best_.utility) {
+    if (r == static_cast<long long>(dense_.size())) {
+      dense_.push_back(point.utility);
+    } else {
+      probes_.emplace_back(r, point.utility);
+    }
+    if (evaluations() == 1 || point.utility > best_.utility) {
       best_ = point;
     }
     return point.utility;
@@ -46,13 +65,17 @@ class Objective {
 
   const UtilityPoint& best() const { return best_; }
   std::int64_t evaluations() const {
-    return static_cast<std::int64_t>(memo_.size());
+    return static_cast<std::int64_t>(dense_.size() + probes_.size());
   }
   std::int64_t lookups() const { return lookups_; }
 
  private:
+  /// Enough for the ternary search at the default max_r (4096).
+  static constexpr std::size_t kProbeHint = 48;
+
   const AnalyticContext& context_;
-  std::unordered_map<long long, double> memo_;
+  std::vector<double> dense_;
+  std::vector<std::pair<long long, double>> probes_;
   UtilityPoint best_{};
   std::int64_t lookups_ = 0;
 };
@@ -81,8 +104,9 @@ OptimizationResult optimize(const AnalyticContext& context,
                             const OptimizerOptions& options) {
   CHRONOS_EXPECTS(options.max_r >= 0, "max_r must be >= 0");
 
-  Objective objective(context);
   const long long start = concave_start(context.gamma());
+  Objective objective(context, static_cast<std::size_t>(
+                                   std::min(start, options.max_r + 1)));
 
   // Phase 2 of Algorithm 1 (run first here; order does not matter): the
   // non-concave prefix 0 .. ceil(Gamma)-1 is scanned exhaustively.
@@ -132,7 +156,7 @@ OptimizationResult brute_force_optimize(Strategy strategy,
                                         const OptimizerOptions& options) {
   CHRONOS_EXPECTS(options.max_r >= 0, "max_r must be >= 0");
   const AnalyticContext context(strategy, params, econ);
-  Objective objective(context);
+  Objective objective(context, static_cast<std::size_t>(options.max_r + 1));
   for (long long r = 0; r <= options.max_r; ++r) {
     objective(r);
   }

@@ -138,6 +138,11 @@ struct AttemptRecord {
   double start_offset = 0.0;   ///< fraction of the split already processed
   double end_time = 0.0;       ///< finish or kill time (valid once ended)
 
+  /// Next attempt of the same task (the task's sibling list), -1 at the
+  /// tail. Sits before `reported` so it fills padding: the record stays
+  /// 104 bytes.
+  int next_sibling = -1;
+
   // First progress report (drives the Chronos estimator, Eq. 30).
   bool reported = false;
   double first_report_time = 0.0;
@@ -161,13 +166,125 @@ struct AttemptRecord {
   }
 };
 
+/// The attempts of one task in ascending attempt id, walked through the
+/// task's intrusive sibling list; with `active_only` the walk skips ended
+/// attempts. Nothing is copied: every step reads the job's attempt table,
+/// so a walk stays valid while attempts are killed or launched (an attempt
+/// launched for the same task mid-walk is visited). It points at the
+/// JobRecord's attempt table, so it is valid until the record moves or is
+/// cleared: the scheduler's next submit() or the job's retirement, neither
+/// of which a policy hook or timer triggers.
+class TaskAttempts {
+ public:
+  class iterator {
+   public:
+    iterator() = default;
+    iterator(const std::vector<AttemptRecord>* attempts, int id,
+             bool active_only)
+        : attempts_(attempts), id_(id), active_only_(active_only) {
+      skip_ended();
+    }
+    int operator*() const { return id_; }
+    iterator& operator++() {
+      id_ = at(id_).next_sibling;
+      skip_ended();
+      return *this;
+    }
+    bool operator==(const iterator& other) const { return id_ == other.id_; }
+
+   private:
+    const AttemptRecord& at(int id) const {
+      return (*attempts_)[static_cast<std::size_t>(id)];
+    }
+    void skip_ended() {
+      while (active_only_ && id_ >= 0 && at(id_).ended()) {
+        id_ = at(id_).next_sibling;
+      }
+    }
+    const std::vector<AttemptRecord>* attempts_ = nullptr;
+    int id_ = -1;
+    bool active_only_ = false;
+  };
+
+  TaskAttempts(const std::vector<AttemptRecord>& attempts, int first,
+               bool active_only)
+      : attempts_(&attempts), first_(first), active_only_(active_only) {}
+
+  iterator begin() const { return {attempts_, first_, active_only_}; }
+  iterator end() const { return {}; }
+  bool empty() const { return begin() == end(); }
+  /// Lowest attempt id in the walk. Requires !empty().
+  int front() const { return *begin(); }
+  /// Length of the walk (counts by walking it).
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (auto it = begin(); it != end(); ++it) {
+      ++n;
+    }
+    return n;
+  }
+
+ private:
+  const std::vector<AttemptRecord>* attempts_;
+  int first_;
+  bool active_only_;
+};
+
 /// One task (one input split).
 struct TaskRecord {
-  std::vector<int> attempt_ids;
+  /// Head and tail of the task's sibling list (AttemptRecord::next_sibling),
+  /// -1 before the first launch. Attempts append at the tail, so the list
+  /// is in ascending attempt id.
+  int first_attempt = -1;
+  int last_attempt = -1;
   bool completed = false;
   double completion_time = 0.0;  ///< relative to job submission
   int winner_attempt = -1;
   int extra_attempts_launched = 0;  ///< speculative copies beyond the first
+};
+
+/// Indices of the not-yet-completed tasks in [first, last), ascending.
+/// Nothing is copied: every step reads the job's task table, which is sized
+/// once at submission, so the view is valid until the job is retired.
+class IncompleteTasks {
+ public:
+  class iterator {
+   public:
+    iterator(const TaskRecord* tasks, int task, int last)
+        : tasks_(tasks), task_(task), last_(last) {
+      skip_completed();
+    }
+    int operator*() const { return task_; }
+    iterator& operator++() {
+      ++task_;
+      skip_completed();
+      return *this;
+    }
+    bool operator==(const iterator& other) const {
+      return task_ == other.task_;
+    }
+
+   private:
+    void skip_completed() {
+      while (task_ < last_ && tasks_[task_].completed) {
+        ++task_;
+      }
+    }
+    const TaskRecord* tasks_;
+    int task_;
+    int last_;
+  };
+
+  IncompleteTasks(const TaskRecord* tasks, int first, int last)
+      : tasks_(tasks), first_(first), last_(last) {}
+
+  iterator begin() const { return {tasks_, first_, last_}; }
+  iterator end() const { return {tasks_, last_, last_}; }
+
+ private:
+  const TaskRecord* tasks_;
+  int first_;
+  int last_;
 };
 
 /// Runtime state of a submitted job.
@@ -196,6 +313,21 @@ struct JobRecord {
 
   bool all_tasks_done() const {
     return tasks_completed == static_cast<int>(tasks.size());
+  }
+
+  /// Every attempt of `task`, ascending.
+  TaskAttempts attempts_of(int task) const {
+    return {attempts, tasks[static_cast<std::size_t>(task)].first_attempt,
+            false};
+  }
+  /// The waiting or running attempts of `task`, ascending.
+  TaskAttempts active_attempts_of(int task) const {
+    return {attempts, tasks[static_cast<std::size_t>(task)].first_attempt,
+            true};
+  }
+  /// Incomplete tasks among [first, last), ascending.
+  IncompleteTasks incomplete_tasks(int first, int last) const {
+    return {tasks.data(), first, last};
   }
 
   /// Stage that owns `task` (delegates to the spec's stage-major layout).

@@ -32,6 +32,20 @@ void Scheduler::compact_job(int job) {
   slot = kRetired;
 }
 
+const AttemptRecord& Scheduler::attempt(int job, int attempt_id) const {
+  const auto& record = this->job(job);
+  CHRONOS_EXPECTS(
+      attempt_id >= 0 &&
+          attempt_id < static_cast<int>(record.attempts.size()),
+      "attempt id out of range");
+  return record.attempts[static_cast<std::size_t>(attempt_id)];
+}
+
+AttemptRecord& Scheduler::attempt_mut(int job, int attempt_id) {
+  return const_cast<AttemptRecord&>(
+      std::as_const(*this).attempt(job, attempt_id));
+}
+
 const JobRecord& Scheduler::job(int job) const {
   CHRONOS_EXPECTS(job >= 0 && job < num_jobs(), "job index out of range");
   const std::uint32_t slot = slot_of_[static_cast<std::size_t>(job)];
@@ -66,6 +80,17 @@ int Scheduler::submit(const JobSpec& spec) {
   for (const StageSpec& st : spec.stages) {
     record.stage_samplers.emplace_back(st.t_min, st.beta);
   }
+  // Capacity hint: every task gets its stage's initial attempts (one
+  // finish/crash event each) plus up to its stage's r speculative ones.
+  // Crash retries can still exceed this; both containers grow
+  // geometrically.
+  std::size_t event_hint = 0;
+  for (int s = 0; s < spec.num_stages(); ++s) {
+    const int copies = std::max(1, policy_.initial_attempts(spec, s));
+    event_hint += static_cast<std::size_t>(spec.stage(s).num_tasks) *
+                  static_cast<std::size_t>(copies + spec.stage(s).r);
+  }
+  record.attempts.reserve(event_hint);
   if (free_slots_.empty()) {
     slot_of_.push_back(static_cast<std::uint32_t>(records_.size()));
     records_.push_back(std::move(record));
@@ -75,15 +100,6 @@ int Scheduler::submit(const JobSpec& spec) {
     records_[slot_of_.back()] = std::move(record);
   }
 
-  // Capacity hint: every task gets its stage's initial attempts (one
-  // finish/crash event each) plus up to its stage's r speculative ones.
-  // Crash retries can still exceed this; the queue grows geometrically.
-  std::size_t event_hint = 0;
-  for (int s = 0; s < spec.num_stages(); ++s) {
-    const int copies = std::max(1, policy_.initial_attempts(spec, s));
-    event_hint += static_cast<std::size_t>(spec.stage(s).num_tasks) *
-                  static_cast<std::size_t>(copies + spec.stage(s).r);
-  }
   simulator_.reserve_events(event_hint);
   start_stage(job_index, 0);
   policy_.on_job_start(job_index, *api_);
@@ -143,8 +159,14 @@ int Scheduler::launch_attempt(int job, int task, double offset) {
   attempt.request_time = simulator_.now();
   attempt.start_offset = offset;
   record.attempts.push_back(attempt);
-  record.tasks[static_cast<std::size_t>(task)].attempt_ids.push_back(
-      attempt_id);
+  auto& task_record = record.tasks[static_cast<std::size_t>(task)];
+  if (task_record.last_attempt < 0) {
+    task_record.first_attempt = attempt_id;
+  } else {
+    record.attempts[static_cast<std::size_t>(task_record.last_attempt)]
+        .next_sibling = attempt_id;
+  }
+  task_record.last_attempt = attempt_id;
   ++record.attempts_launched;
 
   cluster_.request_container([this, job, attempt_id](int node) {
@@ -219,18 +241,10 @@ void Scheduler::on_attempt_failed(int job, int attempt_id) {
   ++record.attempts_failed;
   // Hadoop retries failed attempts; keep the task alive with a fresh copy
   // (only when no sibling attempt is still working on it).
-  const auto& task_record = record.tasks[static_cast<std::size_t>(task)];
-  if (task_record.completed) {
+  if (record.tasks[static_cast<std::size_t>(task)].completed) {
     return;
   }
-  bool sibling_active = false;
-  for (const int id : task_record.attempt_ids) {
-    if (!record.attempts[static_cast<std::size_t>(id)].ended()) {
-      sibling_active = true;
-      break;
-    }
-  }
-  if (!sibling_active) {
+  if (record.active_attempts_of(task).empty()) {
     launch_attempt(job, task, offset);
   }
 }
@@ -245,12 +259,8 @@ void Scheduler::on_attempt_finished(int job, int attempt_id) {
 }
 
 void Scheduler::kill_attempt(int job, int attempt_id) {
+  auto& attempt = attempt_mut(job, attempt_id);
   auto& record = job_mut(job);
-  CHRONOS_EXPECTS(
-      attempt_id >= 0 &&
-          attempt_id < static_cast<int>(record.attempts.size()),
-      "attempt id out of range");
-  auto& attempt = record.attempts[static_cast<std::size_t>(attempt_id)];
   if (attempt.ended()) {
     return;
   }
@@ -288,16 +298,19 @@ void Scheduler::complete_task(int job, int task, int winner_attempt) {
   task_record.winner_attempt = winner_attempt;
   task_record.completion_time = simulator_.now() - record.submit_time;
   ++record.tasks_completed;
-  ++record.stage_tasks_completed[static_cast<std::size_t>(
-      record.stage_of_task(task))];
-  // Hadoop kills the remaining attempts of a completed task.
-  for (const int sibling : task_record.attempt_ids) {
-    if (sibling != winner_attempt) {
-      kill_attempt(job, sibling);
-    }
+  const int stage = record.stage_of_task(task);
+  ++record.stage_tasks_completed[static_cast<std::size_t>(stage)];
+  // A barrier can only clear when one of its predecessor stages finishes.
+  const bool stage_finished = record.stage_done(stage);
+  // Hadoop kills the remaining attempts of a completed task (the winner
+  // has ended, so the active walk skips it).
+  for (const int sibling : record.active_attempts_of(task)) {
+    kill_attempt(job, sibling);
   }
   policy_.on_task_completed(job, task, *api_);
-  maybe_start_stages(job);
+  if (stage_finished) {
+    maybe_start_stages(job);
+  }
   maybe_complete_job(job);
 }
 
@@ -340,57 +353,32 @@ const JobRecord& SchedulerApi::job(int job) const {
 
 bool SchedulerApi::job_done(int job) const { return scheduler_.job_done(job); }
 
-std::vector<int> SchedulerApi::incomplete_tasks(int job) const {
+IncompleteTasks SchedulerApi::incomplete_tasks(int job) const {
   const auto& record = scheduler_.job(job);
-  std::vector<int> tasks;
-  for (int t = 0; t < record.spec.total_tasks(); ++t) {
-    if (!record.tasks[static_cast<std::size_t>(t)].completed) {
-      tasks.push_back(t);
-    }
-  }
-  return tasks;
+  return record.incomplete_tasks(0, record.spec.total_tasks());
 }
 
-std::vector<int> SchedulerApi::incomplete_stage_tasks(int job,
-                                                      int stage) const {
+IncompleteTasks SchedulerApi::incomplete_stage_tasks(int job,
+                                                     int stage) const {
   const auto& record = scheduler_.job(job);
-  std::vector<int> tasks;
   const int first = record.spec.first_task(stage);
-  const int last = first + record.spec.stage(stage).num_tasks;
-  for (int t = first; t < last; ++t) {
-    if (!record.tasks[static_cast<std::size_t>(t)].completed) {
-      tasks.push_back(t);
-    }
-  }
-  return tasks;
+  return record.incomplete_tasks(first,
+                                 first + record.spec.stage(stage).num_tasks);
 }
 
-std::vector<int> SchedulerApi::active_attempts(int job, int task) const {
+TaskAttempts SchedulerApi::active_attempts(int job, int task) const {
   const auto& record = scheduler_.job(job);
   CHRONOS_EXPECTS(task >= 0 && task < record.spec.total_tasks(),
                   "task index out of range");
-  std::vector<int> active;
-  for (const int id :
-       record.tasks[static_cast<std::size_t>(task)].attempt_ids) {
-    if (!record.attempts[static_cast<std::size_t>(id)].ended()) {
-      active.push_back(id);
-    }
-  }
-  return active;
+  return record.active_attempts_of(task);
 }
 
 const AttemptRecord& SchedulerApi::attempt(int job, int attempt_id) const {
-  const auto& record = scheduler_.job(job);
-  CHRONOS_EXPECTS(
-      attempt_id >= 0 &&
-          attempt_id < static_cast<int>(record.attempts.size()),
-      "attempt id out of range");
-  return record.attempts[static_cast<std::size_t>(attempt_id)];
+  return scheduler_.attempt(job, attempt_id);
 }
 
 ProgressReport SchedulerApi::observe(int job, int attempt_id) {
-  auto& record = scheduler_.job_mut(job);
-  auto& att = record.attempts[static_cast<std::size_t>(attempt_id)];
+  auto& att = scheduler_.attempt_mut(job, attempt_id);
   const auto report = observe_progress(att, now(), scheduler_.config_.noise,
                                        scheduler_.rng_);
   if (report.available && !att.reported) {

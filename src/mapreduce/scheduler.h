@@ -137,6 +137,10 @@ class Scheduler {
 
   JobRecord& job_mut(int job);
 
+  /// Range-checked attempt lookup. Throws for a retired job.
+  const AttemptRecord& attempt(int job, int attempt_id) const;
+  AttemptRecord& attempt_mut(int job, int attempt_id);
+
   /// Creates an attempt record for `task` starting at `offset` and requests
   /// a container. Returns the attempt id.
   int launch_attempt(int job, int task, double offset);
@@ -200,14 +204,18 @@ class SchedulerApi {
   /// True once the job completed; the only query valid after retirement.
   bool job_done(int job) const;
 
-  /// Indices of tasks not yet completed (all stages).
-  std::vector<int> incomplete_tasks(int job) const;
+  // The three queries below return views over the job's record, not
+  // copies (see TaskAttempts / IncompleteTasks in job.h): no allocation per
+  // call, and a nested query never overwrites an outer one.
 
-  /// Incomplete tasks restricted to one stage.
-  std::vector<int> incomplete_stage_tasks(int job, int stage) const;
+  /// Indices of tasks not yet completed (all stages), ascending.
+  IncompleteTasks incomplete_tasks(int job) const;
 
-  /// Attempt ids of `task` that are waiting or running.
-  std::vector<int> active_attempts(int job, int task) const;
+  /// Incomplete tasks restricted to one stage, ascending.
+  IncompleteTasks incomplete_stage_tasks(int job, int stage) const;
+
+  /// Attempt ids of `task` that are waiting or running, ascending.
+  TaskAttempts active_attempts(int job, int task) const;
 
   const AttemptRecord& attempt(int job, int attempt_id) const;
 

@@ -4,13 +4,17 @@
 // events execute deterministically in scheduling order — a requirement for
 // reproducible trace-driven runs.
 //
-// Storage is a slot arena: callbacks live in a generation-tagged vector with
-// an intrusive free-list, and heap entries carry their slot index plus the
-// generation observed at scheduling time. Cancel/fire bump the slot's
-// generation, so stale heap entries (and stale EventIds) are recognized by a
-// simple tag mismatch — no per-event hashing, and after warm-up no
-// allocation per schedule/cancel/pop (slots and heap storage are recycled;
-// small callbacks stay in std::function's inline buffer).
+// Storage is a slot arena plus an indexed 4-ary min-heap. Callbacks live in
+// a generation-tagged slot vector with an intrusive free-list; each heap
+// entry carries its own (time, seq) key and its slot index, so sifts compare
+// entries without touching the arena, and each slot records where its entry
+// sits in the heap. Cancellation is eager: `cancel` removes the entry at
+// once (swap with the last entry, then sift), so the heap only ever holds
+// runnable events and popping never skips dead ones. Fire/cancel bump the
+// slot's generation, which is what makes a stale EventId harmless. After
+// warm-up nothing is allocated per schedule/cancel/pop (slots and heap
+// storage are recycled; small callbacks stay in std::function's inline
+// buffer).
 #pragma once
 
 #include <cstddef>
@@ -38,25 +42,26 @@ class EventQueue {
   /// Schedules `fn` to run at absolute time `at`. Requires at >= 0.
   EventId schedule(Time at, std::function<void()> fn);
 
-  /// Cancels a pending event; returns false when the event already fired,
-  /// was cancelled, or the id is invalid. Idempotent.
+  /// Cancels a pending event and removes it from the heap; returns false
+  /// when the event already fired, was cancelled, or the id is invalid.
+  /// Idempotent.
   bool cancel(EventId id);
 
-  /// True when no runnable (non-cancelled) events remain.
-  bool empty() const;
+  /// True when no pending events remain.
+  bool empty() const { return heap_.empty(); }
 
-  /// Time of the earliest runnable event. Requires !empty().
+  /// Time of the earliest pending event. Requires !empty().
   Time next_time() const;
 
-  /// Removes and returns the earliest runnable event. Requires !empty().
+  /// Removes and returns the earliest pending event. Requires !empty().
   struct Fired {
     Time time;
     std::function<void()> fn;
   };
   Fired pop();
 
-  /// Number of pending (non-cancelled) events.
-  std::size_t size() const { return live_; }
+  /// Number of pending events.
+  std::size_t size() const { return heap_.size(); }
 
   /// Capacity hint: pre-sizes the heap and the slot arena for `n` pending
   /// events so bulk scheduling (e.g. a job submission that launches every
@@ -64,39 +69,52 @@ class EventQueue {
   void reserve(std::size_t n);
 
  private:
+  /// Children per heap node: a shallower tree than a binary heap, and the
+  /// four children of a node are adjacent entries.
+  static constexpr std::size_t kArity = 4;
+
   struct Entry {
     Time time;
     std::uint64_t seq;
-    std::uint64_t generation;
     std::uint32_t slot;
-    // Min-heap on (time, seq) via greater-than comparison.
-    bool operator>(const Entry& other) const {
-      if (time != other.time) {
-        return time > other.time;
-      }
-      return seq > other.seq;
-    }
   };
+
+  /// Strict (time, seq) order; seq is unique, so no two entries tie.
+  static bool before(const Entry& a, const Entry& b) {
+    if (a.time != b.time) {
+      return a.time < b.time;
+    }
+    return a.seq < b.seq;
+  }
 
   struct Slot {
     std::function<void()> fn;
     std::uint64_t generation = 0;  ///< bumped whenever the slot is released
+    std::uint32_t heap_pos = 0;    ///< index of the slot's entry in heap_
     std::uint32_t next_free = 0;   ///< free-list link (index + 1; 0 = end)
   };
-
-  /// Pops heap entries whose slot generation no longer matches (cancelled,
-  /// or fired through a duplicate entry — the latter cannot happen here but
-  /// the check is what makes lazy deletion safe).
-  void drop_stale() const;
 
   std::uint32_t acquire_slot(std::function<void()> fn);
   void release_slot(std::uint32_t slot);
 
-  mutable std::vector<Entry> heap_;  ///< binary heap via std::push/pop_heap
+  /// Writes `entry` at heap index `pos` and records the position in its
+  /// slot.
+  void place(std::size_t pos, const Entry& entry) {
+    heap_[pos] = entry;
+    slots_[entry.slot].heap_pos = static_cast<std::uint32_t>(pos);
+  }
+  /// Moves `entry`, destined for the hole at `pos`, toward the root (or
+  /// the leaves) until the heap order holds.
+  void sift_up(std::size_t pos, const Entry& entry);
+  void sift_down(std::size_t pos, const Entry& entry);
+  /// Removes the entry at heap index `pos`: the last entry fills the hole
+  /// and is sifted whichever way restores the order.
+  void remove_at(std::size_t pos);
+
+  std::vector<Entry> heap_;  ///< 4-ary min-heap on (time, seq)
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = 0;  ///< head of the free list (index + 1)
   std::uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
 };
 
 }  // namespace chronos::sim

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -188,6 +193,90 @@ TEST(EventQueue, ManyEventsStressOrdering) {
     EXPECT_GE(fired.time, last);
     last = fired.time;
   }
+}
+
+// --- model-based check -----------------------------------------------------
+
+TEST(EventQueue, MatchesOrderedSetModelUnderRandomCancelsAndPops) {
+  // 200k random operations against a reference std::set of (time, seq):
+  // schedules on a coarse time grid (ties are common), cancels of live,
+  // already-fired and already-cancelled ids, and pops. The schedule rate
+  // swings between filling and draining phases so cancels and pops also
+  // hit the heap at depth, where a wrong heap position would surface.
+  struct Live {
+    EventId id;
+    double time;
+  };
+  EventQueue q;
+  std::set<std::pair<double, std::uint64_t>> model;
+  std::vector<std::pair<std::uint64_t, Live>> live;  // seq -> id, unordered
+  std::vector<std::size_t> live_index;  // seq -> index in live (or npos)
+  std::vector<EventId> fired_ids;
+  std::vector<EventId> cancelled_ids;
+  std::vector<std::uint64_t> fired;  // seqs, in firing order
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::mt19937_64 rng(20240611);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  const auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const auto drop_live = [&](std::uint64_t seq) {
+    const std::size_t at = live_index[seq];
+    live_index[live.back().first] = at;
+    live[at] = live.back();
+    live.pop_back();
+    live_index[seq] = kNone;
+  };
+  std::size_t max_depth = 0;
+  for (int op = 0; op < 200000; ++op) {
+    const double schedule_share = (op / 10000) % 2 == 0 ? 0.6 : 0.25;
+    const double u = unit(rng);
+    if (u < schedule_share) {
+      const double time = 0.25 * static_cast<double>(pick(16));
+      const std::uint64_t seq = live_index.size();
+      const EventId id =
+          q.schedule(time, [&fired, seq] { fired.push_back(seq); });
+      model.emplace(time, seq);
+      live_index.push_back(live.size());
+      live.push_back({seq, Live{id, time}});
+    } else if (u < schedule_share + 0.15) {
+      // Cancel: mostly live ids, sometimes dead ones whose slot has
+      // likely been reused.
+      const double kind = unit(rng);
+      if (kind < 0.7 && !live.empty()) {
+        const auto [seq, entry] = live[pick(live.size())];
+        ASSERT_TRUE(q.cancel(entry.id)) << "op " << op;
+        model.erase({entry.time, seq});
+        drop_live(seq);
+        cancelled_ids.push_back(entry.id);
+      } else if (kind < 0.85 && !fired_ids.empty()) {
+        ASSERT_FALSE(q.cancel(fired_ids[pick(fired_ids.size())]))
+            << "op " << op;
+      } else if (!cancelled_ids.empty()) {
+        ASSERT_FALSE(q.cancel(cancelled_ids[pick(cancelled_ids.size())]))
+            << "op " << op;
+      }
+    } else if (!model.empty()) {
+      const auto [time, seq] = *model.begin();
+      model.erase(model.begin());
+      auto popped = q.pop();
+      ASSERT_EQ(popped.time, time) << "op " << op;
+      const std::size_t fired_before = fired.size();
+      popped.fn();
+      ASSERT_EQ(fired.size(), fired_before + 1) << "op " << op;
+      ASSERT_EQ(fired.back(), seq) << "op " << op;
+      fired_ids.push_back(live[live_index[seq]].second.id);
+      drop_live(seq);
+    }
+    ASSERT_EQ(q.size(), model.size()) << "op " << op;
+    ASSERT_EQ(q.empty(), model.empty()) << "op " << op;
+    if (!model.empty()) {
+      ASSERT_EQ(q.next_time(), model.begin()->first) << "op " << op;
+    }
+    max_depth = std::max(max_depth, model.size());
+  }
+  EXPECT_GT(max_depth, 1000u);  // the filling phases reach real depth
+  EXPECT_GT(cancelled_ids.size(), 10000u);
 }
 
 }  // namespace

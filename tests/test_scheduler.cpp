@@ -151,7 +151,11 @@ class KillAtTime final : public SpeculationPolicy {
       // Kill the second attempt of task 0 early.
       const auto active = api.active_attempts(job, 0);
       if (active.size() > 1) {
-        api.kill_attempt(job, active.back());
+        int last = -1;
+        for (const int id : active) {
+          last = id;
+        }
+        api.kill_attempt(job, last);
       }
     });
   }
@@ -191,9 +195,9 @@ TEST(Scheduler, SiblingAttemptsKilledOnTaskCompletion) {
   const auto& job = scheduler.job(0);
   EXPECT_EQ(job.attempts_launched, 9);
   EXPECT_EQ(job.attempts_killed, 6);  // 2 losers per task
-  for (const auto& task : job.tasks) {
+  for (int t = 0; t < job.spec.total_tasks(); ++t) {
     int finished = 0;
-    for (const int id : task.attempt_ids) {
+    for (const int id : job.attempts_of(t)) {
       finished +=
           job.attempts[static_cast<std::size_t>(id)].state ==
                   AttemptState::kFinished
@@ -227,6 +231,59 @@ TEST(Scheduler, MultipleJobsInterleave) {
   }
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(ids, (std::vector<int>{0, 1}));
+}
+
+TEST(SchedulerApi, AttemptQueriesRejectOutOfRangeIds) {
+  Rig rig;
+  rig.scheduler.submit(small_job());
+  SchedulerApi api(rig.scheduler);
+  const int size = static_cast<int>(rig.scheduler.job(0).attempts.size());
+  for (const int bad : {-1, size}) {
+    EXPECT_THROW(api.attempt(0, bad), PreconditionError) << bad;
+    EXPECT_THROW(api.observe(0, bad), PreconditionError) << bad;
+    EXPECT_THROW(api.estimate_completion(0, bad), PreconditionError) << bad;
+    EXPECT_THROW(
+        api.estimate_completion(0, bad, EstimatorKind::kHadoopNaive),
+        PreconditionError)
+        << bad;
+    EXPECT_THROW(api.resume_offset_for(0, bad), PreconditionError) << bad;
+  }
+}
+
+TEST(Scheduler, SiblingListsHoldEachTasksAttemptsInIdOrder) {
+  // S-Resume kills stragglers and launches resumed copies at tau_est, and
+  // task completion kills the losers: every task's sibling list must still
+  // hold exactly its attempts, in ascending id, with the tail recorded.
+  sim::Simulator simulator;
+  sim::NodeConfig node;
+  node.containers = 64;
+  sim::Cluster cluster(sim::ClusterConfig::uniform(2, node));
+  strategies::SpeculativeResume policy;
+  auto spec = small_job(30);
+  spec.stage(0).r = 2;
+  spec.stage(0).tau_est = 35.0;
+  spec.stage(0).tau_kill = 60.0;
+  Scheduler scheduler(simulator, cluster, policy, SchedulerConfig{}, Rng(9));
+  scheduler.submit(spec);
+  simulator.run();
+  const auto& job = scheduler.job(0);
+  ASSERT_GT(job.attempts_launched, 30);  // some tasks were speculated
+  for (int t = 0; t < job.spec.total_tasks(); ++t) {
+    std::vector<int> expected;
+    for (const auto& attempt : job.attempts) {
+      if (attempt.task_index == t) {
+        expected.push_back(attempt.attempt_id);
+      }
+    }
+    std::vector<int> walked;
+    for (const int id : job.attempts_of(t)) {
+      walked.push_back(id);
+    }
+    EXPECT_EQ(walked, expected) << "task " << t;
+    EXPECT_EQ(job.tasks[static_cast<std::size_t>(t)].last_attempt,
+              expected.back());
+    EXPECT_TRUE(job.active_attempts_of(t).empty()) << "task " << t;
+  }
 }
 
 }  // namespace

@@ -125,8 +125,8 @@ TEST(Clone, LaunchesRPlusOneCopiesPerTask) {
   PolicyRun run(PolicyKind::kClone, chronos_job(6, 2));
   const auto& job = run.job();
   EXPECT_EQ(job.attempts_launched, 6 * 3);
-  for (const auto& task : job.tasks) {
-    EXPECT_EQ(static_cast<int>(task.attempt_ids.size()), 3);
+  for (int t = 0; t < job.spec.total_tasks(); ++t) {
+    EXPECT_EQ(job.attempts_of(t).size(), 3u);
   }
 }
 
@@ -134,9 +134,9 @@ TEST(Clone, ExactlyOneSurvivorPerTask) {
   PolicyRun run(PolicyKind::kClone, chronos_job(6, 2));
   const auto& job = run.job();
   EXPECT_EQ(job.attempts_killed, 6 * 2);
-  for (const auto& task : job.tasks) {
+  for (int t = 0; t < job.spec.total_tasks(); ++t) {
     int finished = 0;
-    for (const int id : task.attempt_ids) {
+    for (const int id : job.attempts_of(t)) {
       finished += job.attempts[static_cast<std::size_t>(id)].state ==
                           AttemptState::kFinished
                       ? 1
@@ -188,7 +188,7 @@ TEST(SRestart, OriginalKeptRunningAfterDetection) {
     // The original of a speculated task is not killed at tau_est; it either
     // finishes or is killed at tau_kill/task completion, strictly later.
     const auto& original =
-        job.attempts[static_cast<std::size_t>(task.attempt_ids.front())];
+        job.attempts[static_cast<std::size_t>(task.first_attempt)];
     EXPECT_GT(original.end_time, job.spec.stage(0).tau_est + 1e-9);
   }
 }
@@ -201,7 +201,7 @@ TEST(SResume, KillsOriginalAtDetection) {
       continue;
     }
     const auto& original =
-        job.attempts[static_cast<std::size_t>(task.attempt_ids.front())];
+        job.attempts[static_cast<std::size_t>(task.first_attempt)];
     EXPECT_EQ(original.state, AttemptState::kKilled);
     EXPECT_NEAR(original.end_time, job.spec.stage(0).tau_est, 1e-9);
   }

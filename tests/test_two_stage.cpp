@@ -247,8 +247,7 @@ TEST(StagedJobs, CloneReplicatesPerStagePlan) {
   EXPECT_EQ(job.attempts_launched, 8 * 3 + 4 * 3);
   for (int t = 0; t < job.spec.total_tasks(); ++t) {
     int finished = 0;
-    for (const int id :
-         job.tasks[static_cast<std::size_t>(t)].attempt_ids) {
+    for (const int id : job.attempts_of(t)) {
       finished += job.attempts[static_cast<std::size_t>(id)].state ==
                           AttemptState::kFinished
                       ? 1
