@@ -1,11 +1,14 @@
 #include "core/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numbers>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "core/kernels.h"
 #include "core/thresholds.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -14,7 +17,12 @@ namespace chronos::core {
 
 namespace {
 
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNegInf = -kInf;
+
+/// Initial capacity of the dense memo: the ascending scans stop a few
+/// points past r*, which is usually below ten.
+constexpr std::size_t kDenseHint = 32;
 
 // The memoized search already counts unique evaluations and total lookups
 // per call (OptimizationResult); the registry exposes the process-wide
@@ -24,43 +32,69 @@ const obs::Counter c_calls = obs::counter("core.optimizer.calls");
 const obs::Counter c_evaluations = obs::counter("core.optimizer.evaluations");
 const obs::Counter c_lookups = obs::counter("core.optimizer.lookups");
 
+/// One memoized objective value with a bound on its rounding error.
+struct Sample {
+  double utility = kNegInf;
+  double noise = kInf;
+};
+
 /// Memoizing objective over a precomputed AnalyticContext. The guarded
 /// ternary search revisits probe points when the bracket shrinks; the memo
 /// guarantees each distinct r is evaluated exactly once (evaluations()),
 /// while lookups() counts every query including memo hits.
 ///
 /// Two flat stores replace a hash map: `dense_` holds U(0 .. n-1), the
-/// contiguous prefix that the exhaustive scan (and the brute-force scan)
-/// fills in ascending order, and `probes_` holds the few ternary-search
-/// points beyond it (about 2 log_{3/2}(max_r), searched linearly).
+/// contiguous prefix that the ascending scans fill in order, and `probes_`
+/// holds the few gallop and ternary-search points beyond it (searched
+/// linearly).
 class Objective {
  public:
   Objective(const AnalyticContext& context, std::size_t dense_hint)
-      : context_(context) {
+      : context_(context),
+        pocd_noise_(kNoiseUlps * std::numeric_limits<double>::epsilon() *
+                    context.params().num_tasks /
+                    (1.0 - kernels::straggler_probability(context.params()))) {
     dense_.reserve(dense_hint);
     probes_.reserve(kProbeHint);
   }
 
-  double operator()(long long r) {
+  Sample operator()(long long r) {
     ++lookups_;
     if (r < static_cast<long long>(dense_.size())) {
       return dense_[static_cast<std::size_t>(r)];
     }
-    for (const auto& [probe, utility] : probes_) {
+    for (const auto& [probe, sample] : probes_) {
       if (probe == r) {
-        return utility;
+        return sample;
       }
     }
     const auto point = context_.evaluate(static_cast<double>(r));
+    const Sample sample{point.utility, noise(point)};
     if (r == static_cast<long long>(dense_.size())) {
-      dense_.push_back(point.utility);
+      dense_.push_back(sample);
     } else {
-      probes_.emplace_back(r, point.utility);
+      probes_.emplace_back(r, sample);
     }
-    if (evaluations() == 1 || point.utility > best_.utility) {
+    // Ties go to the lower r, as in brute_force_optimize's ascending scan.
+    if (evaluations() == 1 || point.utility > best_.utility ||
+        (point.utility == best_.utility && point.r < best_.r)) {
       best_ = point;
     }
-    return point.utility;
+    return sample;
+  }
+
+  /// A strict descent larger than the rounding error of either sample; by
+  /// the lemma in optimize(), every r past it is strictly worse.
+  static bool descends(const Sample& before, const Sample& after) {
+    return after.utility < before.utility - (before.noise + after.noise);
+  }
+
+  /// The mirror image: a strict ascent beyond rounding error, or the first
+  /// finite value after -infinity. The optimum lies past `before`.
+  static bool climbs(const Sample& before, const Sample& after) {
+    return before.utility == kNegInf
+               ? after.utility > kNegInf
+               : after.utility > before.utility + (before.noise + after.noise);
   }
 
   const UtilityPoint& best() const { return best_; }
@@ -70,12 +104,37 @@ class Objective {
   std::int64_t lookups() const { return lookups_; }
 
  private:
-  /// Enough for the ternary search at the default max_r (4096).
-  static constexpr std::size_t kProbeHint = 48;
+  /// Enough for the gallop plus the ternary search in its bracket.
+  static constexpr std::size_t kProbeHint = 32;
+  /// Margin on the first-order error estimate below: pow, log10 and the
+  /// cost products each add rounding of their own.
+  static constexpr double kNoiseUlps = 16.0;
+
+  /// Bound on the rounding error of `point.utility`. The task success
+  /// 1 - y >= 1 - P(T > D) is rounded to an ulp, so the computed
+  /// R = (1 - y)^N is off by about N ulps / (1 - y) relative, and
+  /// log10(R - R_min) by that times R / (R - R_min): large when R_min sits
+  /// just below R, and unbounded in the subnormal band R - R_min < DBL_MIN,
+  /// where pow's underflow makes U step down and back up again. The log and
+  /// cost terms themselves add a few ulps of their magnitudes.
+  double noise(const UtilityPoint& point) const {
+    const double margin = point.pocd - context_.econ().r_min;
+    if (!(margin >= std::numeric_limits<double>::min())) {
+      return kInf;
+    }
+    const double cost_term = context_.econ().theta * point.cost;
+    const double log_term = point.utility + cost_term;
+    return pocd_noise_ * point.pocd / (margin * std::numbers::ln10) +
+           kNoiseUlps * std::numeric_limits<double>::epsilon() *
+               (std::abs(log_term) + cost_term);
+  }
 
   const AnalyticContext& context_;
-  std::vector<double> dense_;
-  std::vector<std::pair<long long, double>> probes_;
+  /// Relative rounding error bound of R: kNoiseUlps * N ulps / (1 - y),
+  /// with 1 - y bounded below by 1 - P(T > D).
+  const double pocd_noise_;
+  std::vector<Sample> dense_;
+  std::vector<std::pair<long long, Sample>> probes_;
   UtilityPoint best_{};
   std::int64_t lookups_ = 0;
 };
@@ -100,31 +159,66 @@ OptimizationResult finish(const Objective& objective,
 
 }  // namespace
 
+// Why both phases may stop early. Every strategy's task failure has the form
+// y(r) = c q^r with c, q in (0, 1], so R(r) = (1 - y)^N grows with r and
+// log(R - R_min) is concave wherever R > R_min: with h = R - R_min,
+// h'' h <= h'^2 reduces to (R - R_min)(N y - 1) <= N y R, which holds since
+// R - R_min <= R and N y - 1 < N y. E(T) is convex in r for all three
+// strategies. So U is -infinity up to some r and concave after it: past the
+// first strict descent U(r) < U(r-1), every later r is strictly lower.
+// Gamma remains a conservative bound that only decides where the scan hands
+// over to the gallop. The computed U is concave only up to rounding, so a
+// descent (or climb) counts only when it exceeds both samples' error bound.
 OptimizationResult optimize(const AnalyticContext& context,
                             const OptimizerOptions& options) {
   CHRONOS_EXPECTS(options.max_r >= 0, "max_r must be >= 0");
-
+  const long long max_r = options.max_r;
   const long long start = concave_start(context.gamma());
-  Objective objective(context, static_cast<std::size_t>(
-                                   std::min(start, options.max_r + 1)));
+  const long long prefix_end = std::min(start, max_r + 1);
+  Objective objective(context, kDenseHint);
 
-  // Phase 2 of Algorithm 1 (run first here; order does not matter): the
-  // non-concave prefix 0 .. ceil(Gamma)-1 is scanned exhaustively.
-  for (long long r = 0; r < std::min(start, options.max_r + 1); ++r) {
-    objective(r);
+  // Phase 2 of Algorithm 1 (run first here; order does not matter): scan
+  // the prefix 0 .. ceil(Gamma)-1 in ascending order and stop at the first
+  // descent beyond rounding error; the concave phase then has nothing left
+  // to find.
+  Sample previous;
+  for (long long r = 0; r < prefix_end; ++r) {
+    const Sample sample = objective(r);
+    if (r > 0 && Objective::descends(previous, sample)) {
+      return finish(objective, context);
+    }
+    previous = sample;
   }
 
-  // Phase 1: the concave region [ceil(Gamma), max_r]. Concavity makes U
-  // unimodal over the integers, except that a prefix of the region may be
-  // -infinity (R(r) <= R_min); utility is increasing through that prefix,
-  // so a guarded ternary search remains exact.
-  long long lo = std::min(start, options.max_r);
-  long long hi = options.max_r;
+  // Phase 1: the concave region [ceil(Gamma), max_r]. Gallop through
+  // x_k = lo + 2^k - 1 until a step descends. The optimum then lies in
+  // [x_j, x_k], where x_j -> x_{j+1} is the last step that climbed: x_{k-2}
+  // unless rounding noise hid a step. A -infinity run (R(r) <= R_min)
+  // never descends, so the gallop passes over it.
+  long long lo = std::min(start, max_r);
+  long long hi = lo;
+  Sample at_hi = objective(hi);
+  for (long long step = 1; hi < max_r; step *= 2) {
+    const long long from = hi;
+    const Sample before = at_hi;
+    hi += std::min(step, max_r - hi);
+    at_hi = objective(hi);
+    if (Objective::descends(before, at_hi)) {
+      break;
+    }
+    if (Objective::climbs(before, at_hi)) {
+      lo = from;
+    }
+  }
+
+  // Concavity makes U unimodal over the integers of the bracket, except
+  // that a prefix of it may be -infinity; utility is increasing through
+  // that prefix, so a guarded ternary search remains exact.
   while (hi - lo > 2) {
     const long long m1 = lo + (hi - lo) / 3;
     const long long m2 = hi - (hi - lo) / 3;
-    const double f1 = objective(m1);
-    const double f2 = objective(m2);
+    const double f1 = objective(m1).utility;
+    const double f2 = objective(m2).utility;
     if (f1 == kNegInf && f2 == kNegInf) {
       // Still inside the infeasible prefix where U is -inf; the optimum (if
       // any) lies to the right of m2.

@@ -2,8 +2,16 @@
 //
 // Maximizes U(r) = lg(R(r) - R_min) - theta * C * E(T) over integer r >= 0.
 // Phase 1 searches the provably concave region r >= ceil(Gamma) (Theorem 8);
-// phase 2 exhaustively checks the handful of integers below ceil(Gamma).
+// phase 2 scans the integers below ceil(Gamma) in ascending order.
 // Theorem 9: the combination returns a global optimum.
+//
+// Both phases stop early. U is -infinity up to some r and concave after it
+// (the lemma in optimizer.cpp), so phase 2 ends at the first strict descent,
+// and phase 1 gallops through lo, lo+1, lo+3, lo+7, ... to the first descent
+// and ternary-searches only the last bracket. A call costs O(r* + log r*)
+// evaluations instead of ceil(Gamma) plus a search over [ceil(Gamma), max_r].
+// Descents count only beyond the rounding error of both samples, and ties
+// go to the lower r, as in brute_force_optimize.
 #pragma once
 
 #include <cstdint>
@@ -15,8 +23,8 @@
 namespace chronos::core {
 
 struct OptimizerOptions {
-  /// Upper bound on r explored by the concave-phase search. The objective
-  /// decays like -theta*C*E(T) for large r, so the optimum is far below this.
+  /// Upper bound on r explored by either phase. The objective decays like
+  /// -theta*C*E(T) for large r, so the optimum is far below this.
   long long max_r = 4096;
 };
 
@@ -36,8 +44,8 @@ struct OptimizationResult {
 /// feasible == false and r_opt == 0 with utility == -infinity.
 ///
 /// Internally builds an AnalyticContext so every r-independent constant is
-/// computed once, and memoizes U(r) so the guarded ternary search never
-/// evaluates the same integer twice.
+/// computed once, and memoizes U(r) so the gallop and the guarded ternary
+/// search never evaluate the same integer twice.
 OptimizationResult optimize(Strategy strategy, const JobParams& params,
                             const Economics& econ,
                             const OptimizerOptions& options = {});

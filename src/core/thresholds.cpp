@@ -1,7 +1,7 @@
 #include "core/thresholds.h"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.h"
 
@@ -24,6 +24,17 @@ double gamma_log_arg(const JobParams& params) {
           std::pow(params.t_min, params.beta));
 }
 
+/// (1/beta) log_base(D^beta / (N t_min^beta)): Theorem 8's S-Restart and
+/// S-Resume form. At base == 1 (D - tau_est == t_min, with phi == 0 for
+/// S-Resume) every extra attempt misses the deadline surely, so restarts
+/// never help and the logarithm has no finite value: Gamma = +infinity.
+double speculative_gamma(const JobParams& params, double base) {
+  if (base == 1.0) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return log_base(base, gamma_log_arg(params)) / params.beta;
+}
+
 }  // namespace
 
 double gamma_clone(const JobParams& params) {
@@ -37,14 +48,14 @@ double gamma_clone(const JobParams& params) {
 double gamma_s_restart(const JobParams& params) {
   params.validate();
   const double base = params.t_min / (params.deadline - params.tau_est);
-  return log_base(base, gamma_log_arg(params)) / params.beta;
+  return speculative_gamma(params, base);
 }
 
 double gamma_s_resume(const JobParams& params) {
   params.validate();
   const double base = (1.0 - params.phi_est) * params.t_min /
                       (params.deadline - params.tau_est);
-  return log_base(base, gamma_log_arg(params)) / params.beta - 1.0;
+  return speculative_gamma(params, base) - 1.0;
 }
 
 double gamma_threshold(Strategy strategy, const JobParams& params) {
@@ -64,8 +75,14 @@ long long concave_start(Strategy strategy, const JobParams& params) {
 }
 
 long long concave_start(double gamma) {
-  const auto ceil_gamma = static_cast<long long>(std::ceil(gamma));
-  return std::max<long long>(0, ceil_gamma);
+  // Saturate instead of casting: converting a double outside the range of
+  // long long (or NaN) is undefined behaviour. An unknown threshold is
+  // treated as "no concavity guaranteed", the conservative direction.
+  constexpr auto kMax = std::numeric_limits<long long>::max();
+  if (!(gamma < static_cast<double>(kMax))) {
+    return kMax;
+  }
+  return gamma <= 0.0 ? 0 : static_cast<long long>(std::ceil(gamma));
 }
 
 }  // namespace chronos::core

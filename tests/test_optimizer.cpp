@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
+#include "core/pocd.h"
 #include "core/thresholds.h"
 #include "test_util.h"
 
@@ -87,6 +90,198 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return cases;
     }()));
+
+TEST(Optimizer, DeadlineAtTheRestartFloorIsLegal) {
+  // validate() accepts D - tau_est == t_min. There a restarted attempt
+  // misses the deadline surely, Gamma_S-Restart has a logarithm of base 1,
+  // and Algorithm 1 must still run (Gamma = +infinity).
+  JobParams p;
+  p.num_tasks = 10;
+  p.t_min = 10.0;
+  p.deadline = 13.0;
+  p.beta = 1.5;
+  p.tau_est = 3.0;
+  p.tau_kill = 8.0;
+  p.phi_est = default_phi_est(p);
+  const auto e = default_econ();
+  EXPECT_EQ(gamma_s_restart(p), std::numeric_limits<double>::infinity());
+  for (const Strategy s : {Strategy::kClone, Strategy::kSpeculativeRestart,
+                           Strategy::kSpeculativeResume}) {
+    const auto fast = optimize(s, p, e);
+    const auto slow = brute_force_optimize(s, p, e);
+    EXPECT_EQ(fast.best.utility, slow.best.utility) << to_string(s);
+    EXPECT_EQ(fast.r_opt, slow.r_opt) << to_string(s);
+  }
+}
+
+// --- Early stop: property grid in the planner's regime -----------------------
+
+/// Draws one stage as the staged planner sees it: the deadline sits a factor
+/// 1 + delta above the clamp floor t_min (1 + tau_est factor), with delta
+/// log-uniform in [1e-12, 1], and R_min is 0, the no-speculation PoCD or a
+/// uniform draw.
+struct PlannerCase {
+  JobParams params;
+  Economics econ;
+};
+
+PlannerCase draw_planner_case(Rng& rng, Strategy strategy) {
+  const auto log_uniform = [&rng](double lo, double hi) {
+    return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+  };
+  PlannerCase c;
+  auto& p = c.params;
+  p.num_tasks = static_cast<int>(log_uniform(1.0, 5000.0));
+  p.t_min = rng.uniform(1.0, 20.0);
+  p.beta = rng.uniform(1.001, 3.0);
+  const double est_factor = rng.uniform(0.05, 0.6);
+  p.deadline =
+      p.t_min * (1.0 + est_factor) * (1.0 + log_uniform(1e-12, 1.0));
+  p.tau_est = strategy == Strategy::kClone ? 0.0 : est_factor * p.t_min;
+  p.tau_kill = (est_factor + rng.uniform(0.0, 1.0)) * p.t_min;
+  p.phi_est = default_phi_est(p);
+  auto& e = c.econ;
+  e.price = rng.uniform(0.05, 1.0);
+  e.theta = log_uniform(1e-9, 1e-1);
+  switch (rng.uniform_int(0, 2)) {
+    case 0:
+      e.r_min = 0.0;
+      break;
+    case 1: {
+      JobParams baseline = p;
+      baseline.tau_est = baseline.tau_kill = baseline.phi_est = 0.0;
+      e.r_min = pocd_no_speculation(baseline);
+      break;
+    }
+    default:
+      e.r_min = rng.uniform();
+      break;
+  }
+  return c;
+}
+
+TEST(OptimizerProperty, MatchesBruteForceNearTheClampFloor) {
+  Rng rng(20181017);
+  OptimizerOptions options;
+  options.max_r = 4096;
+  for (int i = 0; i < 1000; ++i) {
+    for (const Strategy s : {Strategy::kClone, Strategy::kSpeculativeRestart,
+                             Strategy::kSpeculativeResume}) {
+      const auto c = draw_planner_case(rng, s);
+      const auto fast = optimize(s, c.params, c.econ, options);
+      const auto slow = brute_force_optimize(s, c.params, c.econ, options);
+      ASSERT_EQ(fast.feasible, slow.feasible) << "case " << i;
+      ASSERT_EQ(fast.best.utility, slow.best.utility)
+          << "case " << i << " " << to_string(s) << " N=" << c.params.num_tasks
+          << " t_min=" << c.params.t_min << " D=" << c.params.deadline
+          << " beta=" << c.params.beta << " theta=" << c.econ.theta
+          << " r_min=" << c.econ.r_min << " fast r=" << fast.r_opt
+          << " slow r=" << slow.r_opt;
+    }
+  }
+}
+
+TEST(OptimizerProperty, SubnormalBandDoesNotEndTheScan) {
+  // R(r) climbs through the subnormal band for thousands of r. There pow's
+  // underflow makes U dip and recover, and a scan that trusted the first
+  // dip would stop at r = 2091; brute force finds r = 4096.
+  JobParams p;
+  p.t_min = 13.109159341953411;
+  p.deadline = 14.423368732881249;
+  p.beta = 1.5815354526931262;
+  p.tau_est = 1.3092528292403791;
+  p.tau_kill = 2.8346362665503797;
+  p.phi_est = 0.05561060921426169;
+  p.num_tasks = 2635;
+  Economics e;
+  e.price = 0.30894334252328975;
+  e.theta = 1.5265381001651749e-06;
+  e.r_min = 0.0;
+  const auto fast = optimize(Strategy::kSpeculativeRestart, p, e);
+  const auto slow = brute_force_optimize(Strategy::kSpeculativeRestart, p, e);
+  EXPECT_EQ(slow.r_opt, 4096);
+  EXPECT_EQ(fast.r_opt, slow.r_opt);
+  EXPECT_EQ(fast.best.utility, slow.best.utility);
+}
+
+TEST(OptimizerProperty, RoundingStairsDoNotEndTheScan) {
+  // D - tau_est lies within 1e-15 of t_min, so each restart adds under an
+  // ulp to 1 - y and the computed R rises in stairs, while R_min sits so
+  // close below R that log10(R - R_min) magnifies every stair. On a flat
+  // stair U dips by the cost term alone; trusting that dip would stop the
+  // scan at r = 1644, short of brute force's r = 1670.
+  JobParams p;
+  p.t_min = 14.443979748413074;
+  p.deadline = 15.391039657319213;
+  p.beta = 1.7371630870583625;
+  p.tau_est = 0.94705990890612379;
+  p.tau_kill = 13.092544547433663;
+  p.phi_est = 0.039052551438789357;
+  p.num_tasks = 164;
+  Economics e;
+  e.price = 0.62291052604669561;
+  e.theta = 2.3426763305587676e-07;
+  e.r_min = 1.2727933671523498e-161;
+  const auto fast = optimize(Strategy::kSpeculativeRestart, p, e);
+  const auto slow = brute_force_optimize(Strategy::kSpeculativeRestart, p, e);
+  EXPECT_EQ(slow.r_opt, 1670);
+  EXPECT_EQ(fast.r_opt, slow.r_opt);
+  EXPECT_EQ(fast.best.utility, slow.best.utility);
+}
+
+TEST(OptimizerProperty, GallopBracketStartsAtTheLastClimb) {
+  // D exceeds t_min by 6e-15, so P(T > D) is within 1e-14 of 1 and the
+  // rounding-error bound on U is about 0.17. Between r = 1 and r = 1023 no
+  // gallop step clears it; 1023 -> 2047 descends beyond it. The optimum
+  // r = 499 lies below x_{k-2} = 511, so the bracket must reach back to the
+  // last step that climbed: 0 -> 1, out of the -infinity run.
+  JobParams p;
+  p.num_tasks = 1;
+  p.t_min = 6.2135333544892992;
+  p.deadline = 6.2135333544893339;
+  p.beta = 1.6286727552580413;
+  p.tau_est = 0.0;
+  p.tau_kill = 3.9752687931824728;
+  p.phi_est = 0.0;
+  Economics e;
+  e.price = 0.54739225787923573;
+  e.theta = 0.00039982638278462327;
+  e.r_min = 8.992806499463768e-15;
+  const auto fast = optimize(Strategy::kClone, p, e);
+  const auto slow = brute_force_optimize(Strategy::kClone, p, e);
+  EXPECT_EQ(slow.r_opt, 499);
+  EXPECT_EQ(fast.r_opt, slow.r_opt);
+  EXPECT_EQ(fast.best.utility, slow.best.utility);
+}
+
+TEST(OptimizerProperty, ClampedRestartStageStopsAtTheFirstDescent) {
+  // A DAG stage whose share was raised to the clamp floor
+  // t_min (1 + 0.3) (1 + 1e-9): D - tau_est is within 1e-9 of t_min, so
+  // Gamma is about 1e9 and the whole range 0 .. max_r lies below it. The
+  // scan must stop just past r* instead of evaluating all 4097 points.
+  JobParams p;
+  p.num_tasks = 8;
+  p.t_min = 8.0;
+  p.beta = 1.5;
+  p.tau_est = 0.3 * p.t_min;
+  p.tau_kill = 0.8 * p.t_min;
+  p.deadline = p.t_min * 1.3 * (1.0 + 1e-9);
+  p.phi_est = default_phi_est(p);
+  JobParams baseline = p;
+  baseline.tau_est = baseline.tau_kill = baseline.phi_est = 0.0;
+  Economics e;
+  e.price = 0.4;
+  e.theta = 1e-2;
+  e.r_min = pocd_no_speculation(baseline);
+  OptimizerOptions options;
+  ASSERT_GT(concave_start(Strategy::kSpeculativeRestart, p), options.max_r);
+  const auto fast = optimize(Strategy::kSpeculativeRestart, p, e, options);
+  const auto slow =
+      brute_force_optimize(Strategy::kSpeculativeRestart, p, e, options);
+  EXPECT_EQ(fast.r_opt, slow.r_opt);
+  EXPECT_EQ(fast.best.utility, slow.best.utility);
+  EXPECT_LT(fast.evaluations, 64);
+}
 
 TEST(Optimizer, FewerEvaluationsThanBruteForce) {
   const auto p = default_job();
