@@ -3,16 +3,36 @@
 //
 // Planner-only experiment (no cluster simulation needed): replicates the
 // paper's full 2700-job / ~1M-task scale.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <map>
+#include <vector>
 
 #include "bench_util.h"
-#include "stats/histogram.h"
 #include "trace/planner.h"
 
 namespace {
 
 using namespace chronos;  // NOLINT
 using strategies::PolicyKind;
+
+using RCounts = std::map<long long, std::uint64_t>;
+
+long long count_of(const RCounts& counts, long long r) {
+  const auto it = counts.find(r);
+  return it == counts.end() ? 0 : static_cast<long long>(it->second);
+}
+
+// Most frequent r; the smallest such r on ties (max_element keeps the
+// first maximum and the map is ordered by r).
+long long mode_of(const RCounts& counts) {
+  return std::max_element(counts.begin(), counts.end(),
+                          [](const auto& a, const auto& b) {
+                            return a.second < b.second;
+                          })
+      ->first;
+}
 
 }  // namespace
 
@@ -42,7 +62,7 @@ int main() {
       {PolicyKind::kSResume, 1e-5},
   };
 
-  std::vector<stats::IntHistogram> histograms(series.size());
+  std::vector<RCounts> histograms(series.size());
   long long max_r = 0;
   for (std::size_t s = 0; s < series.size(); ++s) {
     trace::PlannerConfig planner;
@@ -50,7 +70,7 @@ int main() {
     auto jobs = base_jobs;
     for (auto& job : jobs) {
       plan_staged_job(job, series[s].policy, planner, prices);
-      histograms[s].add(job.spec.stage(0).r);
+      ++histograms[s][job.spec.stage(0).r];
       max_r = std::max(max_r, job.spec.stage(0).r);
     }
   }
@@ -59,21 +79,17 @@ int main() {
                       "S-Resume-1e-5"});
   for (long long r = 0; r <= max_r; ++r) {
     table.add_row({bench::fmt_int(r),
-                   bench::fmt_int(static_cast<long long>(
-                       histograms[0].count(r))),
-                   bench::fmt_int(static_cast<long long>(
-                       histograms[1].count(r))),
-                   bench::fmt_int(static_cast<long long>(
-                       histograms[2].count(r))),
-                   bench::fmt_int(static_cast<long long>(
-                       histograms[3].count(r)))});
+                   bench::fmt_int(count_of(histograms[0], r)),
+                   bench::fmt_int(count_of(histograms[1], r)),
+                   bench::fmt_int(count_of(histograms[2], r)),
+                   bench::fmt_int(count_of(histograms[3], r))});
   }
   table.print();
 
   std::printf("\nModes: Clone-1e-4: r=%lld, Clone-1e-5: r=%lld, "
               "S-Resume-1e-4: r=%lld, S-Resume-1e-5: r=%lld\n",
-              histograms[0].mode(), histograms[1].mode(),
-              histograms[2].mode(), histograms[3].mode());
+              mode_of(histograms[0]), mode_of(histograms[1]),
+              mode_of(histograms[2]), mode_of(histograms[3]));
   std::printf(
       "\nExpected shape (paper Fig. 5): optimal r concentrates on small\n"
       "integers; increasing theta from 1e-5 to 1e-4 shifts the mode down\n"

@@ -119,10 +119,10 @@ void BM_StagedJobPlan(benchmark::State& state) {
   proto.stage(0).t_min = 25.0;
   proto.stage(0).beta = 1.4;
   proto.deadline = 900.0;
-  proto.add_reduce_stage(/*reduce_tasks=*/10, /*reduce_t_min=*/45.0,
-                         /*reduce_beta=*/1.7);
-  proto.add_reduce_stage(/*reduce_tasks=*/10, /*reduce_t_min=*/45.0,
-                         /*reduce_beta=*/1.7);
+  proto.stages.push_back(
+      {.num_tasks = 10, .t_min = 45.0, .beta = 1.7, .deps = {}});
+  proto.stages.push_back(
+      {.num_tasks = 10, .t_min = 45.0, .beta = 1.7, .deps = {}});
   const chronos::trace::PlannerConfig planner;
   for (auto _ : state) {
     auto spec = proto;

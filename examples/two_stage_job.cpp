@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
   job.spec.stage(0).beta = 1.4;
   // Reduce phase: 10 partitions, longer but less variable tasks. The
   // default barrier chain makes it wait for the whole map stage (shuffle).
-  job.spec.add_reduce_stage(/*reduce_tasks=*/10, /*reduce_t_min=*/45.0,
-                            /*reduce_beta=*/1.7);
+  job.spec.stages.push_back(
+      {.num_tasks = 10, .t_min = 45.0, .beta = 1.7, .deps = {}});
   job.spec.deadline = deadline;
   job.spec.jvm_mean = 2.0;
   job.spec.jvm_jitter = 1.0;
@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
   const trace::SpotPriceModel prices;
   const auto plan = trace::plan_staged_job(job, kind, planner, prices);
 
-  // Bind stage views only now: add_reduce_stage grows the stage vector,
-  // so references taken before it would dangle.
+  // Bind stage views only now: push_back grows the stage vector, so
+  // references taken before it would dangle.
   const auto& map = job.spec.stage(0);
   const auto& reduce = job.spec.stage(1);
   std::printf("Two-stage job: %d map + %d reduce tasks, deadline %.0f s\n",

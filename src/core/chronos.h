@@ -16,8 +16,6 @@
 #include "core/analytic_context.h"  // IWYU pragma: export
 #include "core/comparison.h"   // IWYU pragma: export
 #include "core/cost.h"         // IWYU pragma: export
-#include "core/frontier.h"     // IWYU pragma: export
-#include "core/generic.h"      // IWYU pragma: export
 #include "core/model.h"        // IWYU pragma: export
 #include "core/montecarlo.h"   // IWYU pragma: export
 #include "core/optimizer.h"    // IWYU pragma: export

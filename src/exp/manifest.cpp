@@ -27,6 +27,20 @@ namespace {
                   "manifest line " + std::to_string(line) + ": " + message);
 }
 
+/// The one number parser for manifest values. Returns false on text that
+/// is not a number, for the caller to report. from_chars also accepts
+/// "nan" and "inf", which no manifest field means, so those fail here at
+/// their line instead of mid-sweep or never (std::max(0.0, NaN) is 0).
+bool parse_number(const std::string& text, int line, double& out) {
+  if (!numeric::parse_double(text, out)) {
+    return false;
+  }
+  if (!std::isfinite(out)) {
+    fail(line, "'" + text + "' is not a finite number");
+  }
+  return true;
+}
+
 std::string trim(const std::string& text) {
   const auto begin = text.find_first_not_of(" \t\r");
   if (begin == std::string::npos) {
@@ -222,7 +236,7 @@ class SectionReader {
       return fallback;
     }
     double parsed = 0.0;
-    if (!numeric::parse_double(entry->value, parsed)) {
+    if (!parse_number(entry->value, entry->line, parsed)) {
       fail(entry->line, "'" + entry->value + "' is not a number");
     }
     return parsed;
@@ -314,7 +328,7 @@ Binding parse_binding(const IniEntry& entry, const SweepSpec& spec) {
     }
     return binding;
   }
-  if (!numeric::parse_double(entry.value, binding.fixed)) {
+  if (!parse_number(entry.value, entry.line, binding.fixed)) {
     fail(entry.line,
          "'" + entry.value + "' is neither a number nor an '@axis' binding");
   }
@@ -433,7 +447,7 @@ Manifest parse_manifest(const std::string& text) {
     const IniEntry& values = reader.require("values");
     for (const std::string& item : split_list(values.value, values.line)) {
       double parsed = 0.0;
-      if (!numeric::parse_double(item, parsed)) {
+      if (!parse_number(item, values.line, parsed)) {
         fail(values.line, "axis value '" + item + "' is not a number");
       }
       axis.values.push_back(parsed);
@@ -519,18 +533,15 @@ Manifest parse_manifest(const std::string& text) {
       const SectionReader reader(&section);
       ManifestStage stage;
       stage.tasks = parse_binding(reader.require("tasks"), manifest.spec);
-      if (!stage.tasks.bound() &&
-          !(std::isfinite(stage.tasks.fixed) && stage.tasks.fixed >= 1.0)) {
+      if (!stage.tasks.bound() && stage.tasks.fixed < 1.0) {
         fail(section.line, "stage tasks must be >= 1");
       }
       stage.t_min = parse_binding(reader.require("t_min"), manifest.spec);
-      if (!stage.t_min.bound() &&
-          !(std::isfinite(stage.t_min.fixed) && stage.t_min.fixed > 0.0)) {
-        fail(section.line, "stage t_min must be positive and finite");
+      if (!stage.t_min.bound() && stage.t_min.fixed <= 0.0) {
+        fail(section.line, "stage t_min must be positive");
       }
       stage.beta = parse_binding(reader.require("beta"), manifest.spec);
-      if (!stage.beta.bound() &&
-          !(std::isfinite(stage.beta.fixed) && stage.beta.fixed > 1.0)) {
+      if (!stage.beta.bound() && stage.beta.fixed <= 1.0) {
         fail(section.line, "stage beta must exceed 1 (finite mean)");
       }
       if (const IniEntry* deps = reader.find("deps")) {
@@ -586,8 +597,8 @@ Manifest parse_manifest(const std::string& text) {
     if (const IniEntry* r_min = reader.find("r_min")) {
       if (r_min->value == "baseline") {
         manifest.r_min_mode = RMinMode::kBaseline;
-      } else if (numeric::parse_double(r_min->value,
-                                       manifest.r_min_fixed)) {
+      } else if (parse_number(r_min->value, r_min->line,
+                              manifest.r_min_fixed)) {
         manifest.r_min_mode = RMinMode::kFixed;
       } else {
         fail(r_min->line, "r_min must be 'baseline' or a number, got '" +
@@ -622,10 +633,8 @@ Manifest parse_manifest(const std::string& text) {
       } else {
         const IniEntry& rate = reader.require("rate");
         arrivals.rate = parse_binding(rate, manifest.spec);
-        if (!arrivals.rate.bound() &&
-            !(std::isfinite(arrivals.rate.fixed) &&
-              arrivals.rate.fixed > 0.0)) {
-          fail(rate.line, "arrival rate must be positive and finite");
+        if (!arrivals.rate.bound() && arrivals.rate.fixed <= 0.0) {
+          fail(rate.line, "arrival rate must be positive");
         }
         arrivals.spec.rate = arrivals.rate.fixed;
       }
@@ -638,10 +647,7 @@ Manifest parse_manifest(const std::string& text) {
           reader.get_double("duration_hours", arrivals.duration_hours);
       arrivals.warm_up_hours =
           reader.get_double("warm_up_hours", arrivals.warm_up_hours);
-      if (!(std::isfinite(arrivals.duration_hours) &&
-            arrivals.duration_hours > 0.0 &&
-            std::isfinite(arrivals.warm_up_hours) &&
-            arrivals.warm_up_hours >= 0.0 &&
+      if (!(arrivals.duration_hours > 0.0 && arrivals.warm_up_hours >= 0.0 &&
             arrivals.warm_up_hours < arrivals.duration_hours)) {
         fail(section->line, "[arrivals] needs duration_hours > 0 and "
                             "warm_up_hours in [0, duration_hours)");
@@ -665,8 +671,8 @@ Manifest parse_manifest(const std::string& text) {
         } else if (value.rfind("quantized:", 0) == 0) {
           arrivals.plan_cache.mode = serve::CacheMode::kQuantized;
           double grid = 0.0;
-          if (!numeric::parse_double(value.substr(10), grid) ||
-              !std::isfinite(grid) || grid <= 0.0) {
+          if (!parse_number(value.substr(10), plan_cache->line, grid) ||
+              grid <= 0.0) {
             fail(plan_cache->line,
                  "plan_cache quantization grid must be a positive number, "
                  "got '" + value.substr(10) + "'");
@@ -683,12 +689,9 @@ Manifest parse_manifest(const std::string& text) {
           reader.get_double("degrade_headroom", arrivals.degrade_headroom);
       arrivals.reject_queue_factor = reader.get_double(
           "reject_queue_factor", arrivals.reject_queue_factor);
-      if (!(std::isfinite(arrivals.degrade_headroom) &&
-            arrivals.degrade_headroom > 0.0 &&
-            std::isfinite(arrivals.reject_queue_factor) &&
+      if (!(arrivals.degrade_headroom > 0.0 &&
             arrivals.reject_queue_factor > 0.0)) {
-        fail(section->line, "[arrivals] admission factors must be positive "
-                            "and finite");
+        fail(section->line, "[arrivals] admission factors must be positive");
       }
       arrivals.nodes = optional_binding(reader, "nodes", manifest.spec);
       const long long containers = reader.get_int("containers", 8);
@@ -704,17 +707,15 @@ Manifest parse_manifest(const std::string& text) {
                "slow_fraction needs an explicit cluster: set nodes too");
         }
         if (!arrivals.slow_fraction->bound() &&
-            !(std::isfinite(arrivals.slow_fraction->fixed) &&
-              arrivals.slow_fraction->fixed >= 0.0 &&
+            !(arrivals.slow_fraction->fixed >= 0.0 &&
               arrivals.slow_fraction->fixed <= 1.0)) {
           fail(section->line, "slow_fraction must lie in [0, 1]");
         }
       }
       arrivals.slow_speed =
           reader.get_double("slow_speed", arrivals.slow_speed);
-      if (!(std::isfinite(arrivals.slow_speed) &&
-            arrivals.slow_speed > 0.0)) {
-        fail(section->line, "slow_speed must be positive and finite");
+      if (arrivals.slow_speed <= 0.0) {
+        fail(section->line, "slow_speed must be positive");
       }
       // Validate the non-rate fields now so a bad manifest fails at parse
       // time; a bound rate is validated per cell at run time.

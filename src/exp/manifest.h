@@ -4,8 +4,8 @@
 // declares everything tools/sweeprun needs to run a grid: the axes,
 // policies, replication policy (fixed or adaptive), the synthetic-trace and
 // planner templates that build each cell, and where the reports and the
-// checkpoint journal go. Example (the checked-in manifests/fig3_theta.ini
-// reproduces bench/fig3_theta byte-for-byte):
+// checkpoint journal go. Example (the checked-in manifests/fig3_theta.ini,
+// whose reports tests/golden/fig3_theta.{csv,json} pin byte-for-byte):
 //
 //   [sweep]
 //   name = fig3_theta
@@ -40,8 +40,9 @@
 //
 // Syntax: "[section]" headers, "key = value" pairs, "#"/";" full-line
 // comments plus "#" inline comments, comma-separated lists, double quotes
-// around list items that contain commas. Parsing is locale-independent and
-// every error names the offending line.
+// around list items that contain commas. Numbers must be finite ("nan" and
+// "inf" are rejected). Parsing is locale-independent and every error names
+// the offending line.
 #pragma once
 
 #include <optional>
@@ -182,7 +183,7 @@ struct Manifest {
   bool report_utility = false;
   RMinMode r_min_mode = RMinMode::kBaseline;
   double r_min_fixed = 0.0;
-  double r_min_offset = 0.0;  ///< added to R_min (clamped at 0), cf. fig4
+  double r_min_offset = 0.0;  ///< added to R_min (clamped at 0), cf. fig4_beta.ini
 
   ManifestOutputs outputs;
   ManifestShard shard;

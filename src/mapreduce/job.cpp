@@ -7,24 +7,6 @@
 
 namespace chronos::mapreduce {
 
-void JobSpec::add_reduce_stage(int reduce_tasks, double reduce_t_min,
-                               double reduce_beta, long long reduce_r,
-                               double reduce_tau_est, double reduce_tau_kill) {
-  CHRONOS_EXPECTS(!stages.empty(),
-                  "JobSpec: add_reduce_stage needs an existing map stage");
-  const StageSpec& map = stages.front();
-  StageSpec reduce;
-  reduce.num_tasks = reduce_tasks;
-  reduce.t_min = reduce_t_min > 0.0 ? reduce_t_min : map.t_min;
-  reduce.beta = reduce_beta > 0.0 ? reduce_beta : map.beta;
-  reduce.r = reduce_r >= 0 ? reduce_r : map.r;
-  reduce.tau_est = reduce_tau_est >= 0.0 ? reduce_tau_est : map.tau_est;
-  reduce.tau_kill = reduce_tau_kill >= 0.0 ? reduce_tau_kill : map.tau_kill;
-  // deps left empty: the barrier-chain default makes the new stage wait on
-  // the previous one, which is exactly the historical shuffle barrier.
-  stages.push_back(std::move(reduce));
-}
-
 void JobSpec::validate() const {
   CHRONOS_EXPECTS(deadline > 0.0, "JobSpec: deadline must be positive");
   CHRONOS_EXPECTS(price >= 0.0, "JobSpec: price must be non-negative");

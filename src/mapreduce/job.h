@@ -103,16 +103,6 @@ struct JobSpec {
     return {s - 1};
   }
 
-  /// Legacy map+optional-reduce constructor: appends a reduce stage behind
-  /// the shuffle barrier, resolving the historical inheritance sentinels
-  /// (0 = inherit t_min/beta from the map stage, -1 = inherit r/taus) at
-  /// construction time. Thin shim onto the staged form — after this call
-  /// the job is an ordinary two-stage chain.
-  void add_reduce_stage(int reduce_tasks, double reduce_t_min = 0.0,
-                        double reduce_beta = 0.0, long long reduce_r = -1,
-                        double reduce_tau_est = -1.0,
-                        double reduce_tau_kill = -1.0);
-
   void validate() const;
 };
 

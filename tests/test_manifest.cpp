@@ -178,6 +178,21 @@ TEST(Manifest, RejectsBadInput) {
   expect_parse_error(
       "[sweep]\npolicies = clone\n[adaptive]\nmax_replications = 5\n",
       "target_ci95");
+  // Non-finite numbers fail at their own line. Before this check, NaN
+  // R_min offsets clamped silently to R_min = 0 (std::max(0.0, NaN) is 0),
+  // theta = inf made every utility -inf, and an inf axis value failed only
+  // mid-sweep with an unrelated message.
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[experiment]\nutility = on\n"
+      "r_min_offset = nan\n",
+      "manifest line 5: 'nan' is not a finite number");
+  expect_parse_error("[sweep]\npolicies = clone\n[planner]\ntheta = inf\n",
+                     "manifest line 4: 'inf' is not a finite number");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n\n[experiment]\nr_min = nan\n",
+      "manifest line 5: 'nan' is not a finite number");
+  expect_parse_error("[sweep]\npolicies = clone\n[axis.x]\nvalues = 1, inf\n",
+                     "manifest line 4: 'inf' is not a finite number");
 }
 
 TEST(Manifest, ErrorsCarryLineNumbers) {

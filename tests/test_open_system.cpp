@@ -228,8 +228,7 @@ TEST(OpenSystemAdmission, DegradeCountsEveryStagesSpeculation) {
   mapreduce::JobSpec spec;
   spec.stage(0).num_tasks = 1;
   spec.stage(0).r = 0;
-  spec.add_reduce_stage(/*reduce_tasks=*/100, /*reduce_t_min=*/0.0,
-                        /*reduce_beta=*/0.0, /*reduce_r=*/5);
+  spec.stages.push_back({.num_tasks = 100, .r = 5, .deps = {}});
   EXPECT_EQ(sim::admission_decide(admission, spec, /*backlog=*/0.0,
                                   /*idle_containers=*/8.0,
                                   /*total_containers=*/1000.0),
@@ -237,16 +236,6 @@ TEST(OpenSystemAdmission, DegradeCountsEveryStagesSpeculation) {
   // The same job with the reduce stage's speculation turned off fits.
   spec.stage(1).r = 0;
   EXPECT_EQ(sim::admission_decide(admission, spec, 0.0, 8.0, 1000.0),
-            sim::AdmissionDecision::kAdmit);
-  // The legacy reduce_r = -1 sentinel inherits the map-stage r at
-  // construction: 3 * (1 + 100) = 303 demanded.
-  mapreduce::JobSpec inherited;
-  inherited.stage(0).num_tasks = 1;
-  inherited.stage(0).r = 3;
-  inherited.add_reduce_stage(/*reduce_tasks=*/100);
-  EXPECT_EQ(sim::admission_decide(admission, inherited, 0.0, 8.0, 1000.0),
-            sim::AdmissionDecision::kDegrade);
-  EXPECT_EQ(sim::admission_decide(admission, inherited, 0.0, 400.0, 1000.0),
             sim::AdmissionDecision::kAdmit);
   // Map-only jobs behave exactly as before the fix.
   mapreduce::JobSpec map_only;

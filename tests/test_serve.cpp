@@ -240,14 +240,14 @@ TEST(PlannerService, KeyCoversEveryStagesFields) {
   // must enter the key.
   PlannerService service(service_config(CacheMode::kExact));
   auto base = make_spec(50, 20.0, 1.8, 240.0);
-  base.add_reduce_stage(/*reduce_tasks=*/10, /*reduce_t_min=*/45.0,
-                        /*reduce_beta=*/1.7, /*reduce_r=*/0);
+  base.stages.push_back(
+      {.num_tasks = 10, .t_min = 45.0, .beta = 1.7, .deps = {}});
   auto wider = make_spec(50, 20.0, 1.8, 240.0);
-  wider.add_reduce_stage(/*reduce_tasks=*/25, /*reduce_t_min=*/45.0,
-                         /*reduce_beta=*/1.7, /*reduce_r=*/0);
+  wider.stages.push_back(
+      {.num_tasks = 25, .t_min = 45.0, .beta = 1.7, .deps = {}});
   auto slower = make_spec(50, 20.0, 1.8, 240.0);
-  slower.add_reduce_stage(/*reduce_tasks=*/10, /*reduce_t_min=*/60.0,
-                          /*reduce_beta=*/1.7, /*reduce_r=*/0);
+  slower.stages.push_back(
+      {.num_tasks = 10, .t_min = 60.0, .beta = 1.7, .deps = {}});
   auto req_base =
       request_for(base, 0.4, false, strategies::PolicyKind::kSResume);
   auto req_wider =
@@ -267,11 +267,11 @@ TEST(PlannerService, KeyCoversStageWiring) {
   // edges (chain vs fan-in from the root) must never share a plan.
   PlannerService service(service_config(CacheMode::kExact));
   auto chain = make_spec(20, 20.0, 1.8, 300.0);
-  chain.add_reduce_stage(10, 40.0, 1.6, 0);
-  chain.add_reduce_stage(5, 30.0, 1.5, 0);  // deps default: {1}
-  auto fan = make_spec(20, 20.0, 1.8, 300.0);
-  fan.add_reduce_stage(10, 40.0, 1.6, 0);
-  fan.add_reduce_stage(5, 30.0, 1.5, 0);
+  chain.stages.push_back(
+      {.num_tasks = 10, .t_min = 40.0, .beta = 1.6, .deps = {}});
+  chain.stages.push_back(
+      {.num_tasks = 5, .t_min = 30.0, .beta = 1.5, .deps = {}});
+  auto fan = chain;  // chain's deps default: stage 2 waits on stage 1
   fan.stage(2).deps = {0};  // same shapes, different wiring
   auto req_chain =
       request_for(chain, 0.4, false, strategies::PolicyKind::kSResume);
@@ -287,7 +287,8 @@ TEST(PlannerService, StagedExactHitsMatchStagedPlanning) {
   PlannerService service(service_config(CacheMode::kExact));
   const trace::PlannerConfig planner = service.config().planner;
   auto cold = make_spec(40, 25.0, 1.4, 500.0);
-  cold.add_reduce_stage(10, 45.0, 1.7);
+  cold.stages.push_back(
+      {.num_tasks = 10, .t_min = 45.0, .beta = 1.7, .deps = {}});
   auto warm = cold;
   auto reference = cold;
   const PlanReply miss = service.plan(
@@ -310,7 +311,8 @@ TEST(PlannerService, WideDagsBypassTheCache) {
   const trace::PlannerConfig planner = service.config().planner;
   auto spec = make_spec(8, 25.0, 1.4, 900.0);
   for (int s = 0; s < serve::kMaxKeyStages; ++s) {
-    spec.add_reduce_stage(4, 30.0, 1.5);
+    spec.stages.push_back(
+        {.num_tasks = 4, .t_min = 30.0, .beta = 1.5, .deps = {}});
   }
   ASSERT_GT(spec.num_stages(), serve::kMaxKeyStages);
   auto reference = spec;
@@ -339,10 +341,12 @@ TEST(PlannerService, StagedAutoMatchesRootViewChoice) {
   // all reproduce that reference, for a keyable 2-stage job and for a
   // 5-stage job too wide to key.
   auto two = make_spec(40, 25.0, 1.4, 500.0);
-  two.add_reduce_stage(10, 45.0, 1.7);
+  two.stages.push_back(
+      {.num_tasks = 10, .t_min = 45.0, .beta = 1.7, .deps = {}});
   auto five = make_spec(8, 25.0, 1.4, 900.0);
   for (int s = 0; s < serve::kMaxKeyStages; ++s) {
-    five.add_reduce_stage(4, 30.0 + 5.0 * s, 1.5);
+    five.stages.push_back(
+        {.num_tasks = 4, .t_min = 30.0 + 5.0 * s, .beta = 1.5, .deps = {}});
   }
   ASSERT_GT(five.num_stages(), serve::kMaxKeyStages);
   const double price = 0.4;

@@ -4,8 +4,9 @@
 // overlap dedup, conflict and gap detection), journal compaction (atomic,
 // idempotent, resume-identical), the headline guarantee — per-shard
 // journals, one shard crash-resumed, merge to reports byte-identical to a
-// single unsharded run of manifests/tiny.ini, checked against committed
-// goldens — and the sweeprun CLI's error behavior.
+// single unsharded run of each pinned manifest (tiny.ini and the paper's
+// fig3_theta.ini / fig4_beta.ini), checked against committed goldens — and
+// the sweeprun CLI's error behavior.
 #include <sys/wait.h>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -531,11 +533,9 @@ TEST(JournalCompaction, CompactedJournalResumesIdentically) {
   std::remove(path.c_str());
 }
 
-// --- the tiny.ini golden equivalence ---------------------------------------
+// --- manifest golden equivalence ------------------------------------------
 
 const std::string kGoldenDir = std::string(CHRONOS_TEST_DIR) + "/golden/";
-const std::string kTinyManifest =
-    std::string(CHRONOS_MANIFEST_DIR) + "/tiny.ini";
 
 std::string read_golden(const std::string& name) {
   std::ifstream in(kGoldenDir + name, std::ios::binary);
@@ -552,12 +552,12 @@ void check_or_regold(const std::string& name, const std::string& actual) {
   EXPECT_EQ(actual, read_golden(name)) << "golden mismatch: " << name;
 }
 
-/// Runs every shard of manifests/tiny.ini into per-shard journals and
-/// merges them. When `kill_shard` is set, that shard's journal is torn
-/// mid-entry after its run and the shard re-run, exactly like a crashed
-/// cluster machine that was restarted.
-SweepResult run_tiny_sharded(const Manifest& manifest, std::size_t count,
-                             std::optional<std::size_t> kill_shard) {
+/// Runs every shard of a manifest into per-shard journals and merges them.
+/// When `kill_shard` is set, that shard's journal is torn mid-entry after
+/// its run and the shard re-run, exactly like a crashed cluster machine
+/// that was restarted.
+SweepResult run_sharded(const Manifest& manifest, std::size_t count,
+                        std::optional<std::size_t> kill_shard) {
   const SweepHooks hooks = make_hooks(manifest);
   const std::string salt = manifest_journal_salt(manifest);
   const std::string fingerprint = spec_fingerprint(manifest.spec, salt);
@@ -591,10 +591,26 @@ SweepResult run_tiny_sharded(const Manifest& manifest, std::size_t count,
   return assemble_result(manifest.spec, merged.cells());
 }
 
-TEST(GoldenShardEquivalence, TinyManifestShardsMergeToTheCommittedBytes) {
+/// A committed manifest and the goldens that pin its reports.
+struct GoldenCase {
+  const char* manifest;  ///< file under manifests/
+  const char* golden;    ///< stem of tests/golden/<stem>.{csv,json}
+  bool table;            ///< a <stem>.txt golden pins the table too
+
+  friend void PrintTo(const GoldenCase& golden, std::ostream* os) {
+    *os << golden.manifest;
+  }
+};
+
+class GoldenShardEquivalence : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenShardEquivalence, ShardsMergeToTheCommittedBytes) {
+  const GoldenCase& golden = GetParam();
+  const std::string stem = golden.golden;
   Manifest manifest;
   try {
-    manifest = load_manifest(kTinyManifest);
+    manifest = load_manifest(std::string(CHRONOS_MANIFEST_DIR) + "/" +
+                             golden.manifest);
   } catch (const std::exception& error) {
     FAIL() << error.what();
   }
@@ -607,20 +623,33 @@ TEST(GoldenShardEquivalence, TinyManifestShardsMergeToTheCommittedBytes) {
   const std::string csv = to_csv(full);
   const std::string json = to_json(full);
   const std::string table = to_table(full).str();
-  check_or_regold("tiny_sweep.csv", csv);
-  check_or_regold("tiny_sweep.json", json);
-  check_or_regold("tiny_sweep.txt", table);
+  check_or_regold(stem + ".csv", csv);
+  check_or_regold(stem + ".json", json);
+  if (golden.table) {
+    check_or_regold(stem + ".txt", table);
+  }
 
   // 2 shards, shard 0 killed mid-run and resumed; 5 shards clean.
   for (const auto& [count, kill] :
        std::vector<std::pair<std::size_t, std::optional<std::size_t>>>{
            {2, std::size_t{0}}, {5, std::nullopt}}) {
-    const SweepResult merged = run_tiny_sharded(manifest, count, kill);
+    const SweepResult merged = run_sharded(manifest, count, kill);
     EXPECT_EQ(to_csv(merged), csv) << count << " shards";
     EXPECT_EQ(to_json(merged), json) << count << " shards";
     EXPECT_EQ(to_table(merged).str(), table) << count << " shards";
   }
 }
+
+// tiny.ini exercises every report layer; fig3_theta.ini and fig4_beta.ini
+// are the paper's Figures 3 and 4.
+INSTANTIATE_TEST_SUITE_P(
+    Manifests, GoldenShardEquivalence,
+    ::testing::Values(GoldenCase{"tiny.ini", "tiny_sweep", true},
+                      GoldenCase{"fig3_theta.ini", "fig3_theta", false},
+                      GoldenCase{"fig4_beta.ini", "fig4_beta", false}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.golden);
+    });
 
 // --- sweeprun CLI error behavior -------------------------------------------
 

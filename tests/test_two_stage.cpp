@@ -1,6 +1,6 @@
-// Staged jobs: the legacy map+reduce shim, shuffle barriers asserted from
-// the event stream, DAG fan-in, per-stage durations and speculation, and
-// the critical-path staged planner.
+// Staged jobs: shuffle barriers asserted from the event stream, DAG
+// fan-in, per-stage durations and speculation, and the critical-path
+// staged planner.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,16 +27,11 @@ using mapreduce::StageSpec;
 
 JobSpec two_stage_job(long long r = 1) {
   JobSpec spec;
-  spec.stage(0).num_tasks = 8;
   spec.deadline = 400.0;
-  spec.stage(0).t_min = 30.0;
-  spec.stage(0).beta = 1.4;
-  spec.stage(0).tau_est = 40.0;
-  spec.stage(0).tau_kill = 80.0;
-  spec.stage(0).r = r;
-  spec.add_reduce_stage(/*reduce_tasks=*/4, /*reduce_t_min=*/50.0,
-                        /*reduce_beta=*/1.6, /*reduce_r=*/2,
-                        /*reduce_tau_est=*/20.0, /*reduce_tau_kill=*/45.0);
+  spec.stages = {
+      StageSpec{8, 30.0, 1.4, 40.0, 80.0, r, {}},
+      StageSpec{4, 50.0, 1.6, 20.0, 45.0, 2, {}},
+  };
   return spec;
 }
 
@@ -97,54 +92,6 @@ double stage_finish_abs(const mapreduce::JobRecord& job, int s) {
                     job.tasks[static_cast<std::size_t>(t)].completion_time);
   }
   return job.submit_time + last;
-}
-
-TEST(StagedJobs, LegacyShimResolvesInheritanceSentinels) {
-  JobSpec spec;
-  spec.stage(0).num_tasks = 8;
-  spec.stage(0).t_min = 30.0;
-  spec.stage(0).beta = 1.4;
-  spec.stage(0).tau_est = 40.0;
-  spec.stage(0).tau_kill = 80.0;
-  spec.stage(0).r = 3;
-  // All sentinels: 0 inherits t_min/beta, -1 inherits r and the timers.
-  spec.add_reduce_stage(4);
-  ASSERT_EQ(spec.num_stages(), 2);
-  EXPECT_EQ(spec.stage(1).t_min, spec.stage(0).t_min);
-  EXPECT_EQ(spec.stage(1).beta, spec.stage(0).beta);
-  EXPECT_EQ(spec.stage(1).r, spec.stage(0).r);
-  EXPECT_EQ(spec.stage(1).tau_est, spec.stage(0).tau_est);
-  EXPECT_EQ(spec.stage(1).tau_kill, spec.stage(0).tau_kill);
-  EXPECT_TRUE(spec.stage(1).deps.empty());  // barrier chain by default
-  EXPECT_EQ(spec.resolved_deps(1), (std::vector<int>{0}));
-  EXPECT_EQ(spec.total_tasks(), 12);
-}
-
-TEST(StagedJobs, LegacyShimMatchesExplicitStagedForm) {
-  // Migration guarantee: a job built through the legacy add_reduce_stage
-  // shim is indistinguishable — bit for bit — from the same job written
-  // directly as a stage vector.
-  const JobSpec legacy = two_stage_job(1);
-  JobSpec staged;
-  staged.deadline = 400.0;
-  staged.stages = {
-      StageSpec{8, 30.0, 1.4, 40.0, 80.0, 1, {}},
-      StageSpec{4, 50.0, 1.6, 20.0, 45.0, 2, {}},
-  };
-  EXPECT_TRUE(legacy.stages == staged.stages);
-  StageRun run_legacy(strategies::PolicyKind::kSResume, legacy, 77);
-  StageRun run_staged(strategies::PolicyKind::kSResume, staged, 77);
-  const auto& a = run_legacy.job();
-  const auto& b = run_staged.job();
-  EXPECT_EQ(a.completion_time, b.completion_time);
-  EXPECT_EQ(a.machine_time, b.machine_time);
-  EXPECT_EQ(a.attempts_launched, b.attempts_launched);
-  EXPECT_EQ(a.attempts_killed, b.attempts_killed);
-  ASSERT_EQ(a.attempts.size(), b.attempts.size());
-  for (std::size_t i = 0; i < a.attempts.size(); ++i) {
-    EXPECT_EQ(a.attempts[i].request_time, b.attempts[i].request_time);
-    EXPECT_EQ(a.attempts[i].end_time, b.attempts[i].end_time);
-  }
 }
 
 TEST(StagedJobs, ValidateRejectsBadStageParams) {
