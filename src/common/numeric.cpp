@@ -1,6 +1,5 @@
 #include "common/numeric.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <limits>
@@ -77,74 +76,6 @@ double integrate_to_infinity(const std::function<double(double)>& f, double a,
   // Stop just short of t = 1; the decay requirement makes the remainder
   // negligible relative to tol.
   return integrate(g, 0.0, 1.0 - 1e-12, tol);
-}
-
-double derivative(const std::function<double(double)>& f, double x, double h) {
-  CHRONOS_EXPECTS(h > 0.0, "derivative step must be positive");
-  return (f(x + h) - f(x - h)) / (2.0 * h);
-}
-
-double second_derivative(const std::function<double(double)>& f, double x,
-                         double h) {
-  CHRONOS_EXPECTS(h > 0.0, "second_derivative step must be positive");
-  return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h);
-}
-
-double golden_section_max(const std::function<double(double)>& f, double lo,
-                          double hi, double tol) {
-  CHRONOS_EXPECTS(lo <= hi, "golden_section_max requires lo <= hi");
-  constexpr double kInvPhi = 0.6180339887498949;
-  double a = lo;
-  double b = hi;
-  double c = b - kInvPhi * (b - a);
-  double d = a + kInvPhi * (b - a);
-  double fc = f(c);
-  double fd = f(d);
-  while (b - a > tol) {
-    if (fc >= fd) {
-      b = d;
-      d = c;
-      fd = fc;
-      c = b - kInvPhi * (b - a);
-      fc = f(c);
-    } else {
-      a = c;
-      c = d;
-      fc = fd;
-      d = a + kInvPhi * (b - a);
-      fd = f(d);
-    }
-  }
-  return 0.5 * (a + b);
-}
-
-long long ternary_search_max_int(const std::function<double(long long)>& f,
-                                 long long lo, long long hi) {
-  CHRONOS_EXPECTS(lo <= hi, "ternary_search_max_int requires lo <= hi");
-  while (hi - lo > 2) {
-    const long long m1 = lo + (hi - lo) / 3;
-    const long long m2 = hi - (hi - lo) / 3;
-    if (f(m1) < f(m2)) {
-      lo = m1 + 1;
-    } else {
-      hi = m2 - 1;
-    }
-  }
-  long long best = lo;
-  double best_value = f(lo);
-  for (long long x = lo + 1; x <= hi; ++x) {
-    const double v = f(x);
-    if (v > best_value) {
-      best_value = v;
-      best = x;
-    }
-  }
-  return best;
-}
-
-bool approx_equal(double a, double b, double tol) {
-  return std::abs(a - b) <=
-         tol * std::max({1.0, std::abs(a), std::abs(b)});
 }
 
 std::string format_double(double v) {

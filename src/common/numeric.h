@@ -1,6 +1,6 @@
 // Numerical routines used by the analytic core: adaptive quadrature (finite
-// and semi-infinite intervals), numerical derivatives, and searches over
-// unimodal functions.
+// and semi-infinite intervals), plus locale-independent decimal formatting
+// and the bit-exact wire encodings shared by the journal and the fabric.
 //
 // These are deliberately small, dependency-free implementations tuned for the
 // smooth, monotone integrands that arise from Pareto tail expressions
@@ -27,27 +27,6 @@ double integrate(const std::function<double(double)>& f, double a, double b,
 /// substitution x = a + t/(1 - t).
 double integrate_to_infinity(const std::function<double(double)>& f, double a,
                              double tol = kDefaultTol);
-
-/// Central-difference first derivative of `f` at `x` with step `h`.
-double derivative(const std::function<double(double)>& f, double x,
-                  double h = 1e-5);
-
-/// Central second derivative of `f` at `x` with step `h`.
-double second_derivative(const std::function<double(double)>& f, double x,
-                         double h = 1e-4);
-
-/// Maximizes a unimodal function over the continuous interval [lo, hi] by
-/// golden-section search; returns the argmax. Requires lo <= hi.
-double golden_section_max(const std::function<double(double)>& f, double lo,
-                          double hi, double tol = 1e-8);
-
-/// Maximizes a unimodal function over the integers in [lo, hi] by ternary
-/// search; returns the integer argmax. Requires lo <= hi.
-long long ternary_search_max_int(const std::function<double(long long)>& f,
-                                 long long lo, long long hi);
-
-/// True when |a - b| <= tol * max(1, |a|, |b|).
-bool approx_equal(double a, double b, double tol = 1e-9);
 
 // --- locale-independent decimal formatting ---------------------------------
 //

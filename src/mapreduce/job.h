@@ -301,6 +301,13 @@ struct JobRecord {
   int attempts_killed = 0;
   int attempts_failed = 0;  ///< crashes injected by the failure model
 
+  /// SchedulerApi::mean_completed_task_time's memo: the mean as of
+  /// `tasks_completed == mean_task_time_at`. Completed tasks never change,
+  /// so the memo equals a fresh fold until the next task completes; with
+  /// none completed the mean is 0.
+  double mean_task_time = 0.0;
+  int mean_task_time_at = 0;
+
   bool all_tasks_done() const {
     return tasks_completed == static_cast<int>(tasks.size());
   }

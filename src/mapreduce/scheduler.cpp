@@ -24,6 +24,13 @@ Scheduler::Scheduler(sim::Simulator& simulator, sim::Cluster& cluster,
   metrics_.set_retain_outcomes(config_.retain_outcomes);
 }
 
+void Scheduler::retire_completed_jobs(std::function<void(int job)> on_retire) {
+  CHRONOS_EXPECTS(num_jobs() == 0,
+                  "retire_completed_jobs must precede the first submission");
+  retire_ = true;
+  on_retire_ = std::move(on_retire);
+}
+
 void Scheduler::compact_job(int job) {
   CHRONOS_EXPECTS(job_mut(job).done, "compact_job requires a completed job");
   std::uint32_t& slot = slot_of_[static_cast<std::size_t>(job)];
@@ -336,6 +343,12 @@ void Scheduler::maybe_complete_job(int job) {
   metrics_.record(outcome);
 
   policy_.on_job_completed(job, *api_);
+  if (retire_) {
+    if (on_retire_) {
+      on_retire_(job);
+    }
+    compact_job(job);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -481,17 +494,21 @@ std::size_t SchedulerApi::cluster_pending_requests() const {
   return scheduler_.cluster_.pending_requests();
 }
 
-double SchedulerApi::mean_completed_task_time(int job) const {
-  const auto& record = scheduler_.job(job);
+double SchedulerApi::mean_completed_task_time(int job) {
+  auto& record = scheduler_.job_mut(job);
+  if (record.mean_task_time_at == record.tasks_completed) {
+    return record.mean_task_time;
+  }
   double sum = 0.0;
-  int count = 0;
   for (const auto& task : record.tasks) {
     if (task.completed) {
       sum += task.completion_time;
-      ++count;
     }
   }
-  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+  record.mean_task_time =
+      sum / static_cast<double>(record.tasks_completed);
+  record.mean_task_time_at = record.tasks_completed;
+  return record.mean_task_time;
 }
 
 }  // namespace chronos::mapreduce

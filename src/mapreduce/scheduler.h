@@ -125,15 +125,23 @@ class Scheduler {
     return static_cast<int>(records_.size() - free_slots_.size());
   }
 
-  /// Retires a completed job: frees its whole record and hands its slot to
-  /// a later submission. Open-system drivers call this from on_job_completed
-  /// so memory tracks in-flight work, not total jobs submitted. Later policy
-  /// timers see job_done(); grants still queued for killed attempts of a
-  /// retired job are returned to the cluster on arrival.
-  void compact_job(int job);
+  /// Retires every job the moment it completes, so memory tracks in-flight
+  /// work rather than total jobs submitted: once the policy's
+  /// on_job_completed returns, `on_retire` (when set) reads the record one
+  /// last time and compact_job frees it. Without this call records are kept
+  /// for job() after the run. Call before the first submission.
+  void retire_completed_jobs(std::function<void(int job)> on_retire = {});
 
  private:
   friend class SchedulerApi;
+
+  /// Retires a completed job: frees its whole record and hands its slot to
+  /// a later submission. The one retirement path of both engines: closed
+  /// trace replays (trace::run_experiment) and the open-system engine reach
+  /// it through retire_completed_jobs. Later policy timers see job_done();
+  /// grants still queued for killed attempts of a retired job are returned
+  /// to the cluster on arrival.
+  void compact_job(int job);
 
   JobRecord& job_mut(int job);
 
@@ -187,6 +195,8 @@ class Scheduler {
   std::vector<std::uint32_t> slot_of_;
   std::vector<std::uint32_t> free_slots_;
   std::optional<ExponentialSampler> crash_sampler_;  ///< when failures on
+  bool retire_ = false;
+  std::function<void(int job)> on_retire_;
   sim::RunMetrics metrics_;
   std::unique_ptr<SchedulerApi> api_;
 };
@@ -254,8 +264,9 @@ class SchedulerApi {
   std::size_t cluster_pending_requests() const;
 
   /// Mean completion time (relative to submission) of completed tasks.
-  /// Returns 0 when none have completed.
-  double mean_completed_task_time(int job) const;
+  /// Returns 0 when none have completed. Memoized per job until its next
+  /// task completes.
+  double mean_completed_task_time(int job);
 
  private:
   Scheduler& scheduler_;

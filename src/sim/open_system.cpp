@@ -83,12 +83,6 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
  public:
   explicit MuxPolicy(strategies::PolicyOptions options) : options_(options) {}
 
-  /// Called after the job's backend saw on_job_completed; the callee may
-  /// retire the job's scheduler record.
-  void set_on_complete(std::function<void(int job)> fn) {
-    on_complete_ = std::move(fn);
-  }
-
   void stage(strategies::PolicyKind kind) { staged_ = &backend(kind); }
 
   std::string name() const override { return "Open-Mux"; }
@@ -124,9 +118,6 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
     const auto it = by_job_id_.find(api.spec(job).job_id);
     it->second->on_job_completed(job, api);
     by_job_id_.erase(it);
-    if (on_complete_) {
-      on_complete_(job);
-    }
   }
 
  private:
@@ -149,7 +140,6 @@ class MuxPolicy final : public mapreduce::SpeculationPolicy {
   /// job_id -> backend of every in-flight job, erased at completion so
   /// memory tracks in-flight work.
   std::unordered_map<int, mapreduce::SpeculationPolicy*> by_job_id_;
-  std::function<void(int job)> on_complete_;
 };
 
 mapreduce::SchedulerConfig open_scheduler_config(
@@ -180,7 +170,7 @@ class OpenEngine {
         queue_area_(config.warm_up, config.duration),
         jobs_area_(config.warm_up, config.duration) {
     measured_.set_retain_outcomes(false);
-    mux_.set_on_complete([this](int job) { on_complete(job); });
+    scheduler_.retire_completed_jobs([this](int job) { on_complete(job); });
     cluster_.set_occupancy_observer([this](int busy, std::size_t waiting) {
       const double now = simulator_.now();
       busy_area_.update(now, static_cast<double>(busy));
@@ -283,6 +273,7 @@ class OpenEngine {
                  static_cast<std::uint64_t>(scheduler_.live_jobs()));
   }
 
+  /// Reads the completed job's record before the scheduler retires it.
   void on_complete(int job) {
     ++result_.completed;
     c_completed.add();
@@ -310,7 +301,6 @@ class OpenEngine {
         c_misses.add();
       }
     }
-    scheduler_.compact_job(job);
   }
 
   AdmissionDecision admit_decision(const mapreduce::JobSpec& spec) const {

@@ -54,10 +54,15 @@ ExperimentResult run_experiment(const std::vector<TracedJob>& jobs,
   auto policy = strategies::make_policy(config.policy, config.policy_options);
   mapreduce::Scheduler scheduler(simulator, cluster, *policy,
                                  config.scheduler, Rng(config.seed));
+  // Only the metrics leave this function, so each record is freed as its
+  // job completes and memory tracks in-flight jobs, not trace length.
+  scheduler.retire_completed_jobs();
 
+  // `jobs` outlives the run: pending submissions hold references, not
+  // spec copies.
   for (const auto& job : jobs) {
     simulator.at(job.submit_time,
-                 [&scheduler, spec = job.spec] { scheduler.submit(spec); });
+                 [&scheduler, &spec = job.spec] { scheduler.submit(spec); });
   }
   simulator.run();
 

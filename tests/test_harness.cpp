@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "common/error.h"
+#include "common/rng.h"
+#include "mapreduce/scheduler.h"
+#include "sim/simulator.h"
 #include "trace/planner.h"
 
 namespace chronos::trace {
@@ -83,6 +89,137 @@ TEST(Harness, DifferentSeedsProduceDifferentRuns) {
       {job}, ExperimentConfig::large_scale(PolicyKind::kHadoopNS, 2));
   EXPECT_NE(a.metrics.outcomes().front().machine_time,
             b.metrics.outcomes().front().machine_time);
+}
+
+
+// --- closed-replay retirement --------------------------------------------------
+
+/// What a replay leaves behind for comparison.
+struct Replay {
+  sim::RunMetrics metrics;
+  std::uint64_t events_executed = 0;
+  int live_jobs_at_end = 0;
+  int live_jobs_max = 0;  ///< peak records held, sampled at each retirement
+};
+
+/// run_experiment by hand, either keeping every job record (as a Scheduler
+/// does by default) or retiring each one on completion.
+Replay replay(const std::vector<TracedJob>& jobs,
+              const ExperimentConfig& config, bool retire) {
+  sim::Simulator simulator;
+  sim::Cluster cluster(config.cluster);
+  auto policy = strategies::make_policy(config.policy, config.policy_options);
+  mapreduce::Scheduler scheduler(simulator, cluster, *policy,
+                                 config.scheduler, Rng(config.seed));
+  Replay out;
+  if (retire) {
+    scheduler.retire_completed_jobs([&](int) {
+      out.live_jobs_max = std::max(out.live_jobs_max, scheduler.live_jobs());
+    });
+  }
+  for (const auto& job : jobs) {
+    simulator.at(job.submit_time,
+                 [&scheduler, &job] { scheduler.submit(job.spec); });
+  }
+  simulator.run();
+  out.metrics = scheduler.metrics();
+  out.events_executed = simulator.events_executed();
+  out.live_jobs_at_end = scheduler.live_jobs();
+  return out;
+}
+
+void expect_same_run(const sim::RunMetrics& a, std::uint64_t a_events,
+                     const sim::RunMetrics& b, std::uint64_t b_events,
+                     const std::string& label) {
+  EXPECT_EQ(a_events, b_events) << label;
+  EXPECT_EQ(a.pocd(), b.pocd()) << label;
+  EXPECT_EQ(a.mean_cost(), b.mean_cost()) << label;
+  EXPECT_EQ(a.mean_machine_time(), b.mean_machine_time()) << label;
+  ASSERT_EQ(a.outcomes().size(), b.outcomes().size()) << label;
+  for (std::size_t i = 0; i < a.outcomes().size(); ++i) {
+    const auto& x = a.outcomes()[i];
+    const auto& y = b.outcomes()[i];
+    EXPECT_EQ(x.job_id, y.job_id) << label << " row " << i;
+    EXPECT_EQ(x.met_deadline, y.met_deadline) << label << " row " << i;
+    EXPECT_EQ(x.completion_time, y.completion_time) << label << " row " << i;
+    EXPECT_EQ(x.deadline, y.deadline) << label << " row " << i;
+    EXPECT_EQ(x.machine_time, y.machine_time) << label << " row " << i;
+    EXPECT_EQ(x.cost, y.cost) << label << " row " << i;
+    EXPECT_EQ(x.r_used, y.r_used) << label << " row " << i;
+    EXPECT_EQ(x.attempts_launched, y.attempts_launched)
+        << label << " row " << i;
+    EXPECT_EQ(x.attempts_killed, y.attempts_killed) << label << " row " << i;
+    EXPECT_EQ(x.attempts_failed, y.attempts_failed) << label << " row " << i;
+  }
+}
+
+TEST(ClosedReplayRetirement, ChangesNoResult) {
+  // Twelve overlapping jobs on 32 containers, so attempts queue and slots
+  // are reused; every third job is a 3-stage fan-in DAG (0 -> 1, {0, 1} ->
+  // 2). Each policy runs without failures and with crash injection under
+  // both retry modes.
+  TraceConfig trace_config;
+  trace_config.num_jobs = 12;
+  trace_config.duration_hours = 0.25;
+  trace_config.mean_tasks = 8.0;
+  trace_config.max_tasks = 24;
+  trace_config.seed = 17;
+  auto trace = generate_trace(trace_config);
+  for (std::size_t j = 0; j < trace.size(); j += 3) {
+    mapreduce::StageSpec reduce = trace[j].spec.stage(0);
+    reduce.num_tasks = 3;
+    reduce.deps = {0};
+    mapreduce::StageSpec merge = reduce;
+    merge.num_tasks = 2;
+    merge.deps = {0, 1};
+    trace[j].spec.stages.push_back(reduce);
+    trace[j].spec.stages.push_back(merge);
+  }
+  sim::NodeConfig node;
+  node.containers = 16;
+
+  struct Failures {
+    double rate;
+    bool lose_partial_output;
+  };
+  for (const PolicyKind kind :
+       {PolicyKind::kHadoopNS, PolicyKind::kHadoopS, PolicyKind::kMantri,
+        PolicyKind::kClone, PolicyKind::kSRestart, PolicyKind::kSResume}) {
+    auto jobs = trace;
+    plan_trace(jobs, kind, PlannerConfig{}, SpotPriceModel{});
+    for (const Failures failures :
+         {Failures{0.0, true}, Failures{0.01, true}, Failures{0.01, false}}) {
+      auto config = ExperimentConfig::large_scale(kind, 3);
+      config.cluster = sim::ClusterConfig::uniform(2, node);
+      config.scheduler.failures.rate = failures.rate;
+      config.scheduler.failures.lose_partial_output =
+          failures.lose_partial_output;
+      const std::string label =
+          to_string(kind) + " rate=" + std::to_string(failures.rate) +
+          " lose=" + std::to_string(failures.lose_partial_output);
+
+      const Replay kept = replay(jobs, config, false);
+      const Replay retired = replay(jobs, config, true);
+      const ExperimentResult result = run_experiment(jobs, config);
+
+      // Not vacuous: the kept replay holds every record, the retiring one
+      // none at the end and never all of them at once.
+      EXPECT_EQ(kept.live_jobs_at_end, static_cast<int>(jobs.size()))
+          << label;
+      EXPECT_EQ(retired.live_jobs_at_end, 0) << label;
+      EXPECT_GT(retired.live_jobs_max, 0) << label;
+      EXPECT_LT(retired.live_jobs_max, static_cast<int>(jobs.size()))
+          << label;
+      if (failures.rate > 0.0) {
+        EXPECT_GT(kept.metrics.attempts_failed(), 0u) << label;
+      }
+
+      expect_same_run(retired.metrics, retired.events_executed, kept.metrics,
+                      kept.events_executed, label + " (retiring replay)");
+      expect_same_run(result.metrics, result.events_executed, kept.metrics,
+                      kept.events_executed, label + " (run_experiment)");
+    }
+  }
 }
 
 }  // namespace

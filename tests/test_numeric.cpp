@@ -57,56 +57,6 @@ TEST(IntegrateToInfinity, ExponentialTail) {
   EXPECT_NEAR(v, std::exp(-1.0), 1e-8);
 }
 
-TEST(Derivative, Quadratic) {
-  const auto f = [](double x) { return x * x; };
-  EXPECT_NEAR(derivative(f, 3.0), 6.0, 1e-6);
-}
-
-TEST(Derivative, RejectsNonPositiveStep) {
-  EXPECT_THROW(derivative([](double x) { return x; }, 0.0, 0.0),
-               PreconditionError);
-}
-
-TEST(SecondDerivative, Cubic) {
-  const auto f = [](double x) { return x * x * x; };
-  EXPECT_NEAR(second_derivative(f, 2.0), 12.0, 1e-3);
-}
-
-TEST(GoldenSectionMax, Parabola) {
-  const auto f = [](double x) { return -(x - 1.7) * (x - 1.7); };
-  EXPECT_NEAR(golden_section_max(f, -10.0, 10.0), 1.7, 1e-6);
-}
-
-TEST(GoldenSectionMax, BoundaryMaximum) {
-  const auto f = [](double x) { return x; };
-  EXPECT_NEAR(golden_section_max(f, 0.0, 5.0), 5.0, 1e-6);
-}
-
-TEST(TernarySearchMaxInt, Unimodal) {
-  const auto f = [](long long r) {
-    const double x = static_cast<double>(r);
-    return -(x - 37.0) * (x - 37.0);
-  };
-  EXPECT_EQ(ternary_search_max_int(f, 0, 1000), 37);
-}
-
-TEST(TernarySearchMaxInt, MaximumAtBoundary) {
-  const auto f = [](long long r) { return static_cast<double>(r); };
-  EXPECT_EQ(ternary_search_max_int(f, 5, 50), 50);
-  const auto g = [](long long r) { return -static_cast<double>(r); };
-  EXPECT_EQ(ternary_search_max_int(g, 5, 50), 5);
-}
-
-TEST(TernarySearchMaxInt, SingletonRange) {
-  EXPECT_EQ(ternary_search_max_int([](long long) { return 1.0; }, 9, 9), 9);
-}
-
-TEST(ApproxEqual, RelativeAndAbsolute) {
-  EXPECT_TRUE(approx_equal(1.0, 1.0 + 1e-12));
-  EXPECT_TRUE(approx_equal(1e9, 1e9 * (1.0 + 1e-10)));
-  EXPECT_FALSE(approx_equal(1.0, 1.1));
-}
-
 TEST(FormatDouble, ShortestRoundTrip) {
   EXPECT_EQ(format_double(0.3), "0.3");
   EXPECT_EQ(format_double(0.1 + 0.2), "0.30000000000000004");

@@ -286,5 +286,64 @@ TEST(Scheduler, SiblingListsHoldEachTasksAttemptsInIdOrder) {
   }
 }
 
+
+/// Polls mean_completed_task_time every second, as Mantri does, and after
+/// each task completion, checking every answer bit-for-bit against a fresh
+/// ascending-index fold over the job's tasks.
+class MeanTaskTimeProbe final : public SpeculationPolicy {
+ public:
+  int checks = 0;
+  int mismatches = 0;
+
+  std::string name() const override { return "test-mean"; }
+  void on_job_start(int job, SchedulerApi& api) override { poll(job, api); }
+  void on_task_completed(int job, int, SchedulerApi& api) override {
+    check(job, api);
+  }
+
+ private:
+  void poll(int job, SchedulerApi& api) {
+    if (api.job_done(job)) {
+      return;
+    }
+    check(job, api);
+    api.schedule_after(1.0, [this, job, &api] { poll(job, api); });
+  }
+
+  void check(int job, SchedulerApi& api) {
+    double sum = 0.0;
+    int count = 0;
+    for (const auto& task : api.job(job).tasks) {
+      if (task.completed) {
+        sum += task.completion_time;
+        ++count;
+      }
+    }
+    const double fresh =
+        count == 0 ? 0.0 : sum / static_cast<double>(count);
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      ++checks;
+      if (api.mean_completed_task_time(job) != fresh) {
+        ++mismatches;
+      }
+    }
+  }
+};
+
+TEST(SchedulerApi, MeanCompletedTaskTimeMatchesAFreshFold) {
+  sim::Simulator simulator;
+  sim::NodeConfig node;
+  node.containers = 4;
+  sim::Cluster cluster(sim::ClusterConfig::uniform(1, node));
+  MeanTaskTimeProbe policy;
+  Scheduler scheduler(simulator, cluster, policy, SchedulerConfig{}, Rng(3));
+  scheduler.submit(small_job(12));
+  scheduler.submit(small_job(7));
+  simulator.run();
+  EXPECT_EQ(scheduler.metrics().jobs(), 2u);
+  EXPECT_GT(policy.checks, 2 * (12 + 7));  // timer polls between completions
+  EXPECT_EQ(policy.mismatches, 0);
+}
+
 }  // namespace
 }  // namespace chronos::mapreduce

@@ -262,43 +262,13 @@ TEST(AllPolicies, EveryJobCompletes) {
 
 // --- retired jobs -------------------------------------------------------------
 
-/// Forwards every hook to a real policy and retires each job the moment it
-/// completes, as the open-system engine does, so the policy's timers and
-/// the cluster's queued grants can outlive the job's record.
-class RetiringPolicy final : public mapreduce::SpeculationPolicy {
- public:
-  explicit RetiringPolicy(PolicyKind kind) : inner_(make_policy(kind)) {}
-
-  Scheduler* scheduler = nullptr;
-
-  std::string name() const override { return inner_->name(); }
-  int initial_attempts(const JobSpec& spec, int stage) const override {
-    return inner_->initial_attempts(spec, stage);
-  }
-  void on_job_start(int job, mapreduce::SchedulerApi& api) override {
-    inner_->on_job_start(job, api);
-  }
-  void on_task_completed(int job, int task,
-                         mapreduce::SchedulerApi& api) override {
-    inner_->on_task_completed(job, task, api);
-  }
-  void on_stage_start(int job, int stage,
-                      mapreduce::SchedulerApi& api) override {
-    inner_->on_stage_start(job, stage, api);
-  }
-  void on_job_completed(int job, mapreduce::SchedulerApi& api) override {
-    inner_->on_job_completed(job, api);
-    scheduler->compact_job(job);
-  }
-
- private:
-  std::unique_ptr<mapreduce::SpeculationPolicy> inner_;
-};
-
+/// Retires each job the moment it completes, as both engines do, so the
+/// policy's timers and the cluster's queued grants can outlive the job's
+/// record.
 struct RetiringRun {
   sim::Simulator simulator;
   sim::Cluster cluster;
-  RetiringPolicy policy;
+  std::unique_ptr<mapreduce::SpeculationPolicy> policy;
   Scheduler scheduler;
 
   RetiringRun(PolicyKind kind, int containers)
@@ -307,9 +277,9 @@ struct RetiringRun {
           node.containers = containers;
           return node;
         }())),
-        policy(kind),
-        scheduler(simulator, cluster, policy, SchedulerConfig{}, Rng(5)) {
-    policy.scheduler = &scheduler;
+        policy(make_policy(kind)),
+        scheduler(simulator, cluster, *policy, SchedulerConfig{}, Rng(5)) {
+    scheduler.retire_completed_jobs();
   }
 };
 
