@@ -185,125 +185,6 @@ std::vector<std::string> split_list(const std::string& value, int line) {
   return items;
 }
 
-/// Typed, used-marking view over one section.
-class SectionReader {
- public:
-  explicit SectionReader(IniSection* section) : section_(section) {
-    if (section_ != nullptr) {
-      section_->known = true;
-    }
-  }
-
-  bool present() const { return section_ != nullptr; }
-
-  IniEntry* find(const std::string& key) const {
-    if (section_ == nullptr) {
-      return nullptr;
-    }
-    for (auto& [name, entry] : section_->entries) {
-      if (name == key) {
-        entry.used = true;
-        return &entry;
-      }
-    }
-    return nullptr;
-  }
-
-  const IniEntry& require(const std::string& key) const {
-    IniEntry* entry = find(key);
-    if (entry == nullptr) {
-      // Built by append rather than operator+ chains: GCC 12 -Wrestrict
-      // false positive (PR105329).
-      std::string message = "[";
-      message += section_ == nullptr ? std::string("?") : section_->name;
-      message += "] is missing required key '";
-      message += key;
-      message += "'";
-      fail(section_ == nullptr ? 0 : section_->line, message);
-    }
-    return *entry;
-  }
-
-  std::string get_string(const std::string& key,
-                         const std::string& fallback) const {
-    const IniEntry* entry = find(key);
-    return entry == nullptr ? fallback : entry->value;
-  }
-
-  double get_double(const std::string& key, double fallback) const {
-    const IniEntry* entry = find(key);
-    if (entry == nullptr) {
-      return fallback;
-    }
-    double parsed = 0.0;
-    if (!parse_number(entry->value, entry->line, parsed)) {
-      fail(entry->line, "'" + entry->value + "' is not a number");
-    }
-    return parsed;
-  }
-
-  /// Exact integer parse (from_chars, never via double: a double round
-  /// trip would silently round values above 2^53).
-  long long get_int(const std::string& key, long long fallback) const {
-    const IniEntry* entry = find(key);
-    if (entry == nullptr) {
-      return fallback;
-    }
-    std::string_view text = entry->value;
-    if (!text.empty() && text.front() == '+') {
-      text.remove_prefix(1);
-    }
-    long long parsed = 0;
-    const auto result =
-        std::from_chars(text.data(), text.data() + text.size(), parsed);
-    if (text.empty() || result.ec != std::errc() ||
-        result.ptr != text.data() + text.size()) {
-      fail(entry->line, "'" + entry->value + "' is not an integer");
-    }
-    return parsed;
-  }
-
-  /// Exact unsigned parse for 64-bit seeds; rejects negatives.
-  std::uint64_t get_uint64(const std::string& key,
-                           std::uint64_t fallback) const {
-    const IniEntry* entry = find(key);
-    if (entry == nullptr) {
-      return fallback;
-    }
-    std::string_view text = entry->value;
-    if (!text.empty() && text.front() == '+') {
-      text.remove_prefix(1);
-    }
-    std::uint64_t parsed = 0;
-    const auto result =
-        std::from_chars(text.data(), text.data() + text.size(), parsed);
-    if (text.empty() || result.ec != std::errc() ||
-        result.ptr != text.data() + text.size()) {
-      fail(entry->line,
-           "'" + entry->value + "' is not an unsigned integer");
-    }
-    return parsed;
-  }
-
-  bool get_bool(const std::string& key, bool fallback) const {
-    const IniEntry* entry = find(key);
-    if (entry == nullptr) {
-      return fallback;
-    }
-    const std::string& v = entry->value;
-    if (v == "on" || v == "true" || v == "yes" || v == "1") {
-      return true;
-    }
-    if (v == "off" || v == "false" || v == "no" || v == "0") {
-      return false;
-    }
-    fail(entry->line, "'" + v + "' is not a boolean (on/off/true/false)");
-  }
-
- private:
-  IniSection* section_;
-};
-
 IniSection* find_section(std::vector<IniSection>& sections,
                          const std::string& name) {
   for (IniSection& section : sections) {
@@ -312,6 +193,23 @@ IniSection* find_section(std::vector<IniSection>& sections,
     }
   }
   return nullptr;
+}
+
+/// Exact integer parse (from_chars, never via double: a double round trip
+/// would silently round values above 2^53); a leading '+' is accepted.
+/// Returns invalid_argument for text that is not an integer and
+/// result_out_of_range for one that overflows T.
+template <typename T>
+std::errc parse_integer(std::string_view text, T& out) {
+  if (!text.empty() && text.front() == '+') {
+    text.remove_prefix(1);
+  }
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  if (text.empty() || end != text.data() + text.size()) {
+    return std::errc::invalid_argument;
+  }
+  return ec;
 }
 
 /// "@axis" -> binding to that axis; anything else must be a number.
@@ -335,14 +233,182 @@ Binding parse_binding(const IniEntry& entry, const SweepSpec& spec) {
   return binding;
 }
 
-std::optional<Binding> optional_binding(const SectionReader& reader,
-                                        const std::string& key,
-                                        const SweepSpec& spec) {
-  const IniEntry* entry = reader.find(key);
-  if (entry == nullptr) {
-    return std::nullopt;
+/// Canonical salt form of a binding: "@axis" or the number.
+std::string encode_binding(const Binding& binding) {
+  return binding.bound() ? "@" + binding.axis
+                         : numeric::format_double(binding.fixed);
+}
+
+/// Typed, used-marking view over one section. Over a cell-template section
+/// it also writes the journal salt: every read appends
+/// "section.key=<canonical value>" — the value the cell hooks will use,
+/// the fallback when the key is absent — in the parser's fixed order, so
+/// key order, comments and whitespace never change the salt while any
+/// value (or code default) does.
+class SectionReader {
+ public:
+  SectionReader(std::vector<IniSection>& sections, const std::string& name,
+                std::string* salt = nullptr)
+      : SectionReader(find_section(sections, name), name, salt) {}
+  explicit SectionReader(IniSection& section, std::string* salt = nullptr)
+      : SectionReader(&section, section.name, salt) {}
+
+  bool present() const { return section_ != nullptr; }
+  int line() const { return section_ == nullptr ? 0 : section_->line; }
+
+  IniEntry* find(const std::string& key) const {
+    if (section_ == nullptr) {
+      return nullptr;
+    }
+    for (auto& [name, entry] : section_->entries) {
+      if (name == key) {
+        entry.used = true;
+        return &entry;
+      }
+    }
+    return nullptr;
   }
-  return parse_binding(*entry, spec);
+
+  const IniEntry& require(const std::string& key) const {
+    IniEntry* entry = find(key);
+    if (entry == nullptr) {
+      // Built by append rather than operator+ chains: GCC 12 -Wrestrict
+      // false positive (PR105329).
+      std::string message = "[";
+      message += name_;
+      message += "] is missing required key '";
+      message += key;
+      message += "'";
+      fail(line(), message);
+    }
+    return *entry;
+  }
+
+  /// Appends "section.key=value" to the salt, if this reader keeps one.
+  /// Keys with custom parsing call it with their resolved value.
+  void record(const std::string& key, const std::string& value) const {
+    if (salt_ != nullptr) {
+      *salt_ += name_ + '.' + key + '=' + value + '\n';
+    }
+  }
+
+  std::string get_string(const std::string& key,
+                         const std::string& fallback) const {
+    const IniEntry* entry = find(key);
+    std::string value = entry == nullptr ? fallback : entry->value;
+    record(key, value);
+    return value;
+  }
+
+  double get_double(const std::string& key, double fallback) const {
+    const IniEntry* entry = find(key);
+    double parsed = fallback;
+    if (entry != nullptr && !parse_number(entry->value, entry->line, parsed)) {
+      fail(entry->line, "'" + entry->value + "' is not a number");
+    }
+    record(key, numeric::format_double(parsed));
+    return parsed;
+  }
+
+  /// Range-checked integer: a value outside [lo, hi] fails at its line
+  /// instead of wrapping when narrowed.
+  int get_int(const std::string& key, int fallback, int lo,
+              int hi = std::numeric_limits<int>::max()) const {
+    const IniEntry* entry = find(key);
+    long long parsed = fallback;
+    if (entry != nullptr) {
+      const std::errc ec = parse_integer(entry->value, parsed);
+      if (ec == std::errc::invalid_argument) {
+        fail(entry->line, "'" + entry->value + "' is not an integer");
+      }
+      if (ec != std::errc() || parsed < lo || parsed > hi) {
+        fail(entry->line, "[" + name_ + "] " + key + " must lie in [" +
+                              std::to_string(lo) + ", " +
+                              std::to_string(hi) + "], got '" +
+                              entry->value + "'");
+      }
+    }
+    record(key, std::to_string(parsed));
+    return static_cast<int>(parsed);
+  }
+
+  /// 64-bit seeds; rejects negatives.
+  std::uint64_t get_uint64(const std::string& key,
+                           std::uint64_t fallback) const {
+    const IniEntry* entry = find(key);
+    std::uint64_t parsed = fallback;
+    if (entry != nullptr &&
+        parse_integer(entry->value, parsed) != std::errc()) {
+      fail(entry->line, "'" + entry->value + "' is not an unsigned integer");
+    }
+    record(key, std::to_string(parsed));
+    return parsed;
+  }
+
+  bool get_bool(const std::string& key, bool fallback) const {
+    const IniEntry* entry = find(key);
+    bool parsed = fallback;
+    if (entry != nullptr) {
+      const std::string& v = entry->value;
+      if (v == "on" || v == "true" || v == "yes" || v == "1") {
+        parsed = true;
+      } else if (v == "off" || v == "false" || v == "no" || v == "0") {
+        parsed = false;
+      } else {
+        fail(entry->line,
+             "'" + v + "' is not a boolean (on/off/true/false)");
+      }
+    }
+    record(key, parsed ? "on" : "off");
+    return parsed;
+  }
+
+  /// "@axis" binds the key to that axis' value; anything else must be a
+  /// number. An absent key records `absent` in the salt.
+  std::optional<Binding> optional_binding(
+      const std::string& key, const SweepSpec& spec,
+      const std::string& absent = "unset") const {
+    const IniEntry* entry = find(key);
+    if (entry == nullptr) {
+      record(key, absent);
+      return std::nullopt;
+    }
+    const Binding binding = parse_binding(*entry, spec);
+    record(key, encode_binding(binding));
+    return binding;
+  }
+
+  Binding required_binding(const std::string& key,
+                           const SweepSpec& spec) const {
+    require(key);
+    return *optional_binding(key, spec);
+  }
+
+ private:
+  SectionReader(IniSection* section, std::string name, std::string* salt)
+      : section_(section), name_(std::move(name)), salt_(salt) {
+    if (section_ != nullptr) {
+      section_->known = true;
+    }
+  }
+
+  IniSection* section_;
+  std::string name_;
+  std::string* salt_;
+};
+
+/// FNV-1a over the canonical decimal forms of trace-replay arrival times:
+/// the salt fingerprints the loaded times, never the file path, so editing
+/// the file invalidates a journal even when the path is unchanged.
+std::string times_fingerprint(const std::vector<double>& times) {
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const double t : times) {
+    for (const char c : numeric::format_double(t) + ';') {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ull;
+    }
+  }
+  return std::to_string(times.size()) + ':' + std::to_string(hash);
 }
 
 double mean_baseline_pocd(const std::vector<trace::TracedJob>& jobs) {
@@ -412,33 +478,30 @@ Manifest parse_manifest(const std::string& text) {
   std::vector<IniSection> sections = parse_ini(text);
   Manifest manifest;
 
-  // [sweep] and the [axis.*] sections fix the grid; bindings in later
-  // sections are validated against the axis names collected here.
-  IniSection* sweep_section = find_section(sections, "sweep");
-  if (sweep_section == nullptr) {
+  // [sweep], [axis.*] and [adaptive] fix the grid, which spec_fingerprint
+  // covers; bindings in later sections are validated against the axis
+  // names collected here.
+  const SectionReader sweep(sections, "sweep");
+  if (!sweep.present()) {
     fail(1, "missing required [sweep] section");
   }
-  {
-    const SectionReader sweep(sweep_section);
-    manifest.spec.name = sweep.get_string("name", "sweep");
-    const IniEntry& policies = sweep.require("policies");
-    for (const std::string& name : split_list(policies.value, policies.line)) {
-      const auto policy = strategies::policy_from_name(name);
-      if (!policy.has_value()) {
-        fail(policies.line, "unknown policy '" + name + "'");
-      }
-      manifest.spec.policies.push_back(*policy);
+  manifest.spec.name = sweep.get_string("name", "sweep");
+  const IniEntry& policies = sweep.require("policies");
+  for (const std::string& name : split_list(policies.value, policies.line)) {
+    const auto policy = strategies::policy_from_name(name);
+    if (!policy.has_value()) {
+      fail(policies.line, "unknown policy '" + name + "'");
     }
-    manifest.spec.replications =
-        static_cast<int>(sweep.get_int("replications", 1));
-    manifest.spec.seed = sweep.get_uint64("seed", 1);
+    manifest.spec.policies.push_back(*policy);
   }
+  manifest.spec.replications = sweep.get_int("replications", 1, 1);
+  manifest.spec.seed = sweep.get_uint64("seed", 1);
 
   for (IniSection& section : sections) {
     if (section.name.rfind("axis.", 0) != 0) {
       continue;
     }
-    const SectionReader reader(&section);
+    const SectionReader reader(section);
     Axis axis;
     axis.name = section.name.substr(5);
     if (axis.name.empty()) {
@@ -464,35 +527,28 @@ Manifest parse_manifest(const std::string& text) {
     manifest.spec.axes.push_back(std::move(axis));
   }
 
-  {
-    const SectionReader adaptive(find_section(sections, "adaptive"));
-    if (adaptive.present()) {
-      manifest.spec.adaptive.metric =
-          adaptive.get_string("metric", "pocd");
-      manifest.spec.adaptive.target_ci95 =
-          adaptive.get_double("target_ci95", 0.0);
-      manifest.spec.adaptive.batch =
-          static_cast<int>(adaptive.get_int("batch", 1));
-      adaptive.require("max_replications");
-      manifest.spec.adaptive.max_replications =
-          static_cast<int>(adaptive.get_int("max_replications", 0));
-    }
+  if (const SectionReader adaptive(sections, "adaptive"); adaptive.present()) {
+    AdaptiveSpec& config = manifest.spec.adaptive;
+    config.metric = adaptive.get_string("metric", "pocd");
+    config.target_ci95 = adaptive.get_double("target_ci95", 0.0);
+    config.batch = adaptive.get_int("batch", 1, 1);
+    adaptive.require("max_replications");
+    config.max_replications = adaptive.get_int("max_replications", 0, 0);
   }
 
+  // The cell-template sections: their readers write the journal salt.
+  std::string* salt = &manifest.journal_salt;
   {
-    const SectionReader reader(find_section(sections, "trace"));
+    const SectionReader reader(sections, "trace", salt);
     trace::TraceConfig& config = manifest.trace;
-    config.num_jobs =
-        static_cast<int>(reader.get_int("num_jobs", config.num_jobs));
+    config.num_jobs = reader.get_int("num_jobs", config.num_jobs, 1);
     config.duration_hours =
         reader.get_double("duration_hours", config.duration_hours);
     config.mean_tasks = reader.get_double("mean_tasks", config.mean_tasks);
     config.tasks_log_sigma =
         reader.get_double("tasks_log_sigma", config.tasks_log_sigma);
-    config.min_tasks =
-        static_cast<int>(reader.get_int("min_tasks", config.min_tasks));
-    config.max_tasks =
-        static_cast<int>(reader.get_int("max_tasks", config.max_tasks));
+    config.min_tasks = reader.get_int("min_tasks", config.min_tasks, 1);
+    config.max_tasks = reader.get_int("max_tasks", config.max_tasks, 1);
     config.t_min_lo = reader.get_double("t_min_lo", config.t_min_lo);
     config.t_min_hi = reader.get_double("t_min_hi", config.t_min_hi);
     config.beta_lo = reader.get_double("beta_lo", config.beta_lo);
@@ -504,263 +560,241 @@ Manifest parse_manifest(const std::string& text) {
     config.jvm_mean = reader.get_double("jvm_mean", config.jvm_mean);
     config.jvm_jitter = reader.get_double("jvm_jitter", config.jvm_jitter);
     config.seed = reader.get_uint64("seed", config.seed);
-    manifest.trace_beta = optional_binding(reader, "beta", manifest.spec);
+    manifest.trace_beta = reader.optional_binding("beta", manifest.spec);
     manifest.trace_deadline_factor =
-        optional_binding(reader, "deadline_factor", manifest.spec);
+        reader.optional_binding("deadline_factor", manifest.spec);
   }
 
   // [stage.N] templates: N must run 1, 2, ... without gaps (stage 0 is the
   // sampled root stage and has no section).
-  {
-    int next = 1;
-    for (IniSection& section : sections) {
-      if (section.name.rfind("stage.", 0) != 0) {
-        continue;
-      }
-      const std::string suffix = section.name.substr(6);
-      int number = 0;
-      const auto result = std::from_chars(
-          suffix.data(), suffix.data() + suffix.size(), number);
-      if (suffix.empty() || result.ec != std::errc() ||
-          result.ptr != suffix.data() + suffix.size()) {
-        fail(section.line, "stage section needs a number: [stage.<N>]");
-      }
-      if (number != next) {
-        fail(section.line, "stage sections must be contiguous from 1: "
-                           "expected [stage." + std::to_string(next) +
-                           "], got [stage." + suffix + "]");
-      }
-      const SectionReader reader(&section);
-      ManifestStage stage;
-      stage.tasks = parse_binding(reader.require("tasks"), manifest.spec);
-      if (!stage.tasks.bound() && stage.tasks.fixed < 1.0) {
-        fail(section.line, "stage tasks must be >= 1");
-      }
-      stage.t_min = parse_binding(reader.require("t_min"), manifest.spec);
-      if (!stage.t_min.bound() && stage.t_min.fixed <= 0.0) {
-        fail(section.line, "stage t_min must be positive");
-      }
-      stage.beta = parse_binding(reader.require("beta"), manifest.spec);
-      if (!stage.beta.bound() && stage.beta.fixed <= 1.0) {
-        fail(section.line, "stage beta must exceed 1 (finite mean)");
-      }
-      if (const IniEntry* deps = reader.find("deps")) {
-        for (const std::string& item : split_list(deps->value, deps->line)) {
-          int dep = 0;
-          const auto parsed = std::from_chars(
-              item.data(), item.data() + item.size(), dep);
-          if (item.empty() || parsed.ec != std::errc() ||
-              parsed.ptr != item.data() + item.size()) {
-            fail(deps->line, "stage dep '" + item + "' is not an integer");
-          }
-          if (dep < 0 || dep >= number) {
-            fail(deps->line, "stage dep " + item + " must reference an "
-                             "earlier stage (0.." +
-                             std::to_string(number - 1) + ")");
-          }
-          if (std::find(stage.deps.begin(), stage.deps.end(), dep) !=
-              stage.deps.end()) {
-            fail(deps->line, "duplicate stage dep " + item);
-          }
-          stage.deps.push_back(dep);
+  for (IniSection& section : sections) {
+    if (section.name.rfind("stage.", 0) != 0) {
+      continue;
+    }
+    const int number = static_cast<int>(manifest.stages.size()) + 1;
+    if (section.name != "stage." + std::to_string(number)) {
+      fail(section.line, "stage sections must be contiguous from 1: "
+                         "expected [stage." + std::to_string(number) +
+                         "], got [" + section.name + "]");
+    }
+    const SectionReader reader(section, salt);
+    ManifestStage stage;
+    stage.tasks = reader.required_binding("tasks", manifest.spec);
+    if (!stage.tasks.bound() && stage.tasks.fixed < 1.0) {
+      fail(section.line, "stage tasks must be >= 1");
+    }
+    stage.t_min = reader.required_binding("t_min", manifest.spec);
+    if (!stage.t_min.bound() && stage.t_min.fixed <= 0.0) {
+      fail(section.line, "stage t_min must be positive");
+    }
+    stage.beta = reader.required_binding("beta", manifest.spec);
+    if (!stage.beta.bound() && stage.beta.fixed <= 1.0) {
+      fail(section.line, "stage beta must exceed 1 (finite mean)");
+    }
+    std::string deps_record;
+    if (const IniEntry* deps = reader.find("deps")) {
+      for (const std::string& item : split_list(deps->value, deps->line)) {
+        int dep = 0;
+        if (parse_integer(item, dep) != std::errc()) {
+          fail(deps->line, "stage dep '" + item + "' is not an integer");
         }
+        if (dep < 0 || dep >= number) {
+          fail(deps->line, "stage dep " + item + " must reference an "
+                           "earlier stage (0.." +
+                           std::to_string(number - 1) + ")");
+        }
+        if (std::find(stage.deps.begin(), stage.deps.end(), dep) !=
+            stage.deps.end()) {
+          fail(deps->line, "duplicate stage dep " + item);
+        }
+        stage.deps.push_back(dep);
+        deps_record += std::to_string(dep) + ',';
       }
-      manifest.stages.push_back(std::move(stage));
-      ++next;
     }
+    reader.record("deps", deps_record);
+    manifest.stages.push_back(std::move(stage));
   }
 
   {
-    const SectionReader reader(find_section(sections, "planner"));
-    if (const auto theta = optional_binding(reader, "theta", manifest.spec)) {
-      manifest.planner_theta = *theta;
-    }
-    manifest.planner_tau_est_factor =
-        optional_binding(reader, "tau_est_factor", manifest.spec);
-    manifest.planner_tau_kill_factor =
-        optional_binding(reader, "tau_kill_factor", manifest.spec);
+    const SectionReader reader(sections, "planner", salt);
+    manifest.planner_theta =
+        reader
+            .optional_binding("theta", manifest.spec,
+                              encode_binding(manifest.planner_theta))
+            .value_or(manifest.planner_theta);
+    const trace::PlannerConfig defaults;
+    manifest.planner_tau_est_factor = reader.optional_binding(
+        "tau_est_factor", manifest.spec,
+        numeric::format_double(defaults.tau_est_factor));
+    manifest.planner_tau_kill_factor = reader.optional_binding(
+        "tau_kill_factor", manifest.spec,
+        numeric::format_double(defaults.tau_kill_factor));
   }
 
   {
-    const SectionReader reader(find_section(sections, "experiment"));
-    const std::string cluster =
-        reader.get_string("cluster", "large_scale");
+    const SectionReader reader(sections, "experiment", salt);
+    const std::string cluster = reader.get_string("cluster", "large_scale");
     if (cluster == "testbed") {
       manifest.cluster_testbed = true;
     } else if (cluster != "large_scale") {
-      const IniEntry* entry = reader.find("cluster");
-      fail(entry != nullptr ? entry->line : 0,
+      fail(reader.find("cluster")->line,
            "cluster must be 'large_scale' or 'testbed', got '" + cluster +
                "'");
     }
     manifest.report_utility = reader.get_bool("utility", false);
-    if (const IniEntry* r_min = reader.find("r_min")) {
-      if (r_min->value == "baseline") {
-        manifest.r_min_mode = RMinMode::kBaseline;
-      } else if (parse_number(r_min->value, r_min->line,
-                              manifest.r_min_fixed)) {
-        manifest.r_min_mode = RMinMode::kFixed;
-      } else {
+    if (const IniEntry* r_min = reader.find("r_min");
+        r_min != nullptr && r_min->value != "baseline") {
+      if (!parse_number(r_min->value, r_min->line, manifest.r_min_fixed)) {
         fail(r_min->line, "r_min must be 'baseline' or a number, got '" +
                               r_min->value + "'");
       }
+      manifest.r_min_mode = RMinMode::kFixed;
     }
+    reader.record("r_min", manifest.r_min_mode == RMinMode::kBaseline
+                               ? "baseline"
+                               : numeric::format_double(manifest.r_min_fixed));
     manifest.r_min_offset = reader.get_double("r_min_offset", 0.0);
   }
 
-  {
-    IniSection* section = find_section(sections, "arrivals");
-    const SectionReader reader(section);
-    if (reader.present()) {
-      ManifestArrivals arrivals;
-      const IniEntry* kind = reader.find("kind");
-      const std::string kind_name =
-          kind == nullptr ? "poisson" : kind->value;
-      if (kind_name == "poisson") {
-        arrivals.spec.kind = trace::ArrivalKind::kPoisson;
-      } else if (kind_name == "diurnal") {
-        arrivals.spec.kind = trace::ArrivalKind::kDiurnal;
-      } else if (kind_name == "trace") {
-        arrivals.spec.kind = trace::ArrivalKind::kTrace;
-      } else {
-        fail(kind->line, "arrivals kind must be poisson, diurnal or trace, "
-                         "got '" + kind_name + "'");
+  if (const SectionReader reader(sections, "arrivals", salt);
+      reader.present()) {
+    ManifestArrivals arrivals;
+    sim::OpenSystemConfig& open = arrivals.open;
+    trace::ArrivalSpec& spec = open.arrivals;
+    const IniEntry* kind = reader.find("kind");
+    const std::string kind_name = kind == nullptr ? "poisson" : kind->value;
+    if (kind_name == "poisson") {
+      spec.kind = trace::ArrivalKind::kPoisson;
+    } else if (kind_name == "diurnal") {
+      spec.kind = trace::ArrivalKind::kDiurnal;
+    } else if (kind_name == "trace") {
+      spec.kind = trace::ArrivalKind::kTrace;
+    } else {
+      fail(kind->line, "arrivals kind must be poisson, diurnal or trace, "
+                       "got '" + kind_name + "'");
+    }
+    reader.record("kind", kind_name);
+    if (spec.kind == trace::ArrivalKind::kTrace) {
+      spec.times = trace::load_arrival_times(reader.require("file").value);
+      reader.record("times", times_fingerprint(spec.times));
+    } else {
+      arrivals.rate = reader.required_binding("rate", manifest.spec);
+      if (!arrivals.rate.bound() && arrivals.rate.fixed <= 0.0) {
+        fail(reader.find("rate")->line, "arrival rate must be positive");
       }
-      if (arrivals.spec.kind == trace::ArrivalKind::kTrace) {
-        const IniEntry& file = reader.require("file");
-        arrivals.file = file.value;
-        arrivals.spec.times = trace::load_arrival_times(file.value);
-      } else {
-        const IniEntry& rate = reader.require("rate");
-        arrivals.rate = parse_binding(rate, manifest.spec);
-        if (!arrivals.rate.bound() && arrivals.rate.fixed <= 0.0) {
-          fail(rate.line, "arrival rate must be positive");
-        }
-        arrivals.spec.rate = arrivals.rate.fixed;
-      }
-      arrivals.spec.amplitude =
-          reader.get_double("amplitude", arrivals.spec.amplitude);
-      arrivals.spec.period =
-          reader.get_double("period_hours", arrivals.spec.period / 3600.0) *
-          3600.0;
-      arrivals.duration_hours =
-          reader.get_double("duration_hours", arrivals.duration_hours);
-      arrivals.warm_up_hours =
-          reader.get_double("warm_up_hours", arrivals.warm_up_hours);
-      if (!(arrivals.duration_hours > 0.0 && arrivals.warm_up_hours >= 0.0 &&
-            arrivals.warm_up_hours < arrivals.duration_hours)) {
-        fail(section->line, "[arrivals] needs duration_hours > 0 and "
-                            "warm_up_hours in [0, duration_hours)");
-      }
-      arrivals.drain = reader.get_bool("drain", true);
-      const IniEntry* plan = reader.find("plan");
-      const std::string plan_name = plan == nullptr ? "policy" : plan->value;
-      if (plan_name == "auto") {
-        arrivals.auto_strategy = true;
-      } else if (plan_name != "policy") {
-        fail(plan->line,
-             "plan must be 'policy' or 'auto', got '" + plan_name + "'");
-      }
-      const IniEntry* plan_cache = reader.find("plan_cache");
-      if (plan_cache != nullptr) {
-        const std::string& value = plan_cache->value;
-        if (value == "off") {
-          arrivals.plan_cache.mode = serve::CacheMode::kOff;
-        } else if (value == "exact") {
-          arrivals.plan_cache.mode = serve::CacheMode::kExact;
-        } else if (value.rfind("quantized:", 0) == 0) {
-          arrivals.plan_cache.mode = serve::CacheMode::kQuantized;
-          double grid = 0.0;
-          if (!parse_number(value.substr(10), plan_cache->line, grid) ||
-              grid <= 0.0) {
-            fail(plan_cache->line,
-                 "plan_cache quantization grid must be a positive number, "
-                 "got '" + value.substr(10) + "'");
-          }
-          arrivals.plan_cache.grid = grid;
-        } else {
+      spec.rate = arrivals.rate.fixed;
+    }
+    spec.amplitude = reader.get_double("amplitude", spec.amplitude);
+    spec.period =
+        reader.get_double("period_hours", spec.period / 3600.0) * 3600.0;
+    open.duration =
+        reader.get_double("duration_hours", open.duration / 3600.0) * 3600.0;
+    open.warm_up =
+        reader.get_double("warm_up_hours", open.warm_up / 3600.0) * 3600.0;
+    if (!(open.duration > 0.0 && open.warm_up >= 0.0 &&
+          open.warm_up < open.duration)) {
+      fail(reader.line(), "[arrivals] needs duration_hours > 0 and "
+                          "warm_up_hours in [0, duration_hours)");
+    }
+    open.drain = reader.get_bool("drain", open.drain);
+    const IniEntry* plan = reader.find("plan");
+    const std::string plan_name = plan == nullptr ? "policy" : plan->value;
+    if (plan_name == "auto") {
+      open.auto_strategy = true;
+    } else if (plan_name != "policy") {
+      fail(plan->line,
+           "plan must be 'policy' or 'auto', got '" + plan_name + "'");
+    }
+    reader.record("plan", plan_name);
+    std::string cache_name = "off";
+    if (const IniEntry* plan_cache = reader.find("plan_cache")) {
+      const std::string& value = plan_cache->value;
+      if (value == "exact") {
+        open.plan_cache.mode = serve::CacheMode::kExact;
+        cache_name = value;
+      } else if (value.rfind("quantized:", 0) == 0) {
+        open.plan_cache.mode = serve::CacheMode::kQuantized;
+        if (!parse_number(value.substr(10), plan_cache->line,
+                          open.plan_cache.grid) ||
+            open.plan_cache.grid <= 0.0) {
           fail(plan_cache->line,
-               "plan_cache must be off, exact or quantized:<grid>, got '" +
-                   value + "'");
+               "plan_cache quantization grid must be a positive number, "
+               "got '" + value.substr(10) + "'");
         }
+        cache_name =
+            "quantized:" + numeric::format_double(open.plan_cache.grid);
+      } else if (value != "off") {
+        fail(plan_cache->line,
+             "plan_cache must be off, exact or quantized:<grid>, got '" +
+                 value + "'");
       }
-      arrivals.admission_enabled = reader.get_bool("admission", true);
-      arrivals.degrade_headroom =
-          reader.get_double("degrade_headroom", arrivals.degrade_headroom);
-      arrivals.reject_queue_factor = reader.get_double(
-          "reject_queue_factor", arrivals.reject_queue_factor);
-      if (!(arrivals.degrade_headroom > 0.0 &&
-            arrivals.reject_queue_factor > 0.0)) {
-        fail(section->line, "[arrivals] admission factors must be positive");
+    }
+    reader.record("plan_cache", cache_name);
+    sim::AdmissionConfig& admission = open.admission;
+    admission.enabled = reader.get_bool("admission", admission.enabled);
+    admission.degrade_headroom =
+        reader.get_double("degrade_headroom", admission.degrade_headroom);
+    admission.reject_queue_factor = reader.get_double(
+        "reject_queue_factor", admission.reject_queue_factor);
+    if (!(admission.degrade_headroom > 0.0 &&
+          admission.reject_queue_factor > 0.0)) {
+      fail(reader.line(), "[arrivals] admission factors must be positive");
+    }
+    arrivals.nodes =
+        reader.optional_binding("nodes", manifest.spec, "preset");
+    arrivals.containers =
+        reader.get_int("containers", arrivals.containers, 1, 1 << 20);
+    arrivals.slow_fraction =
+        reader.optional_binding("slow_fraction", manifest.spec);
+    if (arrivals.slow_fraction.has_value()) {
+      if (!arrivals.nodes.has_value()) {
+        fail(reader.line(),
+             "slow_fraction needs an explicit cluster: set nodes too");
       }
-      arrivals.nodes = optional_binding(reader, "nodes", manifest.spec);
-      const long long containers = reader.get_int("containers", 8);
-      if (containers < 1 || containers > 1 << 20) {
-        fail(section->line, "containers must lie in [1, 2^20]");
+      if (!arrivals.slow_fraction->bound() &&
+          !(arrivals.slow_fraction->fixed >= 0.0 &&
+            arrivals.slow_fraction->fixed <= 1.0)) {
+        fail(reader.line(), "slow_fraction must lie in [0, 1]");
       }
-      arrivals.containers = static_cast<int>(containers);
-      arrivals.slow_fraction =
-          optional_binding(reader, "slow_fraction", manifest.spec);
-      if (arrivals.slow_fraction.has_value()) {
-        if (!arrivals.nodes.has_value()) {
-          fail(section->line,
-               "slow_fraction needs an explicit cluster: set nodes too");
-        }
-        if (!arrivals.slow_fraction->bound() &&
-            !(arrivals.slow_fraction->fixed >= 0.0 &&
-              arrivals.slow_fraction->fixed <= 1.0)) {
-          fail(section->line, "slow_fraction must lie in [0, 1]");
-        }
+    }
+    arrivals.slow_speed =
+        reader.get_double("slow_speed", arrivals.slow_speed);
+    if (arrivals.slow_speed <= 0.0) {
+      fail(reader.line(), "slow_speed must be positive");
+    }
+    // Validate the non-rate fields now so a bad manifest fails at parse
+    // time; a bound rate is validated per cell at run time.
+    {
+      trace::ArrivalSpec probe = spec;
+      if (probe.kind != trace::ArrivalKind::kTrace && arrivals.rate.bound()) {
+        probe.rate = 1.0;  // placeholder for the per-cell axis value
       }
-      arrivals.slow_speed =
-          reader.get_double("slow_speed", arrivals.slow_speed);
-      if (arrivals.slow_speed <= 0.0) {
-        fail(section->line, "slow_speed must be positive");
-      }
-      // Validate the non-rate fields now so a bad manifest fails at parse
-      // time; a bound rate is validated per cell at run time.
-      {
-        trace::ArrivalSpec probe = arrivals.spec;
-        if (probe.kind != trace::ArrivalKind::kTrace &&
-            arrivals.rate.bound()) {
-          probe.rate = 1.0;  // placeholder for the per-cell axis value
-        }
-        probe.validate();
-      }
-      manifest.arrivals = std::move(arrivals);
-      if (manifest.report_utility &&
-          manifest.r_min_mode == RMinMode::kBaseline) {
-        fail(section->line,
-             "[arrivals] sweeps need a numeric r_min: the baseline r_min "
-             "is a property of a pre-generated closed-system trace");
-      }
+      probe.validate();
+    }
+    manifest.arrivals = std::move(arrivals);
+    if (manifest.report_utility &&
+        manifest.r_min_mode == RMinMode::kBaseline) {
+      fail(reader.line(),
+           "[arrivals] sweeps need a numeric r_min: the baseline r_min "
+           "is a property of a pre-generated closed-system trace");
     }
   }
 
+  // [output] and [shard] never change the numbers: no salt.
   {
-    const SectionReader reader(find_section(sections, "output"));
+    const SectionReader reader(sections, "output");
     manifest.outputs.csv = reader.get_string("csv", "");
     manifest.outputs.json = reader.get_string("json", "");
     manifest.outputs.journal = reader.get_string("journal", "");
     manifest.outputs.table = reader.get_bool("table", true);
   }
 
-  {
-    const SectionReader reader(find_section(sections, "shard"));
-    if (reader.present()) {
-      const IniEntry& count = reader.require("count");
-      // Range-checked before narrowing: a count beyond int must fail, not
-      // silently wrap into a different (valid-looking) shard layout.
-      const long long parsed = reader.get_int("count", 0);
-      if (parsed < 1 || parsed > std::numeric_limits<int>::max()) {
-        fail(count.line, "shard count must be >= 1, got '" + count.value +
-                             "'");
-      }
-      manifest.shard.count = static_cast<int>(parsed);
-      manifest.shard.dir = reader.get_string("dir", ".");
-      if (manifest.shard.dir.empty()) {
-        fail(reader.find("dir")->line, "shard dir must not be empty");
-      }
+  if (const SectionReader reader(sections, "shard"); reader.present()) {
+    reader.require("count");
+    manifest.shard.count = reader.get_int("count", 0, 1);
+    manifest.shard.dir = reader.get_string("dir", ".");
+    if (manifest.shard.dir.empty()) {
+      fail(reader.find("dir")->line, "shard dir must not be empty");
     }
   }
 
@@ -794,162 +828,6 @@ Manifest load_manifest(const std::string& path) {
   }
   std::fclose(file);
   return parse_manifest(text);
-}
-
-std::string manifest_journal_salt(const Manifest& manifest) {
-  std::string salt = "trace=";
-  salt += std::to_string(manifest.trace.num_jobs);
-  for (const double v :
-       {manifest.trace.duration_hours, manifest.trace.mean_tasks,
-        manifest.trace.tasks_log_sigma, manifest.trace.t_min_lo,
-        manifest.trace.t_min_hi, manifest.trace.beta_lo,
-        manifest.trace.beta_hi, manifest.trace.deadline_factor_lo,
-        manifest.trace.deadline_factor_hi, manifest.trace.jvm_mean,
-        manifest.trace.jvm_jitter}) {
-    salt += ',';
-    salt += numeric::format_double(v);
-  }
-  salt += ',';
-  salt += std::to_string(manifest.trace.min_tasks);
-  salt += ',';
-  salt += std::to_string(manifest.trace.max_tasks);
-  salt += ',';
-  salt += std::to_string(manifest.trace.seed);
-  const auto append_binding = [&salt](const char* name,
-                                      const std::optional<Binding>& binding) {
-    salt += ';';
-    salt += name;
-    salt += '=';
-    if (!binding.has_value()) {
-      salt += "unset";
-    } else if (binding->bound()) {
-      salt += '@';
-      salt += binding->axis;
-    } else {
-      salt += numeric::format_double(binding->fixed);
-    }
-  };
-  append_binding("beta", manifest.trace_beta);
-  append_binding("deadline_factor", manifest.trace_deadline_factor);
-  // Stage templates enter the fingerprint only when present: single-stage
-  // manifests keep their historical salt (and thus their journals).
-  const auto encode_binding = [](const Binding& binding) {
-    return binding.bound() ? "@" + binding.axis
-                           : numeric::format_double(binding.fixed);
-  };
-  for (std::size_t i = 0; i < manifest.stages.size(); ++i) {
-    const ManifestStage& stage = manifest.stages[i];
-    salt += ";stage";
-    salt += std::to_string(i + 1);
-    salt += '=';
-    salt += encode_binding(stage.tasks);
-    salt += ',';
-    salt += encode_binding(stage.t_min);
-    salt += ',';
-    salt += encode_binding(stage.beta);
-    salt += ",deps:";
-    for (const int dep : stage.deps) {
-      salt += std::to_string(dep);
-      salt += '.';
-    }
-  }
-  append_binding("theta", std::optional<Binding>(manifest.planner_theta));
-  append_binding("tau_est_factor", manifest.planner_tau_est_factor);
-  append_binding("tau_kill_factor", manifest.planner_tau_kill_factor);
-  salt += ";experiment=";
-  salt += manifest.cluster_testbed ? "testbed" : "large_scale";
-  salt += manifest.report_utility ? ",utility" : ",no-utility";
-  salt += ',';
-  salt += manifest.r_min_mode == RMinMode::kBaseline
-              ? "baseline"
-              : numeric::format_double(manifest.r_min_fixed);
-  salt += ',';
-  salt += numeric::format_double(manifest.r_min_offset);
-  if (manifest.arrivals.has_value()) {
-    const ManifestArrivals& a = *manifest.arrivals;
-    salt += ";arrivals=";
-    switch (a.spec.kind) {
-      case trace::ArrivalKind::kPoisson:
-        salt += "poisson";
-        break;
-      case trace::ArrivalKind::kDiurnal:
-        salt += "diurnal";
-        break;
-      case trace::ArrivalKind::kTrace:
-        salt += "trace";
-        break;
-    }
-    salt += ",rate=";
-    if (a.rate.bound()) {
-      salt += '@';
-      salt += a.rate.axis;
-    } else {
-      salt += numeric::format_double(a.rate.fixed);
-    }
-    for (const double v :
-         {a.spec.amplitude, a.spec.period, a.duration_hours,
-          a.warm_up_hours, a.degrade_headroom, a.reject_queue_factor}) {
-      salt += ',';
-      salt += numeric::format_double(v);
-    }
-    salt += a.drain ? ",drain" : ",no-drain";
-    salt += a.auto_strategy ? ",auto" : ",policy";
-    salt += a.admission_enabled ? ",admission" : ",no-admission";
-    salt += ",nodes=";
-    if (!a.nodes.has_value()) {
-      salt += "preset";
-    } else if (a.nodes->bound()) {
-      salt += '@';
-      salt += a.nodes->axis;
-    } else {
-      salt += numeric::format_double(a.nodes->fixed);
-    }
-    salt += ',';
-    salt += std::to_string(a.containers);
-    // Speed classes enter the fingerprint only when set — like the plan
-    // cache below, the homogeneous default keeps the historical salt.
-    if (a.slow_fraction.has_value()) {
-      salt += ",slow_fraction=";
-      if (a.slow_fraction->bound()) {
-        salt += '@';
-        salt += a.slow_fraction->axis;
-      } else {
-        salt += numeric::format_double(a.slow_fraction->fixed);
-      }
-      salt += ",slow_speed=";
-      salt += numeric::format_double(a.slow_speed);
-    }
-    // The plan cache enters the fingerprint only when it is on: off is the
-    // historical behavior, so pre-existing journals stay valid.
-    if (a.plan_cache.mode != serve::CacheMode::kOff) {
-      salt += ",plan_cache=";
-      if (a.plan_cache.mode == serve::CacheMode::kExact) {
-        salt += "exact";
-      } else {
-        salt += "quantized:";
-        salt += numeric::format_double(a.plan_cache.grid);
-      }
-    }
-    // Trace-driven arrivals: fingerprint the loaded times (FNV-1a over
-    // their canonical decimal forms), never the file path — editing the
-    // file must invalidate the journal even when the path is unchanged.
-    if (a.spec.kind == trace::ArrivalKind::kTrace) {
-      std::uint64_t hash = 1469598103934665603ull;
-      for (const double t : a.spec.times) {
-        for (const char c : numeric::format_double(t)) {
-          hash ^= static_cast<unsigned char>(c);
-          hash *= 1099511628211ull;
-        }
-        hash ^= static_cast<unsigned char>(';');
-        hash *= 1099511628211ull;
-      }
-      salt += ",times=";
-      salt += std::to_string(a.spec.times.size());
-      salt += ':';
-      salt += std::to_string(hash);
-    }
-  }
-  return salt;
 }
 
 SweepHooks make_hooks(const Manifest& manifest) {
@@ -990,17 +868,12 @@ SweepHooks make_hooks(const Manifest& manifest) {
             : trace::ExperimentConfig::large_scale(point.policy, seed);
     if (m->arrivals.has_value()) {
       const ManifestArrivals& a = *m->arrivals;
-      auto open = std::make_shared<sim::OpenSystemConfig>();
-      open->arrivals = a.spec;
-      if (a.spec.kind != trace::ArrivalKind::kTrace) {
+      auto open = std::make_shared<sim::OpenSystemConfig>(a.open);
+      if (open->arrivals.kind != trace::ArrivalKind::kTrace) {
         open->arrivals.rate = a.rate.resolve(point);
       }
       open->workload = resolve_trace(*m, point);
       open->planner = resolve_planner(*m, point);
-      open->plan_cache = a.plan_cache;
-      open->admission.enabled = a.admission_enabled;
-      open->admission.degrade_headroom = a.degrade_headroom;
-      open->admission.reject_queue_factor = a.reject_queue_factor;
       if (a.nodes.has_value()) {
         const double resolved = a.nodes->resolve(point);
         const long long nodes = std::llround(resolved);
@@ -1029,10 +902,6 @@ SweepHooks make_hooks(const Manifest& manifest) {
         open->scheduler = preset.scheduler;
       }
       open->policy = point.policy;
-      open->auto_strategy = a.auto_strategy;
-      open->duration = a.duration_hours * 3600.0;
-      open->warm_up = a.warm_up_hours * 3600.0;
-      open->drain = a.drain;
       open->seed = seed;
       instance.open_system = std::move(open);
     } else {

@@ -42,7 +42,18 @@
 // comments plus "#" inline comments, comma-separated lists, double quotes
 // around list items that contain commas. Numbers must be finite ("nan" and
 // "inf" are rejected). Parsing is locale-independent and every error names
-// the offending line.
+// the offending line; an integer outside its key's range fails there too
+// instead of wrapping.
+//
+// parse_manifest is the only code that knows the keys. The cell-template
+// sections ([trace], [stage.N], [planner], [experiment], [arrivals]) are
+// read once, into the structs below ([arrivals] straight into a
+// sim::OpenSystemConfig template), and each read also appends
+// "section.key=<canonical value>" to Manifest::journal_salt: the value the
+// cell hooks will use, the code default when the key is absent, and for
+// `kind = trace` a hash of the loaded times rather than the file path.
+// [sweep], [axis.*] and [adaptive] are covered by spec_fingerprint;
+// [output] and [shard] never change the numbers and stay out.
 #pragma once
 
 #include <optional>
@@ -50,8 +61,7 @@
 #include <vector>
 
 #include "exp/sweep.h"
-#include "serve/plan_cache.h"
-#include "trace/arrivals.h"
+#include "sim/open_system.h"
 #include "trace/google_trace.h"
 
 namespace chronos::exp {
@@ -112,17 +122,12 @@ struct ManifestOutputs {
 /// pre-generated trace is a closed-system property; utility sweeps must
 /// give a numeric r_min.
 struct ManifestArrivals {
-  trace::ArrivalSpec spec;  ///< rate overwritten per cell when bound
-  Binding rate{.fixed = 0.1, .axis = {}};
-  std::string file;  ///< kind = trace: source path (times pre-loaded)
-  double duration_hours = 1.0;
-  double warm_up_hours = 0.0;
-  bool drain = true;
-  bool auto_strategy = false;
-  serve::PlanCacheConfig plan_cache;  ///< default: mode off
-  bool admission_enabled = true;
-  double degrade_headroom = 1.0;
-  double reject_queue_factor = 4.0;
+  /// The run template the section parses into: arrival process, horizon,
+  /// drain, plan mode, plan cache and admission. Each cell copies it and
+  /// fills the rate, cluster, workload, planner, policy and seed.
+  sim::OpenSystemConfig open;
+
+  Binding rate{.fixed = 0.1, .axis = {}};  ///< unused for kind = trace
   std::optional<Binding> nodes;  ///< unset = preset cluster
   int containers = 8;
 
@@ -188,6 +193,12 @@ struct Manifest {
   ManifestOutputs outputs;
   ManifestShard shard;
   std::optional<ManifestArrivals> arrivals;  ///< open-system sweep when set
+
+  /// Canonical record of every cell-template key the parser read, set or
+  /// defaulted. Pass it as SweepOptions::journal_salt so that editing
+  /// those sections invalidates an existing journal instead of silently
+  /// resuming from results of the old configuration.
+  std::string journal_salt;
 };
 
 /// Parses manifest text. Throws PreconditionError with a line-numbered
@@ -203,12 +214,5 @@ Manifest load_manifest(const std::string& path);
 /// baseline R_min when asked) and a runner that wires the shared trace into
 /// every replication.
 SweepHooks make_hooks(const Manifest& manifest);
-
-/// Canonical encoding of everything outside the SweepSpec that changes a
-/// manifest sweep's numbers (trace/planner/experiment templates — not the
-/// output paths). Pass it as SweepOptions::journal_salt so that editing
-/// those sections invalidates an existing journal instead of silently
-/// resuming from results of the old configuration.
-std::string manifest_journal_salt(const Manifest& manifest);
 
 }  // namespace chronos::exp

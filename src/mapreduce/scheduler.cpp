@@ -24,7 +24,7 @@ Scheduler::Scheduler(sim::Simulator& simulator, sim::Cluster& cluster,
   metrics_.set_retain_outcomes(config_.retain_outcomes);
 }
 
-void Scheduler::retire_completed_jobs(std::function<void(int job)> on_retire) {
+void Scheduler::retire_completed_jobs(RetireObserver on_retire) {
   CHRONOS_EXPECTS(num_jobs() == 0,
                   "retire_completed_jobs must precede the first submission");
   retire_ = true;
@@ -345,7 +345,7 @@ void Scheduler::maybe_complete_job(int job) {
   policy_.on_job_completed(job, *api_);
   if (retire_) {
     if (on_retire_) {
-      on_retire_(job);
+      on_retire_(job, outcome);
     }
     compact_job(job);
   }

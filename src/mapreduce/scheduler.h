@@ -127,10 +127,13 @@ class Scheduler {
 
   /// Retires every job the moment it completes, so memory tracks in-flight
   /// work rather than total jobs submitted: once the policy's
-  /// on_job_completed returns, `on_retire` (when set) reads the record one
-  /// last time and compact_job frees it. Without this call records are kept
-  /// for job() after the run. Call before the first submission.
-  void retire_completed_jobs(std::function<void(int job)> on_retire = {});
+  /// on_job_completed returns, `on_retire` (when set) receives the outcome
+  /// just recorded in metrics() and may read the record one last time, and
+  /// compact_job frees it. Without this call records are kept for job()
+  /// after the run. Call before the first submission.
+  using RetireObserver =
+      std::function<void(int job, const sim::JobOutcome& outcome)>;
+  void retire_completed_jobs(RetireObserver on_retire = {});
 
  private:
   friend class SchedulerApi;
@@ -196,7 +199,7 @@ class Scheduler {
   std::vector<std::uint32_t> free_slots_;
   std::optional<ExponentialSampler> crash_sampler_;  ///< when failures on
   bool retire_ = false;
-  std::function<void(int job)> on_retire_;
+  RetireObserver on_retire_;
   sim::RunMetrics metrics_;
   std::unique_ptr<SchedulerApi> api_;
 };

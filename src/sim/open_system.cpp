@@ -170,7 +170,10 @@ class OpenEngine {
         queue_area_(config.warm_up, config.duration),
         jobs_area_(config.warm_up, config.duration) {
     measured_.set_retain_outcomes(false);
-    scheduler_.retire_completed_jobs([this](int job) { on_complete(job); });
+    scheduler_.retire_completed_jobs(
+        [this](int job, const JobOutcome& outcome) {
+          on_complete(job, outcome);
+        });
     cluster_.set_occupancy_observer([this](int busy, std::size_t waiting) {
       const double now = simulator_.now();
       busy_area_.update(now, static_cast<double>(busy));
@@ -273,30 +276,18 @@ class OpenEngine {
                  static_cast<std::uint64_t>(scheduler_.live_jobs()));
   }
 
-  /// Reads the completed job's record before the scheduler retires it.
-  void on_complete(int job) {
+  /// Counts a completed job; measures it when it arrived in the window.
+  void on_complete(int job, const JobOutcome& outcome) {
     ++result_.completed;
     c_completed.add();
     --in_flight_;
     jobs_area_.update(simulator_.now(), static_cast<double>(in_flight_));
 
-    const auto& record = scheduler_.job(job);
     // The job was submitted at its arrival instant, so in-window arrivals
     // are exactly the records submitted past warm-up.
-    if (record.submit_time >= config_.warm_up) {
-      JobOutcome outcome;
-      outcome.job_id = record.spec.job_id;
-      outcome.met_deadline = record.completion_time <= record.spec.deadline;
-      outcome.completion_time = record.completion_time;
-      outcome.deadline = record.spec.deadline;
-      outcome.machine_time = record.machine_time;
-      outcome.cost = record.machine_time * record.spec.price;
-      outcome.r_used = record.spec.stage(0).r;
-      outcome.attempts_launched = record.attempts_launched;
-      outcome.attempts_killed = record.attempts_killed;
-      outcome.attempts_failed = record.attempts_failed;
+    if (scheduler_.job(job).submit_time >= config_.warm_up) {
       measured_.record(outcome);
-      sojourn_.add(record.completion_time);
+      sojourn_.add(outcome.completion_time);
       if (!outcome.met_deadline) {
         c_misses.add();
       }

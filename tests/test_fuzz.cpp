@@ -320,10 +320,10 @@ TEST(ManifestFuzz, MutatedArrivalsManifestsParseOrThrowPreconditionError) {
       // [arrivals] validation is parse-time: a surviving manifest with the
       // section still present must carry a coherent, validated spec.
       if (manifest.arrivals.has_value()) {
-        EXPECT_GT(manifest.arrivals->duration_hours, 0.0);
-        EXPECT_GE(manifest.arrivals->warm_up_hours, 0.0);
-        EXPECT_LT(manifest.arrivals->warm_up_hours,
-                  manifest.arrivals->duration_hours);
+        const sim::OpenSystemConfig& open = manifest.arrivals->open;
+        EXPECT_GT(open.duration, 0.0);
+        EXPECT_GE(open.warm_up, 0.0);
+        EXPECT_LT(open.warm_up, open.duration);
       }
       ++parsed;
     } catch (const PreconditionError&) {

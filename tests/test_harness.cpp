@@ -113,7 +113,7 @@ Replay replay(const std::vector<TracedJob>& jobs,
                                  config.scheduler, Rng(config.seed));
   Replay out;
   if (retire) {
-    scheduler.retire_completed_jobs([&](int) {
+    scheduler.retire_completed_jobs([&](int, const sim::JobOutcome&) {
       out.live_jobs_max = std::max(out.live_jobs_max, scheduler.live_jobs());
     });
   }

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "exp/report.h"
@@ -193,6 +196,35 @@ TEST(Manifest, RejectsBadInput) {
       "manifest line 5: 'nan' is not a finite number");
   expect_parse_error("[sweep]\npolicies = clone\n[axis.x]\nvalues = 1, inf\n",
                      "manifest line 4: 'inf' is not a finite number");
+  // Integers beyond int fail at their line. Narrowed unchecked, each of
+  // these wrapped into a plausible value (4294967297 -> 1 replication).
+  expect_parse_error("[sweep]\npolicies = clone\nreplications = 4294967297\n",
+                     "manifest line 3: [sweep] replications must lie in "
+                     "[1, 2147483647], got '4294967297'");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[trace]\nnum_jobs = 4294967298\n",
+      "manifest line 4: [trace] num_jobs must lie in");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[trace]\nmin_tasks = 4294967297\n",
+      "manifest line 4: [trace] min_tasks must lie in");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[trace]\nmax_tasks = 4294967896\n",
+      "manifest line 4: [trace] max_tasks must lie in");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[adaptive]\ntarget_ci95 = 0.1\n"
+      "batch = 4294967298\nmax_replications = 12\n",
+      "manifest line 5: [adaptive] batch must lie in");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[adaptive]\ntarget_ci95 = 0.1\n"
+      "max_replications = 4294967308\n",
+      "manifest line 5: [adaptive] max_replications must lie in");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[arrivals]\nrate = 0.1\n"
+      "containers = 4294967304\n",
+      "manifest line 5: [arrivals] containers must lie in [1, 1048576]");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\nreplications = 99999999999999999999\n",
+      "[sweep] replications must lie in");
 }
 
 TEST(Manifest, ErrorsCarryLineNumbers) {
@@ -219,36 +251,6 @@ TEST(Manifest, RejectsStrayTextAfterClosingQuote) {
       "after closing quote");
 }
 
-TEST(Manifest, JournalSaltTracksCellTemplatesButNotOutputs) {
-  const char* base_text =
-      "[sweep]\npolicies = clone\n[trace]\nseed = 11\n"
-      "[output]\ncsv = a.csv\n";
-  const std::string base_salt =
-      manifest_journal_salt(parse_manifest(base_text));
-
-  // Same templates, different output path: the journal stays valid.
-  Manifest same = parse_manifest(base_text);
-  same.outputs.csv = "elsewhere.csv";
-  EXPECT_EQ(manifest_journal_salt(same), base_salt);
-
-  // Any cell-template edit must change the salt.
-  EXPECT_NE(manifest_journal_salt(parse_manifest(
-                "[sweep]\npolicies = clone\n[trace]\nseed = 12\n")),
-            base_salt);
-  EXPECT_NE(manifest_journal_salt(parse_manifest(
-                "[sweep]\npolicies = clone\n[trace]\nseed = 11\n"
-                "[planner]\ntheta = 1e-3\n")),
-            base_salt);
-  EXPECT_NE(manifest_journal_salt(parse_manifest(
-                "[sweep]\npolicies = clone\n[trace]\nseed = 11\n"
-                "[experiment]\ncluster = testbed\n")),
-            base_salt);
-  EXPECT_NE(manifest_journal_salt(parse_manifest(
-                "[sweep]\npolicies = clone\n[trace]\nseed = 11\n"
-                "[experiment]\nutility = on\nr_min = 0.5\n")),
-            base_salt);
-}
-
 TEST(Manifest, ParsesAndValidatesTheShardSection) {
   const Manifest manifest = parse_manifest(
       "[sweep]\npolicies = clone\n[shard]\ncount = 4\ndir = journals\n");
@@ -263,13 +265,14 @@ TEST(Manifest, ParsesAndValidatesTheShardSection) {
   expect_parse_error("[sweep]\npolicies = clone\n[shard]\ndir = x\n",
                      "missing required key 'count'");
   expect_parse_error("[sweep]\npolicies = clone\n[shard]\ncount = 0\n",
-                     "shard count must be >= 1");
+                     "[shard] count must lie in [1, 2147483647]");
   expect_parse_error("[sweep]\npolicies = clone\n[shard]\ncount = -2\n",
-                     "shard count must be >= 1");
+                     "[shard] count must lie in [1, 2147483647]");
   // Beyond int: must be rejected, never narrowed into a plausible count.
   expect_parse_error(
       "[sweep]\npolicies = clone\n[shard]\ncount = 4294967298\n",
-      "shard count must be >= 1");
+      "manifest line 4: [shard] count must lie in [1, 2147483647], got "
+      "'4294967298'");
   expect_parse_error("[sweep]\npolicies = clone\n[shard]\ncount = two\n",
                      "not an integer");
   expect_parse_error(
@@ -280,15 +283,371 @@ TEST(Manifest, ParsesAndValidatesTheShardSection) {
       "unknown key 'machines'");
 }
 
-TEST(Manifest, ShardSectionNeverChangesTheJournalSalt) {
-  // How a grid is split across processes must not invalidate journals:
-  // shard journals and the unsharded journal share one fingerprint.
-  const std::string unsharded = manifest_journal_salt(
-      parse_manifest("[sweep]\npolicies = clone\n[trace]\nseed = 11\n"));
-  const std::string sharded = manifest_journal_salt(parse_manifest(
-      "[sweep]\npolicies = clone\n[trace]\nseed = 11\n"
-      "[shard]\ncount = 8\ndir = journals\n"));
-  EXPECT_EQ(unsharded, sharded);
+// Two manifests that together set every cell-template key: a closed DAG
+// sweep ([trace], [stage.N], [planner], [experiment]) and an open one
+// replaying a times file ([arrivals]). Both also set [output] and [shard].
+constexpr const char* kClosedSalt = R"([sweep]
+name = salt
+policies = clone, s-resume
+replications = 2
+seed = 3
+
+[axis.theta]
+values = 1e-5, 1e-4
+
+[trace]
+num_jobs = 20
+duration_hours = 2
+mean_tasks = 10
+tasks_log_sigma = 0.8
+min_tasks = 2
+max_tasks = 50
+t_min_lo = 5
+t_min_hi = 20
+beta_lo = 1.3
+beta_hi = 1.9
+deadline_factor_lo = 1.5
+deadline_factor_hi = 3
+jvm_mean = 2
+jvm_jitter = 1
+seed = 9
+beta = 1.6
+deadline_factor = 2
+
+[stage.1]
+tasks = 4
+t_min = 10
+beta = 1.5
+
+[stage.2]
+tasks = 2
+t_min = 7
+beta = 1.7
+deps = 0, 1
+
+[planner]
+theta = @theta
+tau_est_factor = 0.25
+tau_kill_factor = 1.2
+
+[experiment]
+cluster = testbed
+utility = on
+r_min = 0.5
+r_min_offset = 0.01
+
+[output]
+csv = salt.csv
+json = salt.json
+journal = salt.journal
+table = off
+
+[shard]
+count = 2
+dir = shards
+)";
+
+constexpr const char* kOpenSalt = R"([sweep]
+name = salt_open
+policies = hadoop-ns, s-resume
+seed = 5
+
+[axis.nodes]
+values = 4, 8
+
+[trace]
+mean_tasks = 4
+max_tasks = 16
+
+[planner]
+theta = 1e-3
+
+[experiment]
+utility = on
+r_min = 0.1
+
+[arrivals]
+kind = trace
+file = TIMES
+amplitude = 0.4
+period_hours = 12
+duration_hours = 0.5
+warm_up_hours = 0.1
+drain = off
+plan = auto
+plan_cache = quantized:0.05
+admission = off
+degrade_headroom = 1.5
+reject_queue_factor = 3
+nodes = @nodes
+containers = 4
+slow_fraction = 0.25
+slow_speed = 0.4
+
+[output]
+csv = open.csv
+journal = open.journal
+
+[shard]
+count = 3
+dir = .
+)";
+
+/// One edit of a manifest: `from` (one or more whole lines) becomes `to`.
+struct Edit {
+  std::string from;
+  std::string to;
+};
+
+/// Replaces the one occurrence of `edit.from` as whole lines.
+std::string apply(const std::string& text, const Edit& edit) {
+  const std::string needle = "\n" + edit.from + "\n";
+  const std::size_t at = text.find(needle);
+  EXPECT_NE(at, std::string::npos) << edit.from;
+  EXPECT_EQ(text.find(needle, at + 1), std::string::npos) << edit.from;
+  std::string out = text;
+  out.replace(at + 1, edit.from.size(), edit.to);
+  return out;
+}
+
+std::string salt_of(const std::string& text) {
+  return parse_manifest(text).journal_salt;
+}
+
+/// The "key = value" lines of every cell-template section of `text`.
+std::vector<std::string> template_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  bool in_template = false;
+  std::size_t at = 0;
+  while (at < text.size()) {
+    const std::size_t end = text.find('\n', at);
+    const std::string line = text.substr(at, end - at);
+    at = end + 1;
+    if (!line.empty() && line.front() == '[') {
+      in_template = line != "[sweep]" && line.rfind("[axis.", 0) != 0 &&
+                    line != "[output]" && line != "[shard]";
+    } else if (in_template && line.find('=') != std::string::npos) {
+      lines.push_back(line);
+    }
+  }
+  return lines;
+}
+
+class ManifestSalt : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    times_path_ = ::testing::TempDir() + "manifest_salt_times.txt";
+    write_times("10\n20\n35\n");
+    open_ = kOpenSalt;
+    open_.replace(open_.find("TIMES"), 5, times_path_);
+  }
+  void TearDown() override { std::remove(times_path_.c_str()); }
+
+  void write_times(const std::string& content) const {
+    std::ofstream(times_path_, std::ios::binary) << content;
+  }
+
+  /// Checks that every edit changes the salt and that the edits together
+  /// touch every cell-template line of `text`.
+  static void expect_every_edit_changes_salt(const std::string& text,
+                                             const std::vector<Edit>& edits) {
+    const std::string base = salt_of(text);
+    std::string covered;
+    for (const Edit& edit : edits) {
+      EXPECT_NE(salt_of(apply(text, edit)), base) << edit.from;
+      covered += "\n" + edit.from + "\n";
+    }
+    for (const std::string& line : template_lines(text)) {
+      EXPECT_NE(covered.find("\n" + line + "\n"), std::string::npos)
+          << "no edit covers '" << line << "'";
+    }
+  }
+
+  std::string times_path_;
+  std::string open_;
+};
+
+TEST_F(ManifestSalt, EveryClosedTemplateKeyChangesTheSalt) {
+  expect_every_edit_changes_salt(
+      kClosedSalt,
+      {{"num_jobs = 20", "num_jobs = 21"},
+       {"duration_hours = 2", "duration_hours = 3"},
+       {"mean_tasks = 10", "mean_tasks = 11"},
+       {"tasks_log_sigma = 0.8", "tasks_log_sigma = 0.7"},
+       {"min_tasks = 2", "min_tasks = 3"},
+       {"max_tasks = 50", "max_tasks = 51"},
+       {"t_min_lo = 5", "t_min_lo = 6"},
+       {"t_min_hi = 20", "t_min_hi = 21"},
+       {"beta_lo = 1.3", "beta_lo = 1.4"},
+       {"beta_hi = 1.9", "beta_hi = 1.8"},
+       {"deadline_factor_lo = 1.5", "deadline_factor_lo = 1.6"},
+       {"deadline_factor_hi = 3", "deadline_factor_hi = 2.9"},
+       {"jvm_mean = 2", "jvm_mean = 3"},
+       {"jvm_jitter = 1", "jvm_jitter = 0.5"},
+       {"seed = 9", "seed = 10"},
+       {"beta = 1.6", "beta = @theta"},
+       {"deadline_factor = 2", "deadline_factor = 2.5"},
+       {"tasks = 4", "tasks = 5"},
+       {"t_min = 10", "t_min = 11"},
+       {"beta = 1.5", "beta = 1.55"},
+       {"tasks = 2", "tasks = @theta"},
+       {"t_min = 7", "t_min = 8"},
+       {"beta = 1.7", "beta = 1.75"},
+       {"deps = 0, 1", "deps = 1"},
+       {"theta = @theta", "theta = 1e-5"},
+       {"tau_est_factor = 0.25", "tau_est_factor = 0.2"},
+       {"tau_kill_factor = 1.2", "tau_kill_factor = 1.1"},
+       {"cluster = testbed", "cluster = large_scale"},
+       {"utility = on", "utility = off"},
+       {"r_min = 0.5", "r_min = baseline"},
+       {"r_min_offset = 0.01", "r_min_offset = 0.02"}});
+}
+
+TEST_F(ManifestSalt, EveryOpenTemplateKeyChangesTheSalt) {
+  expect_every_edit_changes_salt(
+      open_,
+      {{"mean_tasks = 4", "mean_tasks = 5"},
+       {"max_tasks = 16", "max_tasks = 17"},
+       {"theta = 1e-3", "theta = 1e-4"},
+       {"utility = on", "utility = off"},
+       {"r_min = 0.1", "r_min = 0.2"},
+       {"kind = trace\nfile = " + times_path_, "kind = diurnal\nrate = 0.05"},
+       {"amplitude = 0.4", "amplitude = 0.3"},
+       {"period_hours = 12", "period_hours = 6"},
+       {"duration_hours = 0.5", "duration_hours = 0.6"},
+       {"warm_up_hours = 0.1", "warm_up_hours = 0.2"},
+       {"drain = off", "drain = on"},
+       {"plan = auto", "plan = policy"},
+       {"plan_cache = quantized:0.05", "plan_cache = quantized:0.1"},
+       {"admission = off", "admission = on"},
+       {"degrade_headroom = 1.5", "degrade_headroom = 1.2"},
+       {"reject_queue_factor = 3", "reject_queue_factor = 4"},
+       {"nodes = @nodes", "nodes = 6"},
+       {"containers = 4", "containers = 5"},
+       {"slow_fraction = 0.25", "slow_fraction = 0.5"},
+       {"slow_speed = 0.4", "slow_speed = 0.6"}});
+  // `rate` cannot be set next to `kind = trace`: check it on the diurnal
+  // form, together with the other plan_cache modes.
+  const std::string diurnal =
+      apply(open_, {"kind = trace\nfile = " + times_path_,
+                    "kind = diurnal\nrate = 0.05"});
+  EXPECT_NE(salt_of(apply(diurnal, {"rate = 0.05", "rate = 0.06"})),
+            salt_of(diurnal));
+  EXPECT_NE(salt_of(apply(diurnal, {"rate = 0.05", "rate = @nodes"})),
+            salt_of(diurnal));
+  const std::string exact =
+      apply(open_, {"plan_cache = quantized:0.05", "plan_cache = exact"});
+  EXPECT_NE(salt_of(exact), salt_of(open_));
+  EXPECT_NE(salt_of(apply(exact, {"plan_cache = exact", "plan_cache = off"})),
+            salt_of(exact));
+}
+
+TEST_F(ManifestSalt, FingerprintsTheTimesNotTheFilePath) {
+  const std::string before = salt_of(open_);
+  EXPECT_EQ(before.find(times_path_), std::string::npos);
+
+  // Same path, edited content: the salt changes.
+  write_times("10\n20\n36\n");
+  EXPECT_NE(salt_of(open_), before);
+
+  // Same content under another path: the salt does not.
+  write_times("10\n20\n35\n");
+  const std::string copy = ::testing::TempDir() + "manifest_salt_copy.txt";
+  std::ofstream(copy, std::ios::binary) << "10\n20\n35\n";
+  std::string moved = kOpenSalt;
+  moved.replace(moved.find("TIMES"), 5, copy);
+  EXPECT_EQ(salt_of(moved), before);
+  std::remove(copy.c_str());
+}
+
+/// Reverses the key order inside every section.
+std::string reverse_keys(const std::string& text) {
+  std::string out;
+  std::vector<std::string> keys;
+  const auto flush = [&] {
+    for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
+      out += *it + "\n";
+    }
+    keys.clear();
+  };
+  std::size_t at = 0;
+  while (at < text.size()) {
+    const std::size_t end = text.find('\n', at);
+    const std::string line = text.substr(at, end - at);
+    at = end + 1;
+    if (line.find('=') != std::string::npos) {
+      keys.push_back(line);
+    } else {
+      flush();
+      out += line + "\n";
+    }
+  }
+  flush();
+  return out;
+}
+
+/// Comments after every header, inline comments and padding on every key.
+std::string decorate(const std::string& text) {
+  std::string out = "# leading comment\n\n";
+  std::size_t at = 0;
+  while (at < text.size()) {
+    const std::size_t end = text.find('\n', at);
+    const std::string line = text.substr(at, end - at);
+    at = end + 1;
+    const std::size_t eq = line.find('=');
+    if (eq == std::string::npos) {
+      out += line + "\n";
+      if (!line.empty()) {
+        out += "; a comment\n   \n";
+      }
+    } else {
+      out += "  " + line.substr(0, eq) + " =\t" + line.substr(eq + 1) +
+             "   # note\n";
+    }
+  }
+  return out;
+}
+
+TEST_F(ManifestSalt, IgnoresOutputsShardsKeyOrderAndComments) {
+  for (const std::string& text : {std::string(kClosedSalt), open_}) {
+    const std::string salt = salt_of(text);
+    EXPECT_EQ(salt_of(reverse_keys(text)), salt);
+    EXPECT_EQ(salt_of(decorate(text)), salt);
+    EXPECT_EQ(salt_of(decorate(reverse_keys(text))), salt);
+  }
+  const std::string closed = kClosedSalt;
+  const std::string salt = salt_of(closed);
+  for (const Edit& edit : std::vector<Edit>{
+           {"csv = salt.csv", "csv = other.csv"},
+           {"json = salt.json", "json = other.json"},
+           {"journal = salt.journal", "journal = other.journal"},
+           {"table = off", "table = on"},
+           {"count = 2", "count = 5"},
+           {"dir = shards", "dir = elsewhere"},
+           {"[shard]\ncount = 2\ndir = shards", ""}}) {
+    EXPECT_EQ(salt_of(apply(closed, edit)), salt) << edit.from;
+  }
+}
+
+TEST_F(ManifestSalt, ExplicitDefaultsMatchAbsentKeys) {
+  EXPECT_EQ(salt_of(apply(open_, {"drain = off", "drain = on"})),
+            salt_of(apply(open_, {"drain = off", ""})));
+  const std::string bare = "[sweep]\npolicies = clone\n";
+  EXPECT_EQ(salt_of(bare + "[planner]\ntheta = 1e-4\ntau_est_factor = 0.3\n"
+                           "tau_kill_factor = 0.8\n"
+                           "[experiment]\ncluster = large_scale\n"
+                           "utility = off\nr_min = baseline\n"
+                           "r_min_offset = 0\n"
+                           "[trace]\nnum_jobs = 2700\nseed = 42\n"),
+            salt_of(bare));
+  const std::string open = bare + "[experiment]\nr_min = 0.2\n"
+                                  "[arrivals]\nrate = 0.1\n";
+  EXPECT_EQ(salt_of(open + "kind = poisson\nduration_hours = 1\n"
+                           "warm_up_hours = 0\ndrain = on\nplan = policy\n"
+                           "plan_cache = off\nadmission = on\n"
+                           "degrade_headroom = 1\nreject_queue_factor = 4\n"
+                           "slow_speed = 0.5\n"),
+            salt_of(open));
 }
 
 TEST(Manifest, EndToEndRunMatchesHandBuiltSweep) {

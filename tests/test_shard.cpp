@@ -559,8 +559,8 @@ void check_or_regold(const std::string& name, const std::string& actual) {
 SweepResult run_sharded(const Manifest& manifest, std::size_t count,
                         std::optional<std::size_t> kill_shard) {
   const SweepHooks hooks = make_hooks(manifest);
-  const std::string salt = manifest_journal_salt(manifest);
-  const std::string fingerprint = spec_fingerprint(manifest.spec, salt);
+  const std::string fingerprint =
+      spec_fingerprint(manifest.spec, manifest.journal_salt);
   std::vector<std::string> paths;
   for (std::size_t index = 0; index < count; ++index) {
     const std::string path = shard_journal_path(
@@ -571,7 +571,7 @@ SweepResult run_sharded(const Manifest& manifest, std::size_t count,
     options.cells =
         partition_cells(manifest.spec.num_cells(), index, count);
     options.journal = path;
-    options.journal_salt = salt;
+    options.journal_salt = manifest.journal_salt;
     run_sweep(manifest.spec, hooks, options);
 
     if (kill_shard.has_value() && *kill_shard == index) {

@@ -583,12 +583,11 @@ int main(int argc, char** argv) {
     const std::string shard_dir =
         cli.shard_dir.empty() ? manifest.shard.dir : cli.shard_dir;
 
-    // The salt extends the journal fingerprint to the trace/planner/
-    // experiment templates: editing them invalidates an old journal
-    // instead of silently resuming the old configuration's results.
-    const std::string salt = exp::manifest_journal_salt(manifest);
+    // The salt extends the journal fingerprint to the cell templates:
+    // editing them invalidates an old journal instead of silently resuming
+    // the old configuration's results.
     const std::string fingerprint =
-        exp::spec_fingerprint(manifest.spec, salt);
+        exp::spec_fingerprint(manifest.spec, manifest.journal_salt);
 
     // The one journal this process resumes and appends to: with --shard,
     // the shard's own file inside the shared directory (the manifest's
@@ -627,7 +626,7 @@ int main(int argc, char** argv) {
     exp::SweepOptions options;
     options.threads = cli.threads;
     options.journal = journal;
-    options.journal_salt = salt;
+    options.journal_salt = manifest.journal_salt;
     options.cancel = &g_cancel;
     // run_sweep's first progress call is its startup snapshot, made on this
     // thread before any cell runs: it reports what the journal restored.
