@@ -1,6 +1,6 @@
 // Numerical routines used by the analytic core: adaptive quadrature (finite
 // and semi-infinite intervals), plus locale-independent decimal formatting
-// and the bit-exact wire encodings shared by the journal and the fabric.
+// and the bit-exact text encodings of the checkpoint journal.
 //
 // These are deliberately small, dependency-free implementations tuned for the
 // smooth, monotone integrands that arise from Pareto tail expressions
@@ -52,10 +52,10 @@ std::string format_double_g(double v);
 /// characters, or does not parse.
 bool parse_double(std::string_view text, double& out);
 
-// --- bit-exact wire encoding helpers ---------------------------------------
+// --- bit-exact text encoding helpers ---------------------------------------
 //
-// Shared by the checkpoint journal and the fabric wire protocol so that both
-// text formats agree byte-for-byte on how a double and a checksum look.
+// The checkpoint journal's field codecs: how a double and a checksum look,
+// byte for byte.
 
 /// Appends the exact textual form of a double: hex float via to_chars
 /// ("1.4p+1"), with "inf"/"-inf"/"nan" for non-finite values.

@@ -444,8 +444,8 @@ void JournalWriter::sync() {
   std::lock_guard<std::mutex> lock(mu_);
   CHRONOS_EXPECTS(std::fflush(file_) == 0,
                   "cannot flush journal '" + path_ + "'");
-  // Durability past the page cache: a signal-triggered drain (or a fabric
-  // controller about to exit) must leave the entries on disk, not in RAM.
+  // Durability past the page cache: a signal-triggered drain must leave the
+  // entries on disk, not in RAM.
   ::fsync(::fileno(file_));
 }
 

@@ -74,14 +74,14 @@ std::string shard_journal_path(const std::string& dir,
                                const std::string& name, std::size_t index,
                                std::size_t count);
 
-/// The one dedup rule for cell results that can arrive more than once: the
-/// fabric controller's result frames and --merge's shard journals both go
-/// through add(). Per-cell seed streams make honest re-execution
-/// bit-identical, so results are compared on their encoded journal bytes —
-/// the currency journals and reports deal in, where "equal" can never mean
-/// "close enough". The first result for a cell is stored, a byte-identical
-/// repeat is counted and dropped, and a byte-different one can only mean
-/// corruption or a foreign workload.
+/// The one dedup rule for cell results that can arrive more than once:
+/// every entry of --merge's shard journals goes through add(). Per-cell
+/// seed streams make honest re-execution bit-identical, so results are
+/// compared on their encoded journal bytes — the currency journals and
+/// reports deal in, where "equal" can never mean "close enough". The first
+/// result for a cell is stored, a byte-identical repeat is counted and
+/// dropped, and a byte-different one can only mean corruption or a foreign
+/// workload.
 class FinishedCells {
  public:
   explicit FinishedCells(std::size_t num_cells) : num_cells_(num_cells) {}
@@ -110,14 +110,13 @@ class FinishedCells {
 };
 
 /// Fuses per-shard journals into the cell map a single uninterrupted run
-/// would have produced, applying the fabric controller's dedup rule
-/// (FinishedCells) to every entry: identical overlap is counted, a
-/// conflict or a cell beyond the grid throws. Every journal must exist and
-/// carry `fingerprint`, and the fused map must cover exactly the cells
-/// [0, num_cells); a missing or foreign journal or a gap (cells no journal
-/// finished) throws PreconditionError. Torn tails are dropped exactly as
-/// read_journal does, so a torn shard surfaces as a gap rather than a
-/// partial result.
+/// would have produced, applying FinishedCells' dedup rule to every entry:
+/// identical overlap is counted, a conflict or a cell beyond the grid
+/// throws. Every journal must exist and carry `fingerprint`, and the fused
+/// map must cover exactly the cells [0, num_cells); a missing or foreign
+/// journal or a gap (cells no journal finished) throws PreconditionError.
+/// Torn tails are dropped exactly as read_journal does, so a torn shard
+/// surfaces as a gap rather than a partial result.
 FinishedCells merge_journals(const std::vector<std::string>& paths,
                              const std::string& fingerprint,
                              std::size_t num_cells);
@@ -160,8 +159,8 @@ class JournalWriter {
 
   /// Flushes buffered bytes and fsyncs the file, so everything appended so
   /// far survives a crash or power loss. Called on graceful shutdown
-  /// (SIGINT/SIGTERM drain) and by the fabric controller before it exits;
-  /// appends already flush per entry, so this only adds the fsync barrier.
+  /// (SIGINT/SIGTERM drain); appends already flush per entry, so this only
+  /// adds the fsync barrier.
   void sync();
 
  private:
@@ -176,12 +175,11 @@ struct ResumedJournal {
   std::unique_ptr<JournalWriter> writer;       ///< appends after them
 };
 
-/// The one resume routine, shared by run_sweep and the fabric controller:
-/// reads the journal at `path`, keeps its valid entries for cells of a
-/// `num_cells`-cell grid, and opens a writer that appends at the valid
-/// prefix (cutting a torn tail). A missing journal starts a fresh file; a
-/// foreign one (another fingerprint) is rewritten from scratch with a
-/// warning on the log rather than half-trusted.
+/// run_sweep's resume routine: reads the journal at `path`, keeps its valid
+/// entries for cells of a `num_cells`-cell grid, and opens a writer that
+/// appends at the valid prefix (cutting a torn tail). A missing journal
+/// starts a fresh file; a foreign one (another fingerprint) is rewritten
+/// from scratch with a warning on the log rather than half-trusted.
 ResumedJournal resume_journal(const std::string& path,
                               const std::string& fingerprint,
                               std::size_t num_cells);

@@ -28,6 +28,20 @@ const obs::Counter c_adaptive_batches =
     obs::counter("exp.sweep.adaptive_batches");
 const obs::Timer t_replication = obs::timer("exp.sweep.replication");
 
+/// Throws PreconditionError unless `cells` is strictly ascending and every
+/// entry is a cell of a `num_cells`-cell grid (SweepOptions::cells).
+void check_cell_list(const std::vector<std::size_t>& cells,
+                     std::size_t num_cells) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    CHRONOS_EXPECTS(cells[i] < num_cells,
+                    "cell " + std::to_string(cells[i]) +
+                        " out of range for a " + std::to_string(num_cells) +
+                        "-cell sweep");
+    CHRONOS_EXPECTS(i == 0 || cells[i] > cells[i - 1],
+                    "cell lists must be strictly ascending");
+  }
+}
+
 /// Shared progress state behind SweepOptions::on_progress. Counts are
 /// relaxed atomics bumped from pool workers; emit() snapshots them into a
 /// SweepProgress. Observational only — never read by the engine itself.
@@ -178,27 +192,15 @@ std::vector<std::size_t> partition_cells(std::size_t num_cells,
                   "shard index " + std::to_string(index) +
                       " out of range for " + std::to_string(count) +
                       " shard(s)");
-  // The product is widened so huge grid x shard-count combinations cannot
-  // overflow and silently break disjointness.
-  const auto cut = [&](std::size_t i) {
-    return static_cast<std::size_t>(static_cast<unsigned __int128>(num_cells) *
-                                    i / count);
-  };
-  std::vector<std::size_t> cells(cut(index + 1) - cut(index));
-  std::iota(cells.begin(), cells.end(), cut(index));
-  return cells;
-}
-
-void check_cell_list(const std::vector<std::size_t>& cells,
-                     std::size_t num_cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    CHRONOS_EXPECTS(cells[i] < num_cells,
-                    "cell " + std::to_string(cells[i]) +
-                        " out of range for a " + std::to_string(num_cells) +
-                        "-cell sweep");
-    CHRONOS_EXPECTS(i == 0 || cells[i] > cells[i - 1],
-                    "cell lists must be strictly ascending");
+  // Sized up front and filled by offset, never by stepping a cursor past
+  // the last cell: `cell += count` would wrap on huge grids.
+  const std::size_t size =
+      index < num_cells ? (num_cells - 1 - index) / count + 1 : 0;
+  std::vector<std::size_t> cells(size);
+  for (std::size_t k = 0; k < size; ++k) {
+    cells[k] = index + k * count;
   }
+  return cells;
 }
 
 void SweepSpec::validate() const {

@@ -182,19 +182,14 @@ struct SweepResult {
 };
 
 /// Cells owned by fixed lease `index` of `count` (sweeprun's --shard I/N):
-/// the contiguous, balanced range [num_cells*index/count,
-/// num_cells*(index+1)/count), ascending. Leases are disjoint, cover every
-/// cell, differ in size by at most one, and are empty when count exceeds
+/// the strided lease index, index + count, index + 2*count, ... below
+/// num_cells, ascending. Striding deals a policy-major grid's expensive and
+/// cheap cells evenly across the leases. Leases are disjoint, cover every
+/// cell, differ in size by at most one, and are empty when index >=
 /// num_cells. Throws PreconditionError unless index < count.
 std::vector<std::size_t> partition_cells(std::size_t num_cells,
                                          std::size_t index,
                                          std::size_t count);
-
-/// Throws PreconditionError unless `cells` is strictly ascending and every
-/// entry is a cell of a `num_cells`-cell grid — the contract of
-/// SweepOptions::cells and of the fabric controller's todo list.
-void check_cell_list(const std::vector<std::size_t>& cells,
-                     std::size_t num_cells);
 
 /// Live progress of a running sweep, as passed to SweepOptions::on_progress.
 /// Counts cover only the cells this process owns (SweepOptions::cells).
@@ -209,16 +204,15 @@ struct SweepOptions {
   /// Worker threads; 0 means ThreadPool::hardware_threads().
   int threads = 1;
 
-  /// The cells this process runs, strictly ascending — the vocabulary of
-  /// the fabric's ControllerConfig::todo. Unset means the whole grid; a set
-  /// list may be empty (a --shard lease on a grid with fewer cells than
-  /// shards). A static shard is the fixed lease partition_cells returns, and
-  /// a fabric worker runs each leased cell as a one-cell list. Per-cell seed
-  /// streams are split off the master in full grid order whatever the list,
-  /// so any assignment yields the numbers of a whole-grid run. The result
-  /// covers only these cells, and restored journal entries outside them are
-  /// dropped; render full reports by fusing the journals (merge_journals in
-  /// exp/checkpoint.h) and passing the cell map to assemble_result.
+  /// The cells this process runs, strictly ascending. Unset means the whole
+  /// grid; a set list may be empty (a --shard lease on a grid with fewer
+  /// cells than shards). A static shard is the fixed lease partition_cells
+  /// returns. Per-cell seed streams are split off the master in full grid
+  /// order whatever the list, so any assignment yields the numbers of a
+  /// whole-grid run. The result covers only these cells, and restored
+  /// journal entries outside them are dropped; render full reports by
+  /// fusing the journals (merge_journals in exp/checkpoint.h) and passing
+  /// the cell map to assemble_result.
   std::optional<std::vector<std::size_t>> cells;
 
   /// Path of the checkpoint journal; empty disables checkpointing. When the
@@ -260,10 +254,9 @@ class SweepCancelled : public std::runtime_error {
 /// Runs the sweep. The result (and hence any report rendered from it) is
 /// byte-identical for every `options.threads` value, and — when a journal
 /// is used — byte-identical between an interrupted-and-restarted run and an
-/// uninterrupted one. A fabric worker runs each leased cell through here as
-/// a one-cell list, so a cell re-executed after a worker crash (or twice
-/// during a lease handover) yields the exact same journal entry — what
-/// makes fabric reassignment idempotent and its dedup byte-exact.
+/// uninterrupted one. A cell yields the exact same journal entry whichever
+/// cell list or shard runs it, which is what makes --merge's dedup of
+/// overlapping shard journals byte-exact.
 SweepResult run_sweep(const SweepSpec& spec, const SweepHooks& hooks,
                       const SweepOptions& options = {});
 

@@ -1,6 +1,7 @@
 #include "mapreduce/job.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 
 #include "common/error.h"
@@ -8,21 +9,28 @@
 namespace chronos::mapreduce {
 
 void JobSpec::validate() const {
-  CHRONOS_EXPECTS(deadline > 0.0, "JobSpec: deadline must be positive");
-  CHRONOS_EXPECTS(price >= 0.0, "JobSpec: price must be non-negative");
-  CHRONOS_EXPECTS(jvm_mean >= 0.0, "JobSpec: jvm_mean must be non-negative");
+  // Every double must be finite: the range checks below reject NaN but not
+  // infinity, which would run to an infinite completion or machine time.
+  CHRONOS_EXPECTS(std::isfinite(deadline) && deadline > 0.0,
+                  "JobSpec: deadline must be positive and finite");
+  CHRONOS_EXPECTS(std::isfinite(price) && price >= 0.0,
+                  "JobSpec: price must be non-negative and finite");
+  CHRONOS_EXPECTS(std::isfinite(jvm_mean) && jvm_mean >= 0.0,
+                  "JobSpec: jvm_mean must be non-negative and finite");
   CHRONOS_EXPECTS(jvm_jitter >= 0.0 && jvm_jitter <= jvm_mean + 1e-12,
                   "JobSpec: jvm_jitter must lie in [0, jvm_mean]");
   CHRONOS_EXPECTS(!stages.empty(), "JobSpec: job needs at least one stage");
   for (int s = 0; s < num_stages(); ++s) {
     const StageSpec& st = stage(s);
     CHRONOS_EXPECTS(st.num_tasks >= 1, "StageSpec: num_tasks must be >= 1");
-    CHRONOS_EXPECTS(st.t_min > 0.0, "StageSpec: t_min must be positive");
-    CHRONOS_EXPECTS(st.beta > 0.0, "StageSpec: beta must be positive");
-    CHRONOS_EXPECTS(st.tau_est >= 0.0,
-                    "StageSpec: tau_est must be non-negative");
-    CHRONOS_EXPECTS(st.tau_kill >= st.tau_est,
-                    "StageSpec: tau_kill must be >= tau_est");
+    CHRONOS_EXPECTS(std::isfinite(st.t_min) && st.t_min > 0.0,
+                    "StageSpec: t_min must be positive and finite");
+    CHRONOS_EXPECTS(std::isfinite(st.beta) && st.beta > 0.0,
+                    "StageSpec: beta must be positive and finite");
+    CHRONOS_EXPECTS(std::isfinite(st.tau_est) && st.tau_est >= 0.0,
+                    "StageSpec: tau_est must be non-negative and finite");
+    CHRONOS_EXPECTS(std::isfinite(st.tau_kill) && st.tau_kill >= st.tau_est,
+                    "StageSpec: tau_kill must be finite and >= tau_est");
     CHRONOS_EXPECTS(st.r >= 0, "StageSpec: r must be non-negative");
     // Deps must reference strictly earlier stages (so the stage index order
     // is a topological order by construction) and must not repeat.

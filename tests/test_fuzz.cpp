@@ -1,14 +1,18 @@
 // Fuzz-style robustness tests for the two text formats a crashed or
-// misbehaving cluster node can hand us: journal entry lines and manifest
-// files. Thousands of deterministically mutated inputs (seeded chronos::Rng
-// — every failure reproduces) are fed to the parsers, asserting they never
-// crash and never silently mis-parse: a mutated journal line either fails
-// to decode or is byte-for-byte a canonical line, and a mutated manifest
-// either parses or throws PreconditionError — nothing else.
+// misbehaving cluster node can hand us — journal entry lines and manifest
+// files — and for the staged job specs the scheduler accepts. Thousands of
+// deterministically mutated inputs (seeded chronos::Rng — every failure
+// reproduces) are fed in, asserting nothing crashes or silently mis-parses:
+// a mutated journal line either fails to decode or is byte-for-byte a
+// canonical line, a mutated manifest either parses or throws
+// PreconditionError, and a mutated job spec either throws PreconditionError
+// at submit or runs to a finite outcome.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
@@ -18,7 +22,12 @@
 #include "common/rng.h"
 #include "exp/checkpoint.h"
 #include "exp/manifest.h"
-#include "fabric/protocol.h"
+#include "mapreduce/scheduler.h"
+#include "serve/plan_cache.h"
+#include "sim/cluster.h"
+#include "sim/metrics.h"
+#include "sim/simulator.h"
+#include "strategies/policies.h"
 
 namespace chronos::exp {
 namespace {
@@ -356,128 +365,134 @@ TEST(ManifestFuzz, TruncatedManifestsNeverCrash) {
   }
 }
 
-// --- fabric wire protocol ---------------------------------------------------
+// --- staged JobSpec graphs ---------------------------------------------------
 
-/// One canonical frame of every type, exercising every field syntax the
-/// wire knows (tokens, u64 fields, cell lists, embedded journal entries).
-std::vector<std::string> fabric_seed_frames() {
-  using fabric::Frame;
-  using fabric::FrameType;
-  std::vector<Frame> frames;
-  Frame hello;
-  hello.type = FrameType::kHello;
-  hello.value = fabric::kProtocolVersion;
-  hello.fingerprint = "cafe0123beef4567";
-  hello.name = "fuzz-worker";
-  frames.push_back(hello);
-  Frame welcome;
-  welcome.type = FrameType::kWelcome;
-  welcome.worker = 12;
-  welcome.value = 500;
-  frames.push_back(welcome);
-  Frame reject;
-  reject.type = FrameType::kReject;
-  reject.reason = "fingerprint-mismatch";
-  frames.push_back(reject);
-  Frame request;
-  request.type = FrameType::kRequest;
-  request.worker = 12;
-  request.value = 4;
-  frames.push_back(request);
-  Frame lease;
-  lease.type = FrameType::kLease;
-  lease.lease = 7;
-  lease.cells = {0, 3, 4, 1000};
-  frames.push_back(lease);
-  Frame wait;
-  wait.type = FrameType::kWait;
-  wait.value = 200;
-  frames.push_back(wait);
-  Frame done;
-  done.type = FrameType::kDone;
-  frames.push_back(done);
-  Frame result;
-  result.type = FrameType::kResult;
-  result.worker = 12;
-  result.lease = 7;
-  result.entry = encode_journal_entry({42, sample_aggregate(0.125)});
-  frames.push_back(result);
-  Frame heartbeat;
-  heartbeat.type = FrameType::kHeartbeat;
-  heartbeat.worker = 12;
-  heartbeat.value = 3;
-  frames.push_back(heartbeat);
-  Frame bye;
-  bye.type = FrameType::kBye;
-  bye.worker = 12;
-  frames.push_back(bye);
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  std::vector<std::string> lines;
-  lines.reserve(frames.size());
-  for (const Frame& frame : frames) {
-    lines.push_back(fabric::encode_frame(frame));
+/// Draws a staged job around a valid one, each field malformed with
+/// probability `rate`.
+struct JobMutator {
+  Rng& rng;
+  double rate;
+
+  bool bad() { return rng.bernoulli(rate); }
+
+  /// `valid`, or one of the values a malformed spec carries: 0, -1, NaN
+  /// or +-inf.
+  double value(double valid) {
+    if (!bad()) {
+      return valid;
+    }
+    const double values[] = {0.0, -1.0,
+                             std::numeric_limits<double>::quiet_NaN(), kInf,
+                             -kInf};
+    return values[rng.uniform_int(0, 4)];
   }
-  return lines;
-}
 
-TEST(FabricFrameFuzz, MutatedFramesAreRejectedOrCanonical) {
-  // Same property the journal format guarantees, now for the wire: a
-  // mutated frame either fails to decode or decodes to a frame whose
-  // canonical encoding is byte-for-byte the input. Nothing half-parses —
-  // which is what lets the controller treat any decodable line as intact.
-  const std::vector<std::string> seeds = fabric_seed_frames();
-  Rng rng(20260808);
+  /// `valid`, or 0 or -1.
+  long long count(long long valid) {
+    return bad() ? -rng.uniform_int(0, 1) : valid;
+  }
+
+  /// One dependency of stage `s`: an earlier stage, or a negative, self or
+  /// forward reference.
+  int dep(int s, int stages) {
+    if (s > 0 && !bad()) {
+      return static_cast<int>(rng.uniform_int(0, s - 1));
+    }
+    switch (rng.uniform_int(0, 2)) {
+      case 0:
+        return -1;
+      case 1:
+        return s;
+      default:
+        return s + 1 + static_cast<int>(rng.uniform_int(0, stages));
+    }
+  }
+
+  /// 0 to kMaxKeyStages + 2 stages with default-chain or explicit deps
+  /// (repeats included).
+  mapreduce::JobSpec job() {
+    mapreduce::JobSpec spec;
+    spec.deadline = value(rng.uniform(40.0, 400.0));
+    spec.price = value(rng.uniform(0.5, 2.0));
+    const double jvm_mean = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.5, 3.0);
+    spec.jvm_mean = value(jvm_mean);
+    spec.jvm_jitter = value(0.5 * jvm_mean);
+    const int stages =
+        static_cast<int>(rng.uniform_int(0, serve::kMaxKeyStages + 2));
+    spec.stages.assign(static_cast<std::size_t>(stages), {});
+    for (int s = 0; s < stages; ++s) {
+      mapreduce::StageSpec& st = spec.stage(s);
+      st.num_tasks = static_cast<int>(count(rng.uniform_int(1, 4)));
+      const double t_min = rng.uniform(2.0, 20.0);
+      st.t_min = value(t_min);
+      st.beta = value(rng.uniform(1.1, 3.0));
+      st.tau_est = value(0.4 * t_min);
+      st.tau_kill = value(0.8 * t_min);
+      st.r = count(rng.uniform_int(0, 3));
+      if (rng.bernoulli(0.5)) {
+        const int deps = static_cast<int>(rng.uniform_int(1, 3));
+        for (int d = 0; d < deps; ++d) {
+          st.deps.push_back(dep(s, stages));
+        }
+        if (bad()) {
+          st.deps.push_back(st.deps.front());
+        }
+      }
+    }
+    return spec;
+  }
+};
+
+TEST(JobSpecFuzz, MalformedGraphsAreRejectedOrRunToFiniteOutcomes) {
+  // Under every policy, a mutated staged job either fails loudly at submit
+  // (PreconditionError, nothing else) or drains the simulator with exactly
+  // one outcome whose completion and machine times are finite.
+  using strategies::PolicyKind;
+  const PolicyKind kinds[] = {PolicyKind::kHadoopNS, PolicyKind::kHadoopS,
+                              PolicyKind::kMantri,   PolicyKind::kClone,
+                              PolicyKind::kSRestart, PolicyKind::kSResume};
+  sim::NodeConfig node;
+  node.containers = 8;
+  const sim::ClusterConfig cluster_config =
+      sim::ClusterConfig::uniform(2, node);
+  Rng rng(20261017);
+  int rejected = 0;
+  int ran = 0;
   for (int iteration = 0; iteration < 4000; ++iteration) {
-    const std::string& base = seeds[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(seeds.size()) - 1))];
-    std::string line = base;
-    const int rounds = static_cast<int>(rng.uniform_int(1, 3));
-    for (int r = 0; r < rounds; ++r) {
-      line = mutate(line, rng);
-    }
-    const std::optional<fabric::Frame> decoded = fabric::decode_frame(line);
-    if (decoded.has_value()) {
-      EXPECT_EQ(fabric::encode_frame(*decoded), line)
-          << "iteration " << iteration << " mis-parsed: " << line;
-    }
-  }
-}
-
-TEST(FabricFrameFuzz, RandomGarbageNeverDecodes) {
-  Rng rng(808808);
-  for (int iteration = 0; iteration < 2000; ++iteration) {
-    const auto length = static_cast<std::size_t>(rng.uniform_int(0, 200));
-    std::string line(length, '\0');
-    for (char& c : line) {
-      c = static_cast<char>(rng.uniform_int(0, 255));
-    }
-    EXPECT_FALSE(fabric::decode_frame(line).has_value());
-    // A plausible-looking prefix must not help: the checksum still rules.
-    EXPECT_FALSE(fabric::decode_frame("request worker=" + line).has_value());
-  }
-}
-
-TEST(FabricFrameFuzz, CrossFrameSplicesNeverDecode) {
-  // Splice the front of one canonical frame onto the back of another — the
-  // shape a buggy buffer reuse or interleaved write would produce. The
-  // payload checksum must reject every such chimera (identical halves
-  // reassemble into the original, which is fine).
-  const std::vector<std::string> seeds = fabric_seed_frames();
-  for (std::size_t a = 0; a < seeds.size(); ++a) {
-    for (std::size_t b = 0; b < seeds.size(); ++b) {
-      if (a == b) {
+    const double rates[] = {0.0, 0.02, 0.1, 0.3};
+    JobMutator mutator{rng, rates[rng.uniform_int(0, 3)]};
+    const mapreduce::JobSpec spec = mutator.job();
+    const std::uint64_t seed = rng();
+    for (const PolicyKind kind : kinds) {
+      sim::Simulator simulator;
+      sim::Cluster cluster(cluster_config);
+      const auto policy = strategies::make_policy(kind);
+      mapreduce::Scheduler scheduler(simulator, cluster, *policy,
+                                     mapreduce::SchedulerConfig{}, Rng(seed));
+      try {
+        scheduler.submit(spec);
+      } catch (const PreconditionError&) {
+        ++rejected;
         continue;
       }
-      const std::string spliced =
-          seeds[a].substr(0, seeds[a].size() / 2) +
-          seeds[b].substr(seeds[b].size() / 2);
-      const std::optional<fabric::Frame> decoded =
-          fabric::decode_frame(spliced);
-      if (decoded.has_value()) {
-        EXPECT_EQ(fabric::encode_frame(*decoded), spliced);
-      }
+      ++ran;
+      const std::string where = "iteration " + std::to_string(iteration) +
+                                ", " + strategies::to_string(kind);
+      // A job that never finishes keeps periodic monitors ticking forever;
+      // a horizon far past any valid job turns that hang into a failure.
+      simulator.run_until(1e7);
+      ASSERT_EQ(simulator.pending(), 0u) << where;
+      const auto& outcomes = scheduler.metrics().outcomes();
+      ASSERT_EQ(outcomes.size(), 1u) << where;
+      EXPECT_TRUE(std::isfinite(outcomes[0].completion_time)) << where;
+      EXPECT_TRUE(std::isfinite(outcomes[0].machine_time)) << where;
     }
   }
+  // Neither branch of the contract may go untested.
+  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(ran, 1000);
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -213,6 +216,40 @@ TEST(Scheduler, RejectsInvalidSpec) {
   auto spec = small_job();
   spec.stage(0).num_tasks = 0;
   EXPECT_THROW(rig.scheduler.submit(spec), PreconditionError);
+
+  // Infinity passes every `> 0` / `>=` range check, so each double field
+  // also needs its own finiteness check; NaN fails them all already.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<const char*, void (*)(JobSpec&, double)>>
+      fields = {
+          {"deadline", [](JobSpec& j, double v) { j.deadline = v; }},
+          {"price", [](JobSpec& j, double v) { j.price = v; }},
+          {"jvm_mean", [](JobSpec& j, double v) { j.jvm_mean = v; }},
+          {"jvm_jitter", [](JobSpec& j, double v) { j.jvm_jitter = v; }},
+          {"jvm_mean+jitter",
+           [](JobSpec& j, double v) { j.jvm_mean = j.jvm_jitter = v; }},
+          {"t_min", [](JobSpec& j, double v) { j.stage(0).t_min = v; }},
+          {"beta", [](JobSpec& j, double v) { j.stage(0).beta = v; }},
+          {"tau_kill", [](JobSpec& j, double v) { j.stage(0).tau_kill = v; }},
+          {"tau_est=tau_kill",
+           [](JobSpec& j, double v) {
+             j.stage(0).tau_est = j.stage(0).tau_kill = v;
+           }},
+      };
+  for (const auto& [name, set] : fields) {
+    for (const double bad :
+         {inf, -inf, std::numeric_limits<double>::quiet_NaN()}) {
+      auto invalid = small_job();
+      set(invalid, bad);
+      EXPECT_THROW(rig.scheduler.submit(invalid), PreconditionError)
+          << name << " = " << bad;
+    }
+  }
+  // A staged job checks every stage, not just the first.
+  auto staged = small_job();
+  staged.stages.push_back(staged.stage(0));
+  staged.stage(1).t_min = inf;
+  EXPECT_THROW(rig.scheduler.submit(staged), PreconditionError);
 }
 
 TEST(Scheduler, MultipleJobsInterleave) {

@@ -17,7 +17,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -60,21 +62,23 @@ void expect_partition(std::size_t num_cells, std::size_t count) {
   std::vector<int> covered(num_cells, 0);
   std::size_t smallest = num_cells + 1;
   std::size_t largest = 0;
-  std::size_t next = 0;
   for (std::size_t index = 0; index < count; ++index) {
     const std::vector<std::size_t> lease =
         partition_cells(num_cells, index, count);
-    // Contiguous and ascending in shard order: no gaps, no overlap.
-    for (const std::size_t cell : lease) {
-      ASSERT_EQ(cell, next) << num_cells << " cells / " << count
-                            << " shards, shard " << index;
-      ++covered[cell];
-      ++next;
+    // Strided: shard `index` owns index, index + count, ... below num_cells,
+    // ascending, so its cells are exactly those congruent to it.
+    for (std::size_t k = 0; k < lease.size(); ++k) {
+      ASSERT_EQ(lease[k], index + k * count)
+          << num_cells << " cells / " << count << " shards, shard " << index;
+      ASSERT_LT(lease[k], num_cells);
+      ++covered[lease[k]];
+    }
+    if (index >= num_cells) {
+      ASSERT_TRUE(lease.empty()) << "shard " << index << " of " << count;
     }
     smallest = std::min(smallest, lease.size());
     largest = std::max(largest, lease.size());
   }
-  ASSERT_EQ(next, num_cells);
   for (std::size_t c = 0; c < num_cells; ++c) {
     ASSERT_EQ(covered[c], 1) << "cell " << c << " covered " << covered[c]
                              << " times";
@@ -84,7 +88,7 @@ void expect_partition(std::size_t num_cells, std::size_t count) {
   }
 }
 
-TEST(ShardPartition, RangesAreDisjointCoveringAndBalanced) {
+TEST(ShardPartition, StridesAreDisjointCoveringAndBalanced) {
   for (const std::size_t num_cells : {0u, 1u, 2u, 5u, 6u, 24u, 107u}) {
     for (std::size_t count = 1; count <= 16; ++count) {
       expect_partition(num_cells, count);
@@ -102,25 +106,35 @@ TEST(ShardPartition, RandomGridsPartitionCorrectly) {
   }
 }
 
-TEST(ShardPartition, HugeGridsDoNotOverflowTheCut) {
-  // num_cells * index is far beyond 2^64 here; a 64-bit product would wrap
-  // and hand out overlapping or out-of-range leases.
+TEST(ShardPartition, HugeGridsDoNotWrapTheStride) {
+  // Stepping a cursor by `count` past the last cell would wrap around 2^64
+  // here and hand out cells again forever.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_EQ(partition_cells(kMax, kMax - 1, kMax),
+            std::vector<std::size_t>{kMax - 1});
+  EXPECT_EQ(partition_cells(kMax, 0, kMax), std::vector<std::size_t>{0});
+  EXPECT_TRUE(partition_cells(kMax - 1, kMax - 1, kMax).empty());
+  const std::size_t half = std::size_t{1} << 63;
+  EXPECT_EQ(partition_cells(kMax, half - 1, half),
+            std::vector<std::size_t>{half - 1});
+  EXPECT_EQ(partition_cells(kMax, half - 2, half),
+            (std::vector<std::size_t>{half - 2, kMax - 1}));
   const std::size_t count = std::size_t{1} << 40;
   const std::size_t last = count - 1;
-  EXPECT_EQ(partition_cells(count, last, count),
-            std::vector<std::size_t>{last});
   EXPECT_EQ(partition_cells(3 * count, last, count),
-            (std::vector<std::size_t>{3 * last, 3 * last + 1, 3 * last + 2}));
-  EXPECT_EQ(partition_cells(count + 1, last, count),
-            (std::vector<std::size_t>{last, last + 1}));
+            (std::vector<std::size_t>{last, last + count, last + 2 * count}));
+  EXPECT_EQ(partition_cells(count + 1, 0, count),
+            (std::vector<std::size_t>{0, count}));
 }
 
 TEST(ShardPartition, ValidatesIndexAndCount) {
   EXPECT_THROW(partition_cells(10, 0, 0), PreconditionError);
   EXPECT_THROW(partition_cells(10, 3, 3), PreconditionError);
   EXPECT_THROW(partition_cells(10, 5, 2), PreconditionError);
-  EXPECT_EQ(partition_cells(10, 2, 3), (std::vector<std::size_t>{6, 7, 8, 9}));
-  EXPECT_TRUE(partition_cells(2, 0, 3).empty());
+  EXPECT_EQ(partition_cells(10, 2, 3), (std::vector<std::size_t>{2, 5, 8}));
+  EXPECT_EQ(partition_cells(10, 0, 3), (std::vector<std::size_t>{0, 3, 6, 9}));
+  EXPECT_EQ(partition_cells(2, 1, 3), std::vector<std::size_t>{1});
+  EXPECT_TRUE(partition_cells(2, 2, 3).empty());
 }
 
 TEST(ShardPartition, JournalPathsFollowTheSharedDirectoryConvention) {
@@ -285,6 +299,74 @@ TEST(ShardedSweep, AnyShardCountMergesToTheSingleRunResult) {
     for (const std::string& path : paths) {
       std::remove(path.c_str());
     }
+  }
+  std::remove(full_path.c_str());
+}
+
+TEST(ShardedSweep, ContiguousShardJournalsResumeUnderTheStridedLease) {
+  // Shard journals written when --shard I/N owned the contiguous range
+  // [n*I/N, n*(I+1)/N): resumed under the strided lease, each shard runs
+  // only the cells it lacks, keeps the old ones, and the merge dedups the
+  // overlap byte-exactly into the single-run result.
+  const SweepSpec spec = small_spec();
+  const SweepHooks hooks = small_hooks();
+  const std::string fingerprint = spec_fingerprint(spec);
+  const std::size_t cells = spec.num_cells();
+  ASSERT_EQ(cells, 6u);
+
+  const std::string full_path = temp_path("upgrade_full.journal");
+  std::remove(full_path.c_str());
+  SweepOptions full_options;
+  full_options.threads = 2;
+  full_options.journal = full_path;
+  const std::string expected_csv =
+      to_csv(run_sweep(spec, hooks, full_options));
+  const auto expected_cells =
+      encoded_cells(read_journal(full_path, fingerprint).cells);
+
+  const std::string dir = ::testing::TempDir();
+  std::vector<std::string> paths;
+  for (std::size_t index = 0; index < 2; ++index) {
+    const std::string path =
+        shard_journal_path(dir, "upgrade_" + spec.name, index, 2);
+    std::remove(path.c_str());
+    SweepOptions options;
+    options.threads = 2;
+    options.journal = path;
+    std::vector<std::size_t> contiguous(cells / 2);
+    std::iota(contiguous.begin(), contiguous.end(), index * cells / 2);
+    options.cells = contiguous;
+    run_sweep(spec, hooks, options);
+    paths.push_back(path);
+  }
+
+  for (std::size_t index = 0; index < 2; ++index) {
+    std::atomic<int> runs{0};
+    SweepHooks counting = hooks;
+    counting.run = [&runs, &hooks](const SweepPoint& point,
+                                   std::uint64_t seed,
+                                   const SharedCell& shared) {
+      runs.fetch_add(1);
+      return hooks.run(point, seed, shared);
+    };
+    SweepOptions options;
+    options.threads = 2;
+    options.journal = paths[index];
+    options.cells = partition_cells(cells, index, 2);
+    const SweepResult shard = run_sweep(spec, counting, options);
+    ASSERT_EQ(shard.cells.size(), 3u);
+    // Shard 1 of 2 owns {0, 2, 4} and held [0, 3); shard 2 owns {1, 3, 5}
+    // and held [3, 6): each lacks exactly one cell.
+    EXPECT_EQ(runs.load(), spec.replications) << "shard " << index;
+    EXPECT_EQ(read_journal(paths[index], fingerprint).cells.size(), 4u);
+  }
+
+  const FinishedCells merged = merge_journals(paths, fingerprint, cells);
+  EXPECT_EQ(merged.duplicates(), 2u);  // cells 1 and 4, byte-identical
+  EXPECT_EQ(encoded_cells(merged.cells()), expected_cells);
+  EXPECT_EQ(to_csv(assemble_result(spec, merged.cells())), expected_csv);
+  for (const std::string& path : paths) {
+    std::remove(path.c_str());
   }
   std::remove(full_path.c_str());
 }
@@ -721,7 +803,7 @@ TEST(SweeprunCli, UnknownFlagsAndBadValuesExitWithUsage) {
 
   // Numeric flags reject garbage, trailing junk, signs and empty values
   // instead of reading a prefix (or nothing) as a number.
-  for (const char* flag : {"--threads", "--reps", "--connect-attempts"}) {
+  for (const char* flag : {"--threads", "--reps"}) {
     for (const char* bad : {"abc", "2x", "-1", ""}) {
       result = run_command(kSweeprun + " " + manifest + " " + flag + " '" +
                            bad + "'");
@@ -730,6 +812,19 @@ TEST(SweeprunCli, UnknownFlagsAndBadValuesExitWithUsage) {
       EXPECT_NE(result.output.find("usage:"), std::string::npos)
           << result.output;
     }
+  }
+
+  // The flags of the removed live-lease controller/worker mode are gone.
+  for (const char* flag :
+       {"--controller", "--worker", "--name", "--lease-cells",
+        "--heartbeat-ms", "--lease-timeout-ms", "--progress-timeout-ms",
+        "--worker-timeout-ms", "--connect-attempts", "--fault"}) {
+    result = run_command(kSweeprun + " " + manifest + " " + flag + " 3");
+    EXPECT_EQ(result.status, 2) << flag << ": " << result.output;
+    EXPECT_NE(result.output.find("sweeprun: unknown flag '" +
+                                 std::string(flag) + "'"),
+              std::string::npos)
+        << result.output;
   }
 
   // Flag diagnostics consistently carry the tool-name prefix so cluster

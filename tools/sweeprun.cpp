@@ -9,34 +9,22 @@
 //            [--csv PATH] [--json PATH] [--no-table]
 //            [--shard I/N] [--shard-dir DIR] [--merge [N]] [--compact]
 //            [--metrics-out PATH] [--trace-out PATH] [--progress]
-//            [--controller ADDR | --worker ADDR] [--name NAME]
-//            [--lease-cells N] [--heartbeat-ms N] [--lease-timeout-ms N]
-//            [--progress-timeout-ms N] [--worker-timeout-ms N]
-//            [--connect-attempts N] [--fault SPEC]
 //
-// Distribution: every mode runs cells through exp::run_sweep, resumes
-// through exp::resume_journal and dedups through exp::FinishedCells.
-// `--controller ADDR` serves the manifest's grid as live cell leases over a
-// unix/tcp socket (src/fabric/), journals every result as it lands, and
-// renders the usual reports when all cells are in. `--worker ADDR`
-// connects to that controller (same manifest!), runs each leased cell and
-// streams it back. Workers may join late, crash, or hang: the controller
-// reassigns their unfinished cells and deduplicates re-deliveries
-// byte-exactly. `--shard I/N` is a fixed lease instead: shard I runs its
-// deterministic slice of the grid (exp::partition_cells) into
-// `<shard-dir>/<name>.shard-I-of-N.journal`; run the N shards on N machines
-// against one shared directory, then `--merge` on any of them applies the
-// controller's dedup rule to the shard journals (gaps, conflicts and
-// foreign fingerprints are hard errors). Both paths render reports
-// byte-identical to a single-process run. `--compact` rewrites a journal
-// as its minimal deduplicated equivalent (atomic rename), which resumes
-// identically. `--fault SPEC` injects deterministic worker failures (see
-// src/fabric/fault.h); it exists for tests and CI.
+// Distribution: `--shard I/N` is a fixed lease. Shard I runs every Nth cell
+// of the grid from cell I-1 (exp::partition_cells) through exp::run_sweep
+// into `<shard-dir>/<name>.shard-I-of-N.journal`; striding deals a
+// policy-major grid's expensive policies to every shard alike. Run the N
+// shards on N machines against one shared directory, then `--merge` on any
+// of them fuses the shard journals through exp::FinishedCells (duplicates
+// must match byte for byte; gaps, conflicts and foreign fingerprints are
+// hard errors) and renders reports byte-identical to a single-process run.
+// `--compact` rewrites a journal as its minimal deduplicated equivalent
+// (atomic rename), which resumes identically.
 //
-// SIGINT/SIGTERM drain every mode gracefully: the current replication
-// round (or fabric event loop) winds down, finished cells are flushed and
-// fsynced to the journal, and the process exits with status 130 — a rerun
-// resumes exactly where it stopped.
+// SIGINT/SIGTERM drain a run gracefully: the current replication round
+// winds down, finished cells are flushed and fsynced to the journal, and
+// the process exits with status 130 — a rerun resumes exactly where it
+// stopped.
 //
 // Observability: --metrics-out dumps the process metrics registry as JSON
 // after a successful run, --trace-out records Chrome-trace-event JSON
@@ -70,9 +58,6 @@
 #include "exp/report.h"
 #include "exp/sweep.h"
 #include "exp/threadpool.h"
-#include "fabric/controller.h"
-#include "fabric/fault.h"
-#include "fabric/worker.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -80,8 +65,8 @@ namespace {
 
 using namespace chronos;  // NOLINT
 
-/// Raised by the SIGINT/SIGTERM handler; every long-running mode polls it
-/// and drains: journal flushed + fsynced, exit code 130.
+/// Raised by the SIGINT/SIGTERM handler; run_sweep polls it and drains:
+/// journal flushed + fsynced, exit code 130.
 std::atomic<bool> g_cancel{false};
 
 void handle_shutdown_signal(int) { g_cancel.store(true); }
@@ -92,9 +77,6 @@ void install_signal_handlers() {
   sigemptyset(&action.sa_mask);
   sigaction(SIGINT, &action, nullptr);
   sigaction(SIGTERM, &action, nullptr);
-  // Fabric peers can vanish mid-write; transport reports that as a send
-  // error instead of letting SIGPIPE kill the process.
-  signal(SIGPIPE, SIG_IGN);
 }
 
 constexpr int kInterruptedExit = 130;
@@ -117,17 +99,6 @@ struct Cli {
   std::string metrics_out;  ///< write the metrics registry JSON here
   std::string trace_out;    ///< write Chrome trace-event JSON here
   bool progress = false;    ///< throttled progress lines on stderr
-
-  std::string controller;   ///< --controller endpoint (fabric server)
-  std::string worker;       ///< --worker endpoint (fabric client)
-  std::string worker_name = "worker";
-  std::size_t lease_cells = 4;
-  std::size_t heartbeat_ms = 500;
-  std::size_t lease_timeout_ms = 5000;
-  std::size_t progress_timeout_ms = 0;  ///< 0 = no progress deadline
-  std::size_t worker_timeout_ms = 30000;
-  int connect_attempts = 10;
-  std::string fault;        ///< deterministic fault plan (tests/CI)
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -136,11 +107,7 @@ struct Cli {
                "[--journal PATH] [--fresh] [--csv PATH] [--json PATH] "
                "[--no-table] [--shard I/N] [--shard-dir DIR] [--merge [N]] "
                "[--compact] [--metrics-out PATH] [--trace-out PATH] "
-               "[--progress] [--controller ADDR | --worker ADDR] "
-               "[--name NAME] [--lease-cells N] [--heartbeat-ms N] "
-               "[--lease-timeout-ms N] [--progress-timeout-ms N] "
-               "[--worker-timeout-ms N] "
-               "[--connect-attempts N] [--fault SPEC]\n",
+               "[--progress]\n",
                argv0);
   std::exit(2);
 }
@@ -167,18 +134,18 @@ Cli parse_cli(int argc, char** argv) {
     }
     return argv[++i];
   };
-  // A numeric flag: garbage, a sign or a value below `min` exits with usage.
-  const auto number = [&](int& i, auto& out, std::size_t min) {
-    if (!parse_size(value(i), out) || static_cast<std::size_t>(out) < min) {
+  // A numeric flag: garbage or a sign exits with usage.
+  const auto number = [&](int& i, auto& out) {
+    if (!parse_size(value(i), out)) {
       usage(argv[0]);
     }
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threads") {
-      number(i, cli.threads, 0);
+      number(i, cli.threads);
     } else if (arg == "--reps") {
-      number(i, cli.reps, 0);
+      number(i, cli.reps);
     } else if (arg == "--journal") {
       cli.journal = value(i);
     } else if (arg == "--csv") {
@@ -228,26 +195,6 @@ Cli parse_cli(int argc, char** argv) {
       cli.trace_out = value(i);
     } else if (arg == "--progress") {
       cli.progress = true;
-    } else if (arg == "--controller") {
-      cli.controller = value(i);
-    } else if (arg == "--worker") {
-      cli.worker = value(i);
-    } else if (arg == "--name") {
-      cli.worker_name = value(i);
-    } else if (arg == "--lease-cells") {
-      number(i, cli.lease_cells, 1);
-    } else if (arg == "--heartbeat-ms") {
-      number(i, cli.heartbeat_ms, 1);
-    } else if (arg == "--lease-timeout-ms") {
-      number(i, cli.lease_timeout_ms, 1);
-    } else if (arg == "--progress-timeout-ms") {
-      number(i, cli.progress_timeout_ms, 0);
-    } else if (arg == "--worker-timeout-ms") {
-      number(i, cli.worker_timeout_ms, 1);
-    } else if (arg == "--connect-attempts") {
-      number(i, cli.connect_attempts, 1);
-    } else if (arg == "--fault") {
-      cli.fault = value(i);
     } else if (!arg.empty() && arg.front() == '-') {
       std::fprintf(stderr, "sweeprun: unknown flag '%s'\n", arg.c_str());
       usage(argv[0]);
@@ -263,19 +210,6 @@ Cli parse_cli(int argc, char** argv) {
   if (cli.merge && cli.compact) {
     std::fprintf(stderr,
                  "sweeprun: --merge and --compact are mutually exclusive\n");
-    std::exit(2);
-  }
-  if (!cli.controller.empty() && !cli.worker.empty()) {
-    std::fprintf(stderr,
-                 "sweeprun: --controller and --worker are mutually "
-                 "exclusive\n");
-    std::exit(2);
-  }
-  if ((!cli.controller.empty() || !cli.worker.empty()) &&
-      (cli.merge || cli.compact || cli.shard_count > 0)) {
-    std::fprintf(stderr,
-                 "sweeprun: fabric modes do not combine with "
-                 "--merge/--compact/--shard\n");
     std::exit(2);
   }
   if ((!cli.metrics_out.empty() || !cli.trace_out.empty()) &&
@@ -380,8 +314,8 @@ int run_compact(const std::string& journal, const std::string& fingerprint) {
   return 0;
 }
 
-/// --merge: fuse every shard journal under the controller's dedup rule and
-/// render the full-grid reports.
+/// --merge: fuse every shard journal (duplicates must match byte for byte)
+/// and render the full-grid reports.
 int run_merge(const exp::Manifest& manifest, const Cli& cli,
               const std::string& fingerprint,
               const std::string& shard_dir) {
@@ -428,121 +362,6 @@ int run_merge(const exp::Manifest& manifest, const Cli& cli,
   render_reports(exp::assemble_result(manifest.spec, merged.cells()),
                  manifest.outputs);
   return 0;
-}
-
-/// --controller: serve the grid as cell leases, journal results as they
-/// land, render the usual reports once every cell is in.
-int run_controller_mode(const exp::Manifest& manifest, const Cli& cli,
-                        const std::string& fingerprint) {
-  const std::size_t cells = manifest.spec.num_cells();
-
-  // Resume exactly like run_sweep: journaled cells are never leased again
-  // and newly finished cells append as they arrive, so a controller crash
-  // (or a SIGINT drain) costs only in-flight work.
-  exp::ResumedJournal journal;
-  if (!manifest.outputs.journal.empty()) {
-    journal = exp::resume_journal(manifest.outputs.journal, fingerprint,
-                                  cells);
-  }
-  exp::JournalWriter* const writer = journal.writer.get();
-
-  fabric::ControllerConfig config;
-  config.fingerprint = fingerprint;
-  config.num_cells = cells;
-  for (std::size_t c = 0; c < cells; ++c) {
-    if (journal.cells.find(c) == journal.cells.end()) {
-      config.todo.push_back(c);
-    }
-  }
-  config.max_lease_cells = cli.lease_cells;
-  config.heartbeat_ms = cli.heartbeat_ms;
-  config.lease_timeout_ms = cli.lease_timeout_ms;
-  config.progress_timeout_ms = cli.progress_timeout_ms;
-  config.worker_timeout_ms = cli.worker_timeout_ms;
-
-  std::printf("controller '%s' on %s: %zu cells (%zu resumed), lease <= "
-              "%zu cells, heartbeat %zu ms\n",
-              manifest.spec.name.c_str(), cli.controller.c_str(), cells,
-              journal.cells.size(), cli.lease_cells, cli.heartbeat_ms);
-  std::fflush(stdout);
-
-  fabric::ControllerRunResult run;
-  try {
-    run = fabric::run_controller(
-        cli.controller, config,
-        [writer](const exp::JournalEntry& entry) {
-          if (writer != nullptr) {
-            writer->append(entry);
-          }
-        },
-        &g_cancel);
-  } catch (const exp::SweepCancelled&) {
-    if (writer != nullptr) {
-      writer->sync();
-    }
-    std::fprintf(stderr,
-                 "sweeprun: interrupted; journal flushed and synced — rerun "
-                 "to resume\n");
-    return kInterruptedExit;
-  }
-  if (writer != nullptr) {
-    writer->sync();
-  }
-
-  std::printf("  fabric: %llu workers joined, %llu lost; %llu leases, "
-              "%llu expired; %llu cells reassigned, %llu duplicate "
-              "deliveries\n",
-              static_cast<unsigned long long>(run.stats.workers_joined),
-              static_cast<unsigned long long>(run.stats.workers_lost),
-              static_cast<unsigned long long>(run.stats.leases_granted),
-              static_cast<unsigned long long>(run.stats.leases_expired),
-              static_cast<unsigned long long>(run.stats.cells_reassigned),
-              static_cast<unsigned long long>(run.stats.duplicates));
-
-  std::map<std::size_t, exp::CellAggregate> all = std::move(journal.cells);
-  for (const auto& [cell, aggregate] : run.cells) {
-    all.emplace(cell, aggregate);
-  }
-  render_reports(exp::assemble_result(manifest.spec, all),
-                 manifest.outputs);
-  return 0;
-}
-
-/// --worker: compute leased cells for a controller serving the same
-/// manifest.
-int run_worker_mode(const exp::Manifest& manifest, const Cli& cli,
-                    const std::string& fingerprint) {
-  fabric::WorkerOptions options;
-  options.address = cli.worker;
-  options.fingerprint = fingerprint;
-  options.name = cli.worker_name;
-  options.want = cli.lease_cells;
-  options.connect_attempts = cli.connect_attempts;
-  options.fault = fabric::parse_fault_plan(cli.fault);
-  options.cancel = &g_cancel;
-  const fabric::WorkerOutcome outcome =
-      fabric::run_worker(manifest.spec, exp::make_hooks(manifest), options);
-  const char* text = "lost";
-  switch (outcome) {
-    case fabric::WorkerOutcome::kDone:
-      text = "done";
-      break;
-    case fabric::WorkerOutcome::kLost:
-      text = "lost";
-      break;
-    case fabric::WorkerOutcome::kRejected:
-      text = "rejected";
-      break;
-    case fabric::WorkerOutcome::kFaultStop:
-      text = "fault-stop";
-      break;
-    case fabric::WorkerOutcome::kCancelled:
-      text = "cancelled";
-      break;
-  }
-  std::fprintf(stderr, "sweeprun: worker '%s' %s\n",
-               cli.worker_name.c_str(), text);
-  return fabric::worker_exit_code(outcome);
 }
 
 }  // namespace
@@ -608,18 +427,8 @@ int main(int argc, char** argv) {
       if (rc == 0) write_obs_outputs(cli);
       return rc;
     }
-    if (!cli.worker.empty()) {
-      const int rc = run_worker_mode(manifest, cli, fingerprint);
-      if (rc == 0) write_obs_outputs(cli);
-      return rc;
-    }
     if (cli.fresh && !journal.empty()) {
       std::remove(journal.c_str());
-    }
-    if (!cli.controller.empty()) {
-      const int rc = run_controller_mode(manifest, cli, fingerprint);
-      if (rc == 0) write_obs_outputs(cli);
-      return rc;
     }
 
     const std::size_t cells = manifest.spec.num_cells();
@@ -660,9 +469,10 @@ int main(int argc, char** argv) {
         std::printf("  shard %zu/%zu: no cells\n", cli.shard_index + 1,
                     cli.shard_count);
       } else {
-        std::printf("  shard %zu/%zu: cells [%zu, %zu)\n",
-                    cli.shard_index + 1, cli.shard_count, lease.front(),
-                    lease.back() + 1);
+        std::printf("  shard %zu/%zu: %zu cell(s), from cell %zu in steps "
+                    "of %zu\n",
+                    cli.shard_index + 1, cli.shard_count, lease.size(),
+                    lease.front(), cli.shard_count);
       }
       std::error_code ignored;
       std::filesystem::create_directories(shard_dir, ignored);
