@@ -1,5 +1,6 @@
 #include "sim/cluster.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -32,31 +33,31 @@ Cluster::Cluster(ClusterConfig config) {
     nodes_.push_back(NodeState{node, 0});
     total_containers_ += node.containers;
   }
+  tree_.assign(2 * nodes_.size(), 0);
+  for (int i = 0; i < num_nodes(); ++i) {
+    update_key(i);
+  }
 }
 
-int Cluster::pick_node() const {
-  int best = -1;
-  int best_free = 0;
-  for (int i = 0; i < num_nodes(); ++i) {
-    const int free = nodes_[static_cast<std::size_t>(i)].config.containers -
-                     nodes_[static_cast<std::size_t>(i)].busy;
-    if (free > best_free) {
-      best_free = free;
-      best = i;
-    }
+void Cluster::update_key(int node) {
+  std::size_t i = nodes_.size() + static_cast<std::size_t>(node);
+  tree_[i] = key(node);
+  for (i /= 2; i >= 1; i /= 2) {
+    tree_[i] = std::max(tree_[2 * i], tree_[2 * i + 1]);
   }
-  return best;
 }
 
 void Cluster::request_container(Grant grant) {
   CHRONOS_EXPECTS(static_cast<bool>(grant), "grant callback must be callable");
-  const int node = pick_node();
-  if (node < 0) {
+  const std::uint64_t best = tree_[1];
+  if ((best >> 32) == 0) {
     waiting_.push_back(std::move(grant));
     notify_occupancy();
     return;
   }
+  const int node = static_cast<int>(~static_cast<std::uint32_t>(best));
   ++nodes_[static_cast<std::size_t>(node)].busy;
+  update_key(node);
   ++busy_;
   notify_occupancy();
   grant(node);
@@ -67,6 +68,7 @@ void Cluster::release_container(int node) {
   auto& state = nodes_[static_cast<std::size_t>(node)];
   CHRONOS_EXPECTS(state.busy > 0, "release on a node with no busy container");
   --state.busy;
+  update_key(node);
   --busy_;
   notify_occupancy();
   if (!waiting_.empty()) {

@@ -3,11 +3,16 @@
 // background-noise process that inflates attempt durations (emulating the
 // Stress-generated contention of §VII-A).
 //
-// Container requests that cannot be satisfied immediately queue FIFO and are
-// granted as containers free up.
+// Placement: a request goes to the node with the most free containers, the
+// lowest index on ties. A max-tree over one packed key per node,
+// `free << 32 | ~index`, keeps that node at its root, so a request or a
+// release costs O(log N) and the tree 2N words. Container requests that
+// cannot be satisfied immediately (the root has no free container) queue
+// FIFO and are granted as containers free up.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <utility>
@@ -77,8 +82,17 @@ class Cluster {
     int busy = 0;
   };
 
-  /// Node with the most free containers (ties -> lowest index), or -1.
-  int pick_node() const;
+  /// Placement key: free containers above the complemented index, so a
+  /// larger key has more free containers or, on a tie, a lower index.
+  std::uint64_t key(int node) const {
+    const auto& state = nodes_[static_cast<std::size_t>(node)];
+    const auto free =
+        static_cast<std::uint64_t>(state.config.containers - state.busy);
+    return free << 32 | ~static_cast<std::uint32_t>(node);
+  }
+
+  /// Recomputes `node`'s key and the keys on its path to the root.
+  void update_key(int node);
 
   void notify_occupancy() const {
     if (observer_) {
@@ -87,6 +101,9 @@ class Cluster {
   }
 
   std::vector<NodeState> nodes_;
+  /// Max-tree over the nodes' keys: leaves at [N, 2N), node i >= 1 holds
+  /// max(tree_[2i], tree_[2i + 1]), so tree_[1] is the placement pick.
+  std::vector<std::uint64_t> tree_;
   std::deque<Grant> waiting_;
   OccupancyObserver observer_;
   int total_containers_ = 0;

@@ -94,16 +94,25 @@ void EventQueue::remove_at(std::size_t pos) {
   }
 }
 
-EventId EventQueue::schedule(Time at, std::function<void()> fn) {
+EventId EventQueue::push(Time at, std::uint64_t seq,
+                         std::function<void()> fn) {
   CHRONOS_EXPECTS(at >= 0.0, "cannot schedule an event before time 0");
   CHRONOS_EXPECTS(static_cast<bool>(fn), "event callback must be callable");
   const std::uint32_t slot = acquire_slot(std::move(fn));
   heap_.emplace_back();
-  sift_up(heap_.size() - 1, Entry{at, next_seq_++, slot});
+  sift_up(heap_.size() - 1, Entry{at, seq, slot});
   c_scheduled.add();
   g_depth.update(heap_.size());
   return EventId{static_cast<std::uint64_t>(slot) + 1,
                  slots_[slot].generation};
+}
+
+EventId EventQueue::schedule(Time at, std::function<void()> fn) {
+  return push(at, kEventClass | next_seq_++, std::move(fn));
+}
+
+EventId EventQueue::schedule_arrival(Time at, std::function<void()> fn) {
+  return push(at, next_seq_++, std::move(fn));
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -128,7 +137,26 @@ Time EventQueue::next_time() const {
 EventQueue::Fired EventQueue::pop() {
   CHRONOS_EXPECTS(!heap_.empty(), "pop on an empty queue");
   const Entry top = heap_.front();
-  remove_at(0);
+  const Entry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    // Bottom-up: walk the root's hole down to a leaf along the smaller
+    // child, then let the last entry rise from there.
+    const std::size_t n = heap_.size();
+    std::size_t pos = 0;
+    for (std::size_t first = 1; first < n; first = kArity * pos + 1) {
+      const std::size_t end = std::min(first + kArity, n);
+      std::size_t least = first;
+      for (std::size_t child = first + 1; child < end; ++child) {
+        if (before(heap_[child], heap_[least])) {
+          least = child;
+        }
+      }
+      place(pos, heap_[least]);
+      pos = least;
+    }
+    sift_up(pos, last);
+  }
   auto& slot = slots_[top.slot];
   CHRONOS_ENSURES(static_cast<bool>(slot.fn), "live event lost its callback");
   Fired fired{top.time, std::move(slot.fn)};

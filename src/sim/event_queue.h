@@ -2,7 +2,11 @@
 //
 // Events fire in (time, insertion-sequence) order so that simultaneous
 // events execute deterministically in scheduling order — a requirement for
-// reproducible trace-driven runs.
+// reproducible trace-driven runs. Arrivals (`schedule_arrival`) form a class
+// of their own that fires before every other event at the same instant, in
+// scheduling order among themselves: a replay that keeps only the next
+// submission pending fires it exactly where scheduling every submission up
+// front (sequence numbers 0..n-1) would have.
 //
 // Storage is a slot arena plus an indexed 4-ary min-heap. Callbacks live in
 // a generation-tagged slot vector with an intrusive free-list; each heap
@@ -10,7 +14,12 @@
 // entries without touching the arena, and each slot records where its entry
 // sits in the heap. Cancellation is eager: `cancel` removes the entry at
 // once (swap with the last entry, then sift), so the heap only ever holds
-// runnable events and popping never skips dead ones. Fire/cancel bump the
+// runnable events and popping never skips dead ones. `pop` moves the hole
+// left by the root down along the least child to a leaf, then sifts the
+// last entry up from there. The last entry usually belongs near the
+// bottom, so this skips the comparison against it at every level of the
+// descent. The heap's layout may differ from a top-down sift's, but no two
+// keys tie, so the firing order cannot. Fire/cancel bump the
 // slot's generation, which is what makes a stale EventId harmless. After
 // warm-up nothing is allocated per schedule/cancel/pop (slots and heap
 // storage are recycled; small callbacks stay in std::function's inline
@@ -41,6 +50,10 @@ class EventQueue {
  public:
   /// Schedules `fn` to run at absolute time `at`. Requires at >= 0.
   EventId schedule(Time at, std::function<void()> fn);
+
+  /// Schedules an arrival: like `schedule`, but it fires before every
+  /// non-arrival event at the same time `at`. Requires at >= 0.
+  EventId schedule_arrival(Time at, std::function<void()> fn);
 
   /// Cancels a pending event and removes it from the heap; returns false
   /// when the event already fired, was cancelled, or the id is invalid.
@@ -73,9 +86,13 @@ class EventQueue {
   /// four children of a node are adjacent entries.
   static constexpr std::size_t kArity = 4;
 
+  /// Set in the sequence key of every non-arrival event, so at equal times
+  /// arrivals (bit clear) order first and each class keeps scheduling order.
+  static constexpr std::uint64_t kEventClass = std::uint64_t{1} << 63;
+
   struct Entry {
     Time time;
-    std::uint64_t seq;
+    std::uint64_t seq;  ///< event class bit | insertion sequence
     std::uint32_t slot;
   };
 
@@ -94,6 +111,7 @@ class EventQueue {
     std::uint32_t next_free = 0;   ///< free-list link (index + 1; 0 = end)
   };
 
+  EventId push(Time at, std::uint64_t seq, std::function<void()> fn);
   std::uint32_t acquire_slot(std::function<void()> fn);
   void release_slot(std::uint32_t slot);
 
@@ -111,7 +129,7 @@ class EventQueue {
   /// and is sifted whichever way restores the order.
   void remove_at(std::size_t pos);
 
-  std::vector<Entry> heap_;  ///< 4-ary min-heap on (time, seq)
+  std::vector<Entry> heap_;  ///< 4-ary min-heap on (time, class, seq)
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = 0;  ///< head of the free list (index + 1)
   std::uint64_t next_seq_ = 0;

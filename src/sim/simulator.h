@@ -17,6 +17,11 @@ class Simulator {
   /// Schedules `fn` at absolute time `at` (>= now()).
   EventId at(Time at, std::function<void()> fn);
 
+  /// Schedules an arrival `fn` at absolute time `at` (>= now()); it fires
+  /// before every non-arrival event at that time (EventQueue's arrival
+  /// class).
+  EventId arrival_at(Time at, std::function<void()> fn);
+
   /// Schedules `fn` after `delay` seconds (>= 0).
   EventId after(double delay, std::function<void()> fn);
 

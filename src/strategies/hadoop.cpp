@@ -146,21 +146,25 @@ void Mantri::check(int job, SchedulerApi& api) {
   if (api.job_done(job)) {
     return;
   }
-  const double submit = api.job(job).submit_time;
+  const auto& record = api.job(job);
   const double now = api.now();
-  const double average = api.mean_completed_task_time(job);
 
   // Launch: Mantri restarts outliers only when the cluster has spare
   // capacity and nothing queues for it, duplicating tasks whose remaining
   // time exceeds the average task time by `mantri_threshold`, up to
-  // `mantri_max_extra` extra attempts per task.
+  // `mantri_max_extra` extra attempts per task. The average is folded only
+  // once the cluster has room for a duplicate.
+  const auto has_spare_capacity = [&api] {
+    return api.cluster_has_idle_container() &&
+           api.cluster_pending_requests() == 0;
+  };
+  const double average =
+      has_spare_capacity() ? api.mean_completed_task_time(job) : 0.0;
   if (average > 0.0) {
     for (const int task : api.incomplete_tasks(job)) {
-      if (!api.cluster_has_idle_container() ||
-          api.cluster_pending_requests() > 0) {
+      if (!has_spare_capacity()) {
         break;
       }
-      const auto& record = api.job(job);
       if (record.tasks[static_cast<std::size_t>(task)]
               .extra_attempts_launched >= options_.mantri_max_extra) {
         continue;
@@ -179,7 +183,7 @@ void Mantri::check(int job, SchedulerApi& api) {
       if (!std::isfinite(best_remaining)) {
         // Nothing has reported yet; fall back to elapsed-time heuristic:
         // the task has been running since submit with no progress.
-        best_remaining = (now - submit);
+        best_remaining = now - record.submit_time;
       }
       if (best_remaining > average + options_.mantri_threshold) {
         api.launch_extra_attempt(job, task, 0.0);

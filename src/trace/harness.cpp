@@ -1,5 +1,8 @@
 #include "trace/harness.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/error.h"
 #include "common/log.h"
 #include "mapreduce/scheduler.h"
@@ -13,6 +16,54 @@ namespace {
 
 const obs::Counter c_runs = obs::counter("sim.runs");
 const obs::Timer t_run = obs::timer("sim.run");
+
+/// Feeds a trace's submissions to the scheduler with one pending at a time,
+/// in (submit_time, trace index) order: each submission schedules the next
+/// as an arrival, so it fires before anything else at its instant.
+class SubmissionFeed {
+ public:
+  SubmissionFeed(const std::vector<TracedJob>& jobs,
+                 sim::Simulator& simulator, mapreduce::Scheduler& scheduler)
+      : jobs_(jobs),
+        order_(jobs.size()),
+        simulator_(simulator),
+        scheduler_(scheduler) {
+    for (const auto& job : jobs) {
+      CHRONOS_EXPECTS(job.submit_time >= 0.0,
+                      "submit time must be non-negative");
+    }
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::sort(order_.begin(), order_.end(),
+              [&jobs](std::size_t a, std::size_t b) {
+                return jobs[a].submit_time != jobs[b].submit_time
+                           ? jobs[a].submit_time < jobs[b].submit_time
+                           : a < b;
+              });
+    schedule_next();
+  }
+  // Pending events hold `this`.
+  SubmissionFeed(const SubmissionFeed&) = delete;
+  SubmissionFeed& operator=(const SubmissionFeed&) = delete;
+
+ private:
+  void schedule_next() {
+    simulator_.arrival_at(jobs_[order_[next_]].submit_time,
+                          [this] { submit_next(); });
+  }
+
+  void submit_next() {
+    scheduler_.submit(jobs_[order_[next_]].spec);
+    if (++next_ < order_.size()) {
+      schedule_next();
+    }
+  }
+
+  const std::vector<TracedJob>& jobs_;
+  std::vector<std::size_t> order_;
+  std::size_t next_ = 0;
+  sim::Simulator& simulator_;
+  mapreduce::Scheduler& scheduler_;
+};
 
 }  // namespace
 
@@ -58,12 +109,8 @@ ExperimentResult run_experiment(const std::vector<TracedJob>& jobs,
   // job completes and memory tracks in-flight jobs, not trace length.
   scheduler.retire_completed_jobs();
 
-  // `jobs` outlives the run: pending submissions hold references, not
-  // spec copies.
-  for (const auto& job : jobs) {
-    simulator.at(job.submit_time,
-                 [&scheduler, &spec = job.spec] { scheduler.submit(spec); });
-  }
+  // `jobs` outlives the run: the feed holds a reference, not spec copies.
+  SubmissionFeed feed(jobs, simulator, scheduler);
   simulator.run();
 
   CHRONOS_ENSURES(scheduler.metrics().jobs() == jobs.size(),

@@ -45,6 +45,12 @@ struct ExperimentResult {
 
 /// Runs the whole trace to completion under the configured policy. The
 /// specs must already be planned (plan_trace) for Chronos policies.
+///
+/// Submissions fire in (submit_time, trace index) order, each before every
+/// other event at its instant, so `jobs` need not be sorted. Only the next
+/// submission is pending at any time (it schedules the one after it, as the
+/// open engine's arrivals do), so the event queue holds in-flight work, not
+/// the rest of the trace. Requires every submit_time >= 0.
 ExperimentResult run_experiment(const std::vector<TracedJob>& jobs,
                                 const ExperimentConfig& config);
 

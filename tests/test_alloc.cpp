@@ -1,6 +1,7 @@
 // Allocation regression: the simulator's per-attempt hot path (event queue,
-// attempt bookkeeping, policy queries) must not allocate per attempt. This
-// binary replaces the global operator new/delete with counting versions and
+// attempt bookkeeping, policy queries) must not allocate per attempt, and a
+// cluster's placement state must stay linear in its node count. This binary
+// replaces the global operator new/delete with counting versions and
 // replays a fixed, pre-planned S-Resume trace through run_experiment.
 #include <gtest/gtest.h>
 
@@ -9,7 +10,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
+#include "sim/cluster.h"
 #include "trace/google_trace.h"
 #include "trace/harness.h"
 #include "trace/planner.h"
@@ -19,10 +22,12 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void* counted_alloc(std::size_t size) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
@@ -73,6 +78,26 @@ TEST(Allocations, SResumeTraceStaysBelowBoundPerLaunchedAttempt) {
   // Returning each policy query as a fresh vector and growing a per-task
   // attempt-id vector measured 3.7 on this trace.
   EXPECT_LT(per_attempt, 0.75);
+}
+
+TEST(Allocations, ClusterPlacementStateIsLinearInNodes) {
+  // A node's state is its config and busy count (40 bytes) plus two keys of
+  // the placement tree (16 bytes); the waiting queue's first block is the
+  // only fixed cost.
+  for (const int nodes : {1000, 1 << 20}) {
+    auto config = sim::ClusterConfig::uniform(nodes, sim::NodeConfig{});
+    g_bytes = 0;
+    g_counting = true;
+    {
+      const sim::Cluster cluster(std::move(config));
+      ASSERT_EQ(cluster.num_nodes(), nodes);
+    }
+    g_counting = false;
+    const double per_node =
+        static_cast<double>(g_bytes.load()) / static_cast<double>(nodes);
+    std::printf("%d nodes: %.2f bytes per node\n", nodes, per_node);
+    EXPECT_LT(per_node, 64.0) << nodes << " nodes";
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <random>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,22 @@ TEST(EventQueue, SimultaneousEventsFireInInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
   }
+}
+
+TEST(EventQueue, ArrivalsFireFirstAtTheirInstant) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(5.0, [&] { order.push_back(1); });
+  q.schedule_arrival(6.0, [&] { order.push_back(4); });
+  q.schedule(5.0, [&] { order.push_back(2); });
+  q.schedule_arrival(5.0, [&] { order.push_back(0); });
+  q.schedule_arrival(5.0, [&] { order.push_back(3); });
+  while (!q.empty()) {
+    q.pop().fn();
+  }
+  // Arrivals lead their instant in scheduling order; other events follow
+  // in theirs; a later arrival waits for its own time.
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 2, 4}));
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
@@ -198,17 +215,20 @@ TEST(EventQueue, ManyEventsStressOrdering) {
 // --- model-based check -----------------------------------------------------
 
 TEST(EventQueue, MatchesOrderedSetModelUnderRandomCancelsAndPops) {
-  // 200k random operations against a reference std::set of (time, seq):
-  // schedules on a coarse time grid (ties are common), cancels of live,
-  // already-fired and already-cancelled ids, and pops. The schedule rate
-  // swings between filling and draining phases so cancels and pops also
-  // hit the heap at depth, where a wrong heap position would surface.
+  // 200k random operations against a reference std::set of
+  // (time, class, seq): schedules on a small integer time grid (exact ties
+  // are the rule), a fifth of them arrivals, which lead their instant;
+  // cancels of live, already-fired and already-cancelled ids; and pops. The
+  // schedule rate swings between filling and draining phases so cancels and
+  // pops also hit the heap at depth, where a wrong heap position would
+  // surface.
   struct Live {
     EventId id;
     double time;
+    int event_class;  ///< 0 = arrival, 1 = other
   };
   EventQueue q;
-  std::set<std::pair<double, std::uint64_t>> model;
+  std::set<std::tuple<double, int, std::uint64_t>> model;
   std::vector<std::pair<std::uint64_t, Live>> live;  // seq -> id, unordered
   std::vector<std::size_t> live_index;  // seq -> index in live (or npos)
   std::vector<EventId> fired_ids;
@@ -232,13 +252,15 @@ TEST(EventQueue, MatchesOrderedSetModelUnderRandomCancelsAndPops) {
     const double schedule_share = (op / 10000) % 2 == 0 ? 0.6 : 0.25;
     const double u = unit(rng);
     if (u < schedule_share) {
-      const double time = 0.25 * static_cast<double>(pick(16));
+      const double time = static_cast<double>(pick(8));
+      const int event_class = unit(rng) < 0.2 ? 0 : 1;
       const std::uint64_t seq = live_index.size();
-      const EventId id =
-          q.schedule(time, [&fired, seq] { fired.push_back(seq); });
-      model.emplace(time, seq);
+      const auto fn = [&fired, seq] { fired.push_back(seq); };
+      const EventId id = event_class == 0 ? q.schedule_arrival(time, fn)
+                                          : q.schedule(time, fn);
+      model.emplace(time, event_class, seq);
       live_index.push_back(live.size());
-      live.push_back({seq, Live{id, time}});
+      live.push_back({seq, Live{id, time, event_class}});
     } else if (u < schedule_share + 0.15) {
       // Cancel: mostly live ids, sometimes dead ones whose slot has
       // likely been reused.
@@ -246,7 +268,7 @@ TEST(EventQueue, MatchesOrderedSetModelUnderRandomCancelsAndPops) {
       if (kind < 0.7 && !live.empty()) {
         const auto [seq, entry] = live[pick(live.size())];
         ASSERT_TRUE(q.cancel(entry.id)) << "op " << op;
-        model.erase({entry.time, seq});
+        model.erase({entry.time, entry.event_class, seq});
         drop_live(seq);
         cancelled_ids.push_back(entry.id);
       } else if (kind < 0.85 && !fired_ids.empty()) {
@@ -257,7 +279,7 @@ TEST(EventQueue, MatchesOrderedSetModelUnderRandomCancelsAndPops) {
             << "op " << op;
       }
     } else if (!model.empty()) {
-      const auto [time, seq] = *model.begin();
+      const auto [time, event_class, seq] = *model.begin();
       model.erase(model.begin());
       auto popped = q.pop();
       ASSERT_EQ(popped.time, time) << "op " << op;
@@ -271,7 +293,7 @@ TEST(EventQueue, MatchesOrderedSetModelUnderRandomCancelsAndPops) {
     ASSERT_EQ(q.size(), model.size()) << "op " << op;
     ASSERT_EQ(q.empty(), model.empty()) << "op " << op;
     if (!model.empty()) {
-      ASSERT_EQ(q.next_time(), model.begin()->first) << "op " << op;
+      ASSERT_EQ(q.next_time(), std::get<0>(*model.begin())) << "op " << op;
     }
     max_depth = std::max(max_depth, model.size());
   }

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -219,6 +221,75 @@ TEST(ClosedReplayRetirement, ChangesNoResult) {
       expect_same_run(result.metrics, result.events_executed, kept.metrics,
                       kept.events_executed, label + " (run_experiment)");
     }
+  }
+}
+
+// --- closed-replay submission order -----------------------------------------
+
+/// One-stage job whose policy timers fire at submit + 10 (tau_est) and
+/// submit + 20 (tau_kill).
+TracedJob timed_job(int id, double submit_time) {
+  TracedJob job;
+  job.submit_time = submit_time;
+  job.spec.job_id = id;
+  job.spec.deadline = 40.0;
+  auto& stage = job.spec.stage(0);
+  stage.num_tasks = 3;
+  stage.t_min = 8.0;
+  stage.beta = 1.5;
+  stage.tau_est = 10.0;
+  stage.tau_kill = 20.0;
+  stage.r = 2;
+  return job;
+}
+
+TEST(ClosedReplayOrder, OnePendingSubmissionMatchesEagerReplay) {
+  // run_experiment keeps one submission pending; the eager replay schedules
+  // every submission up front, in trace order, before any other event.
+  // Both must submit in (submit_time, trace index) order and ahead of every
+  // other event at the same instant. Six containers are too few for the
+  // jobs' copies, so placement, queueing and RNG draws all depend on that
+  // order.
+  struct Case {
+    std::string name;
+    std::vector<TracedJob> jobs;
+  };
+  const std::vector<Case> cases = {
+      {"unsorted", {timed_job(3, 30.0), timed_job(1, 0.0), timed_job(4, 7.0),
+                    timed_job(2, 5.0)}},
+      {"duplicate submit times",
+       {timed_job(1, 5.0), timed_job(2, 5.0), timed_job(3, 0.0),
+        timed_job(4, 5.0), timed_job(5, 0.0)}},
+      // A's tau_est timer and C's submission share t = 10; A's tau_kill and
+      // D's submission share t = 20.
+      {"timer ties a submission",
+       {timed_job(1, 0.0), timed_job(2, 5.0), timed_job(3, 10.0),
+        timed_job(4, 20.0)}},
+  };
+  sim::NodeConfig node;
+  node.containers = 3;
+  for (const PolicyKind kind :
+       {PolicyKind::kHadoopNS, PolicyKind::kMantri, PolicyKind::kClone,
+        PolicyKind::kSRestart, PolicyKind::kSResume}) {
+    auto config = ExperimentConfig::large_scale(kind, 5);
+    config.cluster = sim::ClusterConfig::uniform(2, node);
+    for (const Case& c : cases) {
+      const std::string label = to_string(kind) + " " + c.name;
+      const Replay eager = replay(c.jobs, config, false);
+      const ExperimentResult result = run_experiment(c.jobs, config);
+      ASSERT_EQ(result.metrics.jobs(), c.jobs.size()) << label;
+      expect_same_run(result.metrics, result.events_executed, eager.metrics,
+                      eager.events_executed, label);
+    }
+  }
+}
+
+TEST(ClosedReplayOrder, RejectsNegativeOrNanSubmitTimes) {
+  const auto config = ExperimentConfig::large_scale(PolicyKind::kHadoopNS);
+  for (const double bad : {-1.0, std::nan("")}) {
+    EXPECT_THROW(run_experiment({timed_job(1, 0.0), timed_job(2, bad)},
+                                config),
+                 PreconditionError);
   }
 }
 
