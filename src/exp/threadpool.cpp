@@ -17,8 +17,7 @@ const obs::Timer t_run = obs::timer("exp.pool.task_run");
 
 }  // namespace
 
-ThreadPool::ThreadPool(int num_threads, std::size_t max_pending)
-    : max_pending_(max_pending) {
+ThreadPool::ThreadPool(int num_threads) {
   CHRONOS_EXPECTS(num_threads >= 1, "thread pool needs at least one worker");
   workers_.reserve(static_cast<std::size_t>(num_threads));
   try {
@@ -55,10 +54,7 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::submit(std::function<void()> task) {
   CHRONOS_EXPECTS(task != nullptr, "cannot submit a null task");
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (max_pending_ > 0) {
-      all_idle_.wait(lock, [this] { return queue_.size() < max_pending_; });
-    }
+    std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(Queued{std::move(task), obs::Stopwatch()});
     g_queue_depth.update(queue_.size());
   }
@@ -94,8 +90,6 @@ void ThreadPool::worker_loop(int index) {
       queue_.pop_front();
       ++running_;
     }
-    // Bounded submitters wake as soon as a slot frees up.
-    all_idle_.notify_all();
     t_wait.record_ns(task.enqueued.elapsed_ns());
     c_tasks.add();
     try {

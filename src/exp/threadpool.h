@@ -1,9 +1,7 @@
-// Small bounded thread pool for embarrassingly parallel experiment sweeps.
+// Small thread pool for embarrassingly parallel experiment sweeps.
 //
 // Workers are fixed at construction; submit() enqueues a task and wait()
-// blocks until every submitted task has run. An optional queue bound applies
-// backpressure to producers so a fast submitter cannot build an unbounded
-// backlog of captured task state.
+// blocks until every submitted task has run.
 //
 // The pool reports into the observability registry (obs/metrics.h): task
 // count, queue-depth high-water, and wait-vs-run timing per task. All of it
@@ -25,10 +23,8 @@ namespace chronos::exp {
 
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (>= 1). When `max_pending` is non-zero,
-  /// submit() blocks while that many tasks are already queued (not yet
-  /// picked up by a worker).
-  explicit ThreadPool(int num_threads, std::size_t max_pending = 0);
+  /// Spawns `num_threads` workers (>= 1).
+  explicit ThreadPool(int num_threads);
 
   /// Joins all workers; pending tasks still run to completion first.
   ~ThreadPool();
@@ -62,10 +58,9 @@ class ThreadPool {
   std::deque<Queued> queue_;
   std::mutex mu_;
   std::condition_variable task_ready_;  ///< signals workers
-  std::condition_variable all_idle_;    ///< signals wait() / bounded submit()
+  std::condition_variable all_idle_;    ///< signals wait()
   std::size_t running_ = 0;             ///< tasks currently executing
   bool stop_ = false;
-  std::size_t max_pending_ = 0;
   std::exception_ptr first_error_;
 };
 

@@ -23,6 +23,8 @@
 
 namespace chronos::mapreduce {
 
+class SpeculationPolicy;
+
 /// One stage of a job: a bag of identical tasks under one Pareto duration
 /// law, with its own speculation plan. Timer fields are relative to the
 /// stage's start (for stage 0 that is the job submission).
@@ -280,6 +282,9 @@ class IncompleteTasks {
 /// Runtime state of a submitted job.
 struct JobRecord {
   JobSpec spec;
+  /// The policy the job was submitted under; every hook for the job goes
+  /// to it.
+  SpeculationPolicy* policy = nullptr;
   double submit_time = 0.0;
   std::vector<TaskRecord> tasks;  ///< stage-major: stage 0's tasks first
   std::vector<AttemptRecord> attempts;

@@ -14,7 +14,7 @@ Scheduler::Scheduler(sim::Simulator& simulator, sim::Cluster& cluster,
                      Rng rng)
     : simulator_(simulator),
       cluster_(cluster),
-      policy_(policy),
+      default_policy_(policy),
       config_(config),
       rng_(rng),
       api_(std::make_unique<SchedulerApi>(*this)) {
@@ -71,10 +71,15 @@ bool Scheduler::job_done(int job) const {
 }
 
 int Scheduler::submit(const JobSpec& spec) {
+  return submit(spec, default_policy_);
+}
+
+int Scheduler::submit(const JobSpec& spec, SpeculationPolicy& policy) {
   spec.validate();
   const int job_index = num_jobs();
   JobRecord record;
   record.spec = spec;
+  record.policy = &policy;
   record.submit_time = simulator_.now();
   // Tasks are laid out stage-major: stage s owns
   // [first_task(s), first_task(s) + stage(s).num_tasks).
@@ -93,7 +98,7 @@ int Scheduler::submit(const JobSpec& spec) {
   // geometrically.
   std::size_t event_hint = 0;
   for (int s = 0; s < spec.num_stages(); ++s) {
-    const int copies = std::max(1, policy_.initial_attempts(spec, s));
+    const int copies = std::max(1, policy.initial_attempts(spec, s));
     event_hint += static_cast<std::size_t>(spec.stage(s).num_tasks) *
                   static_cast<std::size_t>(copies + spec.stage(s).r);
   }
@@ -109,7 +114,7 @@ int Scheduler::submit(const JobSpec& spec) {
 
   simulator_.reserve_events(event_hint);
   start_stage(job_index, 0);
-  policy_.on_job_start(job_index, *api_);
+  policy.on_job_start(job_index, *api_);
   return job_index;
 }
 
@@ -117,7 +122,8 @@ void Scheduler::start_stage(int job, int stage) {
   auto& record = job_mut(job);
   record.stage_started[static_cast<std::size_t>(stage)] = 1;
   record.stage_start_time[static_cast<std::size_t>(stage)] = simulator_.now();
-  const int copies = std::max(1, policy_.initial_attempts(record.spec, stage));
+  SpeculationPolicy& policy = *record.policy;
+  const int copies = std::max(1, policy.initial_attempts(record.spec, stage));
   const int first = record.spec.first_task(stage);
   const int last = first + record.spec.stage(stage).num_tasks;
   for (int task = first; task < last; ++task) {
@@ -130,7 +136,7 @@ void Scheduler::start_stage(int job, int stage) {
           .extra_attempts_launched += copies - 1;
     }
   }
-  policy_.on_stage_start(job, stage, *api_);
+  policy.on_stage_start(job, stage, *api_);
 }
 
 void Scheduler::maybe_start_stages(int job) {
@@ -314,7 +320,7 @@ void Scheduler::complete_task(int job, int task, int winner_attempt) {
   for (const int sibling : record.active_attempts_of(task)) {
     kill_attempt(job, sibling);
   }
-  policy_.on_task_completed(job, task, *api_);
+  record.policy->on_task_completed(job, task, *api_);
   if (stage_finished) {
     maybe_start_stages(job);
   }
@@ -342,7 +348,7 @@ void Scheduler::maybe_complete_job(int job) {
   outcome.attempts_failed = record.attempts_failed;
   metrics_.record(outcome);
 
-  policy_.on_job_completed(job, *api_);
+  record.policy->on_job_completed(job, *api_);
   if (retire_) {
     if (on_retire_) {
       on_retire_(job, outcome);

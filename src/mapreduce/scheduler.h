@@ -2,9 +2,11 @@
 //
 // Owns all job state, talks to the Cluster for containers, executes attempt
 // lifecycles on the discrete-event Simulator, and delegates every
-// speculation decision to a pluggable SpeculationPolicy (one per run). The
-// six strategies of §VII (Hadoop-NS/S, Mantri, Clone, S-Restart, S-Resume)
-// are implemented as policies in src/strategies.
+// speculation decision to a pluggable SpeculationPolicy. Each job runs under
+// the policy it was submitted with, so one scheduler can mix strategies; the
+// constructor's policy is the default. The six strategies of §VII
+// (Hadoop-NS/S, Mantri, Clone, S-Restart, S-Resume) are implemented as
+// policies in src/strategies.
 #pragma once
 
 #include <cstddef>
@@ -100,15 +102,20 @@ struct SchedulerConfig {
 
 class Scheduler {
  public:
-  /// The simulator, cluster and policy must outlive the scheduler.
+  /// The simulator, cluster and default policy must outlive the scheduler.
   Scheduler(sim::Simulator& simulator, sim::Cluster& cluster,
             SpeculationPolicy& policy, SchedulerConfig config, Rng rng);
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  /// Submits `spec` at the current simulated time; returns the job index.
+  /// Submits `spec` at the current simulated time under the default policy;
+  /// returns the job index.
   int submit(const JobSpec& spec);
+
+  /// Submits `spec` under `policy`, which receives every hook for the job
+  /// and must outlive it.
+  int submit(const JobSpec& spec, SpeculationPolicy& policy);
 
   /// Metrics of all completed jobs.
   const sim::RunMetrics& metrics() const { return metrics_; }
@@ -126,7 +133,7 @@ class Scheduler {
   }
 
   /// Retires every job the moment it completes, so memory tracks in-flight
-  /// work rather than total jobs submitted: once the policy's
+  /// work rather than total jobs submitted: once the job's policy's
   /// on_job_completed returns, `on_retire` (when set) receives the outcome
   /// just recorded in metrics() and may read the record one last time, and
   /// compact_job frees it. Without this call records are kept for job()
@@ -175,7 +182,7 @@ class Scheduler {
   void complete_task(int job, int task, int winner_attempt);
 
   /// Marks `stage` started, requests its tasks' initial attempts, and fires
-  /// the policy's on_stage_start hook.
+  /// the job's on_stage_start hook.
   void start_stage(int job, int stage);
 
   /// Starts every not-yet-started stage whose predecessor stages (the
@@ -187,7 +194,7 @@ class Scheduler {
 
   sim::Simulator& simulator_;
   sim::Cluster& cluster_;
-  SpeculationPolicy& policy_;
+  SpeculationPolicy& default_policy_;
   SchedulerConfig config_;
   Rng rng_;
   static constexpr std::uint32_t kRetired = ~std::uint32_t{0};

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
@@ -69,79 +68,6 @@ class WindowedArea {
   double area_ = 0.0;
 };
 
-/// Per-job policy multiplexer: the open system schedules different jobs
-/// under different strategies within ONE scheduler, so this policy owns one
-/// lazily-created backend per PolicyKind and routes every hook to the
-/// backend staged for that job at submission. Scheduler::submit runs
-/// synchronously, so stage() immediately before submit() is race-free; the
-/// stage-0 hooks of a submission therefore see `staged_` still pointing at
-/// its backend. Later stages start asynchronously (when their barrier
-/// clears, arbitrarily interleaved with other arrivals), so the backend is
-/// pinned per job at stage-0 start, keyed by spec.job_id because
-/// initial_attempts receives only the spec.
-class MuxPolicy final : public mapreduce::SpeculationPolicy {
- public:
-  explicit MuxPolicy(strategies::PolicyOptions options) : options_(options) {}
-
-  void stage(strategies::PolicyKind kind) { staged_ = &backend(kind); }
-
-  std::string name() const override { return "Open-Mux"; }
-
-  int initial_attempts(const mapreduce::JobSpec& spec,
-                       int stage) const override {
-    const auto it = by_job_id_.find(spec.job_id);
-    // Stage 0 is launched from inside submit(), before any hook could have
-    // pinned the job: the staged backend is the submission's backend.
-    const mapreduce::SpeculationPolicy* backend =
-        it != by_job_id_.end() ? it->second : staged_;
-    return backend->initial_attempts(spec, stage);
-  }
-
-  void on_job_start(int job, mapreduce::SchedulerApi& api) override {
-    pinned(job, api).on_job_start(job, api);
-  }
-
-  void on_task_completed(int job, int task,
-                         mapreduce::SchedulerApi& api) override {
-    pinned(job, api).on_task_completed(job, task, api);
-  }
-
-  void on_stage_start(int job, int stage,
-                      mapreduce::SchedulerApi& api) override {
-    if (stage == 0) {
-      by_job_id_[api.spec(job).job_id] = staged_;
-    }
-    pinned(job, api).on_stage_start(job, stage, api);
-  }
-
-  void on_job_completed(int job, mapreduce::SchedulerApi& api) override {
-    const auto it = by_job_id_.find(api.spec(job).job_id);
-    it->second->on_job_completed(job, api);
-    by_job_id_.erase(it);
-  }
-
- private:
-  mapreduce::SpeculationPolicy& backend(strategies::PolicyKind kind) {
-    auto& slot = backends_[static_cast<std::size_t>(kind)];
-    if (!slot) {
-      slot = strategies::make_policy(kind, options_);
-    }
-    return *slot;
-  }
-
-  mapreduce::SpeculationPolicy& pinned(int job,
-                                       const mapreduce::SchedulerApi& api) {
-    return *by_job_id_.at(api.spec(job).job_id);
-  }
-
-  strategies::PolicyOptions options_;
-  std::array<std::unique_ptr<mapreduce::SpeculationPolicy>, 6> backends_;
-  mapreduce::SpeculationPolicy* staged_ = nullptr;
-  /// job_id -> backend of every in-flight job, erased at completion so
-  /// memory tracks in-flight work.
-  std::unordered_map<int, mapreduce::SpeculationPolicy*> by_job_id_;
-};
-
 mapreduce::SchedulerConfig open_scheduler_config(
     const OpenSystemConfig& config) {
   // The engine keeps its own warm-up-aware aggregates; the scheduler's
@@ -159,9 +85,10 @@ class OpenEngine {
         arrival_rng_(master_.split()),
         shape_rng_(master_.split()),
         cluster_(config.cluster),
-        mux_(config.policy_options),
-        scheduler_(simulator_, cluster_, mux_, open_scheduler_config(config),
-                   Rng(master_.split_seed())),
+        // admit() names each job's policy; the configured one is only the
+        // scheduler's default.
+        scheduler_(simulator_, cluster_, backend(config.policy),
+                   open_scheduler_config(config), Rng(master_.split_seed())),
         prices_(config.prices),
         planner_(serve::PlannerServiceConfig{config.planner,
                                              config.plan_cache}),
@@ -264,8 +191,7 @@ class OpenEngine {
     result_.mix[kind] += 1;
     kPlanCounters[static_cast<std::size_t>(kind)].add();
 
-    mux_.stage(kind);
-    scheduler_.submit(spec);
+    scheduler_.submit(spec, backend(kind));
     ++in_flight_;
     jobs_area_.update(simulator_.now(), static_cast<double>(in_flight_));
     g_in_flight.update(static_cast<std::uint64_t>(in_flight_));
@@ -292,6 +218,16 @@ class OpenEngine {
         c_misses.add();
       }
     }
+  }
+
+  /// One policy per strategy, created on first use and shared by every job
+  /// admitted under it.
+  mapreduce::SpeculationPolicy& backend(strategies::PolicyKind kind) {
+    auto& slot = backends_[static_cast<std::size_t>(kind)];
+    if (!slot) {
+      slot = strategies::make_policy(kind, config_.policy_options);
+    }
+    return *slot;
   }
 
   AdmissionDecision admit_decision(const mapreduce::JobSpec& spec) const {
@@ -355,7 +291,7 @@ class OpenEngine {
   Rng shape_rng_;
   Simulator simulator_;
   Cluster cluster_;
-  MuxPolicy mux_;
+  std::array<std::unique_ptr<mapreduce::SpeculationPolicy>, 6> backends_;
   mapreduce::Scheduler scheduler_;
   trace::SpotPriceModel prices_;
   serve::PlannerService planner_;

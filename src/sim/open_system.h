@@ -25,11 +25,11 @@
 //
 // Memory tracks in-flight work, not the horizon: a completed job is retired
 // from the scheduler (Scheduler::retire_completed_jobs), which frees its
-// spec, tasks, attempts, per-stage state and samplers, and the policy mux
-// drops its entry. The residue is the job's 4 B slot index in the
-// scheduler (8 B with vector slack). On the perf ledger's open_steady
-// (4-vCPU Xeon VM) sweeprun's peak RSS fell from 68.6 to 4.9 MB; from 10 to
-// 160 h it now grows from 4.8 to 6.1 MB, where it grew from 21 to 234 MB.
+// spec, tasks, attempts, per-stage state, samplers and policy pointer. The
+// residue is the job's 4 B slot index in the scheduler (8 B with vector
+// slack). On the perf ledger's open_steady (4-vCPU Xeon VM) sweeprun's peak
+// RSS fell from 68.6 to 4.9 MB; from 10 to 160 h it now grows from 4.8 to
+// 6.1 MB, where it grew from 21 to 234 MB.
 #pragma once
 
 #include <array>

@@ -1,29 +1,10 @@
 #include <cmath>
-#include <vector>
 
-#include "common/error.h"
 #include "strategies/policies.h"
 
 namespace chronos::strategies {
 
 using mapreduce::SchedulerApi;
-
-int original_active_attempt(SchedulerApi& api, int job, int task) {
-  const auto active = api.active_attempts(job, task);
-  if (active.empty()) {
-    return -1;
-  }
-  int original = active.front();
-  double earliest = api.attempt(job, original).request_time;
-  for (const int id : active) {
-    const double requested = api.attempt(job, id).request_time;
-    if (requested < earliest) {
-      earliest = requested;
-      original = id;
-    }
-  }
-  return original;
-}
 
 namespace {
 
@@ -57,8 +38,8 @@ void Clone::on_stage_start(int job, int stage, SchedulerApi& api) {
                      });
 }
 
-void SpeculativeRestart::on_stage_start(int job, int stage,
-                                        SchedulerApi& api) {
+void StragglerSpeculation::on_stage_start(int job, int stage,
+                                          SchedulerApi& api) {
   const auto& st = api.spec(job).stage(stage);
   api.schedule_after(st.tau_est, [this, job, stage, &api] {
     detect(job, stage, api);
@@ -68,25 +49,25 @@ void SpeculativeRestart::on_stage_start(int job, int stage,
   });
 }
 
-void SpeculativeRestart::detect(int job, int stage, SchedulerApi& api) {
+void StragglerSpeculation::detect(int job, int stage, SchedulerApi& api) {
   if (api.job_done(job)) {
     return;
   }
-  const long long extras = api.spec(job).stage(stage).r;
+  const long long r = api.spec(job).stage(stage).r;
   for (const int task : api.incomplete_stage_tasks(job, stage)) {
-    const int original = original_active_attempt(api, job, task);
-    if (original < 0 || !is_straggler(api, job, original)) {
+    const auto active = api.active_attempts(job, task);
+    if (active.empty()) {
       continue;
     }
-    // Launch r fresh copies that restart from byte 0; the original keeps
-    // running (Fig. 1b).
-    for (long long k = 0; k < extras; ++k) {
-      api.launch_extra_attempt(job, task, 0.0);
+    // Attempts are listed in launch order, so the first is the original.
+    const int original = active.front();
+    if (is_straggler(api, job, original)) {
+      speculate(job, task, original, r, api);
     }
   }
 }
 
-void SpeculativeRestart::reap(int job, int stage, SchedulerApi& api) {
+void StragglerSpeculation::reap(int job, int stage, SchedulerApi& api) {
   if (api.job_done(job)) {
     return;
   }
@@ -95,50 +76,30 @@ void SpeculativeRestart::reap(int job, int stage, SchedulerApi& api) {
   }
 }
 
-void SpeculativeResume::on_stage_start(int job, int stage,
-                                       SchedulerApi& api) {
-  const auto& st = api.spec(job).stage(stage);
-  api.schedule_after(st.tau_est, [this, job, stage, &api] {
-    detect(job, stage, api);
-  });
-  api.schedule_after(st.tau_kill, [this, job, stage, &api] {
-    reap(job, stage, api);
-  });
-}
-
-void SpeculativeResume::detect(int job, int stage, SchedulerApi& api) {
-  if (api.job_done(job)) {
-    return;
-  }
-  const long long extras = api.spec(job).stage(stage).r;
-  for (const int task : api.incomplete_stage_tasks(job, stage)) {
-    const int original = original_active_attempt(api, job, task);
-    if (original < 0 || !is_straggler(api, job, original)) {
-      continue;
-    }
-    // Work-preserving speculation (Fig. 1c): kill the straggler and launch
-    // r+1 copies that resume from the anticipated byte offset (Eq. 31),
-    // skipping the bytes the original would process during JVM startup.
-    const double offset = api.resume_offset_for(job, original);
-    api.kill_attempt(job, original);
-    if (offset >= 1.0) {
-      // The original would finish during the handover; nothing to resume.
-      // Launch one full copy to guarantee task completion.
-      api.launch_extra_attempt(job, task, 0.0);
-      continue;
-    }
-    for (long long k = 0; k < extras + 1; ++k) {
-      api.launch_extra_attempt(job, task, offset);
-    }
+void SpeculativeRestart::speculate(int job, int task, int /*original*/,
+                                   long long r, SchedulerApi& api) {
+  // Launch r fresh copies that restart from byte 0; the original keeps
+  // running (Fig. 1b).
+  for (long long k = 0; k < r; ++k) {
+    api.launch_extra_attempt(job, task, 0.0);
   }
 }
 
-void SpeculativeResume::reap(int job, int stage, SchedulerApi& api) {
-  if (api.job_done(job)) {
+void SpeculativeResume::speculate(int job, int task, int original,
+                                  long long r, SchedulerApi& api) {
+  // Work-preserving speculation (Fig. 1c): kill the straggler and launch
+  // r+1 copies that resume from the anticipated byte offset (Eq. 31),
+  // skipping the bytes the original would process during JVM startup.
+  const double offset = api.resume_offset_for(job, original);
+  api.kill_attempt(job, original);
+  if (offset >= 1.0) {
+    // The original would finish during the handover; nothing to resume.
+    // Launch one full copy to guarantee task completion.
+    api.launch_extra_attempt(job, task, 0.0);
     return;
   }
-  for (const int task : api.incomplete_stage_tasks(job, stage)) {
-    api.keep_best_estimate(job, task);
+  for (long long k = 0; k < r + 1; ++k) {
+    api.launch_extra_attempt(job, task, offset);
   }
 }
 

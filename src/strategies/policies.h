@@ -66,8 +66,9 @@ struct PolicyOptions {
   double mantri_prune_period = 45.0;
 };
 
-/// Instantiates a policy. The returned object is stateful per run; use one
-/// instance per Scheduler.
+/// Instantiates a policy. The returned object keeps per-job state keyed by
+/// job index, so it may serve many jobs of one Scheduler but never two
+/// Schedulers.
 std::unique_ptr<mapreduce::SpeculationPolicy> make_policy(
     PolicyKind kind, const PolicyOptions& options = {});
 
@@ -121,30 +122,43 @@ class Clone final : public mapreduce::SpeculationPolicy {
                       mapreduce::SchedulerApi& api) override;
 };
 
-class SpeculativeRestart final : public mapreduce::SpeculationPolicy {
+/// The reactive skeleton S-Restart and S-Resume share. At tau_est every
+/// incomplete task of the stage whose original attempt (its oldest active
+/// one) is estimated to miss the deadline goes to speculate(); at tau_kill
+/// every incomplete task keeps only the attempt with the smallest estimated
+/// completion time. Both timers run relative to the stage's start.
+class StragglerSpeculation : public mapreduce::SpeculationPolicy {
+ public:
+  void on_stage_start(int job, int stage,
+                      mapreduce::SchedulerApi& api) final;
+
+ protected:
+  /// Acts on the straggling attempt `original` of `task`; `r` is the
+  /// stage's speculation level.
+  virtual void speculate(int job, int task, int original, long long r,
+                         mapreduce::SchedulerApi& api) = 0;
+
+ private:
+  void detect(int job, int stage, mapreduce::SchedulerApi& api);
+  void reap(int job, int stage, mapreduce::SchedulerApi& api);
+};
+
+class SpeculativeRestart final : public StragglerSpeculation {
  public:
   std::string name() const override { return "S-Restart"; }
-  void on_stage_start(int job, int stage,
-                      mapreduce::SchedulerApi& api) override;
 
  private:
-  void detect(int job, int stage, mapreduce::SchedulerApi& api);
-  void reap(int job, int stage, mapreduce::SchedulerApi& api);
+  void speculate(int job, int task, int original, long long r,
+                 mapreduce::SchedulerApi& api) override;
 };
 
-class SpeculativeResume final : public mapreduce::SpeculationPolicy {
+class SpeculativeResume final : public StragglerSpeculation {
  public:
   std::string name() const override { return "S-Resume"; }
-  void on_stage_start(int job, int stage,
-                      mapreduce::SchedulerApi& api) override;
 
  private:
-  void detect(int job, int stage, mapreduce::SchedulerApi& api);
-  void reap(int job, int stage, mapreduce::SchedulerApi& api);
+  void speculate(int job, int task, int original, long long r,
+                 mapreduce::SchedulerApi& api) override;
 };
-
-/// Shared helper: id of the earliest-launched active attempt of `task`,
-/// or -1 when none is active.
-int original_active_attempt(mapreduce::SchedulerApi& api, int job, int task);
 
 }  // namespace chronos::strategies

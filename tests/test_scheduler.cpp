@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <limits>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -323,6 +326,136 @@ TEST(Scheduler, SiblingListsHoldEachTasksAttemptsInIdOrder) {
   }
 }
 
+
+/// Records every hook it receives, per job, and launches `copies` attempts
+/// of every task when a stage starts.
+class RecordingPolicy final : public SpeculationPolicy {
+ public:
+  struct Hooks {
+    std::vector<int> initial_attempt_stages;
+    int job_starts = 0;
+    std::vector<std::pair<int, double>> stage_starts;  ///< (stage, time)
+    int tasks_completed = 0;
+    int job_completions = 0;
+  };
+
+  explicit RecordingPolicy(int copies) : copies_(copies) {}
+
+  std::string name() const override { return "test-recording"; }
+  int initial_attempts(const JobSpec& spec, int stage) const override {
+    // Only the spec reaches this hook; the test sets job_id = job index.
+    seen[spec.job_id].initial_attempt_stages.push_back(stage);
+    return copies_;
+  }
+  void on_job_start(int job, SchedulerApi&) override {
+    ++seen[job].job_starts;
+  }
+  void on_stage_start(int job, int stage, SchedulerApi& api) override {
+    seen[job].stage_starts.emplace_back(stage, api.now());
+  }
+  void on_task_completed(int job, int, SchedulerApi&) override {
+    ++seen[job].tasks_completed;
+  }
+  void on_job_completed(int job, SchedulerApi&) override {
+    ++seen[job].job_completions;
+  }
+
+  int copies() const { return copies_; }
+
+  /// Hooks by job index.
+  mutable std::map<int, Hooks> seen;
+
+ private:
+  int copies_;
+};
+
+/// A 3-stage fan-out job: stages 1 and 2 both wait on stage 0 only.
+JobSpec fan_out_job(int job_id) {
+  JobSpec spec = small_job(2);
+  spec.job_id = job_id;
+  spec.deadline = 400.0;
+  spec.stages.push_back(spec.stage(0));
+  spec.stages.push_back(spec.stage(0));
+  spec.stage(1).num_tasks = 3;
+  spec.stage(1).deps = {0};
+  spec.stage(2).deps = {0};
+  return spec;
+}
+
+TEST(Scheduler, EveryHookReachesThePolicyTheJobWasSubmittedUnder) {
+  constexpr int kJobs = 9;
+  constexpr double kGap = 7.0;  // well under a stage's t_min of 30 s
+  for (const bool retire : {false, true}) {
+    SCOPED_TRACE(retire ? "retiring" : "keeping records");
+    sim::Simulator simulator;
+    sim::NodeConfig node;
+    node.containers = 8;
+    sim::Cluster cluster(sim::ClusterConfig::uniform(4, node));
+    RecordingPolicy a(1);
+    RecordingPolicy b(2);
+    RecordingPolicy fallback(1);
+    Scheduler scheduler(simulator, cluster, fallback, SchedulerConfig{},
+                        Rng(7));
+    if (retire) {
+      scheduler.retire_completed_jobs();
+    }
+    // Submissions cycle A, B, default, so every job's later stages start
+    // after other jobs were submitted under other policies.
+    const std::array<RecordingPolicy*, 3> cycle = {&a, &b, &fallback};
+    std::vector<const RecordingPolicy*> owner;
+    for (int i = 0; i < kJobs; ++i) {
+      RecordingPolicy* policy = cycle[static_cast<std::size_t>(i % 3)];
+      owner.push_back(policy);
+      simulator.at(kGap * i, [&, i, policy] {
+        const JobSpec spec = fan_out_job(i);
+        const int job = policy == &fallback ? scheduler.submit(spec)
+                                            : scheduler.submit(spec, *policy);
+        EXPECT_EQ(job, i);
+      });
+    }
+    simulator.run();
+    ASSERT_EQ(scheduler.metrics().jobs(), static_cast<std::size_t>(kJobs));
+    EXPECT_EQ(scheduler.live_jobs(), retire ? 0 : kJobs);
+
+    for (int job = 0; job < kJobs; ++job) {
+      SCOPED_TRACE("job " + std::to_string(job));
+      const RecordingPolicy* mine = owner[static_cast<std::size_t>(job)];
+      for (std::size_t p = 0; p < cycle.size(); ++p) {
+        if (cycle[p] != mine) {
+          EXPECT_EQ(cycle[p]->seen.count(job), 0u) << "policy " << p;
+        }
+      }
+      const auto it = mine->seen.find(job);
+      ASSERT_NE(it, mine->seen.end());
+      const RecordingPolicy::Hooks& hooks = it->second;
+      for (const int stage : {0, 1, 2}) {
+        EXPECT_GE(std::count(hooks.initial_attempt_stages.begin(),
+                             hooks.initial_attempt_stages.end(), stage),
+                  1)
+            << "stage " << stage;
+      }
+      EXPECT_EQ(hooks.job_starts, 1);
+      ASSERT_EQ(hooks.stage_starts.size(), 3u);
+      for (int stage = 0; stage < 3; ++stage) {
+        EXPECT_EQ(hooks.stage_starts[static_cast<std::size_t>(stage)].first,
+                  stage);
+      }
+      if (job + 1 < kJobs) {
+        // Stage 1 started after the next job's submission.
+        EXPECT_GT(hooks.stage_starts[1].second, kGap * (job + 1));
+      }
+      EXPECT_EQ(hooks.tasks_completed, 7);
+      EXPECT_EQ(hooks.job_completions, 1);
+    }
+    // No policy speculates, so each job launched exactly its policy's
+    // copies of each of its 7 tasks.
+    for (const auto& outcome : scheduler.metrics().outcomes()) {
+      EXPECT_EQ(outcome.attempts_launched,
+                7 * owner[static_cast<std::size_t>(outcome.job_id)]->copies())
+          << "job " << outcome.job_id;
+    }
+  }
+}
 
 /// Polls mean_completed_task_time every second, as Mantri does, and after
 /// each task completion, checking every answer bit-for-bit against a fresh

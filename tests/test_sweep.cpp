@@ -61,16 +61,6 @@ TEST(ThreadPool, WaitRethrowsFirstTaskError) {
   EXPECT_EQ(count.load(), 1);
 }
 
-TEST(ThreadPool, BoundedQueueStillRunsEverything) {
-  ThreadPool pool(2, /*max_pending=*/4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  pool.wait();
-  EXPECT_EQ(count.load(), 50);
-}
-
 TEST(ThreadPool, RejectsInvalidArguments) {
   EXPECT_THROW(ThreadPool(0), PreconditionError);
   ThreadPool pool(1);
@@ -83,11 +73,10 @@ TEST(ThreadPool, HardwareThreadsAtLeastOne) {
 
 // --- thread pool stress ----------------------------------------------------
 
-TEST(ThreadPoolStress, ExceptionsPropagateUnderSaturatedBoundedQueue) {
-  // A tiny bound keeps submit() blocking on backpressure while every task
-  // throws: the waking path after a failed task must still release bounded
-  // submitters, and wait() must surface the first error.
-  ThreadPool pool(2, /*max_pending=*/2);
+TEST(ThreadPoolStress, ExceptionsPropagateWhenEveryTaskThrows) {
+  // Every task throws: the waking path after a failed task must still let
+  // the queue drain, and wait() must surface the first error.
+  ThreadPool pool(2);
   std::atomic<int> attempted{0};
   for (int i = 0; i < 64; ++i) {
     pool.submit([&attempted] {
@@ -112,7 +101,7 @@ TEST(ThreadPoolStress, DestructorDrainsTasksStillQueued) {
   // completion before joining — no drops, no deadlock, no terminate.
   std::atomic<int> ran{0};
   {
-    ThreadPool pool(2, /*max_pending=*/4);
+    ThreadPool pool(2);
     for (int i = 0; i < 32; ++i) {
       pool.submit([&ran] {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
