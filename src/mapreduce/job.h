@@ -230,7 +230,12 @@ struct TaskRecord {
   int first_attempt = -1;
   int last_attempt = -1;
   bool completed = false;
-  double completion_time = 0.0;  ///< relative to job submission
+  /// Relative to job submission; exactly +0.0 until the task completes,
+  /// and never -0.0 after (now - submit_time with now >= submit_time).
+  /// SchedulerApi::mean_completed_task_time sums it over every task
+  /// without testing `completed`, which is exact only under this
+  /// invariant: set it nowhere but at completion.
+  double completion_time = 0.0;
   int winner_attempt = -1;
   int extra_attempts_launched = 0;  ///< speculative copies beyond the first
 };

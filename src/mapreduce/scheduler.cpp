@@ -505,11 +505,11 @@ double SchedulerApi::mean_completed_task_time(int job) {
   if (record.mean_task_time_at == record.tasks_completed) {
     return record.mean_task_time;
   }
+  // No test on `completed`: an incomplete task adds exactly +0.0, which
+  // leaves the sum's bits unchanged (see TaskRecord::completion_time).
   double sum = 0.0;
   for (const auto& task : record.tasks) {
-    if (task.completed) {
-      sum += task.completion_time;
-    }
+    sum += task.completion_time;
   }
   record.mean_task_time =
       sum / static_cast<double>(record.tasks_completed);

@@ -275,7 +275,9 @@ class SchedulerApi {
 
   /// Mean completion time (relative to submission) of completed tasks.
   /// Returns 0 when none have completed. Memoized per job until its next
-  /// task completes.
+  /// task completes. The fold adds every task's completion_time in index
+  /// order and relies on an incomplete task's value being exactly +0.0
+  /// (TaskRecord::completion_time).
   double mean_completed_task_time(int job);
 
  private:

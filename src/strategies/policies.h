@@ -28,7 +28,9 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "mapreduce/scheduler.h"
 
@@ -90,20 +92,39 @@ class HadoopSpeculation final : public mapreduce::SpeculationPolicy {
   void check(int job, mapreduce::SchedulerApi& api);
 
   PolicyOptions options_;
+  /// The scheduler's api (one per policy object), so a timer captures only
+  /// [this, job]: 16 bytes stay in std::function's inline buffer and
+  /// arming the timer allocates nothing.
+  mapreduce::SchedulerApi* api_ = nullptr;
   std::unordered_set<int> monitoring_;  ///< jobs with an active checker
+  // check()'s per-stage sums of finished tasks, reused across calls.
+  std::vector<double> stage_sum_;
+  std::vector<int> stage_count_;
 };
 
+/// The once-per-second launch check walks a per-job candidate list instead
+/// of every task: the tasks that are incomplete and below
+/// `mantri_max_extra`, ascending (the order incomplete_tasks() visits).
+/// on_job_start fills it with every task of the job; check() compacts it in
+/// place as it walks, dropping completed and capped tasks for good (both
+/// only ever become true), and keeps the unvisited tail when spare capacity
+/// runs out; on_job_completed frees it. The check therefore costs the tasks
+/// it can still duplicate, not the job's size.
 class Mantri final : public mapreduce::SpeculationPolicy {
  public:
   explicit Mantri(PolicyOptions options) : options_(options) {}
   std::string name() const override { return "Mantri"; }
   void on_job_start(int job, mapreduce::SchedulerApi& api) override;
+  void on_job_completed(int job, mapreduce::SchedulerApi& api) override;
 
  private:
   void check(int job, mapreduce::SchedulerApi& api);
   void prune(int job, mapreduce::SchedulerApi& api);
 
   PolicyOptions options_;
+  mapreduce::SchedulerApi* api_ = nullptr;  ///< as HadoopSpeculation::api_
+  std::unordered_map<int, std::vector<int>> candidates_;  ///< by live job
+  std::vector<int> reported_;  ///< prune()'s per-task buffer, reused
 };
 
 // The Chronos policies run once per stage: every stage arms its own

@@ -2,7 +2,7 @@
 // attempt bookkeeping, policy queries) must not allocate per attempt, and a
 // cluster's placement state must stay linear in its node count. This binary
 // replaces the global operator new/delete with counting versions and
-// replays a fixed, pre-planned S-Resume trace through run_experiment.
+// replays fixed S-Resume and Mantri traces through run_experiment.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,9 +49,10 @@ namespace {
 
 using strategies::PolicyKind;
 
-TEST(Allocations, SResumeTraceStaysBelowBoundPerLaunchedAttempt) {
-  // The trace is generated and planned before counting starts; only the
-  // replay is measured.
+/// Replays a fixed 200-job trace, planned for `kind`, under `kind` and
+/// returns the allocations per launched attempt. The trace is generated
+/// and planned before counting starts; only the replay is measured.
+double allocations_per_attempt(PolicyKind kind) {
   TraceConfig trace_config;
   trace_config.num_jobs = 200;
   trace_config.mean_tasks = 20.0;
@@ -59,8 +60,8 @@ TEST(Allocations, SResumeTraceStaysBelowBoundPerLaunchedAttempt) {
   trace_config.seed = 7;
   auto jobs = generate_trace(trace_config);
   const SpotPriceModel prices;
-  plan_trace(jobs, PolicyKind::kSResume, PlannerConfig{}, prices);
-  const auto config = ExperimentConfig::large_scale(PolicyKind::kSResume, 3);
+  plan_trace(jobs, kind, PlannerConfig{}, prices);
+  const auto config = ExperimentConfig::large_scale(kind, 3);
 
   g_allocations = 0;
   g_counting = true;
@@ -68,16 +69,29 @@ TEST(Allocations, SResumeTraceStaysBelowBoundPerLaunchedAttempt) {
   g_counting = false;
 
   const auto launched = result.metrics.attempts_launched();
-  ASSERT_GT(launched, result.metrics.jobs());
+  EXPECT_GT(launched, result.metrics.jobs());
   const double per_attempt = static_cast<double>(g_allocations.load()) /
                              static_cast<double>(launched);
-  std::printf("%llu allocations for %llu launched attempts: %.3f each\n",
+  std::printf("%s: %llu allocations for %llu launched attempts: %.3f each\n",
+              strategies::to_string(kind).c_str(),
               static_cast<unsigned long long>(g_allocations.load()),
               static_cast<unsigned long long>(launched), per_attempt);
-  // Measured 0.48: about 11 allocations per job and none per attempt.
+  return per_attempt;
+}
+
+TEST(Allocations, SResumeTraceStaysBelowBoundPerLaunchedAttempt) {
+  // Measured 0.43: about 10 allocations per job and none per attempt.
   // Returning each policy query as a fresh vector and growing a per-task
   // attempt-id vector measured 3.7 on this trace.
-  EXPECT_LT(per_attempt, 0.75);
+  EXPECT_LT(allocations_per_attempt(PolicyKind::kSResume), 0.75);
+}
+
+TEST(Allocations, MantriTraceStaysBelowBoundPerLaunchedAttempt) {
+  // Measured 0.29: about 12 allocations per job, among them the candidate
+  // list, and none per check. Timers that captured 24 bytes (past
+  // std::function's inline buffer) plus a fresh vector per pruned task
+  // measured 3.9 on this trace.
+  EXPECT_LT(allocations_per_attempt(PolicyKind::kMantri), 0.5);
 }
 
 TEST(Allocations, ClusterPlacementStateIsLinearInNodes) {

@@ -4,8 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -19,6 +25,7 @@ namespace {
 using mapreduce::AttemptState;
 using mapreduce::JobSpec;
 using mapreduce::Scheduler;
+using mapreduce::SchedulerApi;
 using mapreduce::SchedulerConfig;
 
 JobSpec chronos_job(int tasks, long long r) {
@@ -117,6 +124,34 @@ TEST(Mantri, LaunchesOnlyWithIdleCapacity) {
     if (attempt.attempt_id >= job.spec.stage(0).num_tasks) {
       // Capacity only frees up once some original finishes.
       EXPECT_GT(attempt.request_time, first_completion);
+    }
+  }
+}
+
+TEST(Mantri, NoReportFallbackCountsFromTheStageStart) {
+  // Stage 1's near-deterministic tasks (~4 s, 3 of them JVM start-up) start
+  // long after submission. While their attempts start up nothing has
+  // reported, so the elapsed-time fallback decides. Measured from the job's
+  // submission, each looks like an outlier on every such check and gets
+  // all 3 extra attempts; measured from its stage's start, none does.
+  JobSpec spec;
+  spec.deadline = 1000.0;
+  spec.jvm_mean = 3.0;
+  spec.stages.resize(2);
+  spec.stage(0).num_tasks = 8;
+  spec.stage(0).t_min = 10.0;
+  spec.stage(0).beta = 1.2;
+  spec.stage(1).num_tasks = 8;
+  spec.stage(1).t_min = 4.0;
+  spec.stage(1).beta = 50.0;
+  for (const std::uint64_t seed : {11u, 12u}) {
+    PolicyRun run(PolicyKind::kMantri, spec, seed, 1, 64);
+    const auto& job = run.job();
+    ASSERT_TRUE(job.done) << seed;
+    for (int t = job.spec.first_task(1); t < job.spec.total_tasks(); ++t) {
+      EXPECT_EQ(job.tasks[static_cast<std::size_t>(t)].extra_attempts_launched,
+                0)
+          << "seed " << seed << ", task " << t;
     }
   }
 }
@@ -356,6 +391,236 @@ TEST(RetiredJobs, GrantForKilledQueuedAttemptReturnsTheContainer) {
   EXPECT_EQ(x.attempts_killed, 2);
   // The killed extras never ran: X's machine time is its original alone.
   EXPECT_NEAR(x.machine_time, x.completion_time, 1e-9);
+}
+
+// --- Mantri's candidate list ------------------------------------------------
+
+/// Mantri's launch check as a full scan: every check walks every incomplete
+/// task and re-reads spare capacity before each one. Same fallback (from the
+/// stage's start) and same prune as Mantri. `capacity_breaks` counts checks
+/// that stopped on capacity with incomplete tasks still unvisited.
+class FullScanMantri final : public mapreduce::SpeculationPolicy {
+ public:
+  explicit FullScanMantri(PolicyOptions options) : options_(options) {}
+  std::string name() const override { return "Mantri (full scan)"; }
+
+  void on_job_start(int job, SchedulerApi& api) override {
+    api.schedule_after(options_.check_period,
+                       [this, job, &api] { check(job, api); });
+    api.schedule_after(options_.mantri_prune_period,
+                       [this, job, &api] { prune(job, api); });
+  }
+
+  int capacity_breaks = 0;
+
+ private:
+  void check(int job, SchedulerApi& api) {
+    if (api.job_done(job)) {
+      return;
+    }
+    const auto& record = api.job(job);
+    const double now = api.now();
+    const auto has_spare_capacity = [&api] {
+      return api.cluster_has_idle_container() &&
+             api.cluster_pending_requests() == 0;
+    };
+    const double average =
+        has_spare_capacity() ? api.mean_completed_task_time(job) : 0.0;
+    if (average > 0.0) {
+      for (const int task : api.incomplete_tasks(job)) {
+        if (!has_spare_capacity()) {
+          ++capacity_breaks;
+          break;
+        }
+        if (record.tasks[static_cast<std::size_t>(task)]
+                .extra_attempts_launched >= options_.mantri_max_extra) {
+          continue;
+        }
+        const auto active = api.active_attempts(job, task);
+        if (active.empty()) {
+          continue;
+        }
+        double best_remaining = std::numeric_limits<double>::infinity();
+        for (const int id : active) {
+          const double estimate = api.estimate_completion(job, id);
+          if (std::isfinite(estimate)) {
+            best_remaining = std::min(best_remaining, estimate - now);
+          }
+        }
+        if (!std::isfinite(best_remaining)) {
+          best_remaining =
+              now - record.stage_start_time[static_cast<std::size_t>(
+                        record.stage_of_task(task))];
+        }
+        if (best_remaining > average + options_.mantri_threshold) {
+          api.launch_extra_attempt(job, task, 0.0);
+        }
+      }
+    }
+    api.schedule_after(options_.check_period,
+                       [this, job, &api] { check(job, api); });
+  }
+
+  void prune(int job, SchedulerApi& api) {
+    if (api.job_done(job)) {
+      return;
+    }
+    for (const int task : api.incomplete_tasks(job)) {
+      const auto active = api.active_attempts(job, task);
+      if (active.size() < 2) {
+        continue;
+      }
+      int best = -1;
+      double best_progress = -1.0;
+      std::vector<int> reported;
+      for (const int id : active) {
+        if (api.now() - api.attempt(job, id).launch_time <
+            0.5 * options_.mantri_prune_period) {
+          continue;
+        }
+        const auto report = api.observe(job, id);
+        if (!report.available) {
+          continue;
+        }
+        reported.push_back(id);
+        if (report.progress > best_progress) {
+          best_progress = report.progress;
+          best = id;
+        }
+      }
+      if (reported.size() < 2) {
+        continue;
+      }
+      for (const int id : reported) {
+        if (id != best) {
+          api.kill_attempt(job, id);
+        }
+      }
+    }
+    api.schedule_after(options_.mantri_prune_period,
+                       [this, job, &api] { prune(job, api); });
+  }
+
+  PolicyOptions options_;
+};
+
+struct MantriScenario {
+  const char* name;
+  int nodes;
+  int containers;
+  /// Submission time and spec of each job.
+  std::vector<std::pair<double, JobSpec>> jobs;
+};
+
+struct ReplayResult {
+  std::vector<sim::JobOutcome> outcomes;
+  std::uint64_t events_executed = 0;
+};
+
+ReplayResult replay(const MantriScenario& scenario,
+                    mapreduce::SpeculationPolicy& policy, bool retire) {
+  sim::Simulator simulator;
+  sim::Cluster cluster(sim::ClusterConfig::uniform(scenario.nodes, [&] {
+    sim::NodeConfig node;
+    node.containers = scenario.containers;
+    return node;
+  }()));
+  SchedulerConfig config;
+  config.noise = mapreduce::ProgressNoiseConfig::realistic();
+  Scheduler scheduler(simulator, cluster, policy, config, Rng(19));
+  if (retire) {
+    scheduler.retire_completed_jobs();
+  }
+  for (const auto& [at, spec] : scenario.jobs) {
+    simulator.at(at, [&scheduler, &spec] { scheduler.submit(spec); });
+  }
+  simulator.run();
+  return {scheduler.metrics().outcomes(), simulator.events_executed()};
+}
+
+/// Job i of a scenario: heavy-tailed tasks, sizes and shapes varied by i.
+JobSpec mantri_job(int i, int tasks, int stages) {
+  JobSpec spec;
+  spec.job_id = i;
+  spec.deadline = 200.0;
+  spec.jvm_mean = 1.0 + 0.5 * (i % 3);
+  spec.jvm_jitter = 0.5;
+  spec.stages.resize(static_cast<std::size_t>(stages));
+  for (int s = 0; s < stages; ++s) {
+    spec.stage(s).num_tasks = tasks - 3 * s;
+    spec.stage(s).t_min = 8.0 + 2.0 * ((i + s) % 4);
+    spec.stage(s).beta = 1.2 + 0.1 * ((i * 3 + s) % 5);
+  }
+  return spec;
+}
+
+std::vector<MantriScenario> mantri_scenarios() {
+  std::vector<MantriScenario> scenarios;
+  auto add = [&](const char* name, int nodes, int containers, int jobs,
+                 double gap, int stages) {
+    MantriScenario scenario{name, nodes, containers, {}};
+    for (int i = 0; i < jobs; ++i) {
+      scenario.jobs.emplace_back(gap * i,
+                                 mantri_job(i, 12 + (7 * i) % 29, stages));
+    }
+    scenarios.push_back(std::move(scenario));
+  };
+  add("single-stage", 4, 16, 10, 12.0, 1);
+  add("staged", 4, 16, 8, 15.0, 3);
+  add("idle", 8, 64, 4, 30.0, 2);
+  // More tasks than containers: originals queue, and once the queue drains
+  // a check's launches fill the few idle containers partway through.
+  add("saturated", 1, 16, 4, 30.0, 1);
+  return scenarios;
+}
+
+void expect_same_outcome(const sim::JobOutcome& a, const sim::JobOutcome& b,
+                         const std::string& where) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(a.job_id, b.job_id) << where;
+  EXPECT_EQ(a.met_deadline, b.met_deadline) << where;
+  EXPECT_EQ(bits(a.completion_time), bits(b.completion_time)) << where;
+  EXPECT_EQ(bits(a.deadline), bits(b.deadline)) << where;
+  EXPECT_EQ(bits(a.machine_time), bits(b.machine_time)) << where;
+  EXPECT_EQ(bits(a.cost), bits(b.cost)) << where;
+  EXPECT_EQ(a.r_used, b.r_used) << where;
+  EXPECT_EQ(a.attempts_launched, b.attempts_launched) << where;
+  EXPECT_EQ(a.attempts_killed, b.attempts_killed) << where;
+  EXPECT_EQ(a.attempts_failed, b.attempts_failed) << where;
+}
+
+TEST(Mantri, CandidateListMatchesAFullScan) {
+  for (const auto& scenario : mantri_scenarios()) {
+    for (const bool retire : {false, true}) {
+      const std::string where = std::string(scenario.name) +
+                                (retire ? ", retiring" : ", keeping");
+      Mantri mantri{PolicyOptions{}};
+      FullScanMantri reference{PolicyOptions{}};
+      const auto got = replay(scenario, mantri, retire);
+      const auto want = replay(scenario, reference, retire);
+
+      ASSERT_EQ(got.outcomes.size(), scenario.jobs.size()) << where;
+      ASSERT_EQ(want.outcomes.size(), scenario.jobs.size()) << where;
+      EXPECT_EQ(got.events_executed, want.events_executed) << where;
+      int tasks = 0;
+      int launched = 0;
+      for (std::size_t j = 0; j < got.outcomes.size(); ++j) {
+        expect_same_outcome(got.outcomes[j], want.outcomes[j], where);
+        launched += got.outcomes[j].attempts_launched;
+      }
+      for (const auto& job : scenario.jobs) {
+        tasks += job.second.total_tasks();
+      }
+      // Mantri acted: the comparison covers launch decisions, not only
+      // the originals.
+      EXPECT_GT(launched, tasks) << where;
+      if (std::string(scenario.name) == "saturated") {
+        // Spare capacity ran out partway through some walks, so the kept
+        // tail of the candidate list is exercised.
+        EXPECT_GT(reference.capacity_breaks, 0) << where;
+      }
+    }
+  }
 }
 
 }  // namespace
