@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "mapreduce/job.h"
-#include "serve/plan_cache.h"
 #include "serve/planner.h"
 #include "strategies/policies.h"
 #include "trace/planner.h"

@@ -716,10 +716,11 @@ Manifest parse_manifest(const std::string& text) {
         open.plan_cache.mode = serve::CacheMode::kQuantized;
         if (!parse_number(value.substr(10), plan_cache->line,
                           open.plan_cache.grid) ||
-            open.plan_cache.grid <= 0.0) {
+            open.plan_cache.grid < serve::kMinQuantizeGrid) {
           fail(plan_cache->line,
-               "plan_cache quantization grid must be a positive number, "
-               "got '" + value.substr(10) + "'");
+               "plan_cache quantization grid must be a number >= " +
+                   numeric::format_double(serve::kMinQuantizeGrid) +
+                   ", got '" + value.substr(10) + "'");
         }
         cache_name =
             "quantized:" + numeric::format_double(open.plan_cache.grid);

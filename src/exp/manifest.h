@@ -109,7 +109,7 @@ struct ManifestOutputs {
 ///   plan_cache = off        # off | exact | quantized:<grid>; exact serves
 ///                           #   bit-identical plans for repeated inputs,
 ///                           #   quantized shares plans within geometric
-///                           #   (1+grid)-ratio buckets (serve/plan_cache.h)
+///                           #   (1+grid)-ratio buckets (serve/planner.h)
 ///   admission = on          # capacity-aware admission control
 ///   degrade_headroom = 1.0
 ///   reject_queue_factor = 4.0

@@ -1,10 +1,12 @@
 #include "serve/planner.h"
 
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <span>
 
 #include "common/error.h"
+#include "common/numeric.h"
 #include "obs/metrics.h"
 
 namespace chronos::serve {
@@ -19,7 +21,7 @@ const obs::Counter c_drops = obs::counter("serve.drops");
 const obs::Gauge g_size = obs::gauge("serve.size");
 const obs::Timer t_plan = obs::timer("serve.plan");
 
-/// The decision a freshly planned spec carries, as the cache stores it.
+/// The decision a freshly planned spec carries, as the memo stores it.
 CachedPlan cached_plan(const mapreduce::JobSpec& spec,
                        const trace::StagedPlan& plan) {
   CachedPlan cached;
@@ -34,22 +36,52 @@ CachedPlan cached_plan(const mapreduce::JobSpec& spec,
 
 }  // namespace
 
-PlannerService::PlannerService(PlannerServiceConfig config)
-    : config_(config),
-      cache_(config.cache.mode == CacheMode::kOff ? 1
-                                                  : config.cache.capacity) {
-  config_.cache.validate();
+void PlanCacheConfig::validate() const {
+  if (mode == CacheMode::kQuantized) {
+    CHRONOS_EXPECTS(std::isfinite(grid) && grid >= kMinQuantizeGrid,
+                    "plan cache quantization grid must be finite and >= " +
+                        numeric::format_double(kMinQuantizeGrid));
+  }
 }
 
-PlannerServiceStats PlannerService::stats() const {
-  PlannerServiceStats stats;
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.inserts = inserts_.load(std::memory_order_relaxed);
-  stats.drops = drops_.load(std::memory_order_relaxed);
-  stats.cache_size = cache_.size();
-  return stats;
+std::int64_t quantize_bucket(double value, double grid) {
+  if (value > 0.0 && std::isfinite(value)) {
+    return static_cast<std::int64_t>(
+        std::floor(std::log(value) / std::log1p(grid)));
+  }
+  // The bit patterns of positive finite doubles are exactly 1 through
+  // 0x7FEF'FFFF'FFFF'FFFF, so this value's pattern lies outside that range.
+  // Shifted down by 2^62 (mod 2^64), it lies outside [1 - 2^62, 2^62 - 2^52),
+  // which holds every bucket index (below 2^50 in magnitude at any grid
+  // validate() accepts).
+  return static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value) -
+                                   (std::uint64_t{1} << 62));
+}
+
+std::uint64_t hash_key(const PlanKey& key) {
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  mix(key.mode);
+  mix(static_cast<std::uint64_t>(key.num_stages));
+  mix(static_cast<std::uint64_t>(key.deadline));
+  mix(static_cast<std::uint64_t>(key.price));
+  for (const PlanStageKey& stage : key.stages) {
+    mix(static_cast<std::uint64_t>(stage.num_tasks));
+    mix(static_cast<std::uint64_t>(stage.t_min));
+    mix(static_cast<std::uint64_t>(stage.beta));
+    mix(stage.deps);
+  }
+  return hash;
+}
+
+PlannerService::PlannerService(PlannerServiceConfig config)
+    : config_(config) {
+  config_.cache.validate();
 }
 
 PlanKey PlannerService::make_key(const PlanRequest& request) const {
@@ -82,22 +114,11 @@ PlanKey PlannerService::make_key(const PlanRequest& request) const {
   return key;
 }
 
-void PlannerService::publish(const PlanKey& key, const CachedPlan& plan) {
-  if (cache_.insert(key, plan)) {
-    c_inserts.add();
-    inserts_.fetch_add(1, std::memory_order_relaxed);
-    g_size.update(cache_.size());
-  } else {
-    c_drops.add();
-    drops_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 PlanReply PlannerService::plan(const PlanRequest& request) {
   CHRONOS_EXPECTS(request.spec != nullptr, "plan request needs a spec");
   const obs::ScopedTimer timer(t_plan);
   c_requests.add();
-  requests_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.requests;
   auto& spec = *request.spec;
   // The key is fixed-width: wider jobs always plan uncached, and count
   // neither a hit nor a miss.
@@ -106,26 +127,33 @@ PlanReply PlannerService::plan(const PlanRequest& request) {
   PlanKey key;
   if (cached) {
     key = make_key(request);
-    if (const CachedPlan* hit = cache_.find(key)) {
+    if (const auto hit = memo_.find(key); hit != memo_.end()) {
+      const CachedPlan& plan = hit->second;
       c_hits.add();
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      trace::write_plan(spec, hit->kind,
-                        std::span(hit->r.data(), spec.stages.size()),
+      ++stats_.hits;
+      trace::write_plan(spec, plan.kind,
+                        std::span(plan.r.data(), spec.stages.size()),
                         config_.planner, request.price);
-      return {hit->kind, hit->r[0], hit->feasible, true};
+      return {plan.kind, plan.r[0], plan.feasible, true};
     }
     c_misses.add();
-    misses_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.misses;
   }
-  // One scratch plan per thread: its per-stage vectors keep their capacity
-  // across requests, so planning allocates nothing per request.
-  thread_local trace::StagedPlan plan;
   trace::plan_into(spec, request.auto_strategy, request.policy,
-                   config_.planner, request.price, plan);
+                   config_.planner, request.price, scratch_);
   if (cached) {
-    publish(key, cached_plan(spec, plan));
+    if (memo_.size() < kMaxCachedPlans) {
+      memo_.emplace(key, cached_plan(spec, scratch_));
+      c_inserts.add();
+      ++stats_.inserts;
+      stats_.cache_size = memo_.size();
+      g_size.update(memo_.size());
+    } else {
+      c_drops.add();
+      ++stats_.drops;
+    }
   }
-  return {plan.kind, spec.stage(0).r, plan.feasible(), false};
+  return {scratch_.kind, spec.stage(0).r, scratch_.feasible(), false};
 }
 
 }  // namespace chronos::serve

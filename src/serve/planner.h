@@ -1,29 +1,127 @@
-// Planner-as-a-service: Algorithm 1 behind a request boundary (ROADMAP
-// "planner-as-a-service" item; the nimbus controller/worker split is the
-// exemplar shape — the planning brain is separate from execution even
-// while transport stays in-process).
+// Per-run plan memo: Algorithm 1 behind a request boundary.
 //
 // A request is the paper's per-job planning problem — (beta, t_min, D,
 // spot price, policy-or-auto) — and the reply is the plan: which policy
-// runs the job and with how many extra attempts r. The service memoizes
-// plans in a PlanCache (exact or quantized keys; see plan_cache.h). Every
-// plan is computed by trace::plan_into and written by trace::write_plan,
-// which recomputes the per-request fields (spot price, tau timers) on a
-// cache hit too, so a hit can never leak another arrival's price clock.
+// runs the job and with how many extra attempts r. A plan is a pure
+// function of those inputs under a fixed PlannerConfig, so the service
+// memoizes it. The key is the inputs either bit-exact (kExact: a hit is
+// only ever served for bit-identical inputs, so cached planning is
+// byte-identical to uncached planning) or snapped to a geometric grid
+// (kQuantized: continuous inputs within one relative bucket share a plan,
+// trading optimality slack bounded by the grid width for hit rate).
 //
-// Thread safety: plan() may be called concurrently from any number of
-// threads (lock-free cache reads, CAS-published inserts, relaxed stat
-// counters). The PlannerConfig, theta included, is fixed at construction —
-// a config change is a new service (and thus an empty cache).
+// Every plan is computed by trace::plan_into and written by
+// trace::write_plan, which recomputes the per-request fields (spot price,
+// tau timers) on a hit too, so a hit can never leak another arrival's
+// price clock. The PlannerConfig, theta included, is fixed at
+// construction — a config change is a new service (and thus an empty memo).
 #pragma once
 
-#include <atomic>
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 
-#include "serve/plan_cache.h"
+#include "strategies/policies.h"
 #include "trace/planner.h"
 
 namespace chronos::serve {
+
+enum class CacheMode {
+  kOff,       ///< no caching: every request is planned from scratch
+  kExact,     ///< keys compare bit-exact: hits are byte-identical plans
+  kQuantized  ///< continuous key fields snapped to a geometric grid
+};
+
+/// Smallest kQuantized grid. Every finite positive double has |ln x| <= 745,
+/// so at this grid its bucket index stays below 2^50 in magnitude: inside
+/// the int64 range, and far from the keys of non-positive and non-finite
+/// values (see quantize_bucket).
+inline constexpr double kMinQuantizeGrid = 1e-12;
+
+/// The memo's entry cap: past it, distinct keys are planned uncached, so a
+/// long open run keeps bounded memory.
+inline constexpr std::size_t kMaxCachedPlans = std::size_t{1} << 16;
+
+/// Memo mode of a PlannerService.
+struct PlanCacheConfig {
+  CacheMode mode = CacheMode::kOff;
+
+  /// Relative bucket width for kQuantized: values x, y land in the same
+  /// bucket when floor(log(x)/log1p(grid)) == floor(log(y)/log1p(grid)),
+  /// i.e. buckets are powers of (1 + grid) and any two values in one
+  /// bucket differ by less than a factor of (1 + grid). At least
+  /// kMinQuantizeGrid.
+  double grid = 0.0;
+
+  void validate() const;
+};
+
+/// Quantized key of a value on a (1 + grid) ratio grid: the geometric bucket
+/// index of a positive finite value. Any other value (zero, negative,
+/// infinite, NaN) keys as its bit pattern moved out of the range bucket
+/// indices occupy, so it never shares a key with a bucket or with another
+/// such value. Requires grid >= kMinQuantizeGrid.
+std::int64_t quantize_bucket(double value, double grid);
+
+/// Stage budget of the fixed-width key. Jobs with more stages bypass the
+/// memo entirely (planned from scratch per request) — DAGs beyond this
+/// width are rare enough that memoizing them is not worth a variable-length
+/// key.
+inline constexpr int kMaxKeyStages = 4;
+
+/// Per-stage slice of the key: the stage's shape fields (encoded like the
+/// job-level continuous fields — bit patterns or bucket indices) plus its
+/// resolved dependency set as a bitmask over earlier stages. Two specs
+/// differing in ANY stage — shape or wiring — therefore never collide.
+struct PlanStageKey {
+  std::int64_t num_tasks = 0;
+  std::int64_t t_min = 0;
+  std::int64_t beta = 0;
+  std::uint64_t deps = 0;  ///< bitmask of resolved predecessor stages
+
+  friend bool operator==(const PlanStageKey&, const PlanStageKey&) = default;
+};
+
+/// Canonical key: the planning mode plus every request field the plan
+/// depends on, encoded as integers (bit patterns in kExact mode, bucket
+/// keys in kQuantized mode). The full stage vector is keyed — stage slots
+/// past num_stages stay zero-initialized. PlannerConfig knobs (theta among
+/// them) are deliberately absent: they are fixed for the lifetime of a
+/// PlannerService.
+struct PlanKey {
+  std::uint64_t mode = 0;  ///< PolicyKind ordinal, or kAutoMode
+  std::int64_t num_stages = 0;
+  std::int64_t deadline = 0;
+  std::int64_t price = 0;
+  std::array<PlanStageKey, kMaxKeyStages> stages{};
+
+  friend bool operator==(const PlanKey&, const PlanKey&) = default;
+};
+
+/// PlanKey::mode value for auto-strategy (optimize_all) requests; fixed
+/// policies use their PolicyKind ordinal (0..5).
+inline constexpr std::uint64_t kAutoMode = 6;
+
+/// FNV-1a over the key's canonical integer fields (all stage slots
+/// included).
+std::uint64_t hash_key(const PlanKey& key);
+
+/// The memoized decision: which policy runs the job and with how many extra
+/// attempts per stage. Price and the tau timer fields are deliberately NOT
+/// memoized — they are recomputed per request from the request's own price
+/// clock and the service's tau factors, so a hit can never serve a stale
+/// spot price or another job's timers.
+struct CachedPlan {
+  strategies::PolicyKind kind = strategies::PolicyKind::kHadoopNS;
+  std::int64_t num_stages = 1;
+  /// Final per-stage extra-attempt counts (infeasible fallback folded in);
+  /// slots past num_stages stay zero.
+  std::array<long long, kMaxKeyStages> r{};
+  bool feasible = false;  ///< every planned stage was feasible
+
+  friend bool operator==(const CachedPlan&, const CachedPlan&) = default;
+};
 
 /// Everything a PlannerService holds fixed across requests.
 struct PlannerServiceConfig {
@@ -33,9 +131,9 @@ struct PlannerServiceConfig {
 
 /// One planning request. `spec` supplies the job shape (the stage vector
 /// plus deadline) and receives the plan (price, and per stage tau_est /
-/// tau_kill / r). Staged jobs up to serve::kMaxKeyStages stages are cached
-/// like single-stage ones (the key covers the full stage vector); wider
-/// DAGs are planned from scratch on every request.
+/// tau_kill / r). Staged jobs up to kMaxKeyStages stages are memoized like
+/// single-stage ones (the key covers the full stage vector); wider DAGs are
+/// planned from scratch on every request.
 struct PlanRequest {
   mapreduce::JobSpec* spec = nullptr;
 
@@ -62,7 +160,7 @@ struct PlannerServiceStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t inserts = 0;
-  std::uint64_t drops = 0;  ///< insert lost a race or the table was full
+  std::uint64_t drops = 0;  ///< a miss not memoized: the memo was full
   std::size_t cache_size = 0;
 };
 
@@ -71,32 +169,33 @@ class PlannerService {
   explicit PlannerService(PlannerServiceConfig config);
 
   /// Plans one request in place: fills spec.price / tau_est / tau_kill / r
-  /// and returns the decision. Uncached (cache off, or a job wider than
+  /// and returns the decision. Uncached (memo off, or a job wider than
   /// kMaxKeyStages) and on a miss, this is trace::plan_into on the
-  /// request's spec; a miss then publishes the plan it wrote. An exact-mode
-  /// hit replays a plan computed from bit-identical inputs and is therefore
+  /// request's spec; a miss then memoizes the plan it wrote while the memo
+  /// holds fewer than kMaxCachedPlans entries. An exact-mode hit replays a
+  /// plan computed from bit-identical inputs and is therefore
   /// byte-identical too.
   PlanReply plan(const PlanRequest& request);
 
   const PlannerServiceConfig& config() const { return config_; }
-  PlannerServiceStats stats() const;
+  PlannerServiceStats stats() const { return stats_; }
 
-  /// The cache key a request would be filed under (exposed for tests of
-  /// the quantization-boundary behavior). Requires the spec to have at most
+  /// The key a request would be filed under (exposed for tests of the
+  /// quantization-boundary behavior). Requires the spec to have at most
   /// kMaxKeyStages stages.
   PlanKey make_key(const PlanRequest& request) const;
 
  private:
-  /// Inserts into the cache, counting the insert or the drop.
-  void publish(const PlanKey& key, const CachedPlan& plan);
+  struct KeyHash {
+    std::size_t operator()(const PlanKey& key) const { return hash_key(key); }
+  };
 
   PlannerServiceConfig config_;
-  PlanCache cache_;
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> inserts_{0};
-  std::atomic<std::uint64_t> drops_{0};
+  std::unordered_map<PlanKey, CachedPlan, KeyHash> memo_;
+  PlannerServiceStats stats_;
+  /// Scratch plan: its per-stage vectors keep their storage across
+  /// requests, so planning allocates nothing per request.
+  trace::StagedPlan scratch_;
 };
 
 }  // namespace chronos::serve

@@ -36,7 +36,7 @@
 #include <cstdint>
 
 #include "mapreduce/scheduler.h"
-#include "serve/plan_cache.h"
+#include "serve/planner.h"
 #include "sim/cluster.h"
 #include "sim/metrics.h"
 #include "strategies/policies.h"
@@ -102,7 +102,7 @@ struct OpenSystemConfig {
 
   /// Plan-cache mode of the per-run serve::PlannerService. kOff and kExact
   /// are byte-identical to uncached planning; kQuantized shares plans
-  /// within grid buckets (see serve/plan_cache.h).
+  /// within grid buckets (see serve/planner.h).
   serve::PlanCacheConfig plan_cache;
 
   sim::ClusterConfig cluster;

@@ -23,7 +23,7 @@
 #include "exp/checkpoint.h"
 #include "exp/manifest.h"
 #include "mapreduce/scheduler.h"
-#include "serve/plan_cache.h"
+#include "serve/planner.h"
 #include "sim/cluster.h"
 #include "sim/metrics.h"
 #include "sim/simulator.h"

@@ -227,6 +227,23 @@ TEST(Manifest, RejectsBadInput) {
       "[sweep] replications must lie in");
 }
 
+TEST(Manifest, RejectsAQuantizationGridBelowTheBucketBound) {
+  // Regression: quantized:1e-20 parsed, and its bucket indices overflowed
+  // the int64 cast, so unrelated arrivals shared one cached plan. The bound
+  // is the one PlanCacheConfig::validate enforces.
+  const std::string open = "[sweep]\npolicies = clone\n[arrivals]\n"
+                           "rate = 0.1\nplan_cache = quantized:";
+  expect_parse_error(open + "1e-20\n",
+                     "manifest line 5: plan_cache quantization grid must be "
+                     "a number >= 1e-12, got '1e-20'");
+  expect_parse_error(open + "0\n", "got '0'");
+  const Manifest smallest = parse_manifest(open + "1e-12\n");
+  ASSERT_TRUE(smallest.arrivals.has_value());
+  const serve::PlanCacheConfig& cache = smallest.arrivals->open.plan_cache;
+  EXPECT_EQ(cache.grid, serve::kMinQuantizeGrid);
+  EXPECT_NO_THROW(cache.validate());
+}
+
 TEST(Manifest, ErrorsCarryLineNumbers) {
   expect_parse_error("[sweep]\npolicies = clone\n\nbroken line\n",
                      "manifest line 4");

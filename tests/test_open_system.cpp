@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "common/error.h"
-#include "serve/plan_cache.h"
+#include "serve/planner.h"
 #include "sim/cluster.h"
 #include "sim/metrics.h"
 #include "sim/open_system.h"

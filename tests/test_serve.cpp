@@ -1,24 +1,23 @@
-// Planner service + plan cache (src/serve/).
+// Planner service and its plan memo (src/serve/).
 //
-// The load-bearing properties: exact-key caching is bit-identical to
+// The load-bearing properties: exact-key memoization is bit-identical to
 // uncached planning (a hit is only ever served for bit-identical inputs,
 // and the per-request fields — price, tau timers — are recomputed, never
-// cached), quantized keys bucket on the geometric grid exactly where
-// quantize_bucket says they do, auto mode plans staged jobs exactly as
-// the root-view choice plus trace::plan_staged_spec does, and the lock-free
-// table survives a multi-threaded reader/inserter hammer (run under
-// ASan/UBSan in CI).
+// memoized), quantized keys bucket on the geometric grid exactly where
+// quantize_bucket says they do and never alias a non-positive value with a
+// bucket, auto mode plans staged jobs exactly as the root-view choice plus
+// trace::plan_staged_spec does, and a full memo still plans every request
+// correctly.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <thread>
-#include <vector>
+#include <iterator>
+#include <limits>
 
 #include "common/error.h"
 #include "core/optimizer.h"
-#include "serve/plan_cache.h"
 #include "serve/planner.h"
 #include "trace/planner.h"
 
@@ -26,10 +25,7 @@ namespace chronos {
 namespace {
 
 using serve::CacheMode;
-using serve::CachedPlan;
-using serve::PlanCache;
 using serve::PlanCacheConfig;
-using serve::PlanKey;
 using serve::PlannerService;
 using serve::PlannerServiceConfig;
 using serve::PlanReply;
@@ -231,6 +227,62 @@ TEST(PlanCacheQuantization, ServiceKeysBucketJobsTogether) {
   EXPECT_FALSE(service.make_key(req_a) == service.make_key(req_d));
 }
 
+TEST(PlanCacheQuantization, NonPositivePriceNeverSharesABucket) {
+  // Regression: a value that is not a positive finite number used to key as
+  // its raw bit pattern, and 0.0's pattern is 0, the bucket of
+  // [1, 1 + grid). A price-0 request after a price-1 one was then served the
+  // price-1 plan (r = 2 where uncached planning gives r = 12).
+  const double grid = 0.05;
+  PlannerService service(service_config(CacheMode::kQuantized, grid));
+  const trace::PlannerConfig planner = service.config().planner;
+  auto paid = make_spec(50, 20.0, 1.8, 100.0);
+  auto unpaid = paid;
+  auto reference = paid;
+  EXPECT_FALSE(service
+                   .plan(request_for(paid, 1.0, false,
+                                     strategies::PolicyKind::kSResume))
+                   .cache_hit);
+  const PlanReply reply = service.plan(
+      request_for(unpaid, 0.0, false, strategies::PolicyKind::kSResume));
+  EXPECT_FALSE(reply.cache_hit);
+  trace::plan_staged_spec(reference, strategies::PolicyKind::kSResume,
+                          planner, 0.0);
+  expect_same_plan(unpaid, reference);
+  EXPECT_NE(unpaid.stage(0).r, paid.stage(0).r);
+}
+
+TEST(PlanCacheQuantization, OddValuesKeyOutsideEveryBucket) {
+  // Bucket indices are monotone in the value, so every one lies between the
+  // buckets of the smallest and the largest positive finite double. A value
+  // that is not a positive finite number must key outside that range, and
+  // distinct such values must key apart.
+  using limits = std::numeric_limits<double>;
+  const double odd[] = {0.0,
+                        -0.0,
+                        -1.0,
+                        -limits::denorm_min(),
+                        -limits::max(),
+                        limits::infinity(),
+                        -limits::infinity(),
+                        limits::quiet_NaN(),
+                        -limits::quiet_NaN()};
+  for (const double grid : {0.05, serve::kMinQuantizeGrid}) {
+    const std::int64_t lowest =
+        serve::quantize_bucket(limits::denorm_min(), grid);
+    const std::int64_t highest = serve::quantize_bucket(limits::max(), grid);
+    ASSERT_LT(lowest, 0);
+    ASSERT_GT(highest, 0);
+    for (std::size_t i = 0; i < std::size(odd); ++i) {
+      const std::int64_t key = serve::quantize_bucket(odd[i], grid);
+      EXPECT_TRUE(key < lowest || key > highest) << odd[i] << " at " << grid;
+      for (std::size_t j = 0; j < i; ++j) {
+        EXPECT_NE(key, serve::quantize_bucket(odd[j], grid))
+            << odd[i] << " vs " << odd[j];
+      }
+    }
+  }
+}
+
 // --- staged keys (regression) -----------------------------------------------
 
 TEST(PlannerService, KeyCoversEveryStagesFields) {
@@ -389,156 +441,65 @@ TEST(PlannerService, StagedAutoMatchesRootViewChoice) {
   }
 }
 
-// --- the lock-free table ----------------------------------------------------
+// --- the memo's cap ---------------------------------------------------------
 
-TEST(PlanCacheTable, InsertFindRoundTrip) {
-  PlanCache cache(64);
-  PlanKey key;
-  key.mode = 2;
-  key.num_stages = 1;
-  key.stages[0].num_tasks = 50;
-  key.stages[0].t_min = 123;
-  EXPECT_EQ(cache.find(key), nullptr);
-  EXPECT_TRUE(cache.insert(
-      key, CachedPlan{strategies::PolicyKind::kClone, 1, {3}, true}));
-  const CachedPlan* found = cache.find(key);
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(found->kind, strategies::PolicyKind::kClone);
-  EXPECT_EQ(found->r[0], 3);
-  EXPECT_TRUE(found->feasible);
-  // Re-inserting the same key reports failure and keeps the first value.
-  EXPECT_FALSE(cache.insert(
-      key, CachedPlan{strategies::PolicyKind::kMantri, 1, {9}, false}));
-  EXPECT_EQ(cache.find(key)->r[0], 3);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST(PlanCacheTable, FullTableDropsInsertsButStaysCorrect) {
-  PlanCache cache(1);  // a single slot: the second distinct key must drop
-  PlanKey a;
-  a.stages[0].t_min = 1;
-  PlanKey b;
-  b.stages[0].t_min = 2;
-  EXPECT_TRUE(cache.insert(
-      a, CachedPlan{strategies::PolicyKind::kClone, 1, {1}, true}));
-  EXPECT_FALSE(cache.insert(
-      b, CachedPlan{strategies::PolicyKind::kClone, 1, {2}, true}));
-  EXPECT_EQ(cache.size(), 1u);
-  ASSERT_NE(cache.find(a), nullptr);
-  EXPECT_EQ(cache.find(b), nullptr);
-}
-
-TEST(PlannerService, TinyCacheStillPlansCorrectly) {
-  // With a one-slot cache most inserts drop; every plan must still be
-  // correct (computed fresh when it cannot be shared).
-  PlannerServiceConfig config = service_config(CacheMode::kExact);
-  config.cache.capacity = 1;
-  PlannerService service(config);
+TEST(PlannerService, FullMemoPlansFreshAndCountsDrops) {
+  // Fill the memo to its cap with cheap distinct keys (Hadoop-NS plans
+  // without optimizing), then plan a new key: it is a miss planned fresh,
+  // equal to the uncached reference, and counted as a drop; the memo stays
+  // at the cap, so the same key misses again.
+  PlannerService service(service_config(CacheMode::kExact));
   const trace::PlannerConfig planner = service.config().planner;
-  for (const double deadline : {100.0, 110.0, 120.0, 130.0}) {
-    auto spec = make_spec(50, 20.0, 1.8, deadline);
+  for (std::size_t i = 0; i < serve::kMaxCachedPlans; ++i) {
+    auto spec = make_spec(10, 20.0, 1.8, 100.0 + static_cast<double>(i));
+    service.plan(
+        request_for(spec, 0.4, false, strategies::PolicyKind::kHadoopNS));
+  }
+  auto stats = service.stats();
+  ASSERT_EQ(stats.cache_size, serve::kMaxCachedPlans);
+  ASSERT_EQ(stats.inserts, serve::kMaxCachedPlans);
+  ASSERT_EQ(stats.drops, 0u);
+
+  for (int round = 0; round < 2; ++round) {
+    auto spec = make_spec(50, 20.0, 1.8, 120.0);
     auto reference = spec;
-    service.plan(request_for(spec, 0.4, false,
-                             strategies::PolicyKind::kSResume));
+    const PlanReply reply = service.plan(
+        request_for(spec, 0.4, false, strategies::PolicyKind::kSResume));
+    EXPECT_FALSE(reply.cache_hit);
     trace::plan_staged_spec(reference, strategies::PolicyKind::kSResume,
                             planner, 0.4);
     expect_same_plan(spec, reference);
+    EXPECT_EQ(reply.r, reference.stage(0).r);
   }
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.cache_size, 1u);
-  EXPECT_GT(stats.drops, 0u);
+  stats = service.stats();
+  EXPECT_EQ(stats.misses, serve::kMaxCachedPlans + 2);
+  EXPECT_EQ(stats.drops, 2u);
+  EXPECT_EQ(stats.inserts, serve::kMaxCachedPlans);
+  EXPECT_EQ(stats.cache_size, serve::kMaxCachedPlans);
 }
 
 TEST(PlanCacheConfigValidation, RejectsBadKnobs) {
   PlanCacheConfig bad_grid;
   bad_grid.mode = CacheMode::kQuantized;
-  bad_grid.grid = 0.0;
+  for (const double grid : {0.0, -0.5, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    bad_grid.grid = grid;
+    EXPECT_THROW(bad_grid.validate(), PreconditionError) << grid;
+  }
+  // Regression: below the bound a bucket index leaves the int64 range (at
+  // 1e-20, every price, t_min, beta and deadline bucketed to INT64_MIN on
+  // x86, so unrelated jobs shared one plan).
+  bad_grid.grid = 1e-20;
   EXPECT_THROW(bad_grid.validate(), PreconditionError);
-  bad_grid.grid = -0.5;
+  bad_grid.grid = serve::kMinQuantizeGrid * 0.5;
   EXPECT_THROW(bad_grid.validate(), PreconditionError);
-  PlanCacheConfig bad_capacity;
-  bad_capacity.mode = CacheMode::kExact;
-  bad_capacity.capacity = 0;
-  EXPECT_THROW(bad_capacity.validate(), PreconditionError);
-  PlanCacheConfig off;  // off ignores the other knobs entirely
-  off.capacity = 0;
+  PlanCacheConfig smallest;
+  smallest.mode = CacheMode::kQuantized;
+  smallest.grid = serve::kMinQuantizeGrid;
+  EXPECT_NO_THROW(smallest.validate());
+  PlanCacheConfig off;  // off ignores the grid entirely
+  off.grid = -1.0;
   EXPECT_NO_THROW(off.validate());
-}
-
-// --- multi-threaded hammer (readers + inserters, ASan/UBSan in CI) ----------
-
-TEST(PlannerServiceConcurrency, HammerReadersAndInserters) {
-  // One shared exact-key service, 6 threads planning overlapping slices of
-  // a 96-shape pool in different orders: early threads insert while late
-  // ones read. Afterwards every plan must equal the uncached reference.
-  PlannerService service(service_config(CacheMode::kExact));
-  const trace::PlannerConfig planner = service.config().planner;
-  constexpr int kShapes = 96;
-  constexpr int kThreads = 6;
-  constexpr int kRounds = 40;
-
-  const auto shape_of = [](int s) {
-    return make_spec(20 + (s % 7), 15.0 + s, 1.5 + 0.01 * (s % 11),
-                     130.0 + 2.0 * s);
-  };
-  std::atomic<std::uint64_t> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&service, &shape_of, &mismatches, t] {
-      for (int round = 0; round < kRounds; ++round) {
-        for (int s = 0; s < kShapes; ++s) {
-          const int shape = (s * (t + 1) + round) % kShapes;
-          auto spec = shape_of(shape);
-          PlanRequest request;
-          request.spec = &spec;
-          request.price = 0.25 + 0.005 * shape;
-          request.auto_strategy = (shape % 2) == 0;
-          request.policy = strategies::PolicyKind::kSResume;
-          const PlanReply reply = service.plan(request);
-          if (reply.r != spec.stage(0).r || spec.price != request.price) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(mismatches.load(), 0u);
-
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.requests,
-            static_cast<std::uint64_t>(kThreads) * kRounds * kShapes);
-  EXPECT_EQ(stats.hits + stats.misses, stats.requests);
-  // Every shape was eventually cached (the table is big enough) and every
-  // cached plan equals the uncached reference.
-  EXPECT_EQ(stats.cache_size, static_cast<std::size_t>(kShapes));
-  for (int s = 0; s < kShapes; ++s) {
-    auto spec = shape_of(s);
-    auto reference = shape_of(s);
-    PlanRequest request;
-    request.spec = &spec;
-    request.price = 0.25 + 0.005 * s;
-    request.auto_strategy = (s % 2) == 0;
-    request.policy = strategies::PolicyKind::kSResume;
-    const PlanReply reply = service.plan(request);
-    EXPECT_TRUE(reply.cache_hit) << s;
-    if (request.auto_strategy) {
-      const auto params = trace::to_job_params(
-          reference, planner, core::Strategy::kSpeculativeResume);
-      const auto econ =
-          trace::to_economics(reference, planner, request.price);
-      const auto best = core::optimize_all(params, econ, planner.optimizer);
-      EXPECT_EQ(reply.kind, trace::policy_of(best.strategy)) << s;
-      EXPECT_EQ(spec.stage(0).r, best.result.feasible ? best.result.r_opt : 1) << s;
-    } else {
-      trace::plan_staged_spec(reference, request.policy, planner,
-                              request.price);
-      expect_same_plan(spec, reference);
-    }
-  }
 }
 
 }  // namespace
