@@ -1,4 +1,4 @@
-// Shared helpers for the table/figure reproduction binaries.
+// Shared helpers for the figure and sweep bench binaries.
 #pragma once
 
 #include <cmath>

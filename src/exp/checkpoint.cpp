@@ -36,26 +36,6 @@ constexpr std::string_view kHeaderPrefix = "chronos-journal v1 fp=";
 constexpr std::string_view kEntryPrefix = "cell ";
 constexpr std::string_view kChecksumSep = " crc=";
 
-/// Unlinks a scratch file on destruction unless the owner committed it
-/// (renamed it into place). Covers every throw path between creation and
-/// commit with one object instead of per-error cleanup calls.
-class TempFileGuard {
- public:
-  explicit TempFileGuard(std::string path) : path_(std::move(path)) {}
-  ~TempFileGuard() {
-    if (!committed_) {
-      std::remove(path_.c_str());
-    }
-  }
-  TempFileGuard(const TempFileGuard&) = delete;
-  TempFileGuard& operator=(const TempFileGuard&) = delete;
-  void commit() { committed_ = true; }
-
- private:
-  std::string path_;
-  bool committed_ = false;
-};
-
 void append_summary(std::string& out, const MetricSummary& summary) {
   out += ' ';
   out += std::to_string(summary.count);
@@ -338,55 +318,6 @@ FinishedCells merge_journals(const std::vector<std::string>& paths,
                         (merged.size() + listed < num_cells ? ", ..." : ""));
   }
   return merged;
-}
-
-CompactStats compact_journal(const std::string& path,
-                             const std::string& fingerprint) {
-  const JournalContents contents = read_journal(path, fingerprint);
-  CHRONOS_EXPECTS(contents.found,
-                  "journal '" + path + "' is missing or unreadable");
-  CHRONOS_EXPECTS(contents.compatible,
-                  "journal '" + path +
-                      "' belongs to a different sweep (fingerprint "
-                      "mismatch); refusing to compact");
-  CompactStats stats;
-  stats.entries = contents.cells.size();
-  std::error_code size_error;
-  stats.bytes_before = static_cast<std::size_t>(
-      std::filesystem::file_size(path, size_error));
-
-  std::string compacted(kHeaderPrefix);
-  compacted += fingerprint;
-  compacted += '\n';
-  for (const auto& [cell, aggregate] : contents.cells) {
-    compacted += encode_journal_entry({cell, aggregate});
-    compacted += '\n';
-  }
-  stats.bytes_after = compacted.size();
-
-  // Write-then-rename: readers (and a crash) only ever see either the old
-  // journal or the complete compacted one, never a half-written file. The
-  // guard unlinks the temp file on *every* error path (short write, failed
-  // flush, rename failure — e.g. the journal living on another device than
-  // the temp would after a future layout change), so a failed compaction
-  // can never strand a stale .compact.tmp next to the journal.
-  const std::string temp = path + ".compact.tmp";
-  TempFileGuard guard(temp);
-  std::FILE* file = std::fopen(temp.c_str(), "wb");
-  CHRONOS_EXPECTS(file != nullptr,
-                  "cannot open '" + temp + "' for writing");
-  const std::size_t written =
-      std::fwrite(compacted.data(), 1, compacted.size(), file);
-  const bool flushed = std::fflush(file) == 0;
-  std::fclose(file);
-  CHRONOS_EXPECTS(written == compacted.size() && flushed,
-                  "short write to '" + temp + "'");
-  std::error_code rename_error;
-  std::filesystem::rename(temp, path, rename_error);
-  CHRONOS_EXPECTS(!rename_error, "cannot rename '" + temp + "' over '" +
-                                     path + "': " + rename_error.message());
-  guard.commit();
-  return stats;
 }
 
 JournalWriter::JournalWriter(const std::string& path,

@@ -121,24 +121,6 @@ FinishedCells merge_journals(const std::vector<std::string>& paths,
                              const std::string& fingerprint,
                              std::size_t num_cells);
 
-/// Outcome of compact_journal.
-struct CompactStats {
-  std::size_t entries = 0;      ///< entries in the compacted file
-  std::size_t bytes_before = 0;
-  std::size_t bytes_after = 0;
-};
-
-/// Rewrites a journal as its minimal equivalent: the header plus one entry
-/// per cell (the last valid occurrence, i.e. what read_journal yields),
-/// sorted by cell index, dropping duplicates and any torn tail. The rewrite
-/// goes to a temp file that atomically renames over the original, so a
-/// crash mid-compaction leaves the old journal intact. Resuming from a
-/// compacted journal is identical to resuming from the original. Throws
-/// PreconditionError when the journal is missing or does not carry
-/// `fingerprint`.
-CompactStats compact_journal(const std::string& path,
-                             const std::string& fingerprint);
-
 /// Append-only journal writer. By default the file is truncated and a fresh
 /// header is written. A non-zero `resume_at` — read_journal's valid_bytes
 /// for a compatible journal, as resume_journal passes it — cuts the file

@@ -2,11 +2,17 @@
 // under node/VM failures (§VII's system-breakdown remark).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "mapreduce/scheduler.h"
 #include "sim/cluster.h"
 #include "sim/simulator.h"
 #include "strategies/policies.h"
+#include "trace/harness.h"
+#include "trace/planner.h"
 
 namespace chronos::mapreduce {
 namespace {
@@ -173,6 +179,47 @@ TEST(Failures, PocdDegradesWithCrashRate) {
     return static_cast<double>(met) / jobs;
   };
   EXPECT_GT(pocd_at(0.0), pocd_at(0.03));
+}
+
+TEST(Failures, CrashRateErodesEveryChronosStrategyCloneLeast) {
+  // A planned 500-job trace under crash rates 0, 1e-3 and 5e-3 per
+  // attempt-second; crashed attempts restart from byte 0. PoCD falls and
+  // cost rises with the rate for every strategy, and at 5e-3 Clone keeps
+  // the highest PoCD: any surviving copy completes its task. (The step from
+  // 0 to 1e-4 is within noise and not monotone, so it is not asserted.)
+  trace::TraceConfig trace_config;
+  trace_config.num_jobs = 500;
+  trace_config.duration_hours = 20.0;
+  trace_config.mean_tasks = 50.0;
+  trace_config.max_tasks = 500;
+  trace_config.seed = 4242;
+  const auto base = trace::generate_trace(trace_config);
+  const trace::SpotPriceModel prices;
+  std::map<strategies::PolicyKind, double> pocd_at_highest_rate;
+  for (const auto kind :
+       {strategies::PolicyKind::kClone, strategies::PolicyKind::kSRestart,
+        strategies::PolicyKind::kSResume}) {
+    auto jobs = base;
+    trace::PlannerConfig planner;
+    planner.theta = 1e-4;
+    trace::plan_trace(jobs, kind, planner, prices);
+    std::vector<trace::ExperimentResult> results;
+    for (const double rate : {0.0, 1e-3, 5e-3}) {
+      auto config = trace::ExperimentConfig::large_scale(kind, 95);
+      config.scheduler.failures.rate = rate;
+      config.scheduler.failures.lose_partial_output = true;
+      results.push_back(trace::run_experiment(jobs, config));
+    }
+    const std::string name = strategies::to_string(kind);
+    EXPECT_LT(results[2].pocd(), results[1].pocd()) << name;
+    EXPECT_LT(results[1].pocd(), results[0].pocd()) << name;
+    EXPECT_GT(results[2].mean_cost(), results[0].mean_cost()) << name;
+    pocd_at_highest_rate[kind] = results[2].pocd();
+  }
+  EXPECT_GT(pocd_at_highest_rate[strategies::PolicyKind::kClone],
+            pocd_at_highest_rate[strategies::PolicyKind::kSRestart]);
+  EXPECT_GT(pocd_at_highest_rate[strategies::PolicyKind::kClone],
+            pocd_at_highest_rate[strategies::PolicyKind::kSResume]);
 }
 
 }  // namespace

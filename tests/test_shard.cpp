@@ -1,12 +1,11 @@
 // Sharded multi-process sweeps: the fixed-lease partitioner (disjoint,
 // covering, balanced — property-tested over random grids), the shared
 // dedup rule (FinishedCells), journal merge (fingerprint validation,
-// overlap dedup, conflict and gap detection), journal compaction (atomic,
-// idempotent, resume-identical), the headline guarantee — per-shard
-// journals, one shard crash-resumed, merge to reports byte-identical to a
-// single unsharded run of each pinned manifest (tiny.ini and the paper's
-// fig3_theta.ini / fig4_beta.ini), checked against committed goldens — and
-// the sweeprun CLI's error behavior.
+// overlap dedup, conflict and gap detection), the headline guarantee —
+// per-shard journals, one shard crash-resumed, merge to reports
+// byte-identical to a single unsharded run of each pinned manifest
+// (tiny.ini and the paper's figure and table manifests), checked against
+// committed goldens — and the sweeprun CLI's error behavior.
 #include <sys/wait.h>
 
 #include <gtest/gtest.h>
@@ -15,7 +14,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -495,126 +493,6 @@ TEST(JournalMerge, DeduplicatesIdenticalOverlap) {
   std::remove(b.c_str());
 }
 
-// --- compaction ------------------------------------------------------------
-
-TEST(JournalCompaction, RewritesDedupedSortedAndDropsTornTail) {
-  const std::string path = temp_path("compact.journal");
-  // Entries out of order, cell 1 superseded once, plus a torn tail.
-  write_journal(path, "fp1",
-                {{2, tagged_aggregate(4.0)},
-                 {1, tagged_aggregate(1.0)},
-                 {0, tagged_aggregate(2.0)},
-                 {1, tagged_aggregate(3.0)}});
-  const std::string torn =
-      encode_journal_entry({3, tagged_aggregate(5.0)});
-  spill(path, slurp(path) + torn.substr(0, torn.size() / 2));
-
-  const auto before = read_journal(path, "fp1");
-  const CompactStats stats = compact_journal(path, "fp1");
-  EXPECT_EQ(stats.entries, 3u);
-  EXPECT_LT(stats.bytes_after, stats.bytes_before);
-  EXPECT_EQ(stats.bytes_after, slurp(path).size());
-
-  // Same logical contents (cell 1 keeps its last value), tidied file: the
-  // header plus one line per cell in index order.
-  const auto after = read_journal(path, "fp1");
-  EXPECT_TRUE(after.compatible);
-  EXPECT_EQ(encoded_cells(after.cells), encoded_cells(before.cells));
-  EXPECT_EQ(after.valid_bytes, stats.bytes_after);
-  std::string expected = "chronos-journal v1 fp=fp1\n";
-  expected += encode_journal_entry({0, tagged_aggregate(2.0)}) + "\n";
-  expected += encode_journal_entry({1, tagged_aggregate(3.0)}) + "\n";
-  expected += encode_journal_entry({2, tagged_aggregate(4.0)}) + "\n";
-  EXPECT_EQ(slurp(path), expected);
-
-  // Idempotent: compacting a compacted journal changes nothing.
-  const CompactStats again = compact_journal(path, "fp1");
-  EXPECT_EQ(again.bytes_before, again.bytes_after);
-  EXPECT_EQ(slurp(path), expected);
-
-  // No temp file left behind.
-  std::FILE* leftover = std::fopen((path + ".compact.tmp").c_str(), "rb");
-  EXPECT_EQ(leftover, nullptr);
-  if (leftover != nullptr) std::fclose(leftover);
-  std::remove(path.c_str());
-}
-
-TEST(JournalCompaction, RejectsMissingAndForeignJournals) {
-  const std::string path = temp_path("compact_missing");
-  std::remove(path.c_str());
-  EXPECT_THROW(compact_journal(path, "fp1"), PreconditionError);
-  spill(path, "chronos-journal v1 fp=other\n");
-  EXPECT_THROW(compact_journal(path, "fp1"), PreconditionError);
-  std::remove(path.c_str());
-}
-
-TEST(JournalCompaction, StaleTempFromACrashedCompactionIsConsumed) {
-  // A crash between writing .compact.tmp and renaming it leaves the temp
-  // behind. The next compaction must overwrite it and still end with
-  // exactly one file: the compacted journal.
-  const std::string path = temp_path("compact_stale.journal");
-  const std::string temp = path + ".compact.tmp";
-  write_journal(path, "fp1",
-                {{1, tagged_aggregate(1.0)}, {0, tagged_aggregate(2.0)}});
-  spill(temp, "half-written garbage from a crashed compaction");
-
-  const CompactStats stats = compact_journal(path, "fp1");
-  EXPECT_EQ(stats.entries, 2u);
-  EXPECT_TRUE(read_journal(path, "fp1").compatible);
-  std::FILE* leftover = std::fopen(temp.c_str(), "rb");
-  EXPECT_EQ(leftover, nullptr) << "stale temp survived compaction";
-  if (leftover != nullptr) std::fclose(leftover);
-  std::remove(path.c_str());
-}
-
-TEST(JournalCompaction, FailedCompactionStrandsNoTempAndKeepsTheJournal) {
-  // Regression for a temp-file leak: every failure path must unlink the
-  // temp and leave the original journal byte-identical.
-  const std::string path = temp_path("compact_fail.journal");
-  const std::string temp = path + ".compact.tmp";
-  write_journal(path, "fp1", {{0, tagged_aggregate(1.0)}});
-  const std::string original = slurp(path);
-
-  // Fingerprint mismatch: fails before any temp exists.
-  EXPECT_THROW(compact_journal(path, "fp2"), PreconditionError);
-  std::FILE* leftover = std::fopen(temp.c_str(), "rb");
-  EXPECT_EQ(leftover, nullptr);
-  if (leftover != nullptr) std::fclose(leftover);
-  EXPECT_EQ(slurp(path), original);
-
-  // Unwritable temp (the path is occupied by a directory): the write
-  // fails mid-compaction, the journal must be untouched.
-  ASSERT_TRUE(std::filesystem::create_directory(temp));
-  EXPECT_THROW(compact_journal(path, "fp1"), PreconditionError);
-  EXPECT_EQ(slurp(path), original);
-  EXPECT_TRUE(read_journal(path, "fp1").compatible);
-  std::filesystem::remove(temp);
-  std::remove(path.c_str());
-}
-
-TEST(JournalCompaction, CompactedJournalResumesIdentically) {
-  const SweepSpec spec = small_spec();
-  const SweepHooks hooks = small_hooks();
-  const std::string expected =
-      to_csv(run_sweep(spec, hooks, {.threads = 1}));
-
-  const std::string path = temp_path("compact_resume.journal");
-  std::remove(path.c_str());
-  SweepOptions options;
-  options.threads = 2;
-  options.journal = path;
-  run_sweep(spec, hooks, options);
-
-  // Tear the last entry (a crash), then compact: the torn tail is dropped
-  // and the file is canonical. Resume must reproduce the same bytes as the
-  // uncompacted resume would have.
-  const std::string content = slurp(path);
-  spill(path, content.substr(0, content.size() - 25));
-  compact_journal(path, spec_fingerprint(spec));
-  EXPECT_EQ(to_csv(run_sweep(spec, hooks, options)), expected);
-  std::remove(path.c_str());
-}
-
 // --- manifest golden equivalence ------------------------------------------
 
 const std::string kGoldenDir = std::string(CHRONOS_TEST_DIR) + "/golden/";
@@ -723,12 +601,16 @@ TEST_P(GoldenShardEquivalence, ShardsMergeToTheCommittedBytes) {
 }
 
 // tiny.ini exercises every report layer; fig3_theta.ini and fig4_beta.ini
-// are the paper's Figures 3 and 4.
+// are the paper's Figures 3 and 4, table1_tau_est.ini and
+// table2_tau_kill.ini its Tables I and II.
 INSTANTIATE_TEST_SUITE_P(
     Manifests, GoldenShardEquivalence,
-    ::testing::Values(GoldenCase{"tiny.ini", "tiny_sweep", true},
-                      GoldenCase{"fig3_theta.ini", "fig3_theta", false},
-                      GoldenCase{"fig4_beta.ini", "fig4_beta", false}),
+    ::testing::Values(
+        GoldenCase{"tiny.ini", "tiny_sweep", true},
+        GoldenCase{"fig3_theta.ini", "fig3_theta", false},
+        GoldenCase{"fig4_beta.ini", "fig4_beta", false},
+        GoldenCase{"table1_tau_est.ini", "table1_tau_est", false},
+        GoldenCase{"table2_tau_kill.ini", "table2_tau_kill", false}),
     [](const ::testing::TestParamInfo<GoldenCase>& info) {
       return std::string(info.param.golden);
     });
@@ -814,11 +696,13 @@ TEST(SweeprunCli, UnknownFlagsAndBadValuesExitWithUsage) {
     }
   }
 
-  // The flags of the removed live-lease controller/worker mode are gone.
+  // The flags of the removed live-lease controller/worker mode and of the
+  // removed journal compaction are gone.
   for (const char* flag :
        {"--controller", "--worker", "--name", "--lease-cells",
         "--heartbeat-ms", "--lease-timeout-ms", "--progress-timeout-ms",
-        "--worker-timeout-ms", "--connect-attempts", "--fault"}) {
+        "--worker-timeout-ms", "--connect-attempts", "--fault",
+        "--compact"}) {
     result = run_command(kSweeprun + " " + manifest + " " + flag + " 3");
     EXPECT_EQ(result.status, 2) << flag << ": " << result.output;
     EXPECT_NE(result.output.find("sweeprun: unknown flag '" +
@@ -835,13 +719,6 @@ TEST(SweeprunCli, UnknownFlagsAndBadValuesExitWithUsage) {
             std::string::npos)
       << result.output;
 
-  result = run_command(kSweeprun + " " + manifest + " --merge --compact");
-  EXPECT_EQ(result.status, 2) << result.output;
-  EXPECT_NE(result.output.find(
-                "sweeprun: --merge and --compact are mutually exclusive"),
-            std::string::npos)
-      << result.output;
-
   // No manifest at all.
   result = run_command(kSweeprun);
   EXPECT_EQ(result.status, 2) << result.output;
@@ -850,13 +727,6 @@ TEST(SweeprunCli, UnknownFlagsAndBadValuesExitWithUsage) {
   result = run_command(kSweeprun + " " + manifest + " --merge");
   EXPECT_EQ(result.status, 2) << result.output;
   EXPECT_NE(result.output.find("--merge needs a shard count"),
-            std::string::npos)
-      << result.output;
-
-  // --compact with no journal anywhere.
-  result = run_command(kSweeprun + " " + manifest + " --compact");
-  EXPECT_EQ(result.status, 2) << result.output;
-  EXPECT_NE(result.output.find("--compact needs a journal"),
             std::string::npos)
       << result.output;
 

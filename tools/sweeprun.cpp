@@ -7,7 +7,7 @@
 //
 //   sweeprun MANIFEST [--threads N] [--reps N] [--journal PATH] [--fresh]
 //            [--csv PATH] [--json PATH] [--no-table]
-//            [--shard I/N] [--shard-dir DIR] [--merge [N]] [--compact]
+//            [--shard I/N] [--shard-dir DIR] [--merge [N]]
 //            [--metrics-out PATH] [--trace-out PATH] [--progress]
 //
 // Distribution: `--shard I/N` is a fixed lease. Shard I runs every Nth cell
@@ -18,8 +18,6 @@
 // of them fuses the shard journals through exp::FinishedCells (duplicates
 // must match byte for byte; gaps, conflicts and foreign fingerprints are
 // hard errors) and renders reports byte-identical to a single-process run.
-// `--compact` rewrites a journal as its minimal deduplicated equivalent
-// (atomic rename), which resumes identically.
 //
 // SIGINT/SIGTERM drain a run gracefully: the current replication round
 // winds down, finished cells are flushed and fsynced to the journal, and
@@ -95,7 +93,6 @@ struct Cli {
   std::size_t shard_count = 0;  ///< 0 = no --shard flag
   bool merge = false;
   std::size_t merge_count = 0;  ///< 0 = from --shard or the manifest
-  bool compact = false;
   std::string metrics_out;  ///< write the metrics registry JSON here
   std::string trace_out;    ///< write Chrome trace-event JSON here
   bool progress = false;    ///< throttled progress lines on stderr
@@ -106,8 +103,7 @@ struct Cli {
                "usage: %s MANIFEST [--threads N] [--reps N] "
                "[--journal PATH] [--fresh] [--csv PATH] [--json PATH] "
                "[--no-table] [--shard I/N] [--shard-dir DIR] [--merge [N]] "
-               "[--compact] [--metrics-out PATH] [--trace-out PATH] "
-               "[--progress]\n",
+               "[--metrics-out PATH] [--trace-out PATH] [--progress]\n",
                argv0);
   std::exit(2);
 }
@@ -183,8 +179,6 @@ Cli parse_cli(int argc, char** argv) {
         cli.merge_count = count;
         ++i;
       }
-    } else if (arg == "--compact") {
-      cli.compact = true;
     } else if (arg == "--fresh") {
       cli.fresh = true;
     } else if (arg == "--no-table") {
@@ -206,11 +200,6 @@ Cli parse_cli(int argc, char** argv) {
   }
   if (cli.manifest_path.empty()) {
     usage(argv[0]);
-  }
-  if (cli.merge && cli.compact) {
-    std::fprintf(stderr,
-                 "sweeprun: --merge and --compact are mutually exclusive\n");
-    std::exit(2);
   }
   if ((!cli.metrics_out.empty() || !cli.trace_out.empty()) &&
       !obs::compiled_in()) {
@@ -295,23 +284,6 @@ void render_reports(const exp::SweepResult& result,
     exp::write_file(outputs.json, exp::to_json(result));
     std::printf("\nJSON written to %s\n", outputs.json.c_str());
   }
-}
-
-/// --compact: rewrite this process's journal (the shard's with --shard, the
-/// configured one otherwise) as its minimal equivalent.
-int run_compact(const std::string& journal, const std::string& fingerprint) {
-  if (journal.empty()) {
-    std::fprintf(stderr,
-                 "sweeprun: --compact needs a journal (a [output] journal, "
-                 "--journal, or --shard I/N)\n");
-    return 2;
-  }
-  const exp::CompactStats stats = exp::compact_journal(journal, fingerprint);
-  std::printf("compacted %s: %zu entr%s, %zu -> %zu bytes\n",
-              journal.c_str(), stats.entries,
-              stats.entries == 1 ? "y" : "ies", stats.bytes_before,
-              stats.bytes_after);
-  return 0;
 }
 
 /// --merge: fuse every shard journal (duplicates must match byte for byte)
@@ -417,11 +389,6 @@ int main(int argc, char** argv) {
                                           cli.shard_index, cli.shard_count)
                 : manifest.outputs.journal;
 
-    if (cli.compact) {
-      const int rc = run_compact(journal, fingerprint);
-      if (rc == 0) write_obs_outputs(cli);
-      return rc;
-    }
     if (cli.merge) {
       const int rc = run_merge(manifest, cli, fingerprint, shard_dir);
       if (rc == 0) write_obs_outputs(cli);
