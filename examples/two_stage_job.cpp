@@ -25,8 +25,10 @@ double run_once(const mapreduce::JobSpec& spec, strategies::PolicyKind kind,
   node.containers = 32;
   sim::Cluster cluster(sim::ClusterConfig::uniform(8, node));
   auto policy = strategies::make_policy(kind);
-  mapreduce::Scheduler scheduler(simulator, cluster, *policy,
-                                 mapreduce::SchedulerConfig{}, Rng(seed));
+  mapreduce::SchedulerConfig config;
+  config.retain_outcomes = true;  // the job's outcome row is read below
+  mapreduce::Scheduler scheduler(simulator, cluster, *policy, config,
+                                 Rng(seed));
   scheduler.submit(spec);
   simulator.run();
   const auto& outcome = scheduler.metrics().outcomes().front();

@@ -45,8 +45,7 @@ MetricSummary from_stats(const stats::RunningStats& stats) {
 }
 
 double run_mean_r(const trace::ExperimentResult& result) {
-  // The running sum stays available when outcome-row retention is off
-  // (open-system runs) and matches summing outcomes() exactly.
+  // From the running sum: replications keep no per-job outcome rows.
   return static_cast<double>(result.metrics.total_r_used()) /
          static_cast<double>(result.metrics.jobs());
 }

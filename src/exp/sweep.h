@@ -4,7 +4,9 @@
 // replication count; the engine expands the cartesian product into cells,
 // derives one deterministic seed stream per cell by splitting a master
 // chronos::Rng, and runs every replication through trace::run_experiment —
-// across a thread pool when asked. All scheduling decisions happen at
+// across a thread pool when asked. A replication keeps only its RunMetrics'
+// running aggregates, no per-job rows, so what a cell holds between rounds
+// does not grow with its trace. All scheduling decisions happen at
 // barriers on deterministic per-cell data, so the aggregated output is
 // identical for any thread count, including 1.
 //

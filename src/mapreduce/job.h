@@ -132,19 +132,22 @@ struct AttemptRecord {
 
   /// Next attempt of the same task (the task's sibling list), -1 at the
   /// tail. Sits before `reported` so it fills padding: the record stays
-  /// 104 bytes.
+  /// 88 bytes.
   int next_sibling = -1;
 
-  // First progress report (drives the Chronos estimator, Eq. 30).
+  /// Set by the first observation that carries progress; the Chronos
+  /// estimator (Eq. 30) needs that first report before it estimates.
   bool reported = false;
-  double first_report_time = 0.0;
-  double first_report_progress = 0.0;
 
   sim::EventId finish_event;
 
   /// True fraction of the task's split processed at time `now`
   /// (start_offset until the JVM is up, then linear to 1).
   double true_progress(double now) const;
+
+  /// t_FP of Eq. 30: the first progress report arrives as soon as the JVM
+  /// is up, carrying the attempt's start offset as its progress.
+  double first_report_time() const { return launch_time + jvm_time; }
 
   /// Absolute finish time (launch + jvm + work); valid once running.
   double planned_finish() const {

@@ -78,15 +78,13 @@ double estimate_completion_time(const AttemptRecord& attempt,
       if (!attempt.reported) {
         return unknown_completion_time();
       }
-      const double t_fp = attempt.first_report_time;
-      const double fp =
-          within_work(attempt.first_report_progress, attempt.start_offset);
-      if (cp - fp <= 1e-9) {
+      if (cp <= 1e-9) {
         return unknown_completion_time();
       }
-      // Eq. 30 generalized to a non-zero first-report progress: the
-      // remaining (1 - fp) of the work takes (now - t_fp) * (1-fp)/(cp-fp).
-      return t_fp + (now - t_fp) * (1.0 - fp) / (cp - fp);
+      // Eq. 30: the first report carries the start offset, so progress
+      // within the attempt's own work is 0 there and cp at `now`.
+      const double t_fp = attempt.first_report_time();
+      return t_fp + (now - t_fp) / cp;
     }
   }
   CHRONOS_ENSURES(false, "unknown estimator kind");
@@ -103,8 +101,9 @@ double resume_offset(const AttemptRecord& attempt, double observed_progress,
   const double b_est = observed_progress;
   double b_extra = 0.0;
   if (attempt.reported) {
-    const double jvm = attempt.first_report_time - attempt.launch_time;
-    const double processing = now - attempt.first_report_time;
+    const double t_fp = attempt.first_report_time();
+    const double jvm = t_fp - attempt.launch_time;
+    const double processing = now - t_fp;
     if (processing > 1e-9) {
       b_extra = b_est / processing * jvm;
     }

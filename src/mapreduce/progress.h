@@ -52,8 +52,8 @@ ProgressReport observe_progress(const AttemptRecord& attempt, double now,
 double unknown_completion_time();
 
 /// Estimates the absolute completion time of a running attempt at `now`.
-/// `report` must be an observation taken at `now`; `attempt.reported` /
-/// `first_report_*` supply the Eq. 30 inputs for the Chronos estimator.
+/// `report` must be an observation taken at `now`; the Chronos estimator
+/// needs `attempt.reported` and anchors Eq. 30 at its first_report_time().
 /// Returns unknown_completion_time() when no estimate is possible.
 double estimate_completion_time(const AttemptRecord& attempt,
                                 const ProgressReport& report,

@@ -400,13 +400,10 @@ ProgressReport SchedulerApi::observe(int job, int attempt_id) {
   auto& att = scheduler_.attempt_mut(job, attempt_id);
   const auto report = observe_progress(att, now(), scheduler_.config_.noise,
                                        scheduler_.rng_);
-  if (report.available && !att.reported) {
-    // The first heartbeat carrying progress arrives as soon as the JVM is
-    // up; the Chronos estimator anchors its startup correction there
-    // (Eq. 30: t_FP). Progress at that instant is the resume offset.
+  if (report.available) {
+    // The Chronos estimator anchors its startup correction at the first
+    // report, AttemptRecord::first_report_time().
     att.reported = true;
-    att.first_report_time = att.launch_time + att.jvm_time;
-    att.first_report_progress = att.start_offset;
   }
   return report;
 }

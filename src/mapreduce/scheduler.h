@@ -94,9 +94,10 @@ struct SchedulerConfig {
   /// When false, resume offsets skip the Eq. 31 anticipation of bytes the
   /// original processes during the new attempts' JVM startup (ablation).
   bool anticipate_resume_offset = true;
-  /// When false, RunMetrics drops per-job outcome rows and keeps only the
-  /// running aggregates (open-system million-job runs).
-  bool retain_outcomes = true;
+  /// Opt-in per-job outcome rows in metrics().outcomes(), for callers that
+  /// read them. Off, RunMetrics keeps only its running aggregates (the same
+  /// values either way), so a run's metrics stay O(1) in its job count.
+  bool retain_outcomes = false;
   FailureConfig failures;
 };
 

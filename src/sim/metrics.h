@@ -35,12 +35,14 @@ class RunMetrics {
  public:
   void record(const JobOutcome& outcome);
 
-  /// When off, record() keeps only the running aggregates and drops the
-  /// per-job outcome rows — O(1) memory for million-job open-system runs.
-  /// Must be flipped before the first record().
+  /// Per-job outcome rows are opt-in, for callers that read outcomes():
+  /// by default record() updates only the running aggregates, so a run
+  /// holds O(1) metrics however many jobs it records. Every aggregate is
+  /// the same with rows on or off. Must be set before the first record().
   void set_retain_outcomes(bool retain);
 
   std::uint64_t jobs() const { return jobs_; }
+  /// The recorded rows; empty unless set_retain_outcomes(true).
   const std::vector<JobOutcome>& outcomes() const { return outcomes_; }
 
   /// Fraction of jobs that met their deadline; requires >= 1 job.
@@ -64,12 +66,12 @@ class RunMetrics {
   std::uint64_t attempts_killed() const { return killed_; }
   std::uint64_t attempts_failed() const { return failed_; }
 
-  /// Sum of r_used over all jobs (available with outcome retention off).
+  /// Sum of r_used over all jobs.
   long long total_r_used() const { return total_r_; }
 
  private:
   std::vector<JobOutcome> outcomes_;
-  bool retain_outcomes_ = true;
+  bool retain_outcomes_ = false;
   std::uint64_t jobs_ = 0;
   std::uint64_t met_ = 0;
   long long total_r_ = 0;

@@ -68,15 +68,6 @@ class WindowedArea {
   double area_ = 0.0;
 };
 
-mapreduce::SchedulerConfig open_scheduler_config(
-    const OpenSystemConfig& config) {
-  // The engine keeps its own warm-up-aware aggregates; the scheduler's
-  // metrics only need the running counters.
-  auto scheduler = config.scheduler;
-  scheduler.retain_outcomes = false;
-  return scheduler;
-}
-
 class OpenEngine {
  public:
   explicit OpenEngine(const OpenSystemConfig& config)
@@ -88,7 +79,7 @@ class OpenEngine {
         // admit() names each job's policy; the configured one is only the
         // scheduler's default.
         scheduler_(simulator_, cluster_, backend(config.policy),
-                   open_scheduler_config(config), Rng(master_.split_seed())),
+                   config.scheduler, Rng(master_.split_seed())),
         prices_(config.prices),
         planner_(serve::PlannerServiceConfig{config.planner,
                                              config.plan_cache}),
@@ -96,7 +87,6 @@ class OpenEngine {
         busy_area_(config.warm_up, config.duration),
         queue_area_(config.warm_up, config.duration),
         jobs_area_(config.warm_up, config.duration) {
-    measured_.set_retain_outcomes(false);
     scheduler_.retire_completed_jobs(
         [this](int job, const JobOutcome& outcome) {
           on_complete(job, outcome);

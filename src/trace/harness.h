@@ -50,7 +50,10 @@ struct ExperimentResult {
 /// other event at its instant, so `jobs` need not be sorted. Only the next
 /// submission is pending at any time (it schedules the one after it, as the
 /// open engine's arrivals do), so the event queue holds in-flight work, not
-/// the rest of the trace. Requires every submit_time >= 0.
+/// the rest of the trace. The result's metrics are running aggregates,
+/// O(1) in the trace length; per-job rows come back only when
+/// `config.scheduler.retain_outcomes` opts in. Requires every
+/// submit_time >= 0.
 ExperimentResult run_experiment(const std::vector<TracedJob>& jobs,
                                 const ExperimentConfig& config);
 

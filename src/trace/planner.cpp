@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/numeric.h"
 
 namespace chronos::trace {
 
@@ -21,6 +22,18 @@ core::JobParams stage_job_params(const mapreduce::StageSpec& stage,
                        ? 0.0
                        : config.tau_est_factor * stage.t_min;
   params.tau_kill = config.tau_kill_factor * stage.t_min;
+  // An empty kill window makes an extra attempt free in the model, so
+  // Algorithm 1 would climb to max_r.
+  CHRONOS_EXPECTS(
+      params.tau_kill > params.tau_est,
+      strategy == core::Strategy::kClone
+          ? "empty kill window: Clone needs tau_kill_factor > 0 (it has "
+            "no tau_est_factor), got " +
+                numeric::format_double_g(config.tau_kill_factor)
+          : "empty kill window: " + core::to_string(strategy) +
+                " needs tau_kill_factor > tau_est_factor, got " +
+                numeric::format_double_g(config.tau_kill_factor) +
+                " <= " + numeric::format_double_g(config.tau_est_factor));
   params.phi_est = core::default_phi_est(params);
   return params;
 }

@@ -32,7 +32,9 @@ struct PlannerConfig {
 /// R_min of r_min_from_baseline mode.
 double baseline_pocd(const mapreduce::StageSpec& stage, double deadline);
 
-/// Analytic-model view of one stage under its deadline share.
+/// Analytic-model view of one stage under its deadline share. Throws
+/// PreconditionError when the strategy's kill window is empty: tau_kill <=
+/// tau_est under S-Restart or S-Resume, tau_kill <= 0 under Clone.
 core::JobParams stage_job_params(const mapreduce::StageSpec& stage,
                                  double deadline, const PlannerConfig& config,
                                  core::Strategy strategy);

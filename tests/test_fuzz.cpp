@@ -470,7 +470,7 @@ TEST(JobSpecFuzz, MalformedGraphsAreRejectedOrRunToFiniteOutcomes) {
       sim::Cluster cluster(cluster_config);
       const auto policy = strategies::make_policy(kind);
       mapreduce::Scheduler scheduler(simulator, cluster, *policy,
-                                     mapreduce::SchedulerConfig{}, Rng(seed));
+                                     {.retain_outcomes = true}, Rng(seed));
       try {
         scheduler.submit(spec);
       } catch (const PreconditionError&) {

@@ -53,7 +53,8 @@ TEST(Harness, SingleJobTrace) {
   job.spec.deadline = 200.0;
   job.spec.stage(0).t_min = 30.0;
   job.spec.stage(0).beta = 1.5;
-  const auto config = ExperimentConfig::large_scale(PolicyKind::kHadoopNS);
+  auto config = ExperimentConfig::large_scale(PolicyKind::kHadoopNS);
+  config.scheduler.retain_outcomes = true;
   const auto result = run_experiment({job}, config);
   EXPECT_EQ(result.metrics.jobs(), 1u);
   EXPECT_EQ(result.metrics.outcomes().front().job_id, 99);
@@ -89,8 +90,7 @@ TEST(Harness, DifferentSeedsProduceDifferentRuns) {
       {job}, ExperimentConfig::large_scale(PolicyKind::kHadoopNS, 1));
   const auto b = run_experiment(
       {job}, ExperimentConfig::large_scale(PolicyKind::kHadoopNS, 2));
-  EXPECT_NE(a.metrics.outcomes().front().machine_time,
-            b.metrics.outcomes().front().machine_time);
+  EXPECT_NE(a.metrics.mean_machine_time(), b.metrics.mean_machine_time());
 }
 
 
@@ -137,6 +137,7 @@ void expect_same_run(const sim::RunMetrics& a, std::uint64_t a_events,
   EXPECT_EQ(a.pocd(), b.pocd()) << label;
   EXPECT_EQ(a.mean_cost(), b.mean_cost()) << label;
   EXPECT_EQ(a.mean_machine_time(), b.mean_machine_time()) << label;
+  ASSERT_EQ(a.outcomes().size(), a.jobs()) << label << ": rows opted in";
   ASSERT_EQ(a.outcomes().size(), b.outcomes().size()) << label;
   for (std::size_t i = 0; i < a.outcomes().size(); ++i) {
     const auto& x = a.outcomes()[i];
@@ -193,6 +194,7 @@ TEST(ClosedReplayRetirement, ChangesNoResult) {
          {Failures{0.0, true}, Failures{0.01, true}, Failures{0.01, false}}) {
       auto config = ExperimentConfig::large_scale(kind, 3);
       config.cluster = sim::ClusterConfig::uniform(2, node);
+      config.scheduler.retain_outcomes = true;  // compared row by row
       config.scheduler.failures.rate = failures.rate;
       config.scheduler.failures.lose_partial_output =
           failures.lose_partial_output;
@@ -273,6 +275,7 @@ TEST(ClosedReplayOrder, OnePendingSubmissionMatchesEagerReplay) {
         PolicyKind::kSRestart, PolicyKind::kSResume}) {
     auto config = ExperimentConfig::large_scale(kind, 5);
     config.cluster = sim::ClusterConfig::uniform(2, node);
+    config.scheduler.retain_outcomes = true;  // compared row by row
     for (const Case& c : cases) {
       const std::string label = to_string(kind) + " " + c.name;
       const Replay eager = replay(c.jobs, config, false);

@@ -24,12 +24,15 @@ std::vector<TracedJob> small_trace(std::uint64_t seed = 5) {
   return generate_trace(config);
 }
 
-ExperimentResult run_policy(PolicyKind policy, std::uint64_t seed = 5) {
+/// `rows` opts in to per-job outcome rows, for tests that read them.
+ExperimentResult run_policy(PolicyKind policy, std::uint64_t seed = 5,
+                            bool rows = false) {
   auto jobs = small_trace();
   PlannerConfig planner;
   const SpotPriceModel prices;
   plan_trace(jobs, policy, planner, prices);
   auto config = ExperimentConfig::large_scale(policy, seed);
+  config.scheduler.retain_outcomes = rows;
   return run_experiment(jobs, config);
 }
 
@@ -81,9 +84,10 @@ TEST(Integration, MachineTimeBoundedBelowByWork) {
   PlannerConfig planner;
   const SpotPriceModel prices;
   plan_trace(jobs, PolicyKind::kHadoopNS, planner, prices);
-  const auto config =
-      ExperimentConfig::large_scale(PolicyKind::kHadoopNS, 5);
+  auto config = ExperimentConfig::large_scale(PolicyKind::kHadoopNS, 5);
+  config.scheduler.retain_outcomes = true;
   const auto result = run_experiment(jobs, config);
+  ASSERT_EQ(result.metrics.outcomes().size(), jobs.size());
   std::map<int, double> min_work;
   for (const auto& job : jobs) {
     min_work[job.spec.job_id] = job.spec.stage(0).num_tasks * job.spec.stage(0).t_min;
@@ -100,7 +104,8 @@ TEST(Integration, TestbedConfigMatchesPaper) {
 }
 
 TEST(Integration, MeetingDeadlineConsistentWithCompletionTime) {
-  const auto result = run_policy(PolicyKind::kSRestart);
+  const auto result = run_policy(PolicyKind::kSRestart, 5, true);
+  ASSERT_EQ(result.metrics.outcomes().size(), result.metrics.jobs());
   for (const auto& outcome : result.metrics.outcomes()) {
     EXPECT_EQ(outcome.met_deadline,
               outcome.completion_time <= outcome.deadline);

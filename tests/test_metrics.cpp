@@ -76,6 +76,7 @@ TEST(RunMetrics, CiShrinksWithJobs) {
 
 TEST(RunMetrics, OutcomesPreserved) {
   RunMetrics m;
+  m.set_retain_outcomes(true);
   auto o = make_outcome(true, 5.0, 2.0);
   o.job_id = 42;
   o.r_used = 3;

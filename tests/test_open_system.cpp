@@ -558,8 +558,7 @@ TEST(ValidationHardening, ClusterRejectsNonFiniteNodeParameters) {
 }
 
 TEST(ValidationHardening, RunMetricsRetentionToggle) {
-  sim::RunMetrics metrics;
-  metrics.set_retain_outcomes(false);
+  sim::RunMetrics metrics;  // rows are opt-in: none by default
   sim::JobOutcome outcome;
   outcome.met_deadline = true;
   outcome.r_used = 2;

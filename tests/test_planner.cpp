@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 
 namespace chronos::trace {
@@ -131,6 +133,56 @@ TEST(Planner, PlanTracePlansEveryJob) {
     EXPECT_GT(job.spec.stage(0).tau_kill, job.spec.stage(0).tau_est);
     EXPECT_NO_THROW(job.spec.validate());
   }
+}
+
+/// Plans sample_job() and expects the empty-kill-window rejection, whose
+/// message must contain `needs`.
+void expect_empty_window(strategies::PolicyKind policy, bool auto_strategy,
+                         double tau_est_factor, double tau_kill_factor,
+                         const std::string& needs) {
+  auto job = sample_job();
+  PlannerConfig config;
+  config.tau_est_factor = tau_est_factor;
+  config.tau_kill_factor = tau_kill_factor;
+  StagedPlan plan;
+  try {
+    plan_into(job.spec, auto_strategy, policy, config, 0.4, plan);
+    ADD_FAILURE() << "planned an empty kill window";
+  } catch (const PreconditionError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("empty kill window"), std::string::npos) << what;
+    EXPECT_NE(what.find(needs), std::string::npos) << what;
+  }
+}
+
+TEST(Planner, EmptyKillWindowIsRejectedAtPlanTime) {
+  // With tau_kill <= tau_est an extra attempt costs nothing in the model,
+  // so Algorithm 1 would plan max_r for every job.
+  using strategies::PolicyKind;
+  const std::string restart = "tau_kill_factor > tau_est_factor";
+  expect_empty_window(PolicyKind::kSRestart, false, 0.5, 0.5, restart);
+  expect_empty_window(PolicyKind::kSRestart, false, 0.5, 0.4, restart);
+  expect_empty_window(PolicyKind::kSResume, false, 0.3, 0.3, restart);
+  expect_empty_window(PolicyKind::kClone, false, 0.3, 0.0,
+                      "tau_kill_factor > 0");
+  // plan = auto weighs every strategy, so an empty S-Restart/S-Resume
+  // window fails it even though Clone's window is open.
+  expect_empty_window(PolicyKind::kHadoopNS, true, 0.5, 0.5, restart);
+
+  // Clone has no tau_est: only its kill time must be positive. Baselines
+  // never reach the model.
+  auto job = sample_job();
+  PlannerConfig config;
+  config.tau_est_factor = 0.5;
+  config.tau_kill_factor = 0.5;
+  const SpotPriceModel prices;
+  EXPECT_NO_THROW(
+      plan_staged_job(job, strategies::PolicyKind::kClone, config, prices));
+  EXPECT_NO_THROW(
+      plan_staged_job(job, strategies::PolicyKind::kMantri, config, prices));
+  config.tau_kill_factor = 0.55;
+  EXPECT_NO_THROW(
+      plan_staged_job(job, strategies::PolicyKind::kSRestart, config, prices));
 }
 
 }  // namespace

@@ -109,8 +109,6 @@ TEST(EstimateCompletion, ChronosCorrectsForJvm) {
   auto a = running_attempt();
   // First report at JVM-ready (t=15, progress ~0).
   a.reported = true;
-  a.first_report_time = 15.0;
-  a.first_report_progress = 0.0;
   ProgressReport report;
   report.available = true;
   report.time = 65.0;
@@ -123,8 +121,6 @@ TEST(EstimateCompletion, ChronosCorrectsForJvm) {
 TEST(EstimateCompletion, ChronosMoreAccurateThanNaive) {
   auto a = running_attempt();
   a.reported = true;
-  a.first_report_time = 15.0;
-  a.first_report_progress = 0.0;
   ProgressReport report;
   report.available = true;
   report.time = 65.0;
@@ -165,8 +161,6 @@ TEST(EstimateCompletion, CompleteProgressReturnsNow) {
 TEST(ResumeOffset, AddsAnticipatedBytes) {
   auto a = running_attempt();
   a.reported = true;
-  a.first_report_time = 15.0;  // JVM took 5 s
-  a.first_report_progress = 0.0;
   // At t = 65 the original processed 0.5 in 50 s of processing time; during
   // a 5 s JVM startup of the new attempts it will process 0.5/50*5 = 0.05.
   const double offset = resume_offset(a, 0.5, 65.0);
@@ -181,8 +175,6 @@ TEST(ResumeOffset, NoAnchorFallsBackToObserved) {
 TEST(ResumeOffset, ClampedToOne) {
   auto a = running_attempt();
   a.reported = true;
-  a.first_report_time = 15.0;
-  a.first_report_progress = 0.0;
   EXPECT_LE(resume_offset(a, 0.999, 15.5), 1.0);
 }
 

@@ -47,7 +47,8 @@ struct Rig {
               node.containers = containers;
               return node;
             }())),
-        scheduler(simulator, cluster, policy, SchedulerConfig{}, Rng(seed)) {}
+        scheduler(simulator, cluster, policy, {.retain_outcomes = true},
+                  Rng(seed)) {}
 };
 
 TEST(Scheduler, SingleJobRunsToCompletion) {
@@ -394,8 +395,8 @@ TEST(Scheduler, EveryHookReachesThePolicyTheJobWasSubmittedUnder) {
     RecordingPolicy a(1);
     RecordingPolicy b(2);
     RecordingPolicy fallback(1);
-    Scheduler scheduler(simulator, cluster, fallback, SchedulerConfig{},
-                        Rng(7));
+    Scheduler scheduler(simulator, cluster, fallback,
+                        {.retain_outcomes = true}, Rng(7));
     if (retire) {
       scheduler.retire_completed_jobs();
     }
@@ -449,6 +450,8 @@ TEST(Scheduler, EveryHookReachesThePolicyTheJobWasSubmittedUnder) {
     }
     // No policy speculates, so each job launched exactly its policy's
     // copies of each of its 7 tasks.
+    ASSERT_EQ(scheduler.metrics().outcomes().size(),
+              static_cast<std::size_t>(kJobs));
     for (const auto& outcome : scheduler.metrics().outcomes()) {
       EXPECT_EQ(outcome.attempts_launched,
                 7 * owner[static_cast<std::size_t>(outcome.job_id)]->copies())

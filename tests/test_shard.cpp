@@ -615,6 +615,60 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.golden);
     });
 
+// --- sweep replications keep aggregates only -------------------------------
+
+TEST(SweepReplication, KeepsNoOutcomeRowsAndTheSameAggregates) {
+  // The last dag_pipeline cell (S-Resume, fan-out 4), built by the
+  // manifest's own hooks. Its first replication is replayed as the engine
+  // runs it and again with per-job rows opted in: the engine's replay holds
+  // no rows, and every aggregate the reports read is the same to the bit.
+  Manifest manifest;
+  try {
+    manifest = load_manifest(std::string(CHRONOS_MANIFEST_DIR) +
+                             "/dag_pipeline.ini");
+  } catch (const std::exception& error) {
+    FAIL() << error.what();
+  }
+  SweepHooks hooks = make_hooks(manifest);
+  const CellRunner run = hooks.run;
+  std::optional<CellInstance> first;  // one thread: no concurrent writes
+  hooks.run = [&first, run](const SweepPoint& point, std::uint64_t seed,
+                            const SharedCell& shared) {
+    CellInstance instance = run(point, seed, shared);
+    if (!first.has_value()) {
+      first = instance;
+    }
+    return instance;
+  };
+  SweepOptions options;
+  options.cells = std::vector<std::size_t>{manifest.spec.num_cells() - 1};
+  run_sweep(manifest.spec, hooks, options);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(first->config.policy, PolicyKind::kSResume);
+
+  const trace::ExperimentResult lean =
+      trace::run_experiment(*first->jobs, first->config);
+  trace::ExperimentConfig with_rows = first->config;
+  with_rows.scheduler.retain_outcomes = true;
+  const trace::ExperimentResult rows =
+      trace::run_experiment(*first->jobs, with_rows);
+
+  const sim::RunMetrics& a = lean.metrics;
+  const sim::RunMetrics& b = rows.metrics;
+  EXPECT_TRUE(a.outcomes().empty());
+  ASSERT_EQ(b.outcomes().size(), first->jobs->size());
+  EXPECT_EQ(a.jobs(), b.jobs());
+  EXPECT_EQ(a.pocd(), b.pocd());
+  EXPECT_EQ(a.mean_cost(), b.mean_cost());
+  EXPECT_EQ(a.mean_machine_time(), b.mean_machine_time());
+  EXPECT_EQ(a.total_r_used(), b.total_r_used());
+  EXPECT_GT(a.total_r_used(), 0);  // S-Resume planned extra attempts
+  EXPECT_EQ(a.attempts_launched(), b.attempts_launched());
+  EXPECT_EQ(a.attempts_killed(), b.attempts_killed());
+  EXPECT_EQ(a.attempts_failed(), b.attempts_failed());
+  EXPECT_EQ(lean.events_executed, rows.events_executed);
+}
+
 // --- sweeprun CLI error behavior -------------------------------------------
 
 struct CommandResult {
@@ -730,6 +784,25 @@ TEST(SweeprunCli, UnknownFlagsAndBadValuesExitWithUsage) {
             std::string::npos)
       << result.output;
 
+  std::remove(manifest.c_str());
+}
+
+TEST(SweeprunCli, EmptyKillWindowExitsNonzeroNamingTheFactors) {
+  // tau_kill = tau_est would make every extra S-Restart attempt free in the
+  // model, so Algorithm 1 would plan max_r; planning refuses it instead.
+  const std::string manifest = temp_path("empty_window.ini");
+  spill(manifest,
+        "[sweep]\nname = empty_window\npolicies = s-restart\n"
+        "[trace]\nnum_jobs = 4\n"
+        "[planner]\ntau_est_factor = 0.5\ntau_kill_factor = 0.5\n");
+  const CommandResult result =
+      run_command(kSweeprun + " " + manifest + " --fresh --no-table");
+  EXPECT_NE(result.status, 0) << result.output;
+  EXPECT_NE(result.output.find("empty kill window"), std::string::npos)
+      << result.output;
+  EXPECT_NE(result.output.find("tau_kill_factor > tau_est_factor"),
+            std::string::npos)
+      << result.output;
   std::remove(manifest.c_str());
 }
 

@@ -313,7 +313,8 @@ struct RetiringRun {
           return node;
         }())),
         policy(make_policy(kind)),
-        scheduler(simulator, cluster, *policy, SchedulerConfig{}, Rng(5)) {
+        scheduler(simulator, cluster, *policy, {.retain_outcomes = true},
+                  Rng(5)) {
     scheduler.retire_completed_jobs();
   }
 };
@@ -527,6 +528,7 @@ ReplayResult replay(const MantriScenario& scenario,
   }()));
   SchedulerConfig config;
   config.noise = mapreduce::ProgressNoiseConfig::realistic();
+  config.retain_outcomes = true;
   Scheduler scheduler(simulator, cluster, policy, config, Rng(19));
   if (retire) {
     scheduler.retire_completed_jobs();
