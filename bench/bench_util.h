@@ -27,7 +27,7 @@ inline std::string fmt(double v, int precision = 3) {
 
 inline std::string fmt_int(long long v) { return std::to_string(v); }
 
-/// Flags shared by the sweep-engine bench binaries:
+/// Flags of the sweep-engine bench binary (fig2_testbed):
 ///   --threads N     worker threads (0 = all hardware threads)
 ///   --reps N        replications per cell (0 = binary default)
 ///   --csv PATH      also write the aggregated sweep as CSV

@@ -1,9 +1,9 @@
 #include "serve/planner.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstddef>
-#include <span>
+#include <utility>
 
 #include "common/error.h"
 #include "common/numeric.h"
@@ -26,9 +26,8 @@ CachedPlan cached_plan(const mapreduce::JobSpec& spec,
                        const trace::StagedPlan& plan) {
   CachedPlan cached;
   cached.kind = plan.kind;
-  cached.num_stages = spec.num_stages();
-  for (int s = 0; s < spec.num_stages(); ++s) {
-    cached.r[static_cast<std::size_t>(s)] = spec.stage(s).r;
+  for (const auto& stage : spec.stages) {
+    cached.r.push_back(stage.r);
   }
   cached.feasible = plan.feasible();
   return cached;
@@ -58,27 +57,6 @@ std::int64_t quantize_bucket(double value, double grid) {
                                    (std::uint64_t{1} << 62));
 }
 
-std::uint64_t hash_key(const PlanKey& key) {
-  std::uint64_t hash = 1469598103934665603ull;
-  const auto mix = [&hash](std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (8 * byte)) & 0xffu;
-      hash *= 1099511628211ull;
-    }
-  };
-  mix(key.mode);
-  mix(static_cast<std::uint64_t>(key.num_stages));
-  mix(static_cast<std::uint64_t>(key.deadline));
-  mix(static_cast<std::uint64_t>(key.price));
-  for (const PlanStageKey& stage : key.stages) {
-    mix(static_cast<std::uint64_t>(stage.num_tasks));
-    mix(static_cast<std::uint64_t>(stage.t_min));
-    mix(static_cast<std::uint64_t>(stage.beta));
-    mix(stage.deps);
-  }
-  return hash;
-}
-
 PlannerService::PlannerService(PlannerServiceConfig config)
     : config_(config) {
   config_.cache.validate();
@@ -86,29 +64,33 @@ PlannerService::PlannerService(PlannerServiceConfig config)
 
 PlanKey PlannerService::make_key(const PlanRequest& request) const {
   const auto& spec = *request.spec;
-  CHRONOS_EXPECTS(spec.num_stages() <= kMaxKeyStages,
-                  "plan key holds at most kMaxKeyStages stages");
-  PlanKey key;
-  key.mode = request.auto_strategy
-                 ? kAutoMode
-                 : static_cast<std::uint64_t>(request.policy);
-  key.num_stages = spec.num_stages();
   const bool quantized = config_.cache.mode == CacheMode::kQuantized;
   const double grid = config_.cache.grid;
-  const auto encode = [&](double value) {
-    return quantized ? quantize_bucket(value, grid)
-                     : std::bit_cast<std::int64_t>(value);
+  PlanKey key;
+  // Sized for a chain (one dep a stage); wider fan-ins regrow.
+  key.reserve(sizeof(std::int64_t) * (4 + 5 * spec.stages.size()));
+  const auto word = [&key](std::int64_t value) {
+    key.append(reinterpret_cast<const char*>(&value), sizeof value);
   };
-  key.deadline = encode(spec.deadline);
-  key.price = encode(request.price);
+  const auto encode = [&](double value) {
+    word(quantized ? quantize_bucket(value, grid)
+                   : std::bit_cast<std::int64_t>(value));
+  };
+  word(request.auto_strategy ? static_cast<std::int64_t>(kAutoMode)
+                             : static_cast<std::int64_t>(request.policy));
+  word(spec.num_stages());
+  encode(spec.deadline);
+  encode(request.price);
   for (int s = 0; s < spec.num_stages(); ++s) {
     const auto& st = spec.stage(s);
-    auto& slot = key.stages[static_cast<std::size_t>(s)];
-    slot.num_tasks = st.num_tasks;
-    slot.t_min = encode(st.t_min);
-    slot.beta = encode(st.beta);
-    for (const int dep : spec.resolved_deps(s)) {
-      slot.deps |= std::uint64_t{1} << dep;
+    word(st.num_tasks);
+    encode(st.t_min);
+    encode(st.beta);
+    auto deps = spec.resolved_deps(s);
+    std::sort(deps.begin(), deps.end());
+    word(static_cast<std::int64_t>(deps.size()));
+    for (const int dep : deps) {
+      word(dep);
     }
   }
   return key;
@@ -120,10 +102,7 @@ PlanReply PlannerService::plan(const PlanRequest& request) {
   c_requests.add();
   ++stats_.requests;
   auto& spec = *request.spec;
-  // The key is fixed-width: wider jobs always plan uncached, and count
-  // neither a hit nor a miss.
-  const bool cached = config_.cache.mode != CacheMode::kOff &&
-                      spec.num_stages() <= kMaxKeyStages;
+  const bool cached = config_.cache.mode != CacheMode::kOff;
   PlanKey key;
   if (cached) {
     key = make_key(request);
@@ -131,9 +110,8 @@ PlanReply PlannerService::plan(const PlanRequest& request) {
       const CachedPlan& plan = hit->second;
       c_hits.add();
       ++stats_.hits;
-      trace::write_plan(spec, plan.kind,
-                        std::span(plan.r.data(), spec.stages.size()),
-                        config_.planner, request.price);
+      trace::write_plan(spec, plan.kind, plan.r, config_.planner,
+                        request.price);
       return {plan.kind, plan.r[0], plan.feasible, true};
     }
     c_misses.add();
@@ -143,7 +121,7 @@ PlanReply PlannerService::plan(const PlanRequest& request) {
                    config_.planner, request.price, scratch_);
   if (cached) {
     if (memo_.size() < kMaxCachedPlans) {
-      memo_.emplace(key, cached_plan(spec, scratch_));
+      memo_.emplace(std::move(key), cached_plan(spec, scratch_));
       c_inserts.add();
       ++stats_.inserts;
       stats_.cache_size = memo_.size();

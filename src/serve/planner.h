@@ -10,6 +10,11 @@
 // (kQuantized: continuous inputs within one relative bucket share a plan,
 // trading optimality slack bounded by the grid width for hit rate).
 //
+// Measured traffic: sampled continuous inputs never repeat bit for bit, so
+// kExact served 0 hits of 941 requests on manifests/open_system_cached.ini,
+// while quantized:0.05 served 109,517 of 172,061 on the perf ledger's
+// open_auto_small at seed 1.
+//
 // Every plan is computed by trace::plan_into and written by
 // trace::write_plan, which recomputes the per-request fields (spot price,
 // tau timers) on a hit too, so a hit can never leak another arrival's
@@ -17,10 +22,11 @@
 // construction — a config change is a new service (and thus an empty memo).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "strategies/policies.h"
 #include "trace/planner.h"
@@ -64,48 +70,20 @@ struct PlanCacheConfig {
 /// such value. Requires grid >= kMinQuantizeGrid.
 std::int64_t quantize_bucket(double value, double grid);
 
-/// Stage budget of the fixed-width key. Jobs with more stages bypass the
-/// memo entirely (planned from scratch per request) — DAGs beyond this
-/// width are rare enough that memoizing them is not worth a variable-length
-/// key.
-inline constexpr int kMaxKeyStages = 4;
+/// Canonical key: one byte string of 8-byte words holding the planning
+/// mode plus every request field the plan depends on — stage count,
+/// deadline and price, then per stage num_tasks, t_min, beta, the number of
+/// resolved deps and those deps in ascending order. Continuous fields are
+/// bit patterns in kExact mode and quantize_bucket indices in kQuantized
+/// mode. The stage and dep counts make the encoding unambiguous, so two
+/// specs differing in any stage — shape or wiring — never share a key, at
+/// any width. PlannerConfig knobs (theta among them) are deliberately
+/// absent: they are fixed for the lifetime of a PlannerService.
+using PlanKey = std::string;
 
-/// Per-stage slice of the key: the stage's shape fields (encoded like the
-/// job-level continuous fields — bit patterns or bucket indices) plus its
-/// resolved dependency set as a bitmask over earlier stages. Two specs
-/// differing in ANY stage — shape or wiring — therefore never collide.
-struct PlanStageKey {
-  std::int64_t num_tasks = 0;
-  std::int64_t t_min = 0;
-  std::int64_t beta = 0;
-  std::uint64_t deps = 0;  ///< bitmask of resolved predecessor stages
-
-  friend bool operator==(const PlanStageKey&, const PlanStageKey&) = default;
-};
-
-/// Canonical key: the planning mode plus every request field the plan
-/// depends on, encoded as integers (bit patterns in kExact mode, bucket
-/// keys in kQuantized mode). The full stage vector is keyed — stage slots
-/// past num_stages stay zero-initialized. PlannerConfig knobs (theta among
-/// them) are deliberately absent: they are fixed for the lifetime of a
-/// PlannerService.
-struct PlanKey {
-  std::uint64_t mode = 0;  ///< PolicyKind ordinal, or kAutoMode
-  std::int64_t num_stages = 0;
-  std::int64_t deadline = 0;
-  std::int64_t price = 0;
-  std::array<PlanStageKey, kMaxKeyStages> stages{};
-
-  friend bool operator==(const PlanKey&, const PlanKey&) = default;
-};
-
-/// PlanKey::mode value for auto-strategy (optimize_all) requests; fixed
+/// Mode word of the key for auto-strategy (optimize_all) requests; fixed
 /// policies use their PolicyKind ordinal (0..5).
 inline constexpr std::uint64_t kAutoMode = 6;
-
-/// FNV-1a over the key's canonical integer fields (all stage slots
-/// included).
-std::uint64_t hash_key(const PlanKey& key);
 
 /// The memoized decision: which policy runs the job and with how many extra
 /// attempts per stage. Price and the tau timer fields are deliberately NOT
@@ -114,13 +92,9 @@ std::uint64_t hash_key(const PlanKey& key);
 /// spot price or another job's timers.
 struct CachedPlan {
   strategies::PolicyKind kind = strategies::PolicyKind::kHadoopNS;
-  std::int64_t num_stages = 1;
-  /// Final per-stage extra-attempt counts (infeasible fallback folded in);
-  /// slots past num_stages stay zero.
-  std::array<long long, kMaxKeyStages> r{};
+  /// Final per-stage extra-attempt counts (infeasible fallback folded in).
+  std::vector<long long> r;
   bool feasible = false;  ///< every planned stage was feasible
-
-  friend bool operator==(const CachedPlan&, const CachedPlan&) = default;
 };
 
 /// Everything a PlannerService holds fixed across requests.
@@ -131,9 +105,8 @@ struct PlannerServiceConfig {
 
 /// One planning request. `spec` supplies the job shape (the stage vector
 /// plus deadline) and receives the plan (price, and per stage tau_est /
-/// tau_kill / r). Staged jobs up to kMaxKeyStages stages are memoized like
-/// single-stage ones (the key covers the full stage vector); wider DAGs are
-/// planned from scratch on every request.
+/// tau_kill / r). Staged jobs of any width are memoized like single-stage
+/// ones: the key covers the full stage vector.
 struct PlanRequest {
   mapreduce::JobSpec* spec = nullptr;
 
@@ -169,32 +142,26 @@ class PlannerService {
   explicit PlannerService(PlannerServiceConfig config);
 
   /// Plans one request in place: fills spec.price / tau_est / tau_kill / r
-  /// and returns the decision. Uncached (memo off, or a job wider than
-  /// kMaxKeyStages) and on a miss, this is trace::plan_into on the
-  /// request's spec; a miss then memoizes the plan it wrote while the memo
-  /// holds fewer than kMaxCachedPlans entries. An exact-mode hit replays a
-  /// plan computed from bit-identical inputs and is therefore
-  /// byte-identical too.
+  /// and returns the decision. With the memo off and on a miss, this is
+  /// trace::plan_into on the request's spec; a miss then memoizes the plan
+  /// it wrote while the memo holds fewer than kMaxCachedPlans entries. An
+  /// exact-mode hit replays a plan computed from bit-identical inputs and
+  /// is therefore byte-identical too.
   PlanReply plan(const PlanRequest& request);
 
   const PlannerServiceConfig& config() const { return config_; }
   PlannerServiceStats stats() const { return stats_; }
 
   /// The key a request would be filed under (exposed for tests of the
-  /// quantization-boundary behavior). Requires the spec to have at most
-  /// kMaxKeyStages stages.
+  /// quantization-boundary behavior and of stage keying).
   PlanKey make_key(const PlanRequest& request) const;
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const PlanKey& key) const { return hash_key(key); }
-  };
-
   PlannerServiceConfig config_;
-  std::unordered_map<PlanKey, CachedPlan, KeyHash> memo_;
+  std::unordered_map<PlanKey, CachedPlan> memo_;
   PlannerServiceStats stats_;
   /// Scratch plan: its per-stage vectors keep their storage across
-  /// requests, so planning allocates nothing per request.
+  /// requests, so plan_into allocates nothing per request.
   trace::StagedPlan scratch_;
 };
 

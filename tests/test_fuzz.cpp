@@ -23,7 +23,6 @@
 #include "exp/checkpoint.h"
 #include "exp/manifest.h"
 #include "mapreduce/scheduler.h"
-#include "serve/planner.h"
 #include "sim/cluster.h"
 #include "sim/metrics.h"
 #include "sim/simulator.h"
@@ -410,7 +409,7 @@ struct JobMutator {
     }
   }
 
-  /// 0 to kMaxKeyStages + 2 stages with default-chain or explicit deps
+  /// 0 to 6 stages with default-chain or explicit deps
   /// (repeats included).
   mapreduce::JobSpec job() {
     mapreduce::JobSpec spec;
@@ -419,8 +418,7 @@ struct JobMutator {
     const double jvm_mean = rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.5, 3.0);
     spec.jvm_mean = value(jvm_mean);
     spec.jvm_jitter = value(0.5 * jvm_mean);
-    const int stages =
-        static_cast<int>(rng.uniform_int(0, serve::kMaxKeyStages + 2));
+    const int stages = static_cast<int>(rng.uniform_int(0, 6));
     spec.stages.assign(static_cast<std::size_t>(stages), {});
     for (int s = 0; s < stages; ++s) {
       mapreduce::StageSpec& st = spec.stage(s);

@@ -5,9 +5,10 @@
 // and the per-request fields — price, tau timers — are recomputed, never
 // memoized), quantized keys bucket on the geometric grid exactly where
 // quantize_bucket says they do and never alias a non-positive value with a
-// bucket, auto mode plans staged jobs exactly as the root-view choice plus
-// trace::plan_staged_spec does, and a full memo still plans every request
-// correctly.
+// bucket, jobs of any width are memoized under a key of their stage shapes
+// and dependency sets, auto mode plans staged jobs exactly as the root-view
+// choice plus trace::plan_staged_spec does, and a full memo still plans
+// every request correctly.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -356,32 +357,69 @@ TEST(PlannerService, StagedExactHitsMatchStagedPlanning) {
   EXPECT_EQ(miss.r, reference.stage(0).r);
 }
 
-TEST(PlannerService, WideDagsBypassTheCache) {
-  // Jobs wider than kMaxKeyStages cannot be keyed: they are planned from
-  // scratch per request (correctly), never counting hits or misses.
-  PlannerService service(service_config(CacheMode::kExact));
-  const trace::PlannerConfig planner = service.config().planner;
+/// A six-stage job: the root plus five stages chained behind it.
+mapreduce::JobSpec six_stage_chain() {
   auto spec = make_spec(8, 25.0, 1.4, 900.0);
-  for (int s = 0; s < serve::kMaxKeyStages; ++s) {
+  for (int s = 1; s < 6; ++s) {
     spec.stages.push_back(
-        {.num_tasks = 4, .t_min = 30.0, .beta = 1.5, .deps = {}});
+        {.num_tasks = 4, .t_min = 30.0 + 5.0 * s, .beta = 1.5, .deps = {}});
   }
-  ASSERT_GT(spec.num_stages(), serve::kMaxKeyStages);
-  auto reference = spec;
-  for (int i = 0; i < 2; ++i) {
-    auto copy = spec;
-    const PlanReply reply = service.plan(
-        request_for(copy, 0.4, false, strategies::PolicyKind::kSResume));
-    EXPECT_FALSE(reply.cache_hit);
+  return spec;
+}
+
+TEST(PlannerService, WideDagsAreMemoized) {
+  // The key has no stage budget: a six-stage job misses once and then hits,
+  // in exact and in quantized mode, and both plans equal the uncached
+  // trace::plan_staged_spec output.
+  for (const PlannerServiceConfig& config :
+       {service_config(CacheMode::kExact),
+        service_config(CacheMode::kQuantized, 0.05)}) {
+    PlannerService service(config);
+    const trace::PlannerConfig planner = service.config().planner;
+    auto cold = six_stage_chain();
+    auto warm = cold;
+    auto reference = cold;
+    const PlanReply miss = service.plan(
+        request_for(cold, 0.4, false, strategies::PolicyKind::kSResume));
+    const PlanReply hit = service.plan(
+        request_for(warm, 0.4, false, strategies::PolicyKind::kSResume));
+    EXPECT_FALSE(miss.cache_hit);
+    EXPECT_TRUE(hit.cache_hit);
     trace::plan_staged_spec(reference, strategies::PolicyKind::kSResume,
                             planner, 0.4);
-    expect_same_plan(copy, reference);
+    expect_same_plan(cold, reference);
+    expect_same_plan(warm, reference);
+    const auto stats = service.stats();
+    EXPECT_EQ(stats.requests, 2u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.cache_size, 1u);
   }
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.cache_size, 0u);
+}
+
+TEST(PlannerService, KeyIsTheDepSetNotItsListing) {
+  // A stage's deps are a set: listing them in another order is the same
+  // job and shares its key (and plan), while the same six stage shapes
+  // wired as a chain and as a fan-in into the last stage never do.
+  PlannerService service(service_config(CacheMode::kExact));
+  auto fan_in = six_stage_chain();
+  fan_in.stage(5).deps = {1, 2, 3, 4};
+  auto reordered = fan_in;
+  reordered.stage(5).deps = {4, 2, 1, 3};
+  auto chain = six_stage_chain();
+  auto req_fan_in =
+      request_for(fan_in, 0.4, false, strategies::PolicyKind::kSResume);
+  auto req_reordered =
+      request_for(reordered, 0.4, false, strategies::PolicyKind::kSResume);
+  auto req_chain =
+      request_for(chain, 0.4, false, strategies::PolicyKind::kSResume);
+  EXPECT_EQ(service.make_key(req_fan_in), service.make_key(req_reordered));
+  EXPECT_FALSE(service.make_key(req_fan_in) == service.make_key(req_chain));
+
+  EXPECT_FALSE(service.plan(req_fan_in).cache_hit);
+  EXPECT_TRUE(service.plan(req_reordered).cache_hit);
+  EXPECT_FALSE(service.plan(req_chain).cache_hit);
+  expect_same_plan(reordered, fan_in);
 }
 
 // --- auto mode on staged jobs ----------------------------------------------
@@ -390,19 +428,12 @@ TEST(PlannerService, StagedAutoMatchesRootViewChoice) {
   // Auto mode on a staged job picks the strategy with optimize_all on the
   // root stage's critical-path view, then plans every stage under the
   // winner. An off service, an exact-mode miss and an exact-mode hit must
-  // all reproduce that reference, for a keyable 2-stage job and for a
-  // 5-stage job too wide to key.
+  // all reproduce that reference, for a 2-stage and for a 6-stage job.
   auto two = make_spec(40, 25.0, 1.4, 500.0);
   two.stages.push_back(
       {.num_tasks = 10, .t_min = 45.0, .beta = 1.7, .deps = {}});
-  auto five = make_spec(8, 25.0, 1.4, 900.0);
-  for (int s = 0; s < serve::kMaxKeyStages; ++s) {
-    five.stages.push_back(
-        {.num_tasks = 4, .t_min = 30.0 + 5.0 * s, .beta = 1.5, .deps = {}});
-  }
-  ASSERT_GT(five.num_stages(), serve::kMaxKeyStages);
   const double price = 0.4;
-  for (const mapreduce::JobSpec& shape : {two, five}) {
+  for (const mapreduce::JobSpec& shape : {two, six_stage_chain()}) {
     PlannerService off(service_config(CacheMode::kOff));
     PlannerService exact(service_config(CacheMode::kExact));
     const trace::PlannerConfig planner = off.config().planner;
@@ -434,10 +465,9 @@ TEST(PlannerService, StagedAutoMatchesRootViewChoice) {
       EXPECT_EQ(reply.kind, kind);
       EXPECT_EQ(reply.r, reference.stage(0).r);
     }
-    const bool keyable = shape.num_stages() <= serve::kMaxKeyStages;
     EXPECT_FALSE(replies[1].cache_hit);
-    EXPECT_EQ(replies[2].cache_hit, keyable);
-    EXPECT_EQ(exact.stats().hits, keyable ? 1u : 0u);
+    EXPECT_TRUE(replies[2].cache_hit);
+    EXPECT_EQ(exact.stats().hits, 1u);
   }
 }
 
