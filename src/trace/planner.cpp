@@ -208,6 +208,7 @@ void write_plan(mapreduce::JobSpec& spec, strategies::PolicyKind kind,
 void plan_into(mapreduce::JobSpec& spec, bool auto_strategy,
                strategies::PolicyKind policy, const PlannerConfig& config,
                double price, StagedPlan& plan) {
+  CHRONOS_EXPECTS(!spec.stages.empty(), "cannot plan a job with no stages");
   const std::size_t stages = spec.stages.size();
   plan.kind = policy;
   split_into(spec, plan.stage_deadlines);

@@ -10,34 +10,23 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <string>
 
 #include "exp/report.h"
 #include "exp/sweep.h"
+#include "test_util.h"
 #include "trace/planner.h"
 
 namespace chronos::exp {
 namespace {
 
 using strategies::PolicyKind;
+using testing::slurp;
+using testing::spill;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "chronos_" + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void spill(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  ASSERT_TRUE(out.good()) << path;
 }
 
 CellAggregate sample_aggregate() {

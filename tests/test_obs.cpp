@@ -5,14 +5,10 @@
 // sweeprun of manifests/tiny.ini with --metrics-out/--trace-out/--progress
 // produces CSV/JSON reports and journal bytes identical to the committed
 // goldens and to an uninstrumented run.
-#include <sys/wait.h>
-
 #include <gtest/gtest.h>
 
 #include <cctype>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <regex>
 #include <string>
@@ -28,43 +24,18 @@
 namespace chronos {
 namespace {
 
+using testing::CommandResult;
+using testing::read_golden;
+using testing::run_command;
+using testing::slurp;
+
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "chronos_obs_" + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-struct CommandResult {
-  int status = -1;
-  std::string output;  ///< stdout + stderr
-};
-
-CommandResult run_command(const std::string& command) {
-  CommandResult result;
-  std::FILE* pipe = popen((command + " 2>&1").c_str(), "r");
-  EXPECT_NE(pipe, nullptr) << command;
-  if (pipe == nullptr) {
-    return result;
-  }
-  char buffer[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
-    result.output.append(buffer, got);
-  }
-  const int raw = pclose(pipe);
-  result.status = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
-  return result;
 }
 
 const std::string kSweeprun = CHRONOS_SWEEPRUN_BIN;
 const std::string kTinyManifest =
     std::string(CHRONOS_MANIFEST_DIR) + "/tiny.ini";
-const std::string kGoldenDir = std::string(CHRONOS_TEST_DIR) + "/golden";
 
 // --- tiny JSON well-formedness checker -------------------------------------
 //
@@ -534,12 +505,9 @@ TEST(ObsIntegration, InstrumentedTinySweepMatchesCommittedGoldenBytes) {
 
   // Reports byte-identical to the committed goldens, journal bytes
   // byte-identical between the two runs.
-  EXPECT_EQ(slurp(outfile("plain.csv")),
-            slurp(kGoldenDir + "/tiny_sweep.csv"));
-  EXPECT_EQ(slurp(outfile("obs.csv")),
-            slurp(kGoldenDir + "/tiny_sweep.csv"));
-  EXPECT_EQ(slurp(outfile("obs.json")),
-            slurp(kGoldenDir + "/tiny_sweep.json"));
+  EXPECT_EQ(slurp(outfile("plain.csv")), read_golden("tiny.csv"));
+  EXPECT_EQ(slurp(outfile("obs.csv")), read_golden("tiny.csv"));
+  EXPECT_EQ(slurp(outfile("obs.json")), read_golden("tiny.json"));
   EXPECT_EQ(slurp(outfile("plain.journal")), slurp(outfile("obs.journal")));
 
   // --progress routes through the log layer with the timestamp/thread-id

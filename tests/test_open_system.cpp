@@ -5,16 +5,12 @@
 // lambda * E[S] / c and Little's law L = lambda * W, the deadline-miss rate
 // must be monotone in the offered rate, and the conservation counters must
 // balance exactly. On top of the laws: arrival-process unit tests,
-// determinism (same seed => identical results; sweeprun outputs identical
-// across thread counts and across a kill/resume of the journal, pinned to
-// committed goldens), and the PR's validation-hardening regressions.
-#include <sys/wait.h>
-
+// determinism (same seed => identical results) and validation-hardening
+// regressions. The open-system manifests' reports are pinned to committed
+// goldens by GoldenShardEquivalence in test_shard.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -572,91 +568,6 @@ TEST(ValidationHardening, RunMetricsRetentionToggle) {
   EXPECT_DOUBLE_EQ(metrics.pocd(), 0.5);
   // The toggle is a construction-time decision.
   EXPECT_THROW(metrics.set_retain_outcomes(true), PreconditionError);
-}
-
-// --- sweeprun goldens: thread-count and kill/resume determinism -------------
-
-std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "chronos_open_" + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-int run_command(const std::string& command) {
-  std::FILE* pipe = popen((command + " >/dev/null 2>&1").c_str(), "r");
-  EXPECT_NE(pipe, nullptr) << command;
-  if (pipe == nullptr) {
-    return -1;
-  }
-  const int raw = pclose(pipe);
-  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
-}
-
-const std::string kSweeprun = CHRONOS_SWEEPRUN_BIN;
-const std::string kManifest =
-    std::string(CHRONOS_MANIFEST_DIR) + "/open_system.ini";
-const std::string kGoldenDir = std::string(CHRONOS_TEST_DIR) + "/golden";
-
-TEST(OpenSystemGolden, ReportsMatchAcrossThreadCounts) {
-  const std::string golden_csv = slurp(kGoldenDir + "/open_system.csv");
-  const std::string golden_json = slurp(kGoldenDir + "/open_system.json");
-  for (const char* threads : {"1", "4"}) {
-    const std::string tag = std::string("t") + threads;
-    const std::string csv = temp_path(tag + ".csv");
-    const std::string json = temp_path(tag + ".json");
-    ASSERT_EQ(run_command(kSweeprun + " " + kManifest + " --fresh --no-table" +
-                          " --threads " + threads + " --journal " +
-                          temp_path(tag + ".journal") + " --csv " + csv +
-                          " --json " + json),
-              0);
-    EXPECT_EQ(slurp(csv), golden_csv) << "threads " << threads;
-    EXPECT_EQ(slurp(json), golden_json) << "threads " << threads;
-  }
-}
-
-TEST(OpenSystemGolden, ResumeFromPartialJournalIsByteIdentical) {
-  // Emulate a kill half-way: a 1-of-2 shard run leaves a journal with two of
-  // the four cells done; resuming the full sweep from it must reproduce the
-  // goldens byte-for-byte.
-  const std::string dir = temp_path("resume.d");
-  ASSERT_EQ(run_command("mkdir -p " + dir), 0);
-  ASSERT_EQ(run_command("cd " + dir + " && " + kSweeprun + " " + kManifest +
-                        " --fresh --no-table --threads 2 --shard 1/2"),
-            0);
-  const std::string journal = temp_path("resume.journal");
-  const std::string csv = temp_path("resume.csv");
-  const std::string json = temp_path("resume.json");
-  ASSERT_EQ(run_command("cp " + dir + "/open_system.shard-1-of-2.journal " +
-                        journal),
-            0);
-  ASSERT_EQ(run_command(kSweeprun + " " + kManifest +
-                        " --no-table --threads 2 --journal " + journal +
-                        " --csv " + csv + " --json " + json),
-            0);
-  EXPECT_EQ(slurp(csv), slurp(kGoldenDir + "/open_system.csv"));
-  EXPECT_EQ(slurp(json), slurp(kGoldenDir + "/open_system.json"));
-}
-
-TEST(OpenSystemGolden, ExactPlanCacheReportsMatchUncachedGoldens) {
-  // open_system_cached.ini is the same grid with `plan_cache = exact`:
-  // exact-key hits are only ever served for bit-identical planning inputs,
-  // so its reports must match the UNCACHED manifest's goldens byte for byte.
-  const std::string manifest =
-      std::string(CHRONOS_MANIFEST_DIR) + "/open_system_cached.ini";
-  const std::string csv = temp_path("cached.csv");
-  const std::string json = temp_path("cached.json");
-  ASSERT_EQ(run_command(kSweeprun + " " + manifest + " --fresh --no-table" +
-                        " --threads 2 --journal " +
-                        temp_path("cached.journal") + " --csv " + csv +
-                        " --json " + json),
-            0);
-  EXPECT_EQ(slurp(csv), slurp(kGoldenDir + "/open_system.csv"));
-  EXPECT_EQ(slurp(json), slurp(kGoldenDir + "/open_system.json"));
 }
 
 }  // namespace

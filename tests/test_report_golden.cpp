@@ -9,20 +9,19 @@
 #include <gtest/gtest.h>
 
 #include <clocale>
-#include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <string>
 
 #include "exp/report.h"
 #include "exp/sweep.h"
+#include "test_util.h"
 
 namespace chronos::exp {
 namespace {
 
 using strategies::PolicyKind;
-
-const std::string kGoldenDir = std::string(CHRONOS_TEST_DIR) + "/golden/";
+using testing::check_or_regold;
+using testing::read_golden;
 
 /// A fixed two-policy x two-workload result with awkward values: shortest
 /// and long round-trip decimals, a quoted CSV label, and a -inf utility.
@@ -71,21 +70,6 @@ SweepResult fixed_result() {
   result.cells.push_back(make_cell(3, PolicyKind::kHadoopNS, "Hadoop-NS", 1,
                                    "Word, count", -0.125));
   return result;
-}
-
-std::string read_golden(const std::string& name) {
-  std::ifstream in(kGoldenDir + name, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file " << kGoldenDir + name;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void check_or_regold(const std::string& name, const std::string& actual) {
-  if (std::getenv("CHRONOS_REGOLD") != nullptr) {
-    write_file(kGoldenDir + name, actual);
-    return;
-  }
-  EXPECT_EQ(actual, read_golden(name)) << "golden mismatch: " << name;
 }
 
 TEST(ReportGolden, CsvMatchesCommittedBytes) {

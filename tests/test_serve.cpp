@@ -158,6 +158,26 @@ TEST(PlannerService, OffModeNeverCaches) {
   EXPECT_EQ(stats.cache_size, 0u);
 }
 
+TEST(PlannerService, RejectsAJobWithNoStages) {
+  // JobSpec::validate rejects a stageless spec at submit; planning must not
+  // read stage 0 of it first. Both entry points, cached and uncached.
+  for (const CacheMode mode : {CacheMode::kOff, CacheMode::kExact}) {
+    PlannerService service(service_config(mode));
+    for (const bool auto_strategy : {false, true}) {
+      auto spec = make_spec(40, 25.0, 2.0, 120.0);
+      spec.stages.clear();
+      EXPECT_THROW(service.plan(request_for(spec, 0.5, auto_strategy,
+                                            strategies::PolicyKind::kSResume)),
+                   PreconditionError);
+    }
+  }
+  auto spec = make_spec(40, 25.0, 2.0, 120.0);
+  spec.stages.clear();
+  EXPECT_THROW(trace::plan_staged_spec(spec, strategies::PolicyKind::kSResume,
+                                       trace::PlannerConfig{}, 0.5),
+               PreconditionError);
+}
+
 // --- per-request fields are never served from the cache ---------------------
 
 TEST(PlannerService, QuantizedHitKeepsTheRequestsOwnPrice) {

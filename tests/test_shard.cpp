@@ -1,27 +1,28 @@
 // Sharded multi-process sweeps: the fixed-lease partitioner (disjoint,
 // covering, balanced — property-tested over random grids), the shared
 // dedup rule (FinishedCells), journal merge (fingerprint validation,
-// overlap dedup, conflict and gap detection), the headline guarantee —
-// per-shard journals, one shard crash-resumed, merge to reports
-// byte-identical to a single unsharded run of each pinned manifest
-// (tiny.ini and the paper's figure and table manifests), checked against
-// committed goldens — and the sweeprun CLI's error behavior.
-#include <sys/wait.h>
-
+// overlap dedup, conflict and gap detection), and the golden suite: every
+// committed manifest reproduces its committed report bytes unsharded, after
+// a torn journal is resumed, as merged shards (one torn and resumed), and
+// when a shard journal seeds an unsharded run. The sweeprun CLI is checked
+// end to end: a shard/merge/resume round trip on tiny.ini, plus its error
+// behavior.
+//
+// To regenerate the manifest goldens after an intentional change, run
+//   CHRONOS_REGOLD=1 test_shard --gtest_filter='*GoldenShardEquivalence*'
+// and review the diff under tests/golden/.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
+#include <filesystem>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
-#include <ostream>
+#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -30,28 +31,23 @@
 #include "exp/manifest.h"
 #include "exp/report.h"
 #include "exp/sweep.h"
+#include "test_util.h"
 #include "trace/planner.h"
 
 namespace chronos::exp {
 namespace {
 
 using strategies::PolicyKind;
+using testing::check_or_regold;
+using testing::CommandResult;
+using testing::kGoldenDir;
+using testing::read_golden;
+using testing::run_command;
+using testing::slurp;
+using testing::spill;
 
 std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "chronos_shard_" + name;
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void spill(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  ASSERT_TRUE(out.good()) << path;
 }
 
 // --- partitioner -----------------------------------------------------------
@@ -495,124 +491,147 @@ TEST(JournalMerge, DeduplicatesIdenticalOverlap) {
 
 // --- manifest golden equivalence ------------------------------------------
 
-const std::string kGoldenDir = std::string(CHRONOS_TEST_DIR) + "/golden/";
-
-std::string read_golden(const std::string& name) {
-  std::ifstream in(kGoldenDir + name, std::ios::binary);
-  EXPECT_TRUE(in.good()) << "missing golden file " << kGoldenDir + name;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void check_or_regold(const std::string& name, const std::string& actual) {
-  if (std::getenv("CHRONOS_REGOLD") != nullptr) {
-    write_file(kGoldenDir + name, actual);
-    return;
+/// Every committed manifest file name, sorted: one GoldenShardEquivalence
+/// case each, so a new manifest is checked without editing this file.
+std::vector<std::string> committed_manifests() {
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CHRONOS_MANIFEST_DIR)) {
+    if (entry.path().extension() == ".ini") {
+      names.push_back(entry.path().filename().string());
+    }
   }
-  EXPECT_EQ(actual, read_golden(name)) << "golden mismatch: " << name;
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
-/// Runs every shard of a manifest into per-shard journals and merges them.
-/// When `kill_shard` is set, that shard's journal is torn mid-entry after
-/// its run and the shard re-run, exactly like a crashed cluster machine
-/// that was restarted.
-SweepResult run_sharded(const Manifest& manifest, std::size_t count,
-                        std::optional<std::size_t> kill_shard) {
-  const SweepHooks hooks = make_hooks(manifest);
-  const std::string fingerprint =
-      spec_fingerprint(manifest.spec, manifest.journal_salt);
+/// Cuts a journal in the middle of its last line, as a crash mid-append
+/// leaves it.
+void tear_last_entry(const std::string& path) {
+  const std::string content = slurp(path);
+  ASSERT_GT(content.size(), 1u) << path;
+  const std::size_t before = content.rfind('\n', content.size() - 2);
+  ASSERT_NE(before, std::string::npos) << path << " holds no entry";
+  spill(path, content.substr(0, before + 1 + (content.size() - before) / 2));
+}
+
+SweepOptions journaled(const Manifest& manifest, int threads,
+                       const std::string& journal) {
+  SweepOptions options;
+  options.threads = threads;
+  options.journal = journal;
+  options.journal_salt = manifest.journal_salt;
+  return options;
+}
+
+/// Runs every shard of a manifest into per-shard journals named by `tag`
+/// and returns their paths. When `kill_shard` is set, that shard's journal
+/// is torn mid-entry after its run and the shard re-run, exactly like a
+/// crashed cluster machine that was restarted.
+std::vector<std::string> run_shards(const Manifest& manifest,
+                                    const SweepHooks& hooks,
+                                    const std::string& tag, std::size_t count,
+                                    std::optional<std::size_t> kill_shard) {
   std::vector<std::string> paths;
   for (std::size_t index = 0; index < count; ++index) {
-    const std::string path = shard_journal_path(
-        ::testing::TempDir(), manifest.spec.name, index, count);
+    const std::string path =
+        shard_journal_path(::testing::TempDir(), tag, index, count);
     std::remove(path.c_str());
-    SweepOptions options;
-    options.threads = 1 + static_cast<int>(index % 4);
-    options.cells =
-        partition_cells(manifest.spec.num_cells(), index, count);
-    options.journal = path;
-    options.journal_salt = manifest.journal_salt;
+    SweepOptions options =
+        journaled(manifest, 1 + static_cast<int>(index % 4), path);
+    options.cells = partition_cells(manifest.spec.num_cells(), index, count);
     run_sweep(manifest.spec, hooks, options);
-
-    if (kill_shard.has_value() && *kill_shard == index) {
-      const std::string content = slurp(path);
-      EXPECT_GT(content.size(), 40u);
-      spill(path, content.substr(0, content.size() - 40));
+    if (kill_shard == index) {
+      tear_last_entry(path);
       options.threads = 2;  // restart on a "different machine"
       run_sweep(manifest.spec, hooks, options);
     }
     paths.push_back(path);
   }
-  const FinishedCells merged =
-      merge_journals(paths, fingerprint, manifest.spec.num_cells());
-  for (const std::string& path : paths) {
-    std::remove(path.c_str());
-  }
-  return assemble_result(manifest.spec, merged.cells());
+  return paths;
 }
 
-/// A committed manifest and the goldens that pin its reports.
-struct GoldenCase {
-  const char* manifest;  ///< file under manifests/
-  const char* golden;    ///< stem of tests/golden/<stem>.{csv,json}
-  bool table;            ///< a <stem>.txt golden pins the table too
+class GoldenShardEquivalence : public ::testing::TestWithParam<std::string> {};
 
-  friend void PrintTo(const GoldenCase& golden, std::ostream* os) {
-    *os << golden.manifest;
-  }
-};
-
-class GoldenShardEquivalence : public ::testing::TestWithParam<GoldenCase> {};
-
-TEST_P(GoldenShardEquivalence, ShardsMergeToTheCommittedBytes) {
-  const GoldenCase& golden = GetParam();
-  const std::string stem = golden.golden;
+TEST_P(GoldenShardEquivalence, EveryRunLayoutReproducesTheCommittedBytes) {
+  const std::string file = GetParam();
   Manifest manifest;
   try {
-    manifest = load_manifest(std::string(CHRONOS_MANIFEST_DIR) + "/" +
-                             golden.manifest);
+    manifest = load_manifest(std::string(CHRONOS_MANIFEST_DIR) + "/" + file);
   } catch (const std::exception& error) {
     FAIL() << error.what();
   }
+  // A manifest is pinned by the goldens of its [sweep] name, so manifests
+  // that must agree (open_system_cached.ini with open_system.ini) share them.
+  const std::string stem = manifest.spec.name;
+  const std::string tag = "golden_" + file;
+  const SweepHooks hooks = make_hooks(manifest);
+  const std::string fingerprint =
+      spec_fingerprint(manifest.spec, manifest.journal_salt);
+  const std::size_t cells = manifest.spec.num_cells();
 
-  // Ground truth: one unsharded in-process run, pinned by committed
-  // goldens so a regression in any layer (engine, journal, reports) shows
-  // up as a byte diff.
+  // Ground truth: one unsharded journaled run, pinned by committed goldens
+  // so a regression in any layer (engine, journal, reports) shows up as a
+  // byte diff.
+  const std::string journal = temp_path(tag + ".journal");
+  std::remove(journal.c_str());
   const SweepResult full =
-      run_sweep(manifest.spec, make_hooks(manifest), {.threads = 4});
+      run_sweep(manifest.spec, hooks, journaled(manifest, 4, journal));
   const std::string csv = to_csv(full);
   const std::string json = to_json(full);
   const std::string table = to_table(full).str();
   check_or_regold(stem + ".csv", csv);
   check_or_regold(stem + ".json", json);
-  if (golden.table) {
+  if (std::filesystem::exists(kGoldenDir + stem + ".txt")) {
     check_or_regold(stem + ".txt", table);
   }
+  const auto expect_same_bytes = [&](const SweepResult& result,
+                                     const std::string& layout) {
+    EXPECT_EQ(to_csv(result), csv) << layout;
+    EXPECT_EQ(to_json(result), json) << layout;
+    EXPECT_EQ(to_table(result).str(), table) << layout;
+  };
 
-  // 2 shards, shard 0 killed mid-run and resumed; 5 shards clean.
-  for (const auto& [count, kill] :
-       std::vector<std::pair<std::size_t, std::optional<std::size_t>>>{
-           {2, std::size_t{0}}, {5, std::nullopt}}) {
-    const SweepResult merged = run_sharded(manifest, count, kill);
-    EXPECT_EQ(to_csv(merged), csv) << count << " shards";
-    EXPECT_EQ(to_json(merged), json) << count << " shards";
-    EXPECT_EQ(to_table(merged).str(), table) << count << " shards";
+  // The unsharded journal torn mid-entry, resumed on another thread count.
+  tear_last_entry(journal);
+  expect_same_bytes(
+      run_sweep(manifest.spec, hooks, journaled(manifest, 2, journal)),
+      "torn unsharded journal resumed");
+
+  // 2 shards with shard 1 torn and resumed, then merged; shard 1's journal
+  // also seeds an unsharded run.
+  const std::vector<std::string> halves =
+      run_shards(manifest, hooks, tag, 2, std::size_t{0});
+  expect_same_bytes(
+      assemble_result(manifest.spec,
+                      merge_journals(halves, fingerprint, cells).cells()),
+      "2 shards, one torn and resumed");
+  spill(journal, slurp(halves[0]));
+  expect_same_bytes(
+      run_sweep(manifest.spec, hooks, journaled(manifest, 3, journal)),
+      "unsharded run seeded by shard 1/2");
+
+  // 5 shards, clean.
+  const std::vector<std::string> fifths =
+      run_shards(manifest, hooks, tag, 5, std::nullopt);
+  expect_same_bytes(
+      assemble_result(manifest.spec,
+                      merge_journals(fifths, fingerprint, cells).cells()),
+      "5 shards");
+
+  for (const std::vector<std::string>& paths : {halves, fifths}) {
+    for (const std::string& path : paths) {
+      std::remove(path.c_str());
+    }
   }
+  std::remove(journal.c_str());
 }
 
-// tiny.ini exercises every report layer; fig3_theta.ini and fig4_beta.ini
-// are the paper's Figures 3 and 4, table1_tau_est.ini and
-// table2_tau_kill.ini its Tables I and II.
 INSTANTIATE_TEST_SUITE_P(
     Manifests, GoldenShardEquivalence,
-    ::testing::Values(
-        GoldenCase{"tiny.ini", "tiny_sweep", true},
-        GoldenCase{"fig3_theta.ini", "fig3_theta", false},
-        GoldenCase{"fig4_beta.ini", "fig4_beta", false},
-        GoldenCase{"table1_tau_est.ini", "table1_tau_est", false},
-        GoldenCase{"table2_tau_kill.ini", "table2_tau_kill", false}),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      return std::string(info.param.golden);
+    ::testing::ValuesIn(committed_manifests()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return std::filesystem::path(info.param).stem().string();
     });
 
 // --- sweep replications keep aggregates only -------------------------------
@@ -669,31 +688,104 @@ TEST(SweepReplication, KeepsNoOutcomeRowsAndTheSameAggregates) {
   EXPECT_EQ(lean.events_executed, rows.events_executed);
 }
 
-// --- sweeprun CLI error behavior -------------------------------------------
-
-struct CommandResult {
-  int status = -1;
-  std::string output;  ///< stdout + stderr
-};
-
-CommandResult run_command(const std::string& command) {
-  CommandResult result;
-  std::FILE* pipe = popen((command + " 2>&1").c_str(), "r");
-  EXPECT_NE(pipe, nullptr) << command;
-  if (pipe == nullptr) {
-    return result;
-  }
-  char buffer[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
-    result.output.append(buffer, got);
-  }
-  const int raw = pclose(pipe);
-  result.status = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
-  return result;
-}
+// --- sweeprun CLI ----------------------------------------------------------
 
 const std::string kSweeprun = CHRONOS_SWEEPRUN_BIN;
+
+/// A manifest with the keys of each section in reverse order and a leading
+/// comment: the same sweep in another layout.
+std::string reordered(const std::string& manifest) {
+  std::string out = "# reordered copy\n";
+  std::vector<std::string> keys;
+  const auto flush = [&out, &keys] {
+    for (auto key = keys.rbegin(); key != keys.rend(); ++key) {
+      out += *key + "\n";
+    }
+    keys.clear();
+  };
+  std::istringstream in(manifest);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find('=') != std::string::npos && line.front() != '#') {
+      keys.push_back(line);
+    } else {
+      flush();
+      out += line + "\n";
+    }
+  }
+  flush();
+  return out;
+}
+
+TEST(SweeprunCli, ShardMergeAndResumeRoundTripReproducesTheGolden) {
+  // The shard, merge and resume paths through the built binary, on tiny.ini
+  // (6 cells). Every command runs inside a fresh temp directory, so nothing
+  // the manifest's [output] or [shard] sections name lands anywhere else.
+  const std::string dir = temp_path("roundtrip");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto sweeprun = [&dir](const std::string& args) {
+    const CommandResult result =
+        run_command("cd '" + dir + "' && " + kSweeprun + " " + args);
+    EXPECT_EQ(result.status, 0) << args << "\n" << result.output;
+    return result.output;
+  };
+  const auto expect_golden = [&dir](const std::string& csv) {
+    EXPECT_EQ(slurp(dir + "/" + csv), read_golden("tiny.csv")) << csv;
+  };
+  const std::string tiny = std::string(CHRONOS_MANIFEST_DIR) + "/tiny.ini";
+
+  // Two shards; shard 1's journal is torn mid-entry and the shard resumed:
+  // it keeps two of its three cells and reruns the torn one.
+  sweeprun(tiny + " --shard 1/2 --shard-dir shards --threads 2");
+  sweeprun(tiny + " --shard 2/2 --shard-dir shards --threads 3");
+  const std::string shard1 = dir + "/shards/tiny.shard-1-of-2.journal";
+  tear_last_entry(shard1);
+  EXPECT_NE(sweeprun(tiny + " --shard 1/2 --shard-dir shards --threads 1")
+                .find("2/3 cells already done"),
+            std::string::npos);
+
+  // --merge renders the golden and writes a fused journal, from which an
+  // unsharded rerun restores every cell.
+  sweeprun(tiny + " --merge 2 --shard-dir shards --no-table --csv merged.csv"
+                  " --journal fused.journal");
+  expect_golden("merged.csv");
+  EXPECT_NE(sweeprun(tiny + " --threads 2 --journal fused.journal --no-table"
+                            " --csv refused.csv")
+                .find("6/6 cells already done"),
+            std::string::npos);
+  expect_golden("refused.csv");
+
+  // A copied shard journal seeds an unsharded run: one journal format, one
+  // cell numbering.
+  spill(dir + "/xmode.journal", slurp(shard1));
+  EXPECT_NE(sweeprun(tiny + " --threads 2 --journal xmode.journal --no-table"
+                            " --csv xmode.csv")
+                .find("3/6 cells already done"),
+            std::string::npos);
+  expect_golden("xmode.csv");
+
+  // The journal fingerprint covers the cell templates' values, not their
+  // layout: a key-reordered copy resumes every cell, a reseeded one starts
+  // fresh.
+  const std::string manifest = slurp(tiny);
+  spill(dir + "/reordered.ini", reordered(manifest));
+  EXPECT_NE(sweeprun("reordered.ini --threads 2 --journal fused.journal"
+                     " --no-table --csv reordered.csv")
+                .find("6/6 cells already done"),
+            std::string::npos);
+  expect_golden("reordered.csv");
+  std::string reseeded = manifest;
+  const std::size_t seed = reseeded.find("\nseed = 11\n");
+  ASSERT_NE(seed, std::string::npos);
+  reseeded.replace(seed, 11, "\nseed = 12\n");
+  spill(dir + "/reseeded.ini", reseeded);
+  EXPECT_NE(sweeprun("reseeded.ini --threads 2 --journal fused.journal"
+                     " --no-table --csv reseeded.csv")
+                .find("belongs to a different sweep; starting fresh"),
+            std::string::npos);
+
+  std::filesystem::remove_all(dir);
+}
 
 TEST(SweeprunCli, MalformedManifestExitsNonzeroWithFileAndLine) {
   const std::string path = temp_path("bad_manifest.ini");
