@@ -30,10 +30,13 @@ Economics bench_econ() {
   return econ;
 }
 
+// BM_Pocd* and BM_Cost* time one free-function call: an AnalyticContext
+// built for the call plus one evaluation. Algorithm 1 (BM_Optimize*) builds
+// one context per search and reuses it for every r.
 void BM_PocdClone(benchmark::State& state) {
   const auto params = bench_job();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pocd_clone(params, 2.0));
+    benchmark::DoNotOptimize(pocd(Strategy::kClone, params, 2.0));
   }
 }
 BENCHMARK(BM_PocdClone);
@@ -41,7 +44,7 @@ BENCHMARK(BM_PocdClone);
 void BM_PocdSResume(benchmark::State& state) {
   const auto params = bench_job();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pocd_s_resume(params, 2.0));
+    benchmark::DoNotOptimize(pocd(Strategy::kSpeculativeResume, params, 2.0));
   }
 }
 BENCHMARK(BM_PocdSResume);
@@ -49,13 +52,13 @@ BENCHMARK(BM_PocdSResume);
 void BM_CostClone(benchmark::State& state) {
   const auto params = bench_job();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(machine_time_clone(params, 2.0));
+    benchmark::DoNotOptimize(machine_time(Strategy::kClone, params, 2.0));
   }
 }
 BENCHMARK(BM_CostClone);
 
 // The adaptive-quadrature winner time kept as the validation reference; it
-// used to be the body of machine_time_s_restart (and what this benchmark
+// used to be the body of the S-Restart machine time (and what this benchmark
 // measured before the closed form landed), so the before/after join for
 // this name tracks the reference's own cost, ~unchanged.
 void BM_CostSRestartQuadrature(benchmark::State& state) {
@@ -66,12 +69,13 @@ void BM_CostSRestartQuadrature(benchmark::State& state) {
 }
 BENCHMARK(BM_CostSRestartQuadrature);
 
-// The production path: closed-form winner time (log1p/expm1 + geometric
-// 2F1 series), no quadrature.
+// The closed-form winner time (log1p/expm1 + geometric 2F1 series), no
+// quadrature.
 void BM_CostSRestartClosedForm(benchmark::State& state) {
   const auto params = bench_job();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(machine_time_s_restart(params, 2.0));
+    benchmark::DoNotOptimize(
+        machine_time(Strategy::kSpeculativeRestart, params, 2.0));
   }
 }
 BENCHMARK(BM_CostSRestartClosedForm);
@@ -79,7 +83,8 @@ BENCHMARK(BM_CostSRestartClosedForm);
 void BM_CostSResume(benchmark::State& state) {
   const auto params = bench_job();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(machine_time_s_resume(params, 2.0));
+    benchmark::DoNotOptimize(
+        machine_time(Strategy::kSpeculativeResume, params, 2.0));
   }
 }
 BENCHMARK(BM_CostSResume);

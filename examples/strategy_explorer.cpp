@@ -31,9 +31,9 @@ int main(int argc, char** argv) {
   std::printf("%3s  %10s  %10s  %10s   %s\n", "r", "R_Clone", "R_S-Restart",
               "R_S-Resume", "best");
   for (double r = 0.0; r <= 6.0; r += 1.0) {
-    const double clone = pocd_clone(job, r);
-    const double restart = pocd_s_restart(job, r);
-    const double resume = pocd_s_resume(job, r);
+    const double clone = pocd(Strategy::kClone, job, r);
+    const double restart = pocd(Strategy::kSpeculativeRestart, job, r);
+    const double resume = pocd(Strategy::kSpeculativeResume, job, r);
     const char* best = clone >= restart && clone >= resume  ? "Clone"
                        : resume >= restart                  ? "S-Resume"
                                                             : "S-Restart";

@@ -1,7 +1,5 @@
 #include "core/analytic_context.h"
 
-#include <cmath>
-
 #include "common/error.h"
 #include "core/cost.h"
 #include "core/kernels.h"
@@ -10,67 +8,39 @@
 
 namespace chronos::core {
 
-SharedAnalytics::SharedAnalytics(const JobParams& params) : params_(params) {
-  params_.validate();
-  CHRONOS_EXPECTS(params_.beta > 1.0,
-                  "SharedAnalytics requires beta > 1 (S-Restart / S-Resume "
-                  "expected machine time is infinite otherwise)");
-  p_straggle_ = kernels::straggler_probability(params_);
-  below_ = expected_time_below_deadline(params_);
-  above_r0_ = stats::Pareto(params_.t_min, params_.beta)
-                  .truncated_mean_above(params_.deadline);
-}
-
 AnalyticContext::AnalyticContext(Strategy strategy, const JobParams& params,
                                  const Economics& econ)
     : strategy_(strategy), params_(params), econ_(econ) {
   params_.validate();
   econ_.validate();
-  gamma_ = gamma_threshold(strategy_, params_);
   p_straggle_ = kernels::straggler_probability(params_);
+  // The truncated means are finite only for beta > 1; machine_time() rejects
+  // the rest, so PoCD keeps its whole beta > 0 domain.
+  const bool finite_mean = params_.beta > 1.0;
   switch (strategy_) {
     case Strategy::kClone:
       // Clone needs no further constants; its E(T) requires
       // beta * (r + 1) > 1, which is r-dependent and checked per call.
       break;
     case Strategy::kSpeculativeRestart:
-      CHRONOS_EXPECTS(params_.beta > 1.0,
-                      "machine_time_s_restart requires beta > 1");
       p_extra_ = kernels::s_restart_extra_failure(params_);
-      below_ = expected_time_below_deadline(params_);
-      above_r0_ = stats::Pareto(params_.t_min, params_.beta)
-                      .truncated_mean_above(params_.deadline);
+      if (finite_mean) {
+        below_ = expected_time_below_deadline(params_);
+        above_r0_ = stats::Pareto(params_.t_min, params_.beta)
+                        .truncated_mean_above(params_.deadline);
+      }
       break;
     case Strategy::kSpeculativeResume:
-      CHRONOS_EXPECTS(params_.beta > 1.0,
-                      "machine_time_s_resume requires beta > 1");
       p_extra_ = kernels::s_resume_extra_failure(params_);
-      below_ = expected_time_below_deadline(params_);
+      if (finite_mean) {
+        below_ = expected_time_below_deadline(params_);
+      }
       break;
   }
 }
 
-AnalyticContext::AnalyticContext(Strategy strategy,
-                                 const SharedAnalytics& shared,
-                                 const Economics& econ)
-    : strategy_(strategy), params_(shared.params()), econ_(econ) {
-  // params were validated (and beta > 1 established) by SharedAnalytics.
-  econ_.validate();
-  gamma_ = gamma_threshold(strategy_, params_);
-  p_straggle_ = shared.p_straggle();
-  switch (strategy_) {
-    case Strategy::kClone:
-      break;
-    case Strategy::kSpeculativeRestart:
-      p_extra_ = kernels::s_restart_extra_failure(params_);
-      below_ = shared.below();
-      above_r0_ = shared.above_r0();
-      break;
-    case Strategy::kSpeculativeResume:
-      p_extra_ = kernels::s_resume_extra_failure(params_);
-      below_ = shared.below();
-      break;
-  }
+double AnalyticContext::gamma() const {
+  return gamma_threshold(strategy_, params_);
 }
 
 double AnalyticContext::pocd(double r) const {
@@ -96,9 +66,13 @@ double AnalyticContext::machine_time(double r) const {
     case Strategy::kClone:
       return kernels::clone_machine_time(params_, r);
     case Strategy::kSpeculativeRestart:
+      CHRONOS_EXPECTS(params_.beta > 1.0,
+                      "S-Restart machine time requires beta > 1");
       return kernels::s_restart_machine_time(params_, r, p_straggle_, below_,
                                              above_r0_);
     case Strategy::kSpeculativeResume:
+      CHRONOS_EXPECTS(params_.beta > 1.0,
+                      "S-Resume machine time requires beta > 1");
       return kernels::s_resume_machine_time(params_, r, p_straggle_, below_);
   }
   CHRONOS_ENSURES(false, "unknown strategy");

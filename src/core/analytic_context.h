@@ -1,26 +1,15 @@
-// Precomputed evaluation context for the analytic PoCD / cost / utility
-// kernels.
+// The analytic evaluator: PoCD, expected machine time and utility of one
+// (strategy, params, econ) triple — Theorems 1–6 and Eq. 23.
 //
-// Algorithm 1 evaluates U(r) at dozens of integers for one fixed
-// (strategy, params, econ) triple. The free functions in pocd.cpp / cost.cpp
-// recompute every pow(t_min/D, beta)-family constant — and re-validate the
-// parameter records — on each call. AnalyticContext hoists all r-independent
-// work to construction time (straggler probability, the per-extra-attempt
-// failure factors, the truncated Pareto means behind E(T), the Gamma
-// threshold), so each evaluation is reduced to the r-dependent remainder:
-// a couple of pow calls and a handful of multiplies.
-//
-// The context is deliberately bit-identical to the free functions: both call
-// paths evaluate the shared inline kernels in core/kernels.h, so they execute
-// the exact same floating-point expressions in the same order, only with the
-// r-independent factors computed once. evaluate(r) therefore equals
-// evaluate_utility(strategy, params, econ, r) bit for bit (enforced by the
-// compiler, asserted by tests), and switching the optimizer onto the context
-// cannot perturb planner decisions or sweep goldens.
-//
-// SharedAnalytics goes one step further for optimize_all: the constants that
-// all three strategies share (straggler probability and the truncated Pareto
-// means) are computed once and borrowed by each strategy's context.
+// This is the only code that turns a strategy and its parameters into R(r)
+// and E(T). The free functions pocd(), machine_time(), task_pocd() and
+// evaluate_utility() build a context per call; Algorithm 1 builds one per
+// search and evaluates U(r) at dozens of integers through it. Construction
+// hoists all r-independent work (straggler probability, the per-extra-attempt
+// failure factor, the truncated Pareto means behind E(T)), so each
+// evaluation is reduced to the r-dependent remainder: a couple of pow calls
+// and a handful of multiplies. The formulas themselves live in
+// core/kernels.h.
 #pragma once
 
 #include <cstdint>
@@ -30,68 +19,31 @@
 
 namespace chronos::core {
 
-/// Per-job constants shared by all three strategies' analytic kernels.
-/// optimize_all builds one instance and hands it to each strategy's
-/// AnalyticContext so P(T > D), E[T; T <= D] and E[T | T > D] are computed
-/// exactly once per job instead of once per strategy. The values are
-/// bit-identical to what each context would compute on its own (same kernel
-/// expressions), so the batched path cannot move any planner decision.
-class SharedAnalytics {
- public:
-  /// Validates params once. Requires beta > 1: S-Restart / S-Resume have
-  /// infinite expected machine time otherwise, exactly as their contexts do.
-  explicit SharedAnalytics(const JobParams& params);
-
-  const JobParams& params() const { return params_; }
-
-  /// P(T_1 > D) = pow(t_min / D, beta).
-  double p_straggle() const { return p_straggle_; }
-
-  /// Truncated Pareto mean below the deadline: E[T | T <= D].
-  double below() const { return below_; }
-
-  /// Truncated Pareto mean above the deadline: E[T | T > D] — the
-  /// S-Restart r == 0 branch.
-  double above_r0() const { return above_r0_; }
-
- private:
-  JobParams params_;
-  double p_straggle_ = 0.0;
-  double below_ = 0.0;
-  double above_r0_ = 0.0;
-};
-
 class AnalyticContext {
  public:
-  /// Validates params/econ once. For S-Restart / S-Resume additionally
-  /// requires beta > 1 (finite expected machine time), like the
-  /// machine_time_* free functions.
+  /// Validates params/econ once. PoCD is defined for every beta > 0; the
+  /// E(T)-only constants of S-Restart / S-Resume are computed only for
+  /// beta > 1, where their expected machine time is finite.
   AnalyticContext(Strategy strategy, const JobParams& params,
-                  const Economics& econ);
-
-  /// As above, but borrows the strategy-independent constants from an
-  /// already-built SharedAnalytics (optimize_all's batched path) instead of
-  /// recomputing them. Bit-identical to the params ctor.
-  AnalyticContext(Strategy strategy, const SharedAnalytics& shared,
-                  const Economics& econ);
+                  const Economics& econ = {});
 
   Strategy strategy() const { return strategy_; }
   const JobParams& params() const { return params_; }
   const Economics& econ() const { return econ_; }
 
-  /// Concavity threshold Gamma (Theorem 8), precomputed.
-  double gamma() const { return gamma_; }
+  /// Concavity threshold Gamma (Theorem 8): gamma_threshold(strategy,
+  /// params), computed on each call.
+  double gamma() const;
 
-  /// PoCD R(r); bit-identical to pocd(strategy, params, r).
+  /// PoCD R(r) (Theorems 1, 3, 5). Requires r >= 0.
   double pocd(double r) const;
 
-  /// Expected machine time E(T); bit-identical to
-  /// machine_time(strategy, params, r). Clone additionally requires
-  /// beta * (r + 1) > 1 per call, as the free function does.
+  /// Expected machine time E(T) (Theorems 2, 4, 6). Requires r >= 0;
+  /// S-Restart / S-Resume require beta > 1, and Clone / S-Resume
+  /// beta * (r + 1) > 1 (the expectation diverges otherwise).
   double machine_time(double r) const;
 
-  /// Full utility point; bit-identical to
-  /// evaluate_utility(strategy, params, econ, r).
+  /// Full utility point U(r) = f(R(r) - R_min) - theta * C * E(T).
   UtilityPoint evaluate(double r) const;
 
   /// Number of evaluate() calls made through this context. Lets tests prove
@@ -102,11 +54,10 @@ class AnalyticContext {
   Strategy strategy_;
   JobParams params_;
   Economics econ_;
-  double gamma_ = 0.0;
   double p_straggle_ = 0.0;  ///< pow(t_min / D, beta): P(T > D)
   double p_extra_ = 0.0;     ///< per-extra-attempt failure factor (S-R / S-Res)
-  double below_ = 0.0;       ///< E[T; T <= D] contribution (S-R / S-Res)
-  double above_r0_ = 0.0;    ///< E[T | T > D] (S-Restart with r == 0)
+  double below_ = 0.0;       ///< E[T | T <= D] (S-R / S-Res, beta > 1)
+  double above_r0_ = 0.0;    ///< E[T | T > D] (S-Restart with r == 0, beta > 1)
   mutable std::int64_t evaluations_ = 0;
 };
 

@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/numeric.h"
+#include "core/analytic_context.h"
 #include "core/kernels.h"
 #include "stats/pareto.h"
 
@@ -22,11 +23,6 @@ void check(const JobParams& params, double r) {
 double expected_time_below_deadline(const JobParams& params) {
   const stats::Pareto attempt(params.t_min, params.beta);
   return attempt.truncated_mean_below(params.deadline);
-}
-
-double machine_time_clone(const JobParams& params, double r) {
-  check(params, r);
-  return kernels::clone_machine_time(params, r);
 }
 
 double s_restart_winner_time(const JobParams& params, double r) {
@@ -72,26 +68,6 @@ double s_restart_winner_time_reference(const JobParams& params, double r) {
   return total;
 }
 
-double machine_time_s_restart(const JobParams& params, double r) {
-  check(params, r);
-  CHRONOS_EXPECTS(params.beta > 1.0,
-                  "machine_time_s_restart requires beta > 1");
-  const double p_straggle = kernels::straggler_probability(params);
-  const double below = expected_time_below_deadline(params);
-  const double above_r0 = stats::Pareto(params.t_min, params.beta)
-                              .truncated_mean_above(params.deadline);
-  return kernels::s_restart_machine_time(params, r, p_straggle, below,
-                                         above_r0);
-}
-
-double machine_time_s_resume(const JobParams& params, double r) {
-  check(params, r);
-  CHRONOS_EXPECTS(params.beta > 1.0, "machine_time_s_resume requires beta > 1");
-  const double p_straggle = kernels::straggler_probability(params);
-  const double below = expected_time_below_deadline(params);
-  return kernels::s_resume_machine_time(params, r, p_straggle, below);
-}
-
 double machine_time_s_resume_exact(const JobParams& params, double r) {
   check(params, r);
   CHRONOS_EXPECTS(params.beta > 1.0,
@@ -108,15 +84,7 @@ double machine_time_s_resume_exact(const JobParams& params, double r) {
 }
 
 double machine_time(Strategy strategy, const JobParams& params, double r) {
-  switch (strategy) {
-    case Strategy::kClone:
-      return machine_time_clone(params, r);
-    case Strategy::kSpeculativeRestart:
-      return machine_time_s_restart(params, r);
-    case Strategy::kSpeculativeResume:
-      return machine_time_s_resume(params, r);
-  }
-  CHRONOS_ENSURES(false, "unknown strategy");
+  return AnalyticContext(strategy, params).machine_time(r);
 }
 
 double machine_time_no_speculation(const JobParams& params) {

@@ -15,25 +15,17 @@
 
 namespace chronos::core {
 
-/// Theorem 2:  E_Clone(T) = N [ r tau_kill + t_min + t_min/(beta(r+1) - 1) ].
-/// Requires beta * (r + 1) > 1 (otherwise the expectation diverges).
-double machine_time_clone(const JobParams& params, double r);
-
-/// Theorem 4, with the winner time evaluated in closed form (see
-/// s_restart_winner_time). Requires beta > 1 for the no-straggler branch to
-/// have finite mean.
-double machine_time_s_restart(const JobParams& params, double r);
-
-/// Theorem 6, published closed form (slight upper bound; see header note).
-/// Requires beta > 1 and beta * (r + 1) > 1.
-double machine_time_s_resume(const JobParams& params, double r);
+/// E(T) of `strategy` with r extra attempts by the paper's formulas
+/// (Theorems 2, 4 and 6; the S-Restart winner time in closed form, see
+/// s_restart_winner_time; S-Resume in the published form), evaluated by
+/// AnalyticContext (core/analytic_context.h). Requires r >= 0 and valid
+/// params; S-Restart / S-Resume require beta > 1, and Clone / S-Resume
+/// beta * (r + 1) > 1 (the expectation diverges otherwise).
+double machine_time(Strategy strategy, const JobParams& params, double r);
 
 /// Exact S-Resume expectation using the true support (1-phi) t_min of the
 /// resumed attempts: E(W_new) = (1-phi) t_min beta(r+1) / (beta(r+1) - 1).
 double machine_time_s_resume_exact(const JobParams& params, double r);
-
-/// Dispatch on `strategy` (paper formulas).
-double machine_time(Strategy strategy, const JobParams& params, double r);
 
 /// Machine time with no speculation: N * E[T] = N * t_min * beta/(beta - 1).
 /// Requires beta > 1.

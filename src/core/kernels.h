@@ -1,19 +1,13 @@
-// Shared inline formula kernels for the analytic core (Theorems 2, 4, 6).
+// Formula kernels of the analytic core: one inline function per term of
+// Theorems 1-6, each documented with the equation it evaluates.
 //
-// Before this header existed, cost.cpp, pocd.cpp and analytic_context.cpp
-// carried copy-pasted bodies of the same expressions (e.g. the Eq. 56 winner
-// mean appeared verbatim in both cost.cpp and analytic_context.cpp). The
-// AnalyticContext is documented to be *bit-identical* to the free functions;
-// that used to be enforced only by tests. Funnelling every formula body
-// through a single inline kernel makes the identity hold by construction:
-// both call paths execute the same floating-point expression in the same
-// order, so they cannot drift apart.
-//
-// Kernels take the r-independent constants (straggler probability, truncated
-// Pareto means) as arguments so that AnalyticContext / SharedAnalytics can
-// pass memoized values while the free functions compute them per call — the
-// values are identical either way because both sides compute them with the
-// same kernel expressions.
+// AnalyticContext (core/analytic_context.cpp) is their caller: it computes
+// the r-independent constants (straggler probability, per-extra-attempt
+// failure factors, truncated Pareto means) once and passes them in, so each
+// kernel is only the r-dependent remainder. The few functions outside the
+// context that need a term (pocd_no_speculation, the exact S-Resume
+// variant, the winner-time entry points in cost.cpp) call the same kernel
+// rather than restating its formula.
 #pragma once
 
 #include <cmath>
@@ -59,12 +53,15 @@ inline double job_from_task(double task_success, int num_tasks) {
 }
 
 /// Clone task failure: all r+1 independent copies must straggle.
+/// Theorem 1: R_Clone = [1 - (t_min/D)^{beta (r+1)}]^N.
 inline double clone_task_failure(double p_straggle, double r) {
   return std::pow(p_straggle, r + 1.0);
 }
 
 /// S-Restart task failure: original straggles AND each of the r restarted
 /// attempts misses D - tau_est.
+/// Theorem 3: R_S-Restart = [1 - t_min^{beta(r+1)} /
+///                           (D^beta (D - tau_est)^{beta r})]^N.
 inline double s_restart_task_failure(double p_straggle, double p_extra,
                                      double r) {
   return p_straggle * std::pow(p_extra, r);
@@ -72,6 +69,8 @@ inline double s_restart_task_failure(double p_straggle, double p_extra,
 
 /// S-Resume task failure: original straggles AND each of the r+1 resumed
 /// attempts misses D - tau_est.
+/// Theorem 5: R_S-Resume = [1 - (1-phi)^{beta(r+1)} t_min^{beta(r+2)} /
+///                          (D^beta (D - tau_est)^{beta(r+1)})]^N.
 inline double s_resume_task_failure(double p_straggle, double p_extra,
                                     double r) {
   return p_straggle * std::pow(p_extra, r + 1.0);
@@ -90,7 +89,7 @@ inline double clone_winner_mean(const JobParams& p, double n_eff) {
 inline double clone_machine_time(const JobParams& p, double r) {
   const double n_eff = p.beta * (r + 1.0);
   CHRONOS_EXPECTS(n_eff > 1.0,
-                  "machine_time_clone requires beta * (r + 1) > 1");
+                  "Clone machine time requires beta * (r + 1) > 1");
   return static_cast<double>(p.num_tasks) *
          (r * p.tau_kill + clone_winner_mean(p, n_eff));
 }
@@ -210,7 +209,7 @@ inline double s_resume_machine_time(const JobParams& p, double r,
                                     double p_straggle, double below) {
   const double n_eff = p.beta * (r + 1.0);
   CHRONOS_EXPECTS(n_eff > 1.0,
-                  "machine_time_s_resume requires beta * (r + 1) > 1");
+                  "S-Resume machine time requires beta * (r + 1) > 1");
   const double above =
       speculation_above(p, r, s_resume_winner_mean(p, n_eff));
   return straggler_split_total(p, below, above, p_straggle);

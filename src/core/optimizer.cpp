@@ -139,12 +139,11 @@ class Objective {
   std::int64_t lookups_ = 0;
 };
 
-OptimizationResult finish(const Objective& objective,
-                          const AnalyticContext& context) {
+OptimizationResult finish(const Objective& objective, double gamma) {
   OptimizationResult result;
   result.best = objective.best();
   result.r_opt = static_cast<long long>(std::llround(result.best.r));
-  result.gamma = context.gamma();
+  result.gamma = gamma;
   result.evaluations = objective.evaluations();
   result.lookups = objective.lookups();
   result.feasible = std::isfinite(result.best.utility);
@@ -173,7 +172,8 @@ OptimizationResult optimize(const AnalyticContext& context,
                             const OptimizerOptions& options) {
   CHRONOS_EXPECTS(options.max_r >= 0, "max_r must be >= 0");
   const long long max_r = options.max_r;
-  const long long start = concave_start(context.gamma());
+  const double gamma = context.gamma();
+  const long long start = concave_start(gamma);
   const long long prefix_end = std::min(start, max_r + 1);
   Objective objective(context, kDenseHint);
 
@@ -185,7 +185,7 @@ OptimizationResult optimize(const AnalyticContext& context,
   for (long long r = 0; r < prefix_end; ++r) {
     const Sample sample = objective(r);
     if (r > 0 && Objective::descends(previous, sample)) {
-      return finish(objective, context);
+      return finish(objective, gamma);
     }
     previous = sample;
   }
@@ -233,7 +233,7 @@ OptimizationResult optimize(const AnalyticContext& context,
     objective(r);
   }
 
-  return finish(objective, context);
+  return finish(objective, gamma);
 }
 
 OptimizationResult optimize(Strategy strategy, const JobParams& params,
@@ -254,23 +254,18 @@ OptimizationResult brute_force_optimize(Strategy strategy,
   for (long long r = 0; r <= options.max_r; ++r) {
     objective(r);
   }
-  return finish(objective, context);
+  return finish(objective, context.gamma());
 }
 
 BestStrategy optimize_all(const JobParams& params, const Economics& econ,
                           const OptimizerOptions& options) {
   obs::TraceSpan span("core.optimize_all", "core");
-  // One SharedAnalytics instance computes the constants every strategy's
-  // context needs (P(T > D) and the truncated Pareto means) exactly once;
-  // the three contexts borrow them instead of recomputing per strategy.
-  const SharedAnalytics shared(params);
   BestStrategy best;
   bool first = true;
   for (const Strategy strategy :
        {Strategy::kClone, Strategy::kSpeculativeRestart,
         Strategy::kSpeculativeResume}) {
-    const AnalyticContext context(strategy, shared, econ);
-    auto result = optimize(context, options);
+    auto result = optimize(strategy, params, econ, options);
     if (first || result.best.utility > best.result.best.utility) {
       best.strategy = strategy;
       best.result = result;

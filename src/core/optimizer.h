@@ -63,11 +63,10 @@ OptimizationResult brute_force_optimize(Strategy strategy,
                                         const OptimizerOptions& options = {});
 
 /// Runs `optimize` for all three strategies and returns the strategy/result
-/// pair with the highest net utility. The strategy-independent constants
-/// (straggler probability, truncated Pareto means) are computed once in a
-/// SharedAnalytics and borrowed by every strategy's context, so the batched
-/// search does strictly less r-independent work than three optimize() calls
-/// while returning bit-identical results.
+/// pair with the highest net utility; ties go to the earlier strategy in
+/// Clone, S-Restart, S-Resume order. Each result is bitwise what a
+/// standalone optimize() of that strategy returns. Requires beta > 1 (the
+/// S-Restart / S-Resume machine time is infinite otherwise).
 struct BestStrategy {
   Strategy strategy = Strategy::kClone;
   OptimizationResult result;

@@ -2,58 +2,13 @@
 
 #include <cmath>
 
-#include "common/error.h"
+#include "core/analytic_context.h"
 #include "core/kernels.h"
 
 namespace chronos::core {
 
-namespace {
-
-void check(const JobParams& params, double r) {
-  params.validate();
-  CHRONOS_EXPECTS(r >= 0.0, "number of extra attempts r must be >= 0");
-}
-
-}  // namespace
-
-double pocd_clone(const JobParams& params, double r) {
-  check(params, r);
-  const double task_fail =
-      kernels::clone_task_failure(kernels::straggler_probability(params), r);
-  return kernels::job_from_task(1.0 - task_fail, params.num_tasks);
-}
-
-double pocd_s_restart(const JobParams& params, double r) {
-  check(params, r);
-  // Original attempt fails iff T_1 > D; each of the r attempts launched at
-  // tau_est fails iff its execution time exceeds D - tau_est (Eq. 34).
-  const double task_fail = kernels::s_restart_task_failure(
-      kernels::straggler_probability(params),
-      kernels::s_restart_extra_failure(params), r);
-  return kernels::job_from_task(1.0 - task_fail, params.num_tasks);
-}
-
-double pocd_s_resume(const JobParams& params, double r) {
-  check(params, r);
-  // Straggler is killed; r+1 fresh attempts process the remaining
-  // (1 - phi_est) fraction, so each fails iff (1-phi) T > D - tau_est
-  // (Eq. 47).
-  const double task_fail = kernels::s_resume_task_failure(
-      kernels::straggler_probability(params),
-      kernels::s_resume_extra_failure(params), r);
-  return kernels::job_from_task(1.0 - task_fail, params.num_tasks);
-}
-
 double pocd(Strategy strategy, const JobParams& params, double r) {
-  switch (strategy) {
-    case Strategy::kClone:
-      return pocd_clone(params, r);
-    case Strategy::kSpeculativeRestart:
-      return pocd_s_restart(params, r);
-    case Strategy::kSpeculativeResume:
-      return pocd_s_resume(params, r);
-  }
-  CHRONOS_ENSURES(false, "unknown strategy");
+  return AnalyticContext(strategy, params).pocd(r);
 }
 
 double task_pocd(Strategy strategy, const JobParams& params, double r) {

@@ -1,5 +1,6 @@
-// Probability of Completion before Deadline (PoCD) — closed forms from
-// Theorems 1, 3 and 5 of the paper.
+// Probability of Completion before Deadline (PoCD) — Theorems 1, 3 and 5
+// of the paper, evaluated by AnalyticContext (core/analytic_context.h); the
+// formulas are documented at their kernels in core/kernels.h.
 //
 // All functions accept a real-valued r so the optimizer can run its
 // continuous line-search phase; integer r gives the paper's quantities.
@@ -9,18 +10,8 @@
 
 namespace chronos::core {
 
-/// Theorem 1:  R_Clone = [1 - (t_min/D)^{beta (r+1)}]^N.
-double pocd_clone(const JobParams& params, double r);
-
-/// Theorem 3:  R_S-Restart = [1 - t_min^{beta(r+1)} /
-///                            (D^beta (D - tau_est)^{beta r})]^N.
-double pocd_s_restart(const JobParams& params, double r);
-
-/// Theorem 5:  R_S-Resume = [1 - (1-phi)^{beta(r+1)} t_min^{beta(r+2)} /
-///                           (D^beta (D - tau_est)^{beta(r+1)})]^N.
-double pocd_s_resume(const JobParams& params, double r);
-
-/// Dispatch on `strategy`. Requires r >= 0 and valid params.
+/// PoCD of `strategy` with r extra attempts. Requires r >= 0 and valid
+/// params; defined for every beta > 0.
 double pocd(Strategy strategy, const JobParams& params, double r);
 
 /// Probability that a single task (not the whole job) completes before D

@@ -3,8 +3,7 @@
 #include <cmath>
 #include <limits>
 
-#include "core/cost.h"
-#include "core/pocd.h"
+#include "core/analytic_context.h"
 
 namespace chronos::core {
 
@@ -17,15 +16,7 @@ double utility_shaping(double x) {
 
 UtilityPoint evaluate_utility(Strategy strategy, const JobParams& params,
                               const Economics& econ, double r) {
-  econ.validate();
-  UtilityPoint point;
-  point.r = r;
-  point.pocd = pocd(strategy, params, r);
-  point.machine_time = machine_time(strategy, params, r);
-  point.cost = econ.price * point.machine_time;
-  point.utility =
-      utility_shaping(point.pocd - econ.r_min) - econ.theta * point.cost;
-  return point;
+  return AnalyticContext(strategy, params, econ).evaluate(r);
 }
 
 }  // namespace chronos::core

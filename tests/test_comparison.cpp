@@ -18,7 +18,8 @@ TEST(Theorem7, CloneAlwaysBeatsRestart) {
   for (double beta = 1.1; beta <= 1.9; beta += 0.2) {
     p.beta = beta;
     for (double r = 1.0; r <= 6.0; r += 1.0) {
-      EXPECT_GT(pocd_clone(p, r), pocd_s_restart(p, r))
+      EXPECT_GT(pocd(Strategy::kClone, p, r),
+                pocd(Strategy::kSpeculativeRestart, p, r))
           << "beta=" << beta << " r=" << r;
       EXPECT_LT(clone_vs_restart_ratio(p, r), 1.0);
     }
@@ -28,7 +29,8 @@ TEST(Theorem7, CloneAlwaysBeatsRestart) {
 TEST(Theorem7, CloneEqualsRestartAtRZero) {
   const auto p = default_job();
   EXPECT_NEAR(clone_vs_restart_ratio(p, 0.0), 1.0, 1e-12);
-  EXPECT_NEAR(pocd_clone(p, 0.0), pocd_s_restart(p, 0.0), 1e-12);
+  EXPECT_NEAR(pocd(Strategy::kClone, p, 0.0),
+              pocd(Strategy::kSpeculativeRestart, p, 0.0), 1e-12);
 }
 
 TEST(Theorem7, ResumeBeatsRestart) {
@@ -37,7 +39,8 @@ TEST(Theorem7, ResumeBeatsRestart) {
   for (double phi = 0.0; phi <= 0.6; phi += 0.2) {
     p.phi_est = phi;
     for (double r = 0.0; r <= 5.0; r += 1.0) {
-      EXPECT_GT(pocd_s_resume(p, r), pocd_s_restart(p, r))
+      EXPECT_GT(pocd(Strategy::kSpeculativeResume, p, r),
+                pocd(Strategy::kSpeculativeRestart, p, r))
           << "phi=" << phi << " r=" << r;
       EXPECT_GT(restart_vs_resume_ratio(p, r), 1.0);
     }
@@ -50,10 +53,12 @@ TEST(Theorem7, RatiosMatchDirectPocdComputation) {
   for (double r = 0.0; r <= 4.0; r += 1.0) {
     // Per-task failure probability: 1 - R^{1/N} (the paper's Eqs. 57-59
     // notation (1-R)^{1/N} denotes these per-task quantities).
-    const double clone_fail = 1.0 - std::pow(pocd_clone(p, r), 1.0 / n);
+    const double clone_fail =
+        1.0 - std::pow(pocd(Strategy::kClone, p, r), 1.0 / n);
     const double restart_fail =
-        1.0 - std::pow(pocd_s_restart(p, r), 1.0 / n);
-    const double resume_fail = 1.0 - std::pow(pocd_s_resume(p, r), 1.0 / n);
+        1.0 - std::pow(pocd(Strategy::kSpeculativeRestart, p, r), 1.0 / n);
+    const double resume_fail =
+        1.0 - std::pow(pocd(Strategy::kSpeculativeResume, p, r), 1.0 / n);
     EXPECT_NEAR(clone_vs_restart_ratio(p, r), clone_fail / restart_fail,
                 1e-6 * clone_fail / restart_fail + 1e-12);
     EXPECT_NEAR(restart_vs_resume_ratio(p, r), restart_fail / resume_fail,
@@ -76,7 +81,8 @@ TEST_P(CloneVsResumeThreshold, PredicateConsistentWithPocdOrdering) {
   const double threshold = clone_beats_resume_threshold(p);
   for (double r = 0.0; r <= 10.0; r += 1.0) {
     const bool predicate = clone_beats_resume(p, r);
-    const bool direct = pocd_clone(p, r) > pocd_s_resume(p, r);
+    const bool direct = pocd(Strategy::kClone, p, r) >
+                        pocd(Strategy::kSpeculativeResume, p, r);
     if (std::abs(r - threshold) > 1e-6) {  // away from the boundary
       EXPECT_EQ(predicate, direct)
           << "beta=" << beta << " tau=" << tau_est << " phi=" << phi
@@ -97,7 +103,8 @@ TEST(Theorem7, ResumeWinsForSmallR) {
   // beats cloning from scratch.
   auto p = default_job();
   p.phi_est = 0.4;
-  EXPECT_GT(pocd_s_resume(p, 0.0), pocd_clone(p, 0.0));
+  EXPECT_GT(pocd(Strategy::kSpeculativeResume, p, 0.0),
+            pocd(Strategy::kClone, p, 0.0));
 }
 
 }  // namespace

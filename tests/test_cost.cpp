@@ -27,27 +27,29 @@ TEST(CostClone, MatchesTheorem2Algebra) {
   const double n_eff = p.beta * (r + 1.0);
   const double expected =
       p.num_tasks * (r * p.tau_kill + p.t_min + p.t_min / (n_eff - 1.0));
-  EXPECT_NEAR(machine_time_clone(p, r), expected, 1e-9);
+  EXPECT_NEAR(machine_time(Strategy::kClone, p, r), expected, 1e-9);
 }
 
 TEST(CostClone, RZeroIsMeanTaskTime) {
   const auto p = default_job();
   const stats::Pareto attempt(p.t_min, p.beta);
-  EXPECT_NEAR(machine_time_clone(p, 0.0), p.num_tasks * attempt.mean(), 1e-9);
+  EXPECT_NEAR(machine_time(Strategy::kClone, p, 0.0),
+              p.num_tasks * attempt.mean(), 1e-9);
 }
 
 TEST(CostClone, RejectsDivergentRegime) {
   auto p = default_job();
   p.beta = 0.9;
-  EXPECT_THROW(machine_time_clone(p, 0.0), PreconditionError);
-  EXPECT_NO_THROW(machine_time_clone(p, 1.0));  // beta (r+1) = 1.8 > 1
+  EXPECT_THROW(machine_time(Strategy::kClone, p, 0.0), PreconditionError);
+  // beta (r+1) = 1.8 > 1
+  EXPECT_NO_THROW(machine_time(Strategy::kClone, p, 1.0));
 }
 
 TEST(CostClone, IncreasingInR) {
   const auto p = default_job();
-  double prev = machine_time_clone(p, 0.0);
+  double prev = machine_time(Strategy::kClone, p, 0.0);
   for (double r = 1.0; r <= 6.0; r += 1.0) {
-    const double cur = machine_time_clone(p, r);
+    const double cur = machine_time(Strategy::kClone, p, r);
     EXPECT_GT(cur, prev);
     prev = cur;
   }
@@ -96,7 +98,7 @@ TEST(CostSRestart, MonteCarloAgreement) {
   const auto p = default_job();
   for (const long long r : {0LL, 1LL, 2LL, 4LL}) {
     const double analytic =
-        machine_time_s_restart(p, static_cast<double>(r));
+        machine_time(Strategy::kSpeculativeRestart, p, static_cast<double>(r));
     Rng rng(777 + static_cast<std::uint64_t>(r));
     const auto mc =
         monte_carlo(Strategy::kSpeculativeRestart, p, r, 60000, rng);
@@ -109,7 +111,8 @@ TEST(CostSRestart, MonteCarloAgreement) {
 TEST(CostClone, MonteCarloAgreement) {
   const auto p = default_job();
   for (const long long r : {0LL, 1LL, 3LL}) {
-    const double analytic = machine_time_clone(p, static_cast<double>(r));
+    const double analytic =
+        machine_time(Strategy::kClone, p, static_cast<double>(r));
     Rng rng(888 + static_cast<std::uint64_t>(r));
     const auto mc = monte_carlo(Strategy::kClone, p, r, 60000, rng);
     EXPECT_NEAR(mc.machine_time, analytic,
@@ -135,7 +138,7 @@ TEST(CostSResume, ExactFormMatchesMonteCarlo) {
 TEST(CostSResume, PublishedFormIsUpperBoundOnExact) {
   const auto p = default_job();
   for (double r = 0.0; r <= 5.0; r += 1.0) {
-    EXPECT_GE(machine_time_s_resume(p, r),
+    EXPECT_GE(machine_time(Strategy::kSpeculativeResume, p, r),
               machine_time_s_resume_exact(p, r) - 1e-9)
         << "r=" << r;
   }
@@ -146,18 +149,9 @@ TEST(CostSResume, CheaperThanSRestartForSameR) {
   // expected machine time is below S-Restart's (§VII observation).
   const auto p = default_job();
   for (double r = 1.0; r <= 4.0; r += 1.0) {
-    EXPECT_LT(machine_time_s_resume(p, r), machine_time_s_restart(p, r));
+    EXPECT_LT(machine_time(Strategy::kSpeculativeResume, p, r),
+              machine_time(Strategy::kSpeculativeRestart, p, r));
   }
-}
-
-TEST(CostDispatch, MatchesDirectCalls) {
-  const auto p = default_job();
-  EXPECT_EQ(machine_time(Strategy::kClone, p, 1.0),
-            machine_time_clone(p, 1.0));
-  EXPECT_EQ(machine_time(Strategy::kSpeculativeRestart, p, 1.0),
-            machine_time_s_restart(p, 1.0));
-  EXPECT_EQ(machine_time(Strategy::kSpeculativeResume, p, 1.0),
-            machine_time_s_resume(p, 1.0));
 }
 
 TEST(CostNoSpeculation, MatchesParetoMean) {
@@ -169,7 +163,8 @@ TEST(CostNoSpeculation, MatchesParetoMean) {
 TEST(CostSRestart, RejectsHeavyTailWithoutFiniteMean) {
   auto p = default_job();
   p.beta = 1.0;
-  EXPECT_THROW(machine_time_s_restart(p, 1.0), PreconditionError);
+  EXPECT_THROW(machine_time(Strategy::kSpeculativeRestart, p, 1.0),
+               PreconditionError);
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
-// Closed-form S-Restart winner time + SharedAnalytics validation layer:
+// Closed-form S-Restart winner time and optimize_all validation layer:
 //  - tolerance-checked agreement of the closed form against the adaptive
 //    quadrature reference across a randomized valid-JobParams grid
-//    (mirroring the PR 4 monte_carlo_reference pattern), including points
+//    (mirroring the monte_carlo_reference pattern), including points
 //    straddling the removable beta * r == 1 singularity,
 //  - the divergence guard (beta (r+1) <= 1 must throw, not return garbage),
 //  - continuity of E(T) as r -> 0+ (the r == 0 branch is the limit of the
 //    general branch, so the structural selection cannot jump),
-//  - three-way bit-identity: free functions <-> AnalyticContext <->
-//    SharedAnalytics-borrowing context (the optimize_all batched path).
-// The committed sweep goldens are re-checked byte-identically by
-// test_report_golden / test_shard, which run in the same ctest suite.
+//  - optimize_all returns bitwise the per-strategy optimize() result of the
+//    strategy it picks.
+// The analytic outputs themselves are pinned bit for bit by
+// test_analytic_pins; the committed sweep goldens are re-checked
+// byte-identically by test_report_golden / test_shard, which run in the
+// same ctest suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,8 +24,6 @@
 #include "core/analytic_context.h"
 #include "core/cost.h"
 #include "core/optimizer.h"
-#include "core/pocd.h"
-#include "core/utility.h"
 #include "stats/pareto.h"
 #include "test_util.h"
 
@@ -38,8 +38,8 @@ double rel_err(double a, double b) {
 }
 
 /// Random JobParams satisfying validate(), with beta > 1 so every strategy's
-/// context is constructible. tau_est / deadline reaches ~0.92, exercising
-/// slow-ish tail-series regimes.
+/// expected machine time is finite. tau_est / deadline reaches ~0.92,
+/// exercising slow-ish tail-series regimes.
 JobParams random_job(Rng& rng) {
   JobParams p;
   p.num_tasks = static_cast<int>(rng.uniform_int(1, 400));
@@ -229,12 +229,10 @@ TEST(ClosedForm, MachineTimeContinuousAsRApproachesZero) {
   // The r == 0 branch (straggler runs to completion, E[T | T > D]) must be
   // the r -> 0+ limit of the general branch: |E(T; r) - E(T; 0)| = O(r).
   const auto p = default_job();
-  const auto e = default_econ();
-  const double at_zero = machine_time_s_restart(p, 0.0);
-  const AnalyticContext ctx(Strategy::kSpeculativeRestart, p, e);
+  const AnalyticContext ctx(Strategy::kSpeculativeRestart, p);
+  const double at_zero = ctx.machine_time(0.0);
   for (const double r : {1e-12, 1e-9, 1e-6, 1e-4}) {
     const double slack = 1e4 * r + 1e-9;  // Lipschitz bound * r
-    EXPECT_NEAR(machine_time_s_restart(p, r), at_zero, slack) << "r=" << r;
     EXPECT_NEAR(ctx.machine_time(r), at_zero, slack) << "r=" << r;
   }
   // And the r == 0 branch itself pins E[T | T > D] exactly.
@@ -247,46 +245,9 @@ TEST(ClosedForm, MachineTimeContinuousAsRApproachesZero) {
   EXPECT_EQ(at_zero, expected);
 }
 
-TEST(SharedAnalytics, ContextsBitIdenticalToDirectConstruction) {
-  // The optimize_all batched path must not perturb a single bit relative to
-  // per-strategy contexts (and hence, transitively, the free functions).
-  Rng rng(99);
-  const auto e = default_econ();
-  for (int i = 0; i < 50; ++i) {
-    const auto p = random_job(rng);
-    const SharedAnalytics shared(p);
-    for (const Strategy s :
-         {Strategy::kClone, Strategy::kSpeculativeRestart,
-          Strategy::kSpeculativeResume}) {
-      const AnalyticContext direct(s, p, e);
-      const AnalyticContext borrowed(s, shared, e);
-      EXPECT_EQ(direct.gamma(), borrowed.gamma()) << to_string(s);
-      for (const double r : {0.0, 1.0, 2.0, 7.0, 33.0}) {
-        const auto a = direct.evaluate(r);
-        const auto b = borrowed.evaluate(r);
-        const auto free_point = evaluate_utility(s, p, e, r);
-        EXPECT_EQ(a.pocd, b.pocd) << to_string(s) << " r=" << r;
-        EXPECT_EQ(a.machine_time, b.machine_time) << to_string(s) << " r=" << r;
-        EXPECT_EQ(a.utility, b.utility) << to_string(s) << " r=" << r;
-        EXPECT_EQ(b.pocd, free_point.pocd) << to_string(s) << " r=" << r;
-        EXPECT_EQ(b.machine_time, free_point.machine_time)
-            << to_string(s) << " r=" << r;
-        EXPECT_EQ(b.cost, free_point.cost) << to_string(s) << " r=" << r;
-        EXPECT_EQ(b.utility, free_point.utility) << to_string(s) << " r=" << r;
-      }
-    }
-  }
-}
-
-TEST(SharedAnalytics, RequiresBetaAboveOne) {
-  auto p = default_job();
-  p.beta = 1.0;
-  EXPECT_THROW(SharedAnalytics{p}, PreconditionError);
-}
-
-TEST(SharedAnalytics, OptimizeAllMatchesPerStrategyOptimize) {
-  // optimize_all (one SharedAnalytics, borrowed contexts) must reproduce the
-  // per-strategy optimize() results bit for bit.
+TEST(OptimizeAll, MatchesPerStrategyOptimize) {
+  // optimize_all must reproduce the per-strategy optimize() results bit for
+  // bit.
   Rng rng(1234);
   for (int i = 0; i < 20; ++i) {
     const auto p = random_job(rng);

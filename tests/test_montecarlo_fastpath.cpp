@@ -67,20 +67,12 @@ TEST_P(MonteCarloFastPath, AgreesWithClosedFormAndReference) {
 TEST_P(MonteCarloFastPath, MachineTimeMatchesClosedForm) {
   const auto& c = GetParam();
   const auto p = default_job();
-  double analytic = 0.0;
-  switch (c.strategy) {
-    case Strategy::kClone:
-      analytic = machine_time_clone(p, static_cast<double>(c.r));
-      break;
-    case Strategy::kSpeculativeRestart:
-      analytic = machine_time_s_restart(p, static_cast<double>(c.r));
-      break;
-    case Strategy::kSpeculativeResume:
-      // The published S-Resume form is an upper bound; the exact Lemma-1
-      // form is what simulation converges to.
-      analytic = machine_time_s_resume_exact(p, static_cast<double>(c.r));
-      break;
-  }
+  const double r = static_cast<double>(c.r);
+  // The published S-Resume form is an upper bound; the exact Lemma-1 form is
+  // what simulation converges to.
+  const double analytic = c.strategy == Strategy::kSpeculativeResume
+                              ? machine_time_s_resume_exact(p, r)
+                              : machine_time(c.strategy, p, r);
   Rng rng(777 + static_cast<std::uint64_t>(c.r));
   const auto mc = monte_carlo(c.strategy, p, c.r, 2 * kJobs, rng);
   EXPECT_NEAR(mc.machine_time, analytic,

@@ -356,8 +356,9 @@ TEST(OptimizeAll, PicksBestStrategy) {
 // --- AnalyticContext + memoization -----------------------------------------
 
 TEST(AnalyticContext, BitIdenticalToFreeFunctions) {
-  // The context must hoist constants without perturbing a single bit, so
-  // switching the optimizer onto it cannot move any planner decision.
+  // One context reused across many r (the optimizer's path) returns what a
+  // fresh one-shot context per call (the free functions' path) returns, bit
+  // for bit: the hoisted constants do not depend on evaluation order.
   const auto e = default_econ();
   for (const Strategy s : {Strategy::kClone, Strategy::kSpeculativeRestart,
                            Strategy::kSpeculativeResume}) {

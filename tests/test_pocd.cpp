@@ -21,17 +21,18 @@ TEST(PocdClone, MatchesHandComputation) {
   // Per-attempt failure: (30/100)^1.5; task fail with r=1: that squared.
   const double p1 = std::pow(0.3, 1.5);
   const double expected = std::pow(1.0 - p1 * p1, 10);
-  EXPECT_NEAR(pocd_clone(p, 1.0), expected, 1e-12);
+  EXPECT_NEAR(pocd(Strategy::kClone, p, 1.0), expected, 1e-12);
 }
 
 TEST(PocdClone, RZeroEqualsNoSpeculation) {
   const auto p = default_job();
-  EXPECT_NEAR(pocd_clone(p, 0.0), pocd_no_speculation(p), 1e-12);
+  EXPECT_NEAR(pocd(Strategy::kClone, p, 0.0), pocd_no_speculation(p), 1e-12);
 }
 
 TEST(PocdSRestart, RZeroEqualsNoSpeculation) {
   const auto p = default_job();
-  EXPECT_NEAR(pocd_s_restart(p, 0.0), pocd_no_speculation(p), 1e-12);
+  EXPECT_NEAR(pocd(Strategy::kSpeculativeRestart, p, 0.0),
+              pocd_no_speculation(p), 1e-12);
 }
 
 TEST(PocdSRestart, MatchesHandComputation) {
@@ -41,7 +42,8 @@ TEST(PocdSRestart, MatchesHandComputation) {
   const double fail = std::pow(p.t_min, 3.0 * b) /
                       (std::pow(p.deadline, b) *
                        std::pow(p.deadline - p.tau_est, 2.0 * b));
-  EXPECT_NEAR(pocd_s_restart(p, 2.0), std::pow(1.0 - fail, 10), 1e-12);
+  EXPECT_NEAR(pocd(Strategy::kSpeculativeRestart, p, 2.0),
+              std::pow(1.0 - fail, 10), 1e-12);
 }
 
 TEST(PocdSResume, MatchesHandComputation) {
@@ -53,28 +55,20 @@ TEST(PocdSResume, MatchesHandComputation) {
       std::pow(p.t_min, b * (r + 2.0)) /
       (std::pow(p.deadline, b) *
        std::pow(p.deadline - p.tau_est, b * (r + 1.0)));
-  EXPECT_NEAR(pocd_s_resume(p, r), std::pow(1.0 - fail, 10), 1e-12);
-}
-
-TEST(Pocd, DispatchMatchesDirectCalls) {
-  const auto p = default_job();
-  EXPECT_EQ(pocd(Strategy::kClone, p, 2.0), pocd_clone(p, 2.0));
-  EXPECT_EQ(pocd(Strategy::kSpeculativeRestart, p, 2.0),
-            pocd_s_restart(p, 2.0));
-  EXPECT_EQ(pocd(Strategy::kSpeculativeResume, p, 2.0),
-            pocd_s_resume(p, 2.0));
+  EXPECT_NEAR(pocd(Strategy::kSpeculativeResume, p, r),
+              std::pow(1.0 - fail, 10), 1e-12);
 }
 
 TEST(Pocd, TaskPocdIsNthRoot) {
   const auto p = default_job();
-  const double job = pocd_clone(p, 1.0);
+  const double job = pocd(Strategy::kClone, p, 1.0);
   EXPECT_NEAR(std::pow(task_pocd(Strategy::kClone, p, 1.0), p.num_tasks), job,
               1e-12);
 }
 
 TEST(Pocd, RejectsNegativeR) {
   const auto p = default_job();
-  EXPECT_THROW(pocd_clone(p, -1.0), PreconditionError);
+  EXPECT_THROW(pocd(Strategy::kClone, p, -1.0), PreconditionError);
 }
 
 TEST(Pocd, MonotoneIncreasingInR) {
@@ -107,16 +101,16 @@ TEST(Pocd, MonotoneIncreasingInDeadline) {
 TEST(Pocd, DecreasesWithMoreTasks) {
   auto p = default_job();
   p.num_tasks = 1;
-  const double one = pocd_clone(p, 1.0);
+  const double one = pocd(Strategy::kClone, p, 1.0);
   p.num_tasks = 100;
-  const double hundred = pocd_clone(p, 1.0);
+  const double hundred = pocd(Strategy::kClone, p, 1.0);
   EXPECT_LT(hundred, one);
   EXPECT_NEAR(hundred, std::pow(one, 100.0), 1e-9);
 }
 
 TEST(Pocd, ApproachesOneForLargeR) {
   const auto p = default_job();
-  EXPECT_GT(pocd_clone(p, 50.0), 1.0 - 1e-12);
+  EXPECT_GT(pocd(Strategy::kClone, p, 50.0), 1.0 - 1e-12);
 }
 
 // --- Monte-Carlo validation over a parameter grid --------------------------

@@ -35,8 +35,9 @@ TEST(EvaluateUtility, CombinesPocdAndCost) {
   const auto p = default_job();
   const auto e = default_econ();
   const auto point = evaluate_utility(Strategy::kClone, p, e, 2.0);
-  EXPECT_NEAR(point.pocd, pocd_clone(p, 2.0), 1e-12);
-  EXPECT_NEAR(point.machine_time, machine_time_clone(p, 2.0), 1e-12);
+  EXPECT_NEAR(point.pocd, pocd(Strategy::kClone, p, 2.0), 1e-12);
+  EXPECT_NEAR(point.machine_time, machine_time(Strategy::kClone, p, 2.0),
+              1e-12);
   EXPECT_NEAR(point.cost, e.price * point.machine_time, 1e-12);
   EXPECT_NEAR(point.utility,
               std::log10(point.pocd - e.r_min) - e.theta * point.cost, 1e-12);
