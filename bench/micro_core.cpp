@@ -1,7 +1,7 @@
 // Microbenchmarks of the analytic core: closed-form evaluation (including
-// the closed-form vs. reference-quadrature S-Restart winner time),
-// Algorithm 1, and the Monte-Carlo validator. These quantify the per-job
-// planning overhead an Application Master would pay at submission (§VI).
+// the closed-form vs. reference-quadrature S-Restart winner time) and
+// Algorithm 1. These quantify the per-job planning overhead an Application
+// Master would pay at submission (§VI).
 #include <benchmark/benchmark.h>
 
 #include "core/chronos.h"
@@ -138,48 +138,6 @@ void BM_BruteForceOptimize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BruteForceOptimize)->Arg(64)->Arg(512)->Arg(4096);
-
-// Monte-Carlo kernels, parameterized by (jobs, r). The r = 16 points track
-// the win from the order-statistic fast path (min of r+1 Pareto draws is one
-// Pareto((r+1) beta) draw), which collapses the O(r) winner loops.
-void BM_MonteCarloClone(benchmark::State& state) {
-  const auto params = bench_job();
-  chronos::Rng rng(1);
-  const auto jobs = static_cast<std::uint64_t>(state.range(0));
-  const auto r = static_cast<long long>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        monte_carlo(Strategy::kClone, params, r, jobs, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MonteCarloClone)->Args({1000, 2})->Args({1000, 16});
-
-void BM_MonteCarloSRestart(benchmark::State& state) {
-  const auto params = bench_job();
-  chronos::Rng rng(2);
-  const auto jobs = static_cast<std::uint64_t>(state.range(0));
-  const auto r = static_cast<long long>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        monte_carlo(Strategy::kSpeculativeRestart, params, r, jobs, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MonteCarloSRestart)->Args({1000, 2})->Args({1000, 16});
-
-void BM_MonteCarloSResume(benchmark::State& state) {
-  const auto params = bench_job();
-  chronos::Rng rng(3);
-  const auto jobs = static_cast<std::uint64_t>(state.range(0));
-  const auto r = static_cast<long long>(state.range(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        monte_carlo(Strategy::kSpeculativeResume, params, r, jobs, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MonteCarloSResume)->Args({1000, 2})->Args({1000, 16});
 
 }  // namespace
 

@@ -5,7 +5,7 @@
 // This example (1) generates "measured" durations from a noisy ground-truth
 // process, (2) fits Pareto(t_min, beta) by maximum likelihood and checks
 // the fit with a KS statistic, (3) plans the optimal strategy and r, and
-// (4) validates the plan with Monte Carlo.
+// (4) replays the plan in the discrete-event simulator.
 //
 //   ./fit_and_plan [num_samples] [deadline]
 #include <cstdio>
@@ -14,6 +14,8 @@
 
 #include "core/chronos.h"
 #include "stats/estimators.h"
+#include "trace/harness.h"
+#include "trace/planner.h"
 
 int main(int argc, char** argv) {
   using namespace chronos;  // NOLINT
@@ -66,12 +68,14 @@ int main(int argc, char** argv) {
               best.result.best.pocd, best.result.best.cost,
               best.result.best.utility);
 
-  // 4. Validate against fresh draws from the *true* process, not the fit:
-  //    the plan must be robust to the fitting error.
-  const auto mc =
-      core::monte_carlo(best.strategy, job, best.result.r_opt, 20000, rng);
-  std::printf("Validation: Monte-Carlo PoCD %.4f +- %.4f "
+  // 4. Replay the plan on 1,000 copies of the job in the discrete-event
+  //    simulator, with durations drawn from the fitted law.
+  const auto sim =
+      trace::replay_isolated(job, trace::policy_of(best.strategy),
+                             best.result.r_opt, 1000)
+          .metrics;
+  std::printf("Validation: simulator PoCD %.4f +- %.4f "
               "(plan predicted %.4f)\n",
-              mc.pocd, mc.pocd_ci, best.result.best.pocd);
+              sim.pocd(), sim.pocd_ci(), best.result.best.pocd);
   return 0;
 }

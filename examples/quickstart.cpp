@@ -9,6 +9,8 @@
 #include <cstdio>
 
 #include "core/chronos.h"
+#include "trace/harness.h"
+#include "trace/planner.h"
 
 int main() {
   using namespace chronos::core;  // NOLINT
@@ -50,11 +52,13 @@ int main() {
   std::printf("\nBest strategy: %s with r = %lld extra attempts\n",
               to_string(best.strategy).c_str(), best.result.r_opt);
 
-  // Sanity-check the closed forms with a quick Monte-Carlo run.
-  chronos::Rng rng(1);
-  const auto mc =
-      monte_carlo(best.strategy, job, best.result.r_opt, 20000, rng);
-  std::printf("Monte-Carlo check: PoCD = %.4f +- %.4f (closed form %.4f)\n",
-              mc.pocd, mc.pocd_ci, best.result.best.pocd);
+  // Sanity-check the closed forms by replaying the plan on 1,000 copies of
+  // the job in the discrete-event simulator.
+  const auto sim = chronos::trace::replay_isolated(
+                       job, chronos::trace::policy_of(best.strategy),
+                       best.result.r_opt, 1000)
+                       .metrics;
+  std::printf("Simulator check: PoCD = %.4f +- %.4f (closed form %.4f)\n",
+              sim.pocd(), sim.pocd_ci(), best.result.best.pocd);
   return 0;
 }

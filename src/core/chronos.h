@@ -17,7 +17,6 @@
 #include "core/comparison.h"   // IWYU pragma: export
 #include "core/cost.h"         // IWYU pragma: export
 #include "core/model.h"        // IWYU pragma: export
-#include "core/montecarlo.h"   // IWYU pragma: export
 #include "core/optimizer.h"    // IWYU pragma: export
 #include "core/pocd.h"         // IWYU pragma: export
 #include "core/thresholds.h"   // IWYU pragma: export

@@ -8,7 +8,8 @@
 // survival of the resumed attempts from t_min even though their support
 // starts at (1 - phi) t_min, which makes the published expression a slight
 // upper bound on the exact expectation. Both are provided; benches use the
-// paper's form, tests validate the exact one against Monte-Carlo.
+// paper's form, and test_conformance checks the exact one against the
+// discrete-event scheduler.
 #pragma once
 
 #include "core/model.h"

@@ -16,12 +16,19 @@ double log_base(double base, double x) {
   return std::log(x) / std::log(base);
 }
 
-/// D^beta / (N t_min^beta) — the logarithm argument shared by the S-Restart
-/// and S-Resume thresholds of Theorem 8 (previously duplicated verbatim).
+/// ln(D^beta / (N t_min^beta)) — the logarithm shared by the S-Restart and
+/// S-Resume thresholds of Theorem 8. When a pow overflows or underflows
+/// (beta = 400 at D = 100, t_min = 30 makes the quotient inf / inf), the
+/// same value comes from log space; every finite quotient keeps its bits.
 double gamma_log_arg(const JobParams& params) {
-  return std::pow(params.deadline, params.beta) /
-         (static_cast<double>(params.num_tasks) *
-          std::pow(params.t_min, params.beta));
+  const double arg = std::pow(params.deadline, params.beta) /
+                     (static_cast<double>(params.num_tasks) *
+                      std::pow(params.t_min, params.beta));
+  if (std::isfinite(arg) && arg > 0.0) {
+    return std::log(arg);
+  }
+  return params.beta * std::log(params.deadline / params.t_min) -
+         std::log(static_cast<double>(params.num_tasks));
 }
 
 /// (1/beta) log_base(D^beta / (N t_min^beta)): Theorem 8's S-Restart and
@@ -32,7 +39,8 @@ double speculative_gamma(const JobParams& params, double base) {
   if (base == 1.0) {
     return std::numeric_limits<double>::infinity();
   }
-  return log_base(base, gamma_log_arg(params)) / params.beta;
+  CHRONOS_ENSURES(base > 0.0, "invalid logarithm base");
+  return gamma_log_arg(params) / std::log(base) / params.beta;
 }
 
 }  // namespace

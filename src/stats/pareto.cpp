@@ -59,9 +59,16 @@ double Pareto::truncated_mean_below(double d) const {
     // int t f(t) dt = t_min * ln(d / t_min).
     return t_min_ * std::log(d / t_min_) / f_d;
   }
-  const double num = beta_ * std::pow(t_min_, beta_) *
-                     (std::pow(d, 1.0 - beta_) - std::pow(t_min_, 1.0 - beta_)) /
-                     (1.0 - beta_);
+  double num = beta_ * std::pow(t_min_, beta_) *
+               (std::pow(d, 1.0 - beta_) - std::pow(t_min_, 1.0 - beta_)) /
+               (1.0 - beta_);
+  if (!std::isfinite(num)) {
+    // t_min^beta overflowed or a t^{1-beta} did (large beta): the same
+    // integral with t_min^beta divided through,
+    // beta t_min (1 - (t_min / d)^{beta-1}) / (beta - 1).
+    num = beta_ * t_min_ * (1.0 - std::pow(t_min_ / d, beta_ - 1.0)) /
+          (beta_ - 1.0);
+  }
   return num / f_d;
 }
 

@@ -125,4 +125,26 @@ ExperimentResult run_experiment(const std::vector<TracedJob>& jobs,
   return result;
 }
 
+ExperimentResult replay_isolated(const core::JobParams& params,
+                                 strategies::PolicyKind policy, long long r,
+                                 int copies) {
+  params.validate();
+  CHRONOS_EXPECTS(r >= 0, "r must be non-negative");
+  CHRONOS_EXPECTS(copies >= 1, "replay needs at least one copy");
+  mapreduce::JobSpec spec;
+  spec.deadline = params.deadline;
+  spec.stages = {{.num_tasks = params.num_tasks, .t_min = params.t_min,
+                  .beta = params.beta, .tau_est = params.tau_est,
+                  .tau_kill = params.tau_kill, .r = r, .deps = {}}};
+  std::vector<TracedJob> jobs;
+  jobs.reserve(static_cast<std::size_t>(copies));
+  for (int i = 0; i < copies; ++i) {
+    spec.job_id = i;
+    jobs.push_back({1000.0 * i, spec});
+  }
+  auto config = ExperimentConfig::large_scale(policy);
+  config.scheduler.noise = mapreduce::ProgressNoiseConfig::none();
+  return run_experiment(jobs, config);
+}
+
 }  // namespace chronos::trace

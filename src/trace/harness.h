@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/model.h"
 #include "sim/cluster.h"
 #include "sim/metrics.h"
 #include "strategies/policies.h"
@@ -56,5 +57,18 @@ struct ExperimentResult {
 /// submit_time >= 0.
 ExperimentResult run_experiment(const std::vector<TracedJob>& jobs,
                                 const ExperimentConfig& config);
+
+/// Replays `copies` copies of the one-stage job `params` under `policy`,
+/// each task planned with `r` extra attempts (a baseline policy ignores r
+/// and the timers), in the setting Theorems 1-6 describe: no progress
+/// noise, no JVM start-up, no failures, and the large_scale cluster at seed
+/// 1. Copies are submitted 1,000 s apart and seldom overlap; unless
+/// N (r + 1) nears the cluster's 4,096 containers, no attempt waits for
+/// one. params.phi_est is the model's input only: S-Resume resumes from
+/// each straggler's own progress. Requires valid params, r >= 0 and
+/// copies >= 1.
+ExperimentResult replay_isolated(const core::JobParams& params,
+                                 strategies::PolicyKind policy, long long r,
+                                 int copies);
 
 }  // namespace chronos::trace

@@ -1,9 +1,9 @@
 // Validates the expected machine-time formulas (Theorems 2, 4, 6):
-//  - Clone against Lemma 1 algebra and Monte Carlo,
-//  - S-Restart's quadrature term against the paper's closed form (Eq. 45)
-//    and Monte Carlo,
-//  - S-Resume's exact form against Monte Carlo, and the published form as
-//    an upper bound (see the note in core/cost.h).
+//  - Clone against Lemma 1 algebra,
+//  - S-Restart's quadrature term against the paper's closed form (Eq. 45),
+//  - S-Resume's published form as an upper bound on the exact one (see the
+//    note in core/cost.h).
+// test_conformance checks all three against the discrete-event scheduler.
 #include "core/cost.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 
 #include "common/error.h"
 #include "common/numeric.h"
-#include "core/montecarlo.h"
 #include "stats/pareto.h"
 #include "test_util.h"
 
@@ -92,47 +91,6 @@ TEST(CostSRestart, WinnerTimeFiniteAtRemovableSingularity) {
   const double w = s_restart_winner_time(p, r);
   EXPECT_TRUE(std::isfinite(w));
   EXPECT_GT(w, p.t_min * 0.5);
-}
-
-TEST(CostSRestart, MonteCarloAgreement) {
-  const auto p = default_job();
-  for (const long long r : {0LL, 1LL, 2LL, 4LL}) {
-    const double analytic =
-        machine_time(Strategy::kSpeculativeRestart, p, static_cast<double>(r));
-    Rng rng(777 + static_cast<std::uint64_t>(r));
-    const auto mc =
-        monte_carlo(Strategy::kSpeculativeRestart, p, r, 60000, rng);
-    EXPECT_NEAR(mc.machine_time, analytic,
-                5.0 * mc.machine_time_sem + 0.01 * analytic)
-        << "r=" << r;
-  }
-}
-
-TEST(CostClone, MonteCarloAgreement) {
-  const auto p = default_job();
-  for (const long long r : {0LL, 1LL, 3LL}) {
-    const double analytic =
-        machine_time(Strategy::kClone, p, static_cast<double>(r));
-    Rng rng(888 + static_cast<std::uint64_t>(r));
-    const auto mc = monte_carlo(Strategy::kClone, p, r, 60000, rng);
-    EXPECT_NEAR(mc.machine_time, analytic,
-                5.0 * mc.machine_time_sem + 0.01 * analytic)
-        << "r=" << r;
-  }
-}
-
-TEST(CostSResume, ExactFormMatchesMonteCarlo) {
-  const auto p = default_job();
-  for (const long long r : {0LL, 1LL, 3LL}) {
-    const double analytic =
-        machine_time_s_resume_exact(p, static_cast<double>(r));
-    Rng rng(999 + static_cast<std::uint64_t>(r));
-    const auto mc =
-        monte_carlo(Strategy::kSpeculativeResume, p, r, 60000, rng);
-    EXPECT_NEAR(mc.machine_time, analytic,
-                5.0 * mc.machine_time_sem + 0.01 * analytic)
-        << "r=" << r;
-  }
 }
 
 TEST(CostSResume, PublishedFormIsUpperBoundOnExact) {

@@ -1,8 +1,7 @@
 // Closed-form S-Restart winner time and optimize_all validation layer:
 //  - tolerance-checked agreement of the closed form against the adaptive
-//    quadrature reference across a randomized valid-JobParams grid
-//    (mirroring the monte_carlo_reference pattern), including points
-//    straddling the removable beta * r == 1 singularity,
+//    quadrature reference across a randomized valid-JobParams grid,
+//    including points straddling the removable beta * r == 1 singularity,
 //  - the divergence guard (beta (r+1) <= 1 must throw, not return garbage),
 //  - continuity of E(T) as r -> 0+ (the r == 0 branch is the limit of the
 //    general branch, so the structural selection cannot jump),

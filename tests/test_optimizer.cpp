@@ -333,6 +333,22 @@ TEST(Optimizer, GammaReportedMatchesThreshold) {
   EXPECT_NEAR(result.gamma, gamma_threshold(Strategy::kClone, p), 1e-12);
 }
 
+TEST(Optimizer, LargeBetaStaysFinite) {
+  // At beta = 400 both pow(D, beta) and pow(t_min, beta) overflow, which
+  // used to make Gamma's logarithm argument inf / inf and the truncated
+  // Pareto mean behind E(T) NaN. Every attempt beats D almost surely, so
+  // speculation buys nothing and the cost is N E[T | T <= D].
+  auto p = default_job();
+  p.beta = 400.0;
+  const auto result =
+      optimize(Strategy::kSpeculativeRestart, p, default_econ());
+  EXPECT_TRUE(std::isfinite(result.gamma));
+  EXPECT_TRUE(result.feasible);
+  EXPECT_EQ(result.r_opt, 0);
+  EXPECT_NEAR(result.best.machine_time,
+              p.num_tasks * p.t_min * p.beta / (p.beta - 1.0), 1e-9);
+}
+
 TEST(Optimizer, RejectsNegativeMaxR) {
   const auto p = default_job();
   const auto e = default_econ();

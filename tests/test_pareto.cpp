@@ -89,6 +89,13 @@ TEST(Pareto, TruncatedMeanBelowHandlesBetaOne) {
   EXPECT_NEAR(p.truncated_mean_below(d), numeric_mean, 1e-8);
 }
 
+TEST(Pareto, TruncatedMeanBelowStaysFiniteAtLargeBeta) {
+  // pow(30, 400) overflows; the mean is beta t_min (1 - (t_min/d)^{beta-1})
+  // / (beta - 1) over cdf(d), and (0.3)^399 and (0.3)^400 vanish beside 1.
+  const Pareto p(30.0, 400.0);
+  EXPECT_NEAR(p.truncated_mean_below(100.0), 30.0 * 400.0 / 399.0, 1e-12);
+}
+
 TEST(Pareto, TruncatedMeanAboveIsConditionalPareto) {
   const Pareto p(2.0, 2.5);
   // T | T > d ~ Pareto(d, beta)  =>  mean d*beta/(beta-1).

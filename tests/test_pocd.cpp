@@ -1,6 +1,6 @@
 // Validates the PoCD closed forms (Theorems 1, 3, 5) against hand
-// computations, structural properties, and Monte-Carlo simulation of the
-// exact model semantics.
+// computations and structural properties. test_conformance checks them
+// against the discrete-event scheduler.
 #include "core/pocd.h"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "core/montecarlo.h"
 #include "test_util.h"
 
 namespace chronos::core {
@@ -111,54 +110,6 @@ TEST(Pocd, DecreasesWithMoreTasks) {
 TEST(Pocd, ApproachesOneForLargeR) {
   const auto p = default_job();
   EXPECT_GT(pocd(Strategy::kClone, p, 50.0), 1.0 - 1e-12);
-}
-
-// --- Monte-Carlo validation over a parameter grid --------------------------
-
-struct McCase {
-  Strategy strategy;
-  double beta;
-  double deadline;
-  long long r;
-};
-
-class PocdMonteCarlo : public ::testing::TestWithParam<McCase> {};
-
-TEST_P(PocdMonteCarlo, ClosedFormWithinConfidenceInterval) {
-  const auto& c = GetParam();
-  auto p = default_job();
-  p.beta = c.beta;
-  p.deadline = c.deadline;
-  const double analytic = pocd(c.strategy, p, static_cast<double>(c.r));
-  Rng rng(1234 + static_cast<std::uint64_t>(c.r) +
-          static_cast<std::uint64_t>(c.beta * 100));
-  const auto mc = monte_carlo(c.strategy, p, c.r, 40000, rng);
-  EXPECT_NEAR(mc.pocd, analytic, mc.pocd_ci + 0.005)
-      << to_string(c.strategy) << " beta=" << c.beta << " D=" << c.deadline
-      << " r=" << c.r;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, PocdMonteCarlo,
-    ::testing::Values(
-        McCase{Strategy::kClone, 1.2, 100.0, 0},
-        McCase{Strategy::kClone, 1.2, 100.0, 2},
-        McCase{Strategy::kClone, 1.5, 120.0, 1},
-        McCase{Strategy::kClone, 1.8, 90.0, 3},
-        McCase{Strategy::kSpeculativeRestart, 1.2, 100.0, 0},
-        McCase{Strategy::kSpeculativeRestart, 1.2, 100.0, 2},
-        McCase{Strategy::kSpeculativeRestart, 1.5, 120.0, 1},
-        McCase{Strategy::kSpeculativeRestart, 1.8, 90.0, 3},
-        McCase{Strategy::kSpeculativeResume, 1.2, 100.0, 0},
-        McCase{Strategy::kSpeculativeResume, 1.2, 100.0, 2},
-        McCase{Strategy::kSpeculativeResume, 1.5, 120.0, 1},
-        McCase{Strategy::kSpeculativeResume, 1.8, 90.0, 3}));
-
-TEST(PocdNoSpeculation, MonteCarloAgrees) {
-  const auto p = default_job();
-  Rng rng(55);
-  const auto mc = monte_carlo_no_speculation(p, 40000, rng);
-  EXPECT_NEAR(mc.pocd, pocd_no_speculation(p), mc.pocd_ci + 0.005);
 }
 
 }  // namespace

@@ -229,7 +229,7 @@ TEST(StagedJobs, MapOnlyJobsUnaffected) {
   EXPECT_EQ(run.job().tasks_completed, 8);
 }
 
-TEST(StagedPlanner, MakespanFormulaMatchesMonteCarlo) {
+TEST(StagedPlanner, MakespanFormulaMatchesSampledMaxima) {
   Rng rng(5);
   const int n = 50;
   const double t_min = 30.0;
