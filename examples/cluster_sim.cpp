@@ -1,6 +1,6 @@
-// Cluster simulation: run the long-lived open-system engine — Poisson (or
-// diurnal) job arrivals against the discrete-event MapReduce cluster, each
-// arrival planned at admission time and pushed through the capacity-aware
+// Cluster simulation: run the long-lived open-system engine — Poisson job
+// arrivals against the discrete-event MapReduce cluster, each arrival
+// planned at admission time and pushed through the capacity-aware
 // admission controller — and report the steady-state view: utilization,
 // Little's-law occupancy, sojourn time, deadline-miss rate, cost, and how
 // the admitted jobs were scheduled.
@@ -18,26 +18,8 @@
 #include "sim/open_system.h"
 #include "strategies/policies.h"
 
-namespace {
-
 using namespace chronos;  // NOLINT
 using strategies::PolicyKind;
-
-PolicyKind parse_policy(const std::string& name) {
-  if (name == "hadoop-ns") return PolicyKind::kHadoopNS;
-  if (name == "hadoop-s") return PolicyKind::kHadoopS;
-  if (name == "mantri") return PolicyKind::kMantri;
-  if (name == "clone") return PolicyKind::kClone;
-  if (name == "s-restart") return PolicyKind::kSRestart;
-  if (name == "s-resume") return PolicyKind::kSResume;
-  std::fprintf(stderr,
-               "unknown strategy '%s'; expected hadoop-ns|hadoop-s|mantri|"
-               "clone|s-restart|s-resume|auto\n",
-               name.c_str());
-  std::exit(1);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const std::string strategy = argc > 1 ? argv[1] : "s-resume";
@@ -55,8 +37,14 @@ int main(int argc, char** argv) {
   config.planner.theta = theta;
   if (strategy == "auto") {
     config.auto_strategy = true;
+  } else if (const auto kind = strategies::policy_from_name(strategy)) {
+    config.policy = *kind;
   } else {
-    config.policy = parse_policy(strategy);
+    std::fprintf(stderr,
+                 "unknown strategy '%s'; expected hadoop-ns|hadoop-s|mantri|"
+                 "clone|s-restart|s-resume|auto\n",
+                 strategy.c_str());
+    return 1;
   }
   sim::NodeConfig node;
   node.containers = 8;

@@ -16,18 +16,6 @@ std::string to_string(Strategy strategy) {
   return "?";
 }
 
-std::string to_string(Baseline baseline) {
-  switch (baseline) {
-    case Baseline::kHadoopNS:
-      return "Hadoop-NS";
-    case Baseline::kHadoopS:
-      return "Hadoop-S";
-    case Baseline::kMantri:
-      return "Mantri";
-  }
-  return "?";
-}
-
 void JobParams::validate() const {
   CHRONOS_EXPECTS(num_tasks >= 1, "JobParams: num_tasks must be >= 1");
   CHRONOS_EXPECTS(t_min > 0.0, "JobParams: t_min must be positive");

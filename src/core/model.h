@@ -19,14 +19,8 @@ namespace chronos::core {
 /// The three Chronos strategies analysed in closed form.
 enum class Strategy { kClone, kSpeculativeRestart, kSpeculativeResume };
 
-/// All strategies, including the baselines evaluated in §VII.
-enum class Baseline { kHadoopNS, kHadoopS, kMantri };
-
 /// Human-readable strategy name ("Clone", "S-Restart", "S-Resume").
 std::string to_string(Strategy strategy);
-
-/// Human-readable baseline name ("Hadoop-NS", "Hadoop-S", "Mantri").
-std::string to_string(Baseline baseline);
 
 /// Static description of one MapReduce job for the analytic model.
 struct JobParams {

@@ -78,10 +78,6 @@ double gamma_threshold(Strategy strategy, const JobParams& params) {
   CHRONOS_ENSURES(false, "unknown strategy");
 }
 
-long long concave_start(Strategy strategy, const JobParams& params) {
-  return concave_start(gamma_threshold(strategy, params));
-}
-
 long long concave_start(double gamma) {
   // Saturate instead of casting: converting a double outside the range of
   // long long (or NaN) is undefined behaviour. An unknown threshold is

@@ -23,12 +23,10 @@ double gamma_s_resume(const JobParams& params);
 /// Dispatch on `strategy`.
 double gamma_threshold(Strategy strategy, const JobParams& params);
 
-/// First integer r at or above which concavity is guaranteed:
-/// max(0, ceil(gamma_threshold)), saturated to LLONG_MAX when Gamma is
-/// +infinity, NaN or beyond the range of long long.
-long long concave_start(Strategy strategy, const JobParams& params);
-
-/// As above for an already-computed Gamma (e.g. AnalyticContext::gamma()).
+/// First integer r at or above which concavity is guaranteed for a
+/// threshold Gamma (gamma_threshold or AnalyticContext::gamma()):
+/// max(0, ceil(gamma)), saturated to LLONG_MAX when Gamma is +infinity, NaN
+/// or beyond the range of long long.
 long long concave_start(double gamma);
 
 }  // namespace chronos::core

@@ -665,13 +665,11 @@ Manifest parse_manifest(const std::string& text) {
     const std::string kind_name = kind == nullptr ? "poisson" : kind->value;
     if (kind_name == "poisson") {
       spec.kind = trace::ArrivalKind::kPoisson;
-    } else if (kind_name == "diurnal") {
-      spec.kind = trace::ArrivalKind::kDiurnal;
     } else if (kind_name == "trace") {
       spec.kind = trace::ArrivalKind::kTrace;
     } else {
-      fail(kind->line, "arrivals kind must be poisson, diurnal or trace, "
-                       "got '" + kind_name + "'");
+      fail(kind->line, "arrivals kind must be poisson or trace, got '" +
+                           kind_name + "'");
     }
     reader.record("kind", kind_name);
     if (spec.kind == trace::ArrivalKind::kTrace) {
@@ -684,9 +682,6 @@ Manifest parse_manifest(const std::string& text) {
       }
       spec.rate = arrivals.rate.fixed;
     }
-    spec.amplitude = reader.get_double("amplitude", spec.amplitude);
-    spec.period =
-        reader.get_double("period_hours", spec.period / 3600.0) * 3600.0;
     open.duration =
         reader.get_double("duration_hours", open.duration / 3600.0) * 3600.0;
     open.warm_up =
@@ -731,47 +726,12 @@ Manifest parse_manifest(const std::string& text) {
       }
     }
     reader.record("plan_cache", cache_name);
-    sim::AdmissionConfig& admission = open.admission;
-    admission.enabled = reader.get_bool("admission", admission.enabled);
-    admission.degrade_headroom =
-        reader.get_double("degrade_headroom", admission.degrade_headroom);
-    admission.reject_queue_factor = reader.get_double(
-        "reject_queue_factor", admission.reject_queue_factor);
-    if (!(admission.degrade_headroom > 0.0 &&
-          admission.reject_queue_factor > 0.0)) {
-      fail(reader.line(), "[arrivals] admission factors must be positive");
-    }
+    open.admission.enabled =
+        reader.get_bool("admission", open.admission.enabled);
     arrivals.nodes =
         reader.optional_binding("nodes", manifest.spec, "preset");
     arrivals.containers =
         reader.get_int("containers", arrivals.containers, 1, 1 << 20);
-    arrivals.slow_fraction =
-        reader.optional_binding("slow_fraction", manifest.spec);
-    if (arrivals.slow_fraction.has_value()) {
-      if (!arrivals.nodes.has_value()) {
-        fail(reader.line(),
-             "slow_fraction needs an explicit cluster: set nodes too");
-      }
-      if (!arrivals.slow_fraction->bound() &&
-          !(arrivals.slow_fraction->fixed >= 0.0 &&
-            arrivals.slow_fraction->fixed <= 1.0)) {
-        fail(reader.line(), "slow_fraction must lie in [0, 1]");
-      }
-    }
-    arrivals.slow_speed =
-        reader.get_double("slow_speed", arrivals.slow_speed);
-    if (arrivals.slow_speed <= 0.0) {
-      fail(reader.line(), "slow_speed must be positive");
-    }
-    // Validate the non-rate fields now so a bad manifest fails at parse
-    // time; a bound rate is validated per cell at run time.
-    {
-      trace::ArrivalSpec probe = spec;
-      if (probe.kind != trace::ArrivalKind::kTrace && arrivals.rate.bound()) {
-        probe.rate = 1.0;  // placeholder for the per-cell axis value
-      }
-      probe.validate();
-    }
     manifest.arrivals = std::move(arrivals);
     if (manifest.report_utility &&
         manifest.r_min_mode == RMinMode::kBaseline) {
@@ -884,18 +844,6 @@ SweepHooks make_hooks(const Manifest& manifest) {
         node.containers = a.containers;
         open->cluster =
             sim::ClusterConfig::uniform(static_cast<int>(nodes), node);
-        if (a.slow_fraction.has_value()) {
-          const double fraction = a.slow_fraction->resolve(point);
-          CHRONOS_EXPECTS(
-              std::isfinite(fraction) && fraction >= 0.0 && fraction <= 1.0,
-              "slow_fraction must resolve to [0, 1]");
-          const auto slow = static_cast<int>(
-              std::llround(fraction * static_cast<double>(nodes)));
-          for (int i = 0; i < slow; ++i) {
-            open->cluster.nodes[static_cast<std::size_t>(i)].speed =
-                a.slow_speed;
-          }
-        }
         open->scheduler.noise = mapreduce::ProgressNoiseConfig::realistic();
         open->scheduler.estimator = mapreduce::EstimatorKind::kChronos;
       } else {

@@ -97,10 +97,8 @@ struct ManifestOutputs {
 /// shape template; num_jobs/duration_hours/seed of [trace] are unused.
 ///
 ///   [arrivals]
-///   kind = poisson          # poisson | diurnal | trace
-///   rate = @lambda          # jobs/second; bindable (poisson/diurnal)
-///   amplitude = 0.5         # diurnal modulation depth, [0, 1)
-///   period_hours = 24       # diurnal period
+///   kind = poisson          # poisson | trace
+///   rate = @lambda          # jobs/second; bindable (poisson only)
 ///   file = arrivals.txt     # kind = trace: one arrival time per line
 ///   duration_hours = 1      # arrival horizon
 ///   warm_up_hours = 0.1     # measurement starts here
@@ -111,12 +109,8 @@ struct ManifestOutputs {
 ///                           #   quantized shares plans within geometric
 ///                           #   (1+grid)-ratio buckets (serve/planner.h)
 ///   admission = on          # capacity-aware admission control
-///   degrade_headroom = 1.0
-///   reject_queue_factor = 4.0
 ///   nodes = @nodes          # bindable; uniform cluster of `containers`
 ///   containers = 8          #   per node (defaults to the preset cluster)
-///   slow_fraction = 0.25    # optional speed-class axis: this fraction of
-///   slow_speed = 0.5        #   the nodes runs at slow_speed (needs nodes)
 ///
 /// With [arrivals], `r_min = baseline` is rejected: the baseline PoCD of a
 /// pre-generated trace is a closed-system property; utility sweeps must
@@ -130,13 +124,6 @@ struct ManifestArrivals {
   Binding rate{.fixed = 0.1, .axis = {}};  ///< unused for kind = trace
   std::optional<Binding> nodes;  ///< unset = preset cluster
   int containers = 8;
-
-  /// Optional speed-class split of the explicit cluster: the first
-  /// round(slow_fraction * nodes) nodes run at slow_speed, the rest at 1.0.
-  /// Requires `nodes`; slow_fraction is axis-bindable so a sweep can walk
-  /// the heterogeneity axis.
-  std::optional<Binding> slow_fraction;
-  double slow_speed = 0.5;
 };
 
 /// One [stage.N] section (N = 1, 2, ... contiguous): a deterministic stage

@@ -308,7 +308,7 @@ AdmissionDecision admission_decide(const AdmissionConfig& config,
     return AdmissionDecision::kAdmit;
   }
   if (backlog + static_cast<double>(spec.total_tasks()) >
-      config.reject_queue_factor * total_containers) {
+      4.0 * total_containers) {
     return AdmissionDecision::kReject;
   }
   const double headroom = std::max(0.0, idle_containers - backlog);
@@ -319,24 +319,15 @@ AdmissionDecision admission_decide(const AdmissionConfig& config,
   for (const auto& st : spec.stages) {
     demand += static_cast<double>(st.r) * static_cast<double>(st.num_tasks);
   }
-  if (demand > config.degrade_headroom * headroom) {
+  if (demand > headroom) {
     return AdmissionDecision::kDegrade;
   }
   return AdmissionDecision::kAdmit;
 }
 
-void AdmissionConfig::validate() const {
-  CHRONOS_EXPECTS(std::isfinite(degrade_headroom) && degrade_headroom > 0.0,
-                  "degrade_headroom must be positive and finite");
-  CHRONOS_EXPECTS(
-      std::isfinite(reject_queue_factor) && reject_queue_factor > 0.0,
-      "reject_queue_factor must be positive and finite");
-}
-
 void OpenSystemConfig::validate() const {
   arrivals.validate();
   workload.validate();
-  admission.validate();
   plan_cache.validate();
   CHRONOS_EXPECTS(std::isfinite(duration) && duration > 0.0,
                   "open-system duration must be positive and finite");

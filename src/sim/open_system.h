@@ -4,15 +4,15 @@
 // The closed-system harness (trace/harness.h) replays a finite, pre-planned
 // trace to completion. This layer instead drives the same
 // Simulator/Cluster/Scheduler stack with a pluggable arrival process
-// (Poisson, diurnal-modulated, or file/trace-driven), samples each job's
-// shape on arrival from the Google-trace statistical template, plans it at
-// admission time through serve::PlannerService (fixed policy, or per-job
-// strategy selection via core::optimize_all), and pushes it through a
-// capacity-aware admission controller:
+// (Poisson or file/trace-driven), samples each job's shape on arrival from
+// the Google-trace statistical template, plans it at admission time through
+// serve::PlannerService (fixed policy, or per-job strategy selection via
+// core::optimize_all), and pushes it through a capacity-aware admission
+// controller:
 //
-//   reject   when the projected task backlog exceeds a multiple of the
-//            cluster's total containers (the job could not start for a
-//            long time anyway);
+//   reject   when the projected task backlog exceeds 4 x the cluster's
+//            total containers (the job could not start for a long time
+//            anyway);
 //   degrade  when the job's speculative demand (r extra attempts per task)
 //            exceeds the currently free headroom — the job runs under
 //            Hadoop-NS with r = 0 instead of its planned strategy;
@@ -47,23 +47,11 @@
 
 namespace chronos::sim {
 
-/// Capacity-aware admission control knobs.
+/// Capacity-aware admission control (the rule is admission_decide's).
 struct AdmissionConfig {
   /// Off: every arrival is admitted under its planned strategy (the
-  /// controller still rejects nothing and degrades nothing).
+  /// controller rejects nothing and degrades nothing).
   bool enabled = true;
-
-  /// A job is degraded to the no-speculation baseline when its speculative
-  /// demand — each stage's r extra attempts per task, summed over every
-  /// stage — exceeds degrade_headroom * max(0, idle - backlog) free
-  /// containers.
-  double degrade_headroom = 1.0;
-
-  /// A job is rejected outright when the container backlog plus its own
-  /// task count exceeds reject_queue_factor * total_containers.
-  double reject_queue_factor = 4.0;
-
-  void validate() const;
 };
 
 /// Outcome of admission control for one planned arrival.
@@ -72,10 +60,12 @@ enum class AdmissionDecision { kAdmit, kDegrade, kReject };
 /// The pure admission rule the engine applies at each arrival, exposed so
 /// tests can drive it against synthetic cluster states. `backlog` is the
 /// pending container-request count, `idle_containers` / `total_containers`
-/// the cluster occupancy at the arrival instant. Speculative demand counts
-/// EVERY stage by construction: sum over stages of stage.r * stage.num_tasks
-/// (a reduce- or tail-stage-heavy job must not slip past the headroom check
-/// on the strength of a tiny root stage).
+/// the cluster occupancy at the arrival instant. A job is rejected when
+/// backlog + its task count > 4 * total_containers, and degraded when its
+/// speculative demand > max(0, idle_containers - backlog). Speculative
+/// demand counts EVERY stage by construction: sum over stages of
+/// stage.r * stage.num_tasks (a reduce- or tail-stage-heavy job must not
+/// slip past the headroom check on the strength of a tiny root stage).
 AdmissionDecision admission_decide(const AdmissionConfig& config,
                                    const mapreduce::JobSpec& spec,
                                    double backlog, double idle_containers,

@@ -28,26 +28,11 @@ double Pareto::survival(double t) const {
   return std::pow(t_min_ / t, beta_);
 }
 
-double Pareto::quantile(double p) const {
-  CHRONOS_EXPECTS(p >= 0.0 && p < 1.0, "quantile requires p in [0, 1)");
-  return t_min_ * std::pow(1.0 - p, -1.0 / beta_);
-}
-
-double Pareto::sample(Rng& rng) const { return rng.pareto(t_min_, beta_); }
-
 double Pareto::mean() const {
   if (beta_ <= 1.0) {
     return std::numeric_limits<double>::infinity();
   }
   return t_min_ * beta_ / (beta_ - 1.0);
-}
-
-double Pareto::variance() const {
-  if (beta_ <= 2.0) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const double b = beta_;
-  return t_min_ * t_min_ * b / ((b - 1.0) * (b - 1.0) * (b - 2.0));
 }
 
 double Pareto::truncated_mean_below(double d) const {
@@ -78,23 +63,6 @@ double Pareto::truncated_mean_above(double d) const {
                   "truncated_mean_above requires beta > 1 for finite mean");
   // Memoryless-like scaling of Pareto above d: T | T > d ~ Pareto(d, beta).
   return d * beta_ / (beta_ - 1.0);
-}
-
-double Pareto::min_of_n_mean(int n) const {
-  CHRONOS_EXPECTS(n >= 1, "min_of_n_mean requires n >= 1");
-  const double nb = static_cast<double>(n) * beta_;
-  CHRONOS_EXPECTS(nb > 1.0, "min_of_n_mean requires n * beta > 1");
-  return t_min_ * nb / (nb - 1.0);
-}
-
-Pareto Pareto::min_of_n(int n) const {
-  CHRONOS_EXPECTS(n >= 1, "min_of_n requires n >= 1");
-  return Pareto(t_min_, beta_ * static_cast<double>(n));
-}
-
-Pareto Pareto::scaled(double factor) const {
-  CHRONOS_EXPECTS(factor > 0.0, "scaled requires a positive factor");
-  return Pareto(t_min_ * factor, beta_);
 }
 
 }  // namespace chronos::stats

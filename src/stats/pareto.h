@@ -2,13 +2,10 @@
 // assumes throughout (Eq. 2): f(t) = beta * t_min^beta / t^{beta+1} for
 // t >= t_min.
 //
-// Includes the closed forms the analytic core relies on:
-//  - survival/cdf/quantile and inverse-CDF sampling,
-//  - mean and truncated mean (used in Theorems 4 and 6, Case 1),
-//  - the expectation of the minimum of n i.i.d. copies (Lemma 1).
+// Includes the closed forms the analytic core relies on: survival/cdf,
+// mean and truncated means (used in Theorems 4 and 6, Case 1). Sampling
+// lives in common/rng.h (ParetoSampler, Rng::pareto).
 #pragma once
-
-#include "common/rng.h"
 
 namespace chronos::stats {
 
@@ -29,33 +26,14 @@ class Pareto {
   /// P(T > t) = (t_min / t)^beta for t >= t_min, else 1.
   double survival(double t) const;
 
-  /// Inverse CDF; p in [0, 1). quantile(0) == t_min.
-  double quantile(double p) const;
-
-  /// Draws one variate using `rng`.
-  double sample(Rng& rng) const;
-
   /// E[T] = t_min * beta / (beta - 1); requires beta > 1 (infinite otherwise).
   double mean() const;
-
-  /// Var[T]; requires beta > 2 (infinite otherwise).
-  double variance() const;
 
   /// E[T | T <= d] for d > t_min (Theorems 4/6, Case 1). Handles beta == 1.
   double truncated_mean_below(double d) const;
 
   /// E[T | T > d] for d >= t_min; requires beta > 1.
   double truncated_mean_above(double d) const;
-
-  /// E[min(T_1, ..., T_n)] = t_min * n * beta / (n * beta - 1)  (Lemma 1).
-  /// Requires n >= 1 and n * beta > 1.
-  double min_of_n_mean(int n) const;
-
-  /// Distribution of min of n i.i.d. copies: Pareto(t_min, n * beta).
-  Pareto min_of_n(int n) const;
-
-  /// Scales the variate by a positive factor c: c*T ~ Pareto(c*t_min, beta).
-  Pareto scaled(double factor) const;
 
  private:
   double t_min_;

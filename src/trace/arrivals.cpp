@@ -26,39 +26,6 @@ class PoissonArrivals final : public ArrivalProcess {
   ExponentialSampler sampler_;
 };
 
-/// Lewis-Shedler thinning against the envelope rate * (1 + amplitude):
-/// candidate gaps are drawn at the envelope rate and accepted with
-/// probability lambda(t) / lambda_max, which reproduces the nonhomogeneous
-/// Poisson law exactly. amplitude < 1 keeps lambda(t) strictly positive, so
-/// the acceptance loop terminates with probability 1.
-class DiurnalArrivals final : public ArrivalProcess {
- public:
-  DiurnalArrivals(double rate, double amplitude, double period)
-      : rate_(rate),
-        amplitude_(amplitude),
-        omega_(2.0 * M_PI / period),
-        envelope_(rate * (1.0 + amplitude)),
-        sampler_(rate * (1.0 + amplitude)) {}
-
-  double next_after(double now, Rng& rng) override {
-    double t = now;
-    while (true) {
-      t += sampler_(rng);
-      const double lambda = rate_ * (1.0 + amplitude_ * std::sin(omega_ * t));
-      if (envelope_ * rng.uniform() <= lambda) {
-        return t;
-      }
-    }
-  }
-
- private:
-  double rate_;
-  double amplitude_;
-  double omega_;
-  double envelope_;
-  ExponentialSampler sampler_;
-};
-
 class TraceArrivals final : public ArrivalProcess {
  public:
   explicit TraceArrivals(std::vector<double> times)
@@ -83,22 +50,10 @@ class TraceArrivals final : public ArrivalProcess {
 }  // namespace
 
 void ArrivalSpec::validate() const {
-  switch (kind) {
-    case ArrivalKind::kPoisson:
-    case ArrivalKind::kDiurnal:
-      CHRONOS_EXPECTS(std::isfinite(rate) && rate > 0.0,
-                      "arrival rate must be positive and finite");
-      break;
-    case ArrivalKind::kTrace:
-      break;
-  }
-  if (kind == ArrivalKind::kDiurnal) {
-    CHRONOS_EXPECTS(amplitude >= 0.0 && amplitude < 1.0,
-                    "diurnal amplitude must lie in [0, 1)");
-    CHRONOS_EXPECTS(std::isfinite(period) && period > 0.0,
-                    "diurnal period must be positive and finite");
-  }
-  if (kind == ArrivalKind::kTrace) {
+  if (kind == ArrivalKind::kPoisson) {
+    CHRONOS_EXPECTS(std::isfinite(rate) && rate > 0.0,
+                    "arrival rate must be positive and finite");
+  } else {
     double previous = 0.0;
     for (const double t : times) {
       CHRONOS_EXPECTS(std::isfinite(t) && t >= 0.0,
@@ -114,9 +69,6 @@ std::unique_ptr<ArrivalProcess> make_arrival_process(const ArrivalSpec& spec) {
   switch (spec.kind) {
     case ArrivalKind::kPoisson:
       return std::make_unique<PoissonArrivals>(spec.rate);
-    case ArrivalKind::kDiurnal:
-      return std::make_unique<DiurnalArrivals>(spec.rate, spec.amplitude,
-                                               spec.period);
     case ArrivalKind::kTrace:
       return std::make_unique<TraceArrivals>(spec.times);
   }

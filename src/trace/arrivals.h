@@ -1,12 +1,9 @@
 // Arrival processes for the open-system simulator: job submission streams
 // rather than a fixed job list.
 //
-// Three generators cover the production cases the ROADMAP names:
+// Two generators:
 //  - Poisson: memoryless arrivals at a constant mean rate (the §VII-B trace
 //    model, but unbounded in time);
-//  - diurnal: a nonhomogeneous Poisson process whose rate swings
-//    sinusoidally over a configurable period (day/night traffic), sampled
-//    exactly by Lewis-Shedler thinning so count statistics stay Poisson;
 //  - trace: replay of explicit submission timestamps loaded from a file
 //    (one time per line), for measured production traces.
 //
@@ -25,7 +22,6 @@ namespace chronos::trace {
 
 enum class ArrivalKind {
   kPoisson,  ///< homogeneous Poisson at `rate`
-  kDiurnal,  ///< rate * (1 + amplitude * sin(2 pi t / period))
   kTrace,    ///< replay of `times`
 };
 
@@ -33,9 +29,7 @@ enum class ArrivalKind {
 /// [arrivals] section and embedded in sim::OpenSystemConfig.
 struct ArrivalSpec {
   ArrivalKind kind = ArrivalKind::kPoisson;
-  double rate = 0.1;          ///< mean arrivals per second (Poisson/diurnal)
-  double amplitude = 0.5;     ///< diurnal swing, in [0, 1)
-  double period = 86400.0;    ///< diurnal period in seconds (> 0)
+  double rate = 0.1;          ///< mean arrivals per second (Poisson)
   std::vector<double> times;  ///< trace replay: nondecreasing, finite, >= 0
 
   /// Throws PreconditionError on any invalid field for the chosen kind.

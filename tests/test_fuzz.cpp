@@ -301,8 +301,6 @@ warm_up_hours = 0.05
 drain = on
 plan = policy
 admission = on
-degrade_headroom = 1.0
-reject_queue_factor = 4.0
 nodes = 4
 containers = 4
 

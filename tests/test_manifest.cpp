@@ -227,6 +227,24 @@ TEST(Manifest, RejectsBadInput) {
       "[sweep] replications must lie in");
 }
 
+TEST(Manifest, RejectsRemovedArrivalsKnobs) {
+  // Keys of the deleted diurnal process, node speed classes and admission
+  // factors fail as unknown keys at their own line; `diurnal` is no kind.
+  const std::string open =
+      "[sweep]\npolicies = clone\n[arrivals]\nrate = 0.1\nnodes = 4\n";
+  for (const std::string key :
+       {"amplitude", "period_hours", "slow_fraction", "slow_speed",
+        "degrade_headroom", "reject_queue_factor"}) {
+    expect_parse_error(open + key + " = 0.5\n",
+                       "manifest line 6: unknown key '" + key +
+                           "' in [arrivals]");
+  }
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[arrivals]\nkind = diurnal\nrate = 0.1\n",
+      "manifest line 4: arrivals kind must be poisson or trace, got "
+      "'diurnal'");
+}
+
 TEST(Manifest, RejectsAQuantizationGridBelowTheBucketBound) {
   // Regression: quantized:1e-20 parsed, and its bucket indices overflowed
   // the int64 cast, so unrelated arrivals shared one cached plan. The bound
@@ -386,20 +404,14 @@ r_min = 0.1
 [arrivals]
 kind = trace
 file = TIMES
-amplitude = 0.4
-period_hours = 12
 duration_hours = 0.5
 warm_up_hours = 0.1
 drain = off
 plan = auto
 plan_cache = quantized:0.05
 admission = off
-degrade_headroom = 1.5
-reject_queue_factor = 3
 nodes = @nodes
 containers = 4
-slow_fraction = 0.25
-slow_speed = 0.4
 
 [output]
 csv = open.csv
@@ -528,30 +540,24 @@ TEST_F(ManifestSalt, EveryOpenTemplateKeyChangesTheSalt) {
        {"theta = 1e-3", "theta = 1e-4"},
        {"utility = on", "utility = off"},
        {"r_min = 0.1", "r_min = 0.2"},
-       {"kind = trace\nfile = " + times_path_, "kind = diurnal\nrate = 0.05"},
-       {"amplitude = 0.4", "amplitude = 0.3"},
-       {"period_hours = 12", "period_hours = 6"},
+       {"kind = trace\nfile = " + times_path_, "kind = poisson\nrate = 0.05"},
        {"duration_hours = 0.5", "duration_hours = 0.6"},
        {"warm_up_hours = 0.1", "warm_up_hours = 0.2"},
        {"drain = off", "drain = on"},
        {"plan = auto", "plan = policy"},
        {"plan_cache = quantized:0.05", "plan_cache = quantized:0.1"},
        {"admission = off", "admission = on"},
-       {"degrade_headroom = 1.5", "degrade_headroom = 1.2"},
-       {"reject_queue_factor = 3", "reject_queue_factor = 4"},
        {"nodes = @nodes", "nodes = 6"},
-       {"containers = 4", "containers = 5"},
-       {"slow_fraction = 0.25", "slow_fraction = 0.5"},
-       {"slow_speed = 0.4", "slow_speed = 0.6"}});
-  // `rate` cannot be set next to `kind = trace`: check it on the diurnal
+       {"containers = 4", "containers = 5"}});
+  // `rate` cannot be set next to `kind = trace`: check it on the Poisson
   // form, together with the other plan_cache modes.
-  const std::string diurnal =
+  const std::string poisson =
       apply(open_, {"kind = trace\nfile = " + times_path_,
-                    "kind = diurnal\nrate = 0.05"});
-  EXPECT_NE(salt_of(apply(diurnal, {"rate = 0.05", "rate = 0.06"})),
-            salt_of(diurnal));
-  EXPECT_NE(salt_of(apply(diurnal, {"rate = 0.05", "rate = @nodes"})),
-            salt_of(diurnal));
+                    "kind = poisson\nrate = 0.05"});
+  EXPECT_NE(salt_of(apply(poisson, {"rate = 0.05", "rate = 0.06"})),
+            salt_of(poisson));
+  EXPECT_NE(salt_of(apply(poisson, {"rate = 0.05", "rate = @nodes"})),
+            salt_of(poisson));
   const std::string exact =
       apply(open_, {"plan_cache = quantized:0.05", "plan_cache = exact"});
   EXPECT_NE(salt_of(exact), salt_of(open_));
@@ -661,9 +667,7 @@ TEST_F(ManifestSalt, ExplicitDefaultsMatchAbsentKeys) {
                                   "[arrivals]\nrate = 0.1\n";
   EXPECT_EQ(salt_of(open + "kind = poisson\nduration_hours = 1\n"
                            "warm_up_hours = 0\ndrain = on\nplan = policy\n"
-                           "plan_cache = off\nadmission = on\n"
-                           "degrade_headroom = 1\nreject_queue_factor = 4\n"
-                           "slow_speed = 0.5\n"),
+                           "plan_cache = off\nadmission = on\n"),
             salt_of(open));
 }
 

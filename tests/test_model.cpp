@@ -90,9 +90,6 @@ TEST(StrategyNames, MatchPaper) {
   EXPECT_EQ(to_string(Strategy::kClone), "Clone");
   EXPECT_EQ(to_string(Strategy::kSpeculativeRestart), "S-Restart");
   EXPECT_EQ(to_string(Strategy::kSpeculativeResume), "S-Resume");
-  EXPECT_EQ(to_string(Baseline::kHadoopNS), "Hadoop-NS");
-  EXPECT_EQ(to_string(Baseline::kHadoopS), "Hadoop-S");
-  EXPECT_EQ(to_string(Baseline::kMantri), "Mantri");
 }
 
 }  // namespace

@@ -407,40 +407,6 @@ TEST(Arrivals, PoissonCountWithinFourSigma) {
   }
 }
 
-TEST(Arrivals, DiurnalCountAveragesToBaseRate) {
-  // Over a whole number of periods the sinusoidal modulation integrates to
-  // zero, so the expected count equals rate * horizon.
-  ArrivalSpec spec;
-  spec.kind = ArrivalKind::kDiurnal;
-  spec.rate = 1.0;
-  spec.amplitude = 0.8;
-  spec.period = 1000.0;
-  const auto times = drain_arrivals(spec, 10000.0, 5);
-  EXPECT_GT(times.size(), 9600u);
-  EXPECT_LT(times.size(), 10400u);
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    ASSERT_LT(times[i - 1], times[i]);
-  }
-}
-
-TEST(Arrivals, DiurnalPeakAndTroughDensity) {
-  // Thinning must actually modulate the rate: count the first quarter-period
-  // (rising peak) against the third (trough).
-  ArrivalSpec spec;
-  spec.kind = ArrivalKind::kDiurnal;
-  spec.rate = 1.0;
-  spec.amplitude = 0.9;
-  spec.period = 4000.0;
-  const auto times = drain_arrivals(spec, 4000.0, 11);
-  std::size_t peak = 0;
-  std::size_t trough = 0;
-  for (const double t : times) {
-    if (t < 1000.0) ++peak;
-    if (t >= 2000.0 && t < 3000.0) ++trough;
-  }
-  EXPECT_GT(peak, 2 * trough);
-}
-
 TEST(Arrivals, TraceReplaysExactTimesIncludingDuplicates) {
   ArrivalSpec spec;
   spec.kind = ArrivalKind::kTrace;
@@ -480,15 +446,6 @@ TEST(Arrivals, SpecValidation) {
   spec.rate = std::numeric_limits<double>::infinity();
   EXPECT_THROW(spec.validate(), PreconditionError);
   spec.rate = 1.0;
-  spec.kind = ArrivalKind::kDiurnal;
-  spec.amplitude = 1.0;
-  EXPECT_THROW(spec.validate(), PreconditionError);
-  spec.amplitude = -0.1;
-  EXPECT_THROW(spec.validate(), PreconditionError);
-  spec.amplitude = 0.5;
-  spec.period = 0.0;
-  EXPECT_THROW(spec.validate(), PreconditionError);
-  spec.period = 86400.0;
   spec.validate();
   spec.kind = ArrivalKind::kTrace;
   spec.times = {1.0, 0.5};
@@ -505,15 +462,6 @@ TEST(OpenSystemConfigValidation, RejectsBadWindows) {
   config.duration = 0.0;
   EXPECT_THROW(config.validate(), PreconditionError);
   config.duration = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(config.validate(), PreconditionError);
-}
-
-TEST(OpenSystemConfigValidation, RejectsBadAdmissionKnobs) {
-  auto config = base_config(0.1, 2, 4);
-  config.admission.degrade_headroom = 0.0;
-  EXPECT_THROW(config.validate(), PreconditionError);
-  config.admission.degrade_headroom = 1.0;
-  config.admission.reject_queue_factor = -1.0;
   EXPECT_THROW(config.validate(), PreconditionError);
 }
 

@@ -274,7 +274,8 @@ TEST(OptimizerProperty, ClampedRestartStageStopsAtTheFirstDescent) {
   e.theta = 1e-2;
   e.r_min = pocd_no_speculation(baseline);
   OptimizerOptions options;
-  ASSERT_GT(concave_start(Strategy::kSpeculativeRestart, p), options.max_r);
+  ASSERT_GT(concave_start(gamma_threshold(Strategy::kSpeculativeRestart, p)),
+            options.max_r);
   const auto fast = optimize(Strategy::kSpeculativeRestart, p, e, options);
   const auto slow =
       brute_force_optimize(Strategy::kSpeculativeRestart, p, e, options);

@@ -73,9 +73,9 @@ TEST(Thresholds, ConcaveStartNonNegative) {
   const auto p = default_job();
   for (const Strategy s : {Strategy::kClone, Strategy::kSpeculativeRestart,
                            Strategy::kSpeculativeResume}) {
-    EXPECT_GE(concave_start(s, p), 0);
-    EXPECT_GE(static_cast<double>(concave_start(s, p)),
-              gamma_threshold(s, p));
+    const double gamma = gamma_threshold(s, p);
+    EXPECT_GE(concave_start(gamma), 0);
+    EXPECT_GE(static_cast<double>(concave_start(gamma)), gamma);
   }
 }
 
@@ -101,7 +101,7 @@ TEST(Thresholds, InfiniteWhenRestartsCannotMeetTheDeadline) {
   EXPECT_EQ(gamma_s_restart(p), std::numeric_limits<double>::infinity());
   p.phi_est = 0.0;
   EXPECT_EQ(gamma_s_resume(p), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(concave_start(Strategy::kSpeculativeRestart, p),
+  EXPECT_EQ(concave_start(gamma_threshold(Strategy::kSpeculativeRestart, p)),
             std::numeric_limits<long long>::max());
 }
 
@@ -134,7 +134,7 @@ TEST_P(UtilityConcavity, SecondDifferenceNonPositiveBeyondGamma) {
   auto e = default_econ();
   e.r_min = 0.0;  // keep the log term finite over the scan
 
-  const long long start = concave_start(c.strategy, p);
+  const long long start = concave_start(gamma_threshold(c.strategy, p));
   const auto u = [&](long long r) {
     return evaluate_utility(c.strategy, p, e, static_cast<double>(r)).utility;
   };
