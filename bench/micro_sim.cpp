@@ -123,7 +123,6 @@ void BM_OpenSystemEventsPerSec(benchmark::State& state) {
   // Items are simulator events, the unit the "million events per second"
   // ROADMAP target is stated in.
   sim::OpenSystemConfig config;
-  config.arrivals.kind = trace::ArrivalKind::kPoisson;
   config.arrivals.rate = 1.2;
   config.workload.mean_tasks = 20.0;
   config.workload.max_tasks = 64;
@@ -154,7 +153,6 @@ void BM_OpenSystemStagedEventsPerSec(benchmark::State& state) {
   // barrier bookkeeping, per-stage samplers, and multi-stage planning
   // relative to BM_OpenSystemEventsPerSec.
   sim::OpenSystemConfig config;
-  config.arrivals.kind = trace::ArrivalKind::kPoisson;
   config.arrivals.rate = 0.6;
   config.workload.mean_tasks = 20.0;
   config.workload.max_tasks = 64;

@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
       argc > 5 ? static_cast<std::uint64_t>(std::atoll(argv[5])) : 1;
 
   sim::OpenSystemConfig config;
-  config.arrivals.kind = trace::ArrivalKind::kPoisson;
   config.arrivals.rate = rate;
   config.workload.mean_tasks = 60.0;
   config.workload.max_tasks = 600;

@@ -2,9 +2,9 @@
 // (strategy, params, econ) triple — Theorems 1–6 and Eq. 23.
 //
 // This is the only code that turns a strategy and its parameters into R(r)
-// and E(T). The free functions pocd(), machine_time(), task_pocd() and
-// evaluate_utility() build a context per call; Algorithm 1 builds one per
-// search and evaluates U(r) at dozens of integers through it. Construction
+// and E(T). The free functions pocd() and machine_time() build a context
+// per call, and evaluate(r) is the one-point utility; Algorithm 1 builds one
+// per search and evaluates U(r) at dozens of integers through it. Construction
 // hoists all r-independent work (straggler probability, the per-extra-attempt
 // failure factor, the truncated Pareto means behind E(T)), so each
 // evaluation is reduced to the r-dependent remainder: a couple of pow calls

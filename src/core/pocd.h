@@ -14,10 +14,6 @@ namespace chronos::core {
 /// params; defined for every beta > 0.
 double pocd(Strategy strategy, const JobParams& params, double r);
 
-/// Probability that a single task (not the whole job) completes before D
-/// under the strategy; the job PoCD is this value raised to the N-th power.
-double task_pocd(Strategy strategy, const JobParams& params, double r);
-
 /// PoCD of default Hadoop with no speculation: every task has a single
 /// attempt, so R = [1 - (t_min/D)^beta]^N. Used as R_min in the evaluation.
 double pocd_no_speculation(const JobParams& params);

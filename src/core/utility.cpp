@@ -3,8 +3,6 @@
 #include <cmath>
 #include <limits>
 
-#include "core/analytic_context.h"
-
 namespace chronos::core {
 
 double utility_shaping(double x) {
@@ -12,11 +10,6 @@ double utility_shaping(double x) {
     return -std::numeric_limits<double>::infinity();
   }
   return std::log10(x);
-}
-
-UtilityPoint evaluate_utility(Strategy strategy, const JobParams& params,
-                              const Economics& econ, double r) {
-  return AnalyticContext(strategy, params, econ).evaluate(r);
 }
 
 }  // namespace chronos::core

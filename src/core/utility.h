@@ -7,7 +7,8 @@
 
 namespace chronos::core {
 
-/// A single evaluation of the objective at a given r.
+/// A single evaluation of the objective at a given r
+/// (AnalyticContext::evaluate, core/analytic_context.h).
 struct UtilityPoint {
   double r = 0.0;
   double pocd = 0.0;          ///< R(r)
@@ -15,10 +16,6 @@ struct UtilityPoint {
   double cost = 0.0;          ///< C * E(T)
   double utility = 0.0;       ///< U(r); -infinity if pocd <= r_min
 };
-
-/// Evaluates U at real-valued r >= 0 for `strategy`.
-UtilityPoint evaluate_utility(Strategy strategy, const JobParams& params,
-                              const Economics& econ, double r);
 
 /// The utility shaping function f(x) = log10(x), -infinity for x <= 0.
 double utility_shaping(double x);

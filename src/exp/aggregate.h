@@ -25,7 +25,7 @@ struct MetricSummary {
 MetricSummary summarize(std::span<const double> values);
 
 /// What one replication of a cell produced. `utility` is only meaningful
-/// when `has_utility` is set (the cell's factory supplied theta and R_min).
+/// when `has_utility` is set (the cell's run hook supplied theta and R_min).
 struct RunRecord {
   trace::ExperimentResult result;
   bool has_utility = false;

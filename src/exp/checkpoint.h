@@ -29,7 +29,7 @@ struct SweepSpec;
 /// Stable hex fingerprint of everything that determines a sweep's numbers:
 /// name, master seed, policies, axes (values and labels), base replication
 /// count, and the adaptive-replication config. `salt` folds in caller state
-/// the spec cannot see but the cell factory depends on — e.g. a manifest's
+/// the spec cannot see but the cell hooks depend on — e.g. a manifest's
 /// trace/planner/experiment templates (SweepOptions::journal_salt). A
 /// journal written under one fingerprint must never seed a run with a
 /// different one.

@@ -397,20 +397,6 @@ class SectionReader {
   std::string* salt_;
 };
 
-/// FNV-1a over the canonical decimal forms of trace-replay arrival times:
-/// the salt fingerprints the loaded times, never the file path, so editing
-/// the file invalidates a journal even when the path is unchanged.
-std::string times_fingerprint(const std::vector<double>& times) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const double t : times) {
-    for (const char c : numeric::format_double(t) + ';') {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ull;
-    }
-  }
-  return std::to_string(times.size()) + ':' + std::to_string(hash);
-}
-
 double mean_baseline_pocd(const std::vector<trace::TracedJob>& jobs) {
   double sum = 0.0;
   for (const auto& job : jobs) {
@@ -545,20 +531,9 @@ Manifest parse_manifest(const std::string& text) {
     config.duration_hours =
         reader.get_double("duration_hours", config.duration_hours);
     config.mean_tasks = reader.get_double("mean_tasks", config.mean_tasks);
-    config.tasks_log_sigma =
-        reader.get_double("tasks_log_sigma", config.tasks_log_sigma);
-    config.min_tasks = reader.get_int("min_tasks", config.min_tasks, 1);
     config.max_tasks = reader.get_int("max_tasks", config.max_tasks, 1);
     config.t_min_lo = reader.get_double("t_min_lo", config.t_min_lo);
     config.t_min_hi = reader.get_double("t_min_hi", config.t_min_hi);
-    config.beta_lo = reader.get_double("beta_lo", config.beta_lo);
-    config.beta_hi = reader.get_double("beta_hi", config.beta_hi);
-    config.deadline_factor_lo =
-        reader.get_double("deadline_factor_lo", config.deadline_factor_lo);
-    config.deadline_factor_hi =
-        reader.get_double("deadline_factor_hi", config.deadline_factor_hi);
-    config.jvm_mean = reader.get_double("jvm_mean", config.jvm_mean);
-    config.jvm_jitter = reader.get_double("jvm_jitter", config.jvm_jitter);
     config.seed = reader.get_uint64("seed", config.seed);
     manifest.trace_beta = reader.optional_binding("beta", manifest.spec);
     manifest.trace_deadline_factor =
@@ -634,12 +609,9 @@ Manifest parse_manifest(const std::string& text) {
   {
     const SectionReader reader(sections, "experiment", salt);
     const std::string cluster = reader.get_string("cluster", "large_scale");
-    if (cluster == "testbed") {
-      manifest.cluster_testbed = true;
-    } else if (cluster != "large_scale") {
+    if (cluster != "large_scale") {
       fail(reader.find("cluster")->line,
-           "cluster must be 'large_scale' or 'testbed', got '" + cluster +
-               "'");
+           "cluster must be 'large_scale', got '" + cluster + "'");
     }
     manifest.report_utility = reader.get_bool("utility", false);
     if (const IniEntry* r_min = reader.find("r_min");
@@ -660,27 +632,14 @@ Manifest parse_manifest(const std::string& text) {
       reader.present()) {
     ManifestArrivals arrivals;
     sim::OpenSystemConfig& open = arrivals.open;
-    trace::ArrivalSpec& spec = open.arrivals;
-    const IniEntry* kind = reader.find("kind");
-    const std::string kind_name = kind == nullptr ? "poisson" : kind->value;
-    if (kind_name == "poisson") {
-      spec.kind = trace::ArrivalKind::kPoisson;
-    } else if (kind_name == "trace") {
-      spec.kind = trace::ArrivalKind::kTrace;
-    } else {
-      fail(kind->line, "arrivals kind must be poisson or trace, got '" +
-                           kind_name + "'");
+    if (const std::string kind = reader.get_string("kind", "poisson");
+        kind != "poisson") {
+      fail(reader.find("kind")->line,
+           "arrivals kind must be poisson, got '" + kind + "'");
     }
-    reader.record("kind", kind_name);
-    if (spec.kind == trace::ArrivalKind::kTrace) {
-      spec.times = trace::load_arrival_times(reader.require("file").value);
-      reader.record("times", times_fingerprint(spec.times));
-    } else {
-      arrivals.rate = reader.required_binding("rate", manifest.spec);
-      if (!arrivals.rate.bound() && arrivals.rate.fixed <= 0.0) {
-        fail(reader.find("rate")->line, "arrival rate must be positive");
-      }
-      spec.rate = arrivals.rate.fixed;
+    arrivals.rate = reader.required_binding("rate", manifest.spec);
+    if (!arrivals.rate.bound() && arrivals.rate.fixed <= 0.0) {
+      fail(reader.find("rate")->line, "arrival rate must be positive");
     }
     open.duration =
         reader.get_double("duration_hours", open.duration / 3600.0) * 3600.0;
@@ -747,7 +706,6 @@ Manifest parse_manifest(const std::string& text) {
     manifest.outputs.csv = reader.get_string("csv", "");
     manifest.outputs.json = reader.get_string("json", "");
     manifest.outputs.journal = reader.get_string("journal", "");
-    manifest.outputs.table = reader.get_bool("table", true);
   }
 
   if (const SectionReader reader(sections, "shard"); reader.present()) {
@@ -824,15 +782,11 @@ SweepHooks make_hooks(const Manifest& manifest) {
                   const SharedCell& shared) {
     CellInstance instance;
     const trace::ExperimentConfig preset =
-        m->cluster_testbed
-            ? trace::ExperimentConfig::testbed(point.policy, seed)
-            : trace::ExperimentConfig::large_scale(point.policy, seed);
+        trace::ExperimentConfig::large_scale(point.policy, seed);
     if (m->arrivals.has_value()) {
       const ManifestArrivals& a = *m->arrivals;
       auto open = std::make_shared<sim::OpenSystemConfig>(a.open);
-      if (open->arrivals.kind != trace::ArrivalKind::kTrace) {
-        open->arrivals.rate = a.rate.resolve(point);
-      }
+      open->arrivals.rate = a.rate.resolve(point);
       open->workload = resolve_trace(*m, point);
       open->planner = resolve_planner(*m, point);
       if (a.nodes.has_value()) {

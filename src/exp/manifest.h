@@ -21,12 +21,15 @@
 //   duration_hours = 30
 //   mean_tasks = 60
 //   max_tasks = 600
-//   seed = 77
+//   seed = 77               # also: t_min_lo, t_min_hi, and the bindable
+//                           # beta / deadline_factor (each pins lo = hi);
+//                           # other TraceConfig fields keep their defaults
 //
 //   [planner]
 //   theta = @theta          # "@name" binds the field to that axis' value
 //
 //   [experiment]
+//   cluster = large_scale   # the only preset (the key may be omitted)
 //   utility = on
 //   r_min = baseline        # mean no-speculation PoCD of the cell's trace
 //
@@ -50,8 +53,7 @@
 // read once, into the structs below ([arrivals] straight into a
 // sim::OpenSystemConfig template), and each read also appends
 // "section.key=<canonical value>" to Manifest::journal_salt: the value the
-// cell hooks will use, the code default when the key is absent, and for
-// `kind = trace` a hash of the loaded times rather than the file path.
+// cell hooks will use, or the code default when the key is absent.
 // [sweep], [axis.*] and [adaptive] are covered by spec_fingerprint;
 // [output] and [shard] never change the numbers and stay out.
 #pragma once
@@ -88,7 +90,6 @@ struct ManifestOutputs {
   std::string csv;      ///< empty = no CSV file
   std::string json;     ///< empty = no JSON file
   std::string journal;  ///< empty = no checkpoint journal
-  bool table = true;    ///< print the fixed-width table to stdout
 };
 
 /// Optional [arrivals] section: switches the sweep's cells from replaying
@@ -97,9 +98,8 @@ struct ManifestOutputs {
 /// shape template; num_jobs/duration_hours/seed of [trace] are unused.
 ///
 ///   [arrivals]
-///   kind = poisson          # poisson | trace
-///   rate = @lambda          # jobs/second; bindable (poisson only)
-///   file = arrivals.txt     # kind = trace: one arrival time per line
+///   kind = poisson          # the only process (the key may be omitted)
+///   rate = @lambda          # jobs/second; bindable
 ///   duration_hours = 1      # arrival horizon
 ///   warm_up_hours = 0.1     # measurement starts here
 ///   drain = on              # run to empty after the horizon
@@ -116,12 +116,12 @@ struct ManifestOutputs {
 /// pre-generated trace is a closed-system property; utility sweeps must
 /// give a numeric r_min.
 struct ManifestArrivals {
-  /// The run template the section parses into: arrival process, horizon,
-  /// drain, plan mode, plan cache and admission. Each cell copies it and
-  /// fills the rate, cluster, workload, planner, policy and seed.
+  /// The run template the section parses into: horizon, drain, plan mode,
+  /// plan cache and admission. Each cell copies it and fills the rate,
+  /// cluster, workload, planner, policy and seed.
   sim::OpenSystemConfig open;
 
-  Binding rate{.fixed = 0.1, .axis = {}};  ///< unused for kind = trace
+  Binding rate{.fixed = 0.1, .axis = {}};
   std::optional<Binding> nodes;  ///< unset = preset cluster
   int containers = 8;
 };
@@ -155,7 +155,7 @@ struct ManifestShard {
 };
 
 /// Everything a manifest declares. `spec` is fully validated; the remaining
-/// fields parameterize the cell factory that make_hooks builds.
+/// fields parameterize the cell hooks that make_hooks builds.
 struct Manifest {
   SweepSpec spec;
 
@@ -171,7 +171,6 @@ struct Manifest {
   std::optional<Binding> planner_tau_est_factor;
   std::optional<Binding> planner_tau_kill_factor;
 
-  bool cluster_testbed = false;  ///< testbed vs large_scale harness config
   bool report_utility = false;
   RMinMode r_min_mode = RMinMode::kBaseline;
   double r_min_fixed = 0.0;

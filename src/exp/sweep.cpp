@@ -409,13 +409,4 @@ SweepResult assemble_result(
   return result;
 }
 
-SweepResult run_sweep(const SweepSpec& spec, const CellFactory& factory,
-                      const SweepOptions& options) {
-  CHRONOS_EXPECTS(factory != nullptr, "sweep needs a cell factory");
-  SweepHooks hooks;
-  hooks.run = [&factory](const SweepPoint& point, std::uint64_t seed,
-                         const SharedCell&) { return factory(point, seed); };
-  return run_sweep(spec, hooks, options);
-}
-
 }  // namespace chronos::exp

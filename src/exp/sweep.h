@@ -115,9 +115,9 @@ struct SweepPoint {
 /// jobs plus harness config. When `report_utility` is set the engine also
 /// evaluates metrics.utility(theta, r_min) per run and aggregates it.
 ///
-/// `jobs` is shared so that factories which plan a cell's trace once can
+/// `jobs` is shared so that a setup hook that plans a cell's trace once can
 /// hand the same (immutable) trace to every replication without a deep
-/// copy; set_jobs() wraps a freshly built vector.
+/// copy.
 struct CellInstance {
   std::shared_ptr<const std::vector<trace::TracedJob>> jobs;
   trace::ExperimentConfig config;
@@ -129,19 +129,7 @@ struct CellInstance {
   /// this config instead of replaying `jobs` (which may stay null). The
   /// aggregated metrics come from the run's measured (post-warm-up) jobs.
   std::shared_ptr<const sim::OpenSystemConfig> open_system;
-
-  void set_jobs(std::vector<trace::TracedJob> built) {
-    jobs = std::make_shared<const std::vector<trace::TracedJob>>(
-        std::move(built));
-  }
 };
-
-/// Builds the jobs/config for one replication of `point`. `seed` is that
-/// replication's deterministic seed; factories normally assign it to
-/// `config.seed` (and may also fold it into trace generation). Must be
-/// thread-safe: the engine invokes it concurrently from pool workers.
-using CellFactory =
-    std::function<CellInstance(const SweepPoint& point, std::uint64_t seed)>;
 
 /// Per-cell state produced once by the setup hook and shared (immutably) by
 /// every replication of that cell. Planning a cell's trace is
@@ -269,9 +257,5 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepHooks& hooks,
 SweepResult assemble_result(
     const SweepSpec& spec,
     const std::map<std::size_t, CellAggregate>& cells);
-
-/// Convenience overload for sweeps without a setup hook.
-SweepResult run_sweep(const SweepSpec& spec, const CellFactory& factory,
-                      const SweepOptions& options = {});
 
 }  // namespace chronos::exp

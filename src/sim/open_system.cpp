@@ -83,7 +83,7 @@ class OpenEngine {
         prices_(config.prices),
         planner_(serve::PlannerServiceConfig{config.planner,
                                              config.plan_cache}),
-        arrivals_(trace::make_arrival_process(config.arrivals)),
+        arrival_gap_(config.arrivals.rate),
         busy_area_(config.warm_up, config.duration),
         queue_area_(config.warm_up, config.duration),
         jobs_area_(config.warm_up, config.duration) {
@@ -102,10 +102,7 @@ class OpenEngine {
     obs::TraceSpan span("open.run", "sim");
     const obs::ScopedTimer run_timer(t_run);
     c_runs.add();
-    const double first = arrivals_->next_after(0.0, arrival_rng_);
-    if (std::isfinite(first) && first <= config_.duration) {
-      simulator_.at(first, [this, first] { on_arrival(first); });
-    }
+    schedule_arrival_after(0.0);
     if (config_.drain) {
       simulator_.run();
     } else {
@@ -165,8 +162,14 @@ class OpenEngine {
         break;
     }
 
-    const double next = arrivals_->next_after(t, arrival_rng_);
-    if (std::isfinite(next) && next <= config_.duration) {
+    schedule_arrival_after(t);
+  }
+
+  /// Draws the next Poisson arrival after `now`; arrivals past the horizon
+  /// are never scheduled.
+  void schedule_arrival_after(double now) {
+    const double next = now + arrival_gap_(arrival_rng_);
+    if (next <= config_.duration) {
       simulator_.at(next, [this, next] { on_arrival(next); });
     }
   }
@@ -285,7 +288,7 @@ class OpenEngine {
   mapreduce::Scheduler scheduler_;
   trace::SpotPriceModel prices_;
   serve::PlannerService planner_;
-  std::unique_ptr<trace::ArrivalProcess> arrivals_;
+  ExponentialSampler arrival_gap_;
   WindowedArea busy_area_;
   WindowedArea queue_area_;
   WindowedArea jobs_area_;
@@ -326,7 +329,8 @@ AdmissionDecision admission_decide(const AdmissionConfig& config,
 }
 
 void OpenSystemConfig::validate() const {
-  arrivals.validate();
+  CHRONOS_EXPECTS(std::isfinite(arrivals.rate) && arrivals.rate > 0.0,
+                  "arrival rate must be positive and finite");
   workload.validate();
   plan_cache.validate();
   CHRONOS_EXPECTS(std::isfinite(duration) && duration > 0.0,

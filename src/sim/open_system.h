@@ -3,9 +3,9 @@
 //
 // The closed-system harness (trace/harness.h) replays a finite, pre-planned
 // trace to completion. This layer instead drives the same
-// Simulator/Cluster/Scheduler stack with a pluggable arrival process
-// (Poisson or file/trace-driven), samples each job's shape on arrival from
-// the Google-trace statistical template, plans it at admission time through
+// Simulator/Cluster/Scheduler stack with Poisson arrivals at a constant
+// rate, samples each job's shape on arrival from the Google-trace
+// statistical template, plans it at admission time through
 // serve::PlannerService (fixed policy, or per-job strategy selection via
 // core::optimize_all), and pushes it through a capacity-aware admission
 // controller:
@@ -40,12 +40,18 @@
 #include "sim/cluster.h"
 #include "sim/metrics.h"
 #include "strategies/policies.h"
-#include "trace/arrivals.h"
 #include "trace/google_trace.h"
 #include "trace/planner.h"
 #include "trace/spot_price.h"
 
 namespace chronos::sim {
+
+/// The arrival stream: homogeneous Poisson, i.e. exponential gaps at `rate`
+/// drawn from the run's arrival Rng (the §VII-B trace model, unbounded in
+/// time). Parsed from the manifest's [arrivals] section.
+struct ArrivalSpec {
+  double rate = 0.1;  ///< mean arrivals per second; positive and finite
+};
 
 /// Capacity-aware admission control (the rule is admission_decide's).
 struct AdmissionConfig {
@@ -73,8 +79,7 @@ AdmissionDecision admission_decide(const AdmissionConfig& config,
 
 /// Configuration of one open-system run.
 struct OpenSystemConfig {
-  /// Arrival process; for kTrace the times must be pre-loaded in the spec.
-  trace::ArrivalSpec arrivals;
+  ArrivalSpec arrivals;
 
   /// Per-job shape template (task count, t_min, beta, deadline, JVM).
   /// num_jobs / duration_hours / seed are not consumed — jobs are sampled

@@ -36,12 +36,4 @@ double SpotPriceModel::price_at(double t) const {
   return path_[std::min(index, path_.size() - 1)];
 }
 
-double SpotPriceModel::mean_price() const {
-  double sum = 0.0;
-  for (const double p : path_) {
-    sum += p;
-  }
-  return sum / static_cast<double>(path_.size());
-}
-
 }  // namespace chronos::trace

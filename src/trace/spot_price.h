@@ -32,9 +32,6 @@ class SpotPriceModel {
   /// Long-run mean price.
   double base_price() const { return config_.base_price; }
 
-  /// Mean of the generated price path.
-  double mean_price() const;
-
  private:
   SpotPriceConfig config_;
   std::vector<double> path_;

@@ -2,7 +2,8 @@
 //
 // Every PoCD, E(T) and utility value the planner sees comes from
 // AnalyticContext (core/analytic_context.h). The table below holds
-// pocd(), machine_time() and evaluate_utility().utility for 60 points that
+// pocd(), machine_time() and AnalyticContext::evaluate().utility for 60
+// points that
 // cover all three strategies, r in {0, 1, 3, 40, 2000}, beta in
 // {0.9 (PoCD only), 1.2, 1.5, 3} and tau_est / D in {0.1, 0.4, 0.9}, as
 // hexfloat literals. Any change to a formula kernel, to the order of its
@@ -15,6 +16,7 @@
 #include <string>
 
 #include "common/error.h"
+#include "core/analytic_context.h"
 #include "core/cost.h"
 #include "core/optimizer.h"
 #include "core/pocd.h"
@@ -224,7 +226,8 @@ TEST(AnalyticPins, OutputsAreBitIdentical) {
     ++full;
     EXPECT_EQ(machine_time(pin.strategy, p, pin.r), pin.machine_time)
         << label(pin);
-    const auto point = evaluate_utility(pin.strategy, p, pin_econ(pin), pin.r);
+    const auto point =
+        AnalyticContext(pin.strategy, p, pin_econ(pin)).evaluate(pin.r);
     EXPECT_EQ(point.pocd, pin.pocd) << label(pin);
     EXPECT_EQ(point.machine_time, pin.machine_time) << label(pin);
     EXPECT_EQ(point.utility, pin.utility) << label(pin);
@@ -246,8 +249,9 @@ TEST(AnalyticPins, PocdAcceptsBetaAtMostOneWhereMachineTimeDoesNot) {
     EXPECT_EQ(pocd(pin.strategy, p, pin.r), pin.pocd) << label(pin);
     EXPECT_THROW(machine_time(pin.strategy, p, pin.r), PreconditionError)
         << label(pin);
-    EXPECT_THROW(evaluate_utility(pin.strategy, p, pin_econ(pin), pin.r),
-                 PreconditionError)
+    EXPECT_THROW(
+        AnalyticContext(pin.strategy, p, pin_econ(pin)).evaluate(pin.r),
+        PreconditionError)
         << label(pin);
     EXPECT_THROW(optimize(pin.strategy, p, pin_econ(pin)), PreconditionError)
         << label(pin);

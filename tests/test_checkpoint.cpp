@@ -276,7 +276,7 @@ TEST(CrashResume, IncompatibleJournalIsDiscardedAndRewritten) {
 }
 
 TEST(CrashResume, ChangedJournalSaltInvalidatesTheJournal) {
-  // The salt carries cell-factory state the spec cannot see (a manifest's
+  // The salt carries cell-hook state the spec cannot see (a manifest's
   // trace template, say). Changing it must discard the journal — resuming
   // another configuration's results would be silent corruption.
   const SweepSpec spec = small_spec();

@@ -269,8 +269,7 @@ TEST(ManifestFuzz, MutatedManifestsParseOrThrowPreconditionError) {
 }
 
 // Open-system manifest: the [arrivals] section plus the keys it interacts
-// with (numeric r_min, nodes/containers overrides, warm-up window). Poisson
-// kind keeps the corpus free of file I/O.
+// with (numeric r_min, nodes/containers overrides, warm-up window).
 constexpr const char* kArrivalsManifest = R"([sweep]
 name = fuzz_open
 policies = hadoop-ns, s-resume

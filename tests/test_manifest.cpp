@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -51,7 +49,6 @@ r_min = baseline
 [output]
 csv = out.csv
 journal = out.journal
-table = off
 )";
 
 TEST(Manifest, ParsesTheFig3Grid) {
@@ -74,13 +71,11 @@ TEST(Manifest, ParsesTheFig3Grid) {
 
   ASSERT_TRUE(manifest.planner_theta.bound());
   EXPECT_EQ(manifest.planner_theta.axis, "theta");
-  EXPECT_FALSE(manifest.cluster_testbed);
   EXPECT_TRUE(manifest.report_utility);
   EXPECT_EQ(manifest.r_min_mode, RMinMode::kBaseline);
 
   EXPECT_EQ(manifest.outputs.csv, "out.csv");
   EXPECT_EQ(manifest.outputs.journal, "out.journal");
-  EXPECT_FALSE(manifest.outputs.table);
 }
 
 TEST(Manifest, ParsesAdaptiveAndQuotedLabels) {
@@ -169,7 +164,7 @@ TEST(Manifest, RejectsBadInput) {
       "binds to an axis that does not exist");
   expect_parse_error(
       "[sweep]\npolicies = clone\n[experiment]\ncluster = cloud\n",
-      "'large_scale' or 'testbed'");
+      "manifest line 4: cluster must be 'large_scale', got 'cloud'");
   expect_parse_error(
       "[sweep]\npolicies = clone\n[experiment]\nutility = maybe\n",
       "not a boolean");
@@ -205,9 +200,6 @@ TEST(Manifest, RejectsBadInput) {
       "[sweep]\npolicies = clone\n[trace]\nnum_jobs = 4294967298\n",
       "manifest line 4: [trace] num_jobs must lie in");
   expect_parse_error(
-      "[sweep]\npolicies = clone\n[trace]\nmin_tasks = 4294967297\n",
-      "manifest line 4: [trace] min_tasks must lie in");
-  expect_parse_error(
       "[sweep]\npolicies = clone\n[trace]\nmax_tasks = 4294967896\n",
       "manifest line 4: [trace] max_tasks must lie in");
   expect_parse_error(
@@ -241,8 +233,41 @@ TEST(Manifest, RejectsRemovedArrivalsKnobs) {
   }
   expect_parse_error(
       "[sweep]\npolicies = clone\n[arrivals]\nkind = diurnal\nrate = 0.1\n",
-      "manifest line 4: arrivals kind must be poisson or trace, got "
-      "'diurnal'");
+      "manifest line 4: arrivals kind must be poisson, got 'diurnal'");
+}
+
+TEST(Manifest, RejectsKeysAndValuesNoWorkloadSets) {
+  // Trace-file arrival replay, the testbed cluster preset, the [output]
+  // table switch and eight [trace] template keys are not manifest knobs:
+  // no workload set them. Each fails at its own line.
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[arrivals]\nkind = trace\n"
+      "file = arrivals.txt\n",
+      "manifest line 4: arrivals kind must be poisson, got 'trace'");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[arrivals]\nrate = 0.1\n"
+      "file = arrivals.txt\n",
+      "manifest line 5: unknown key 'file' in [arrivals]");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[experiment]\ncluster = testbed\n",
+      "manifest line 4: cluster must be 'large_scale', got 'testbed'");
+  expect_parse_error("[sweep]\npolicies = clone\n[output]\ntable = off\n",
+                     "manifest line 4: unknown key 'table' in [output]");
+  for (const std::string key :
+       {"tasks_log_sigma", "min_tasks", "beta_lo", "beta_hi",
+        "deadline_factor_lo", "deadline_factor_hi", "jvm_mean",
+        "jvm_jitter"}) {
+    expect_parse_error(
+        "[sweep]\npolicies = clone\n[trace]\nnum_jobs = 10\n" + key +
+            " = 2\n",
+        "manifest line 5: unknown key '" + key + "' in [trace]");
+  }
+  // The one value each of `kind` and `cluster` still takes parses.
+  const Manifest open = parse_manifest(
+      "[sweep]\npolicies = clone\n[experiment]\ncluster = large_scale\n"
+      "r_min = 0.1\n[arrivals]\nkind = poisson\nrate = 0.1\n");
+  ASSERT_TRUE(open.arrivals.has_value());
+  EXPECT_EQ(open.arrivals->rate.fixed, 0.1);
 }
 
 TEST(Manifest, RejectsAQuantizationGridBelowTheBucketBound) {
@@ -318,9 +343,11 @@ TEST(Manifest, ParsesAndValidatesTheShardSection) {
       "unknown key 'machines'");
 }
 
-// Two manifests that together set every cell-template key: a closed DAG
-// sweep ([trace], [stage.N], [planner], [experiment]) and an open one
-// replaying a times file ([arrivals]). Both also set [output] and [shard].
+// Two manifests that together set every cell-template key that takes more
+// than one value: a closed DAG sweep ([trace], [stage.N], [planner],
+// [experiment]) and an open one ([arrivals]). Both also set [output] and
+// [shard]. `kind = poisson` and `cluster = large_scale`, each its key's only
+// value, are checked by ExplicitDefaultsMatchAbsentKeys instead.
 constexpr const char* kClosedSalt = R"([sweep]
 name = salt
 policies = clone, s-resume
@@ -334,17 +361,9 @@ values = 1e-5, 1e-4
 num_jobs = 20
 duration_hours = 2
 mean_tasks = 10
-tasks_log_sigma = 0.8
-min_tasks = 2
 max_tasks = 50
 t_min_lo = 5
 t_min_hi = 20
-beta_lo = 1.3
-beta_hi = 1.9
-deadline_factor_lo = 1.5
-deadline_factor_hi = 3
-jvm_mean = 2
-jvm_jitter = 1
 seed = 9
 beta = 1.6
 deadline_factor = 2
@@ -366,7 +385,6 @@ tau_est_factor = 0.25
 tau_kill_factor = 1.2
 
 [experiment]
-cluster = testbed
 utility = on
 r_min = 0.5
 r_min_offset = 0.01
@@ -375,7 +393,6 @@ r_min_offset = 0.01
 csv = salt.csv
 json = salt.json
 journal = salt.journal
-table = off
 
 [shard]
 count = 2
@@ -402,8 +419,7 @@ utility = on
 r_min = 0.1
 
 [arrivals]
-kind = trace
-file = TIMES
+rate = 0.05
 duration_hours = 0.5
 warm_up_hours = 0.1
 drain = off
@@ -464,18 +480,6 @@ std::vector<std::string> template_lines(const std::string& text) {
 
 class ManifestSalt : public ::testing::Test {
  protected:
-  void SetUp() override {
-    times_path_ = ::testing::TempDir() + "manifest_salt_times.txt";
-    write_times("10\n20\n35\n");
-    open_ = kOpenSalt;
-    open_.replace(open_.find("TIMES"), 5, times_path_);
-  }
-  void TearDown() override { std::remove(times_path_.c_str()); }
-
-  void write_times(const std::string& content) const {
-    std::ofstream(times_path_, std::ios::binary) << content;
-  }
-
   /// Checks that every edit changes the salt and that the edits together
   /// touch every cell-template line of `text`.
   static void expect_every_edit_changes_salt(const std::string& text,
@@ -492,8 +496,7 @@ class ManifestSalt : public ::testing::Test {
     }
   }
 
-  std::string times_path_;
-  std::string open_;
+  std::string open_ = kOpenSalt;
 };
 
 TEST_F(ManifestSalt, EveryClosedTemplateKeyChangesTheSalt) {
@@ -502,17 +505,9 @@ TEST_F(ManifestSalt, EveryClosedTemplateKeyChangesTheSalt) {
       {{"num_jobs = 20", "num_jobs = 21"},
        {"duration_hours = 2", "duration_hours = 3"},
        {"mean_tasks = 10", "mean_tasks = 11"},
-       {"tasks_log_sigma = 0.8", "tasks_log_sigma = 0.7"},
-       {"min_tasks = 2", "min_tasks = 3"},
        {"max_tasks = 50", "max_tasks = 51"},
        {"t_min_lo = 5", "t_min_lo = 6"},
        {"t_min_hi = 20", "t_min_hi = 21"},
-       {"beta_lo = 1.3", "beta_lo = 1.4"},
-       {"beta_hi = 1.9", "beta_hi = 1.8"},
-       {"deadline_factor_lo = 1.5", "deadline_factor_lo = 1.6"},
-       {"deadline_factor_hi = 3", "deadline_factor_hi = 2.9"},
-       {"jvm_mean = 2", "jvm_mean = 3"},
-       {"jvm_jitter = 1", "jvm_jitter = 0.5"},
        {"seed = 9", "seed = 10"},
        {"beta = 1.6", "beta = @theta"},
        {"deadline_factor = 2", "deadline_factor = 2.5"},
@@ -526,7 +521,6 @@ TEST_F(ManifestSalt, EveryClosedTemplateKeyChangesTheSalt) {
        {"theta = @theta", "theta = 1e-5"},
        {"tau_est_factor = 0.25", "tau_est_factor = 0.2"},
        {"tau_kill_factor = 1.2", "tau_kill_factor = 1.1"},
-       {"cluster = testbed", "cluster = large_scale"},
        {"utility = on", "utility = off"},
        {"r_min = 0.5", "r_min = baseline"},
        {"r_min_offset = 0.01", "r_min_offset = 0.02"}});
@@ -540,7 +534,7 @@ TEST_F(ManifestSalt, EveryOpenTemplateKeyChangesTheSalt) {
        {"theta = 1e-3", "theta = 1e-4"},
        {"utility = on", "utility = off"},
        {"r_min = 0.1", "r_min = 0.2"},
-       {"kind = trace\nfile = " + times_path_, "kind = poisson\nrate = 0.05"},
+       {"rate = 0.05", "rate = 0.06"},
        {"duration_hours = 0.5", "duration_hours = 0.6"},
        {"warm_up_hours = 0.1", "warm_up_hours = 0.2"},
        {"drain = off", "drain = on"},
@@ -549,38 +543,14 @@ TEST_F(ManifestSalt, EveryOpenTemplateKeyChangesTheSalt) {
        {"admission = off", "admission = on"},
        {"nodes = @nodes", "nodes = 6"},
        {"containers = 4", "containers = 5"}});
-  // `rate` cannot be set next to `kind = trace`: check it on the Poisson
-  // form, together with the other plan_cache modes.
-  const std::string poisson =
-      apply(open_, {"kind = trace\nfile = " + times_path_,
-                    "kind = poisson\nrate = 0.05"});
-  EXPECT_NE(salt_of(apply(poisson, {"rate = 0.05", "rate = 0.06"})),
-            salt_of(poisson));
-  EXPECT_NE(salt_of(apply(poisson, {"rate = 0.05", "rate = @nodes"})),
-            salt_of(poisson));
+  // A bound rate, and the other plan_cache modes.
+  EXPECT_NE(salt_of(apply(open_, {"rate = 0.05", "rate = @nodes"})),
+            salt_of(open_));
   const std::string exact =
       apply(open_, {"plan_cache = quantized:0.05", "plan_cache = exact"});
   EXPECT_NE(salt_of(exact), salt_of(open_));
   EXPECT_NE(salt_of(apply(exact, {"plan_cache = exact", "plan_cache = off"})),
             salt_of(exact));
-}
-
-TEST_F(ManifestSalt, FingerprintsTheTimesNotTheFilePath) {
-  const std::string before = salt_of(open_);
-  EXPECT_EQ(before.find(times_path_), std::string::npos);
-
-  // Same path, edited content: the salt changes.
-  write_times("10\n20\n36\n");
-  EXPECT_NE(salt_of(open_), before);
-
-  // Same content under another path: the salt does not.
-  write_times("10\n20\n35\n");
-  const std::string copy = ::testing::TempDir() + "manifest_salt_copy.txt";
-  std::ofstream(copy, std::ios::binary) << "10\n20\n35\n";
-  std::string moved = kOpenSalt;
-  moved.replace(moved.find("TIMES"), 5, copy);
-  EXPECT_EQ(salt_of(moved), before);
-  std::remove(copy.c_str());
 }
 
 /// Reverses the key order inside every section.
@@ -644,7 +614,6 @@ TEST_F(ManifestSalt, IgnoresOutputsShardsKeyOrderAndComments) {
            {"csv = salt.csv", "csv = other.csv"},
            {"json = salt.json", "json = other.json"},
            {"journal = salt.journal", "journal = other.journal"},
-           {"table = off", "table = on"},
            {"count = 2", "count = 5"},
            {"dir = shards", "dir = elsewhere"},
            {"[shard]\ncount = 2\ndir = shards", ""}}) {

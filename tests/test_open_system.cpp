@@ -1,10 +1,10 @@
-// Open-system simulation layer (sim/open_system.h, trace/arrivals.h).
+// Open-system simulation layer (sim/open_system.h).
 //
 // The interesting properties here are statistical laws rather than exact
 // values: an under-loaded Poisson-fed cluster must satisfy utilization =
 // lambda * E[S] / c and Little's law L = lambda * W, the deadline-miss rate
 // must be monotone in the offered rate, and the conservation counters must
-// balance exactly. On top of the laws: arrival-process unit tests,
+// balance exactly. On top of the laws: the Poisson arrival count,
 // determinism (same seed => identical results) and validation-hardening
 // regressions. The open-system manifests' reports are pinned to committed
 // goldens by GoldenShardEquivalence in test_shard.cpp.
@@ -16,11 +16,11 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "serve/planner.h"
 #include "sim/cluster.h"
 #include "sim/metrics.h"
 #include "sim/open_system.h"
-#include "trace/arrivals.h"
 #include "trace/spot_price.h"
 #include "trace/workload.h"
 
@@ -29,8 +29,6 @@ namespace {
 
 using sim::OpenSystemConfig;
 using sim::OpenSystemResult;
-using trace::ArrivalKind;
-using trace::ArrivalSpec;
 
 // --- shared configuration ---------------------------------------------------
 
@@ -43,7 +41,6 @@ constexpr double kTaskMean = 4.0 * 2.5 / 1.5;
 
 OpenSystemConfig base_config(double rate, int nodes, int containers) {
   OpenSystemConfig config;
-  config.arrivals.kind = ArrivalKind::kPoisson;
   config.arrivals.rate = rate;
   config.workload.mean_tasks = 8.0;
   config.workload.min_tasks = 8;
@@ -354,105 +351,65 @@ TEST(OpenSystemPlanCache, QuantizedModeHitsAndConserves) {
 // --- arrival pricing --------------------------------------------------------
 
 TEST(OpenSystemPricing, ArrivalsArePricedAtTheirArrivalInstant) {
-  // One trace-replayed job landing in the 6th price step of a fast spot
+  // One Poisson arrival landing past the first price step of a fast spot
   // clock: its cost must be machine_time * price_at(arrival), not the
-  // price at time zero (the stale clock the engine must never use).
-  auto config = base_config(0.0, 4, 4);
-  config.arrivals.kind = ArrivalKind::kTrace;
-  config.arrivals.times = {550.0};
+  // price at time zero (the stale clock the engine must never use). The
+  // engine draws its arrival gaps from the first split of Rng(seed), so the
+  // arrival instant is recomputed here from that stream.
+  auto config = base_config(1.0 / 2000.0, 4, 4);
   config.prices.step_seconds = 100.0;
   config.prices.volatility = 0.5;
   config.duration = 1000.0;
   config.warm_up = 0.0;
+  config.seed = 30;  // one arrival in the horizon, at t = 630.5 s
+  Rng master(config.seed);
+  Rng stream = master.split();
+  const double arrival = ExponentialSampler(config.arrivals.rate)(stream);
+  ASSERT_GE(arrival, config.prices.step_seconds);
+  ASSERT_LE(arrival, config.duration);
   const trace::SpotPriceModel prices(config.prices);
-  ASSERT_NE(prices.price_at(550.0), prices.price_at(0.0));
+  ASSERT_NE(prices.price_at(arrival), prices.price_at(0.0));
   const auto result = sim::run_open_system(config);
+  ASSERT_EQ(result.arrivals, 1u);
   ASSERT_EQ(result.metrics.jobs(), 1u);
   EXPECT_GT(result.metrics.mean_machine_time(), 0.0);
   EXPECT_DOUBLE_EQ(
       result.metrics.mean_cost(),
-      result.metrics.mean_machine_time() * prices.price_at(550.0));
+      result.metrics.mean_machine_time() * prices.price_at(arrival));
   EXPECT_NE(result.metrics.mean_cost(),
             result.metrics.mean_machine_time() * prices.price_at(0.0));
 }
 
-// --- arrival processes ------------------------------------------------------
+// --- arrival process --------------------------------------------------------
 
-std::vector<double> drain_arrivals(const ArrivalSpec& spec, double horizon,
-                                   std::uint64_t seed) {
-  auto process = trace::make_arrival_process(spec);
-  Rng rng(seed);
-  std::vector<double> times;
-  double now = 0.0;
-  while (true) {
-    now = process->next_after(now, rng);
-    if (!std::isfinite(now) || now > horizon) {
-      break;
-    }
-    times.push_back(now);
-  }
-  return times;
-}
-
-TEST(Arrivals, PoissonCountWithinFourSigma) {
-  ArrivalSpec spec;
-  spec.kind = ArrivalKind::kPoisson;
-  spec.rate = 2.0;
-  const auto times = drain_arrivals(spec, 5000.0, 3);
-  // N ~ Poisson(10000): mean 10000, sigma 100.
-  EXPECT_GT(times.size(), 9600u);
-  EXPECT_LT(times.size(), 10400u);
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    ASSERT_LT(times[i - 1], times[i]);
-  }
-}
-
-TEST(Arrivals, TraceReplaysExactTimesIncludingDuplicates) {
-  ArrivalSpec spec;
-  spec.kind = ArrivalKind::kTrace;
-  spec.times = {0.0, 0.0, 1.5, 1.5, 1.5, 7.0};
-  auto process = trace::make_arrival_process(spec);
-  Rng rng(1);
-  // Duplicate timestamps (batch submissions) fire once per call, starting
-  // with an arrival at exactly t = 0.
-  double now = 0.0;
-  std::vector<double> seen;
-  for (int i = 0; i < 6; ++i) {
-    now = process->next_after(now, rng);
-    seen.push_back(now);
-  }
-  EXPECT_EQ(seen, spec.times);
-  EXPECT_EQ(process->next_after(now, rng),
-            std::numeric_limits<double>::infinity());
-}
-
-TEST(Arrivals, ParseTimesAcceptsCommentsAndBlanks) {
-  const auto times = trace::parse_arrival_times(
-      "# header\n\n 0.5 \n;another comment\n2\n2\n10.25\n");
-  EXPECT_EQ(times, (std::vector<double>{0.5, 2.0, 2.0, 10.25}));
-}
-
-TEST(Arrivals, ParseTimesRejectsMalformedInput) {
-  EXPECT_THROW(trace::parse_arrival_times("1\nbogus\n"), PreconditionError);
-  EXPECT_THROW(trace::parse_arrival_times("-1\n"), PreconditionError);
-  EXPECT_THROW(trace::parse_arrival_times("5\n4\n"), PreconditionError);
-  EXPECT_THROW(trace::parse_arrival_times("inf\n"), PreconditionError);
-}
-
-TEST(Arrivals, SpecValidation) {
-  ArrivalSpec spec;
-  spec.rate = 0.0;
-  EXPECT_THROW(spec.validate(), PreconditionError);
-  spec.rate = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(spec.validate(), PreconditionError);
-  spec.rate = 1.0;
-  spec.validate();
-  spec.kind = ArrivalKind::kTrace;
-  spec.times = {1.0, 0.5};
-  EXPECT_THROW(spec.validate(), PreconditionError);
+TEST(OpenSystemArrivals, PoissonCountWithinFourSigma) {
+  // Arrivals at 1/s over 2500 s: N ~ Poisson(2500), sigma 50. The engine
+  // schedules every arrival up to the horizon, admitted or not.
+  auto config = base_config(1.0, 16, 8);
+  config.duration = 2500.0;
+  config.warm_up = 1250.0;
+  config.drain = false;
+  const auto result = sim::run_open_system(config);
+  EXPECT_GT(result.arrivals, 2300u);
+  EXPECT_LT(result.arrivals, 2700u);
+  // The second half of the horizon holds about half of them: N ~
+  // Poisson(1250), sigma 35.
+  EXPECT_GT(result.window_arrivals, 1110u);
+  EXPECT_LT(result.window_arrivals, 1390u);
 }
 
 // --- config validation ------------------------------------------------------
+
+TEST(OpenSystemConfigValidation, RejectsBadArrivalRate) {
+  auto config = base_config(1.0, 2, 4);
+  config.validate();
+  for (const double rate : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    config.arrivals.rate = rate;
+    EXPECT_THROW(config.validate(), PreconditionError) << rate;
+    EXPECT_THROW(sim::run_open_system(config), PreconditionError) << rate;
+  }
+}
 
 TEST(OpenSystemConfigValidation, RejectsBadWindows) {
   auto config = base_config(0.1, 2, 4);

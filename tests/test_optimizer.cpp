@@ -387,7 +387,7 @@ TEST(AnalyticContext, BitIdenticalToFreeFunctions) {
         const AnalyticContext ctx(s, p, e);
         for (const double r : {0.0, 1.0, 2.0, 7.0, 33.0}) {
           const auto from_ctx = ctx.evaluate(r);
-          const auto from_free = evaluate_utility(s, p, e, r);
+          const auto from_free = AnalyticContext(s, p, e).evaluate(r);
           EXPECT_EQ(from_ctx.pocd, from_free.pocd)
               << to_string(s) << " n=" << n << " beta=" << beta << " r=" << r;
           EXPECT_EQ(from_ctx.machine_time, from_free.machine_time)

@@ -58,13 +58,6 @@ TEST(PocdSResume, MatchesHandComputation) {
               std::pow(1.0 - fail, 10), 1e-12);
 }
 
-TEST(Pocd, TaskPocdIsNthRoot) {
-  const auto p = default_job();
-  const double job = pocd(Strategy::kClone, p, 1.0);
-  EXPECT_NEAR(std::pow(task_pocd(Strategy::kClone, p, 1.0), p.num_tasks), job,
-              1e-12);
-}
-
 TEST(Pocd, RejectsNegativeR) {
   const auto p = default_job();
   EXPECT_THROW(pocd(Strategy::kClone, p, -1.0), PreconditionError);

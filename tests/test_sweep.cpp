@@ -239,8 +239,10 @@ TEST(SweepPoint, UnknownAxisThrows) {
 
 // --- running sweeps -------------------------------------------------------
 
-/// Tiny but real experiment: a handful of short jobs on a small cluster.
-CellInstance tiny_cell(const SweepPoint& point, std::uint64_t seed) {
+/// Tiny but real experiment: a handful of short jobs on a small cluster,
+/// built by the run hook alone (no setup hook).
+CellInstance tiny_run(const SweepPoint& point, std::uint64_t seed,
+                      const SharedCell& /*shared*/) {
   trace::TraceConfig config;
   config.num_jobs = 6;
   config.duration_hours = 0.2;
@@ -254,7 +256,8 @@ CellInstance tiny_cell(const SweepPoint& point, std::uint64_t seed) {
   plan_trace(jobs, point.policy, planner, prices);
 
   CellInstance instance;
-  instance.set_jobs(std::move(jobs));
+  instance.jobs =
+      std::make_shared<const std::vector<trace::TracedJob>>(std::move(jobs));
   sim::NodeConfig node;
   node.containers = 4;
   instance.config.policy = point.policy;
@@ -262,6 +265,8 @@ CellInstance tiny_cell(const SweepPoint& point, std::uint64_t seed) {
   instance.config.seed = seed;
   return instance;
 }
+
+const SweepHooks tiny_cell{.run = tiny_run, .setup = {}};
 
 SweepSpec tiny_spec() {
   SweepSpec spec;
@@ -373,7 +378,7 @@ TEST(RunSweep, EmptySpecThrows) {
   EXPECT_THROW(run_sweep(spec, tiny_cell, {.threads = 1}),
                PreconditionError);
   SweepSpec valid = tiny_spec();
-  EXPECT_THROW(run_sweep(valid, nullptr, {.threads = 1}),
+  EXPECT_THROW(run_sweep(valid, SweepHooks{}, {.threads = 1}),
                PreconditionError);
 }
 
@@ -388,12 +393,14 @@ TEST(RunSweep, ReplicationSeedsAreIndependent) {
   EXPECT_GT(result.cells[0].aggregate.machine_time.stddev, 0.0);
 }
 
-TEST(RunSweep, FactoryErrorsPropagate) {
+TEST(RunSweep, RunHookErrorsPropagate) {
   SweepSpec spec = tiny_spec();
-  const CellFactory broken = [](const SweepPoint&,
-                                std::uint64_t) -> CellInstance {
-    throw std::runtime_error("factory exploded");
-  };
+  const SweepHooks broken{
+      .run = [](const SweepPoint&, std::uint64_t,
+                const SharedCell&) -> CellInstance {
+        throw std::runtime_error("run hook exploded");
+      },
+      .setup = {}};
   EXPECT_THROW(run_sweep(spec, broken, {.threads = 2}), std::runtime_error);
 }
 

@@ -74,9 +74,16 @@ TEST(SpotPrice, AlwaysPositive) {
 }
 
 TEST(SpotPrice, MeanNearBase) {
-  const SpotPriceModel model;
-  EXPECT_NEAR(model.mean_price(), model.base_price(),
-              0.2 * model.base_price());
+  // Mean of the generated path: one price per step of the grid.
+  const SpotPriceConfig config;
+  const SpotPriceModel model(config);
+  double sum = 0.0;
+  int steps = 0;
+  for (double t = 0.0; t < config.horizon_seconds; t += config.step_seconds) {
+    sum += model.price_at(t);
+    ++steps;
+  }
+  EXPECT_NEAR(sum / steps, model.base_price(), 0.2 * model.base_price());
 }
 
 TEST(SpotPrice, ClampsBeyondHorizon) {

@@ -34,7 +34,7 @@ TEST(UtilityShaping, NegativeInfinityAtOrBelowZero) {
 TEST(EvaluateUtility, CombinesPocdAndCost) {
   const auto p = default_job();
   const auto e = default_econ();
-  const auto point = evaluate_utility(Strategy::kClone, p, e, 2.0);
+  const auto point = AnalyticContext(Strategy::kClone, p, e).evaluate(2.0);
   EXPECT_NEAR(point.pocd, pocd(Strategy::kClone, p, 2.0), 1e-12);
   EXPECT_NEAR(point.machine_time, machine_time(Strategy::kClone, p, 2.0),
               1e-12);
@@ -47,7 +47,7 @@ TEST(EvaluateUtility, InfeasibleWhenPocdBelowRmin) {
   const auto p = default_job();
   auto e = default_econ();
   e.r_min = 0.999;  // unreachable with r = 0
-  const auto point = evaluate_utility(Strategy::kClone, p, e, 0.0);
+  const auto point = AnalyticContext(Strategy::kClone, p, e).evaluate(0.0);
   EXPECT_TRUE(std::isinf(point.utility));
   EXPECT_LT(point.utility, 0.0);
 }
@@ -136,7 +136,9 @@ TEST_P(UtilityConcavity, SecondDifferenceNonPositiveBeyondGamma) {
 
   const long long start = concave_start(gamma_threshold(c.strategy, p));
   const auto u = [&](long long r) {
-    return evaluate_utility(c.strategy, p, e, static_cast<double>(r)).utility;
+    return AnalyticContext(c.strategy, p, e)
+        .evaluate(static_cast<double>(r))
+        .utility;
   };
   for (long long r = start; r < start + 12; ++r) {
     const double second = u(r + 2) - 2.0 * u(r + 1) + u(r);
@@ -261,8 +263,9 @@ TEST(Utility, LargeDeadlineDrivesOptimalRTowardZero) {
   auto p = default_job();
   p.deadline = 5000.0;
   const auto e = default_econ();
-  const double u0 = evaluate_utility(Strategy::kClone, p, e, 0.0).utility;
-  const double u1 = evaluate_utility(Strategy::kClone, p, e, 1.0).utility;
+  const AnalyticContext clone(Strategy::kClone, p, e);
+  const double u0 = clone.evaluate(0.0).utility;
+  const double u1 = clone.evaluate(1.0).utility;
   EXPECT_GT(u0, u1);
 }
 

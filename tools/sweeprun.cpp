@@ -272,8 +272,8 @@ void write_obs_outputs(const Cli& cli) {
 }
 
 void render_reports(const exp::SweepResult& result,
-                    const exp::ManifestOutputs& outputs) {
-  if (outputs.table) {
+                    const exp::ManifestOutputs& outputs, bool table) {
+  if (table) {
     exp::to_table(result).print();
   }
   if (!outputs.csv.empty()) {
@@ -332,7 +332,7 @@ int run_merge(const exp::Manifest& manifest, const Cli& cli,
   }
 
   render_reports(exp::assemble_result(manifest.spec, merged.cells()),
-                 manifest.outputs);
+                 manifest.outputs, !cli.no_table);
   return 0;
 }
 
@@ -370,7 +370,6 @@ int main(int argc, char** argv) {
     if (!cli.csv.empty()) manifest.outputs.csv = cli.csv;
     if (!cli.json.empty()) manifest.outputs.json = cli.json;
     if (!cli.journal.empty()) manifest.outputs.journal = cli.journal;
-    if (cli.no_table) manifest.outputs.table = false;
     const std::string shard_dir =
         cli.shard_dir.empty() ? manifest.shard.dir : cli.shard_dir;
 
@@ -462,7 +461,7 @@ int main(int argc, char** argv) {
       write_obs_outputs(cli);
       return 0;
     }
-    render_reports(result, manifest.outputs);
+    render_reports(result, manifest.outputs, !cli.no_table);
     write_obs_outputs(cli);
     return 0;
   } catch (const exp::SweepCancelled&) {
