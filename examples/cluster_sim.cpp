@@ -72,9 +72,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.degraded));
   std::printf("  rejected        : %llu\n",
               static_cast<unsigned long long>(result.rejected));
-  std::printf("  completed       : %llu (+%llu in flight at end)\n",
-              static_cast<unsigned long long>(result.completed),
-              static_cast<unsigned long long>(result.in_flight_at_end));
+  std::printf("  completed       : %llu\n",
+              static_cast<unsigned long long>(result.completed));
 
   std::printf("\nSteady state over the measurement window\n");
   std::printf("  offered rate    : %.4f jobs/s (admitted %.4f)\n",

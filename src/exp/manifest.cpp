@@ -50,19 +50,6 @@ std::string trim(const std::string& text) {
   return text.substr(begin, end - begin + 1);
 }
 
-/// Strips a '#' comment that sits outside double quotes.
-std::string strip_inline_comment(const std::string& text) {
-  bool quoted = false;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] == '"') {
-      quoted = !quoted;
-    } else if (text[i] == '#' && !quoted) {
-      return text.substr(0, i);
-    }
-  }
-  return text;
-}
-
 struct IniEntry {
   std::string value;
   int line = 0;
@@ -87,12 +74,9 @@ std::vector<IniSection> parse_ini(const std::string& text) {
     at = end == std::string::npos ? text.size() + 1 : end + 1;
     ++line_number;
 
-    std::string line = trim(raw);
-    if (line.empty() || line.front() == '#' || line.front() == ';') {
-      continue;
-    }
-    line = trim(strip_inline_comment(line));
-    if (line.empty()) {
+    // A '#' starts a comment anywhere on the line; ';' only at its start.
+    const std::string line = trim(raw.substr(0, raw.find('#')));
+    if (line.empty() || line.front() == ';') {
       continue;
     }
     if (line.front() == '[') {
@@ -141,43 +125,19 @@ std::vector<IniSection> parse_ini(const std::string& text) {
   return sections;
 }
 
-/// Comma-separated list; double quotes protect commas inside an item.
+/// Comma-separated list of trimmed items; one trailing comma is allowed.
 std::vector<std::string> split_list(const std::string& value, int line) {
   std::vector<std::string> items;
-  std::string current;
-  bool quoted = false;
-  bool had_quotes = false;
-  const auto push = [&] {
-    const std::string item = had_quotes ? current : trim(current);
-    if (item.empty() && !had_quotes) {
+  std::size_t at = 0;
+  for (std::size_t comma = value.find(','); comma != std::string::npos;
+       at = comma + 1, comma = value.find(',', at)) {
+    items.push_back(trim(value.substr(at, comma - at)));
+    if (items.back().empty()) {
       fail(line, "empty list item");
     }
-    items.push_back(item);
-    current.clear();
-    had_quotes = false;
-  };
-  for (const char c : value) {
-    if (c == '"') {
-      if (had_quotes && !quoted) {
-        fail(line, "unexpected text after closing quote in list");
-      }
-      quoted = !quoted;
-      had_quotes = true;
-    } else if (c == ',' && !quoted) {
-      push();
-    } else if (!had_quotes || quoted) {
-      current += c;
-    } else if (c != ' ' && c != '\t') {
-      // Silently dropping stray characters would hide typos; every other
-      // manifest mistake fails loudly, so this one does too.
-      fail(line, "unexpected text after closing quote in list");
-    }
   }
-  if (quoted) {
-    fail(line, "unterminated quote in list");
-  }
-  if (!trim(current).empty() || had_quotes) {
-    push();
+  if (std::string last = trim(value.substr(at)); !last.empty()) {
+    items.push_back(std::move(last));
   }
   if (items.empty()) {
     fail(line, "empty list");
@@ -501,15 +461,6 @@ Manifest parse_manifest(const std::string& text) {
       }
       axis.values.push_back(parsed);
     }
-    if (const IniEntry* labels = reader.find("labels")) {
-      axis.labels = split_list(labels->value, labels->line);
-      if (axis.labels.size() != axis.values.size()) {
-        fail(labels->line, "axis has " + std::to_string(axis.values.size()) +
-                               " values but " +
-                               std::to_string(axis.labels.size()) +
-                               " labels");
-      }
-    }
     manifest.spec.axes.push_back(std::move(axis));
   }
 
@@ -650,7 +601,17 @@ Manifest parse_manifest(const std::string& text) {
       fail(reader.line(), "[arrivals] needs duration_hours > 0 and "
                           "warm_up_hours in [0, duration_hours)");
     }
-    open.drain = reader.get_bool("drain", open.drain);
+    // Every run drains and applies admission control, so `drain` and
+    // `admission` take only `on`. Each still records "on" in the salt at
+    // its own point, which keeps journals written by earlier builds valid.
+    const auto require_on = [&reader](const std::string& key) {
+      if (const std::string value = reader.get_string(key, "on");
+          value != "on") {
+        fail(reader.find(key)->line,
+             "arrivals " + key + " must be on, got '" + value + "'");
+      }
+    };
+    require_on("drain");
     const IniEntry* plan = reader.find("plan");
     const std::string plan_name = plan == nullptr ? "policy" : plan->value;
     if (plan_name == "auto") {
@@ -685,8 +646,7 @@ Manifest parse_manifest(const std::string& text) {
       }
     }
     reader.record("plan_cache", cache_name);
-    open.admission.enabled =
-        reader.get_bool("admission", open.admission.enabled);
+    require_on("admission");
     arrivals.nodes =
         reader.optional_binding("nodes", manifest.spec, "preset");
     arrivals.containers =

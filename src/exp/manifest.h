@@ -42,11 +42,11 @@
 //   dir = journals          # per-shard journals in this shared directory
 //
 // Syntax: "[section]" headers, "key = value" pairs, "#"/";" full-line
-// comments plus "#" inline comments, comma-separated lists, double quotes
-// around list items that contain commas. Numbers must be finite ("nan" and
-// "inf" are rejected). Parsing is locale-independent and every error names
-// the offending line; an integer outside its key's range fails there too
-// instead of wrapping.
+// comments, "#" inline comments (a line is cut at its first "#"), and
+// comma-separated lists of trimmed items (no quoting: an item holds no
+// comma or "#"). Numbers must be finite ("nan" and "inf" are rejected).
+// Parsing is locale-independent and every error names the offending line;
+// an integer outside its key's range fails there too instead of wrapping.
 //
 // parse_manifest is the only code that knows the keys. The cell-template
 // sections ([trace], [stage.N], [planner], [experiment], [arrivals]) are
@@ -102,13 +102,15 @@ struct ManifestOutputs {
 ///   rate = @lambda          # jobs/second; bindable
 ///   duration_hours = 1      # arrival horizon
 ///   warm_up_hours = 0.1     # measurement starts here
-///   drain = on              # run to empty after the horizon
+///   drain = on              # the only value: run to empty after the
+///                           #   horizon (the key may be omitted)
 ///   plan = policy           # policy | auto (per-job optimize_all)
 ///   plan_cache = off        # off | exact | quantized:<grid>; exact serves
 ///                           #   bit-identical plans for repeated inputs,
 ///                           #   quantized shares plans within geometric
 ///                           #   (1+grid)-ratio buckets (serve/planner.h)
-///   admission = on          # capacity-aware admission control
+///   admission = on          # the only value: capacity-aware admission
+///                           #   control (the key may be omitted)
 ///   nodes = @nodes          # bindable; uniform cluster of `containers`
 ///   containers = 8          #   per node (defaults to the preset cluster)
 ///
@@ -116,9 +118,9 @@ struct ManifestOutputs {
 /// pre-generated trace is a closed-system property; utility sweeps must
 /// give a numeric r_min.
 struct ManifestArrivals {
-  /// The run template the section parses into: horizon, drain, plan mode,
-  /// plan cache and admission. Each cell copies it and fills the rate,
-  /// cluster, workload, planner, policy and seed.
+  /// The run template the section parses into: horizon, plan mode and
+  /// plan cache. Each cell copies it and fills the rate, cluster,
+  /// workload, planner, policy and seed.
   sim::OpenSystemConfig open;
 
   Binding rate{.fixed = 0.1, .axis = {}};

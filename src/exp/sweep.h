@@ -46,7 +46,7 @@ namespace chronos::exp {
 
 /// One named parameter axis. `labels`, when non-empty, must parallel
 /// `values` and replaces them in reports (categorical axes such as
-/// benchmark names).
+/// benchmark names). Only code sets labels; manifests give values alone.
 struct Axis {
   std::string name;
   std::vector<double> values;

@@ -161,8 +161,8 @@ struct AttemptRecord {
   }
 };
 
-/// The attempts of one task in ascending attempt id, walked through the
-/// task's intrusive sibling list; with `active_only` the walk skips ended
+/// The waiting or running attempts of one task in ascending attempt id,
+/// walked through the task's intrusive sibling list, skipping ended
 /// attempts. Nothing is copied: every step reads the job's attempt table,
 /// so a walk stays valid while attempts are killed or launched (an attempt
 /// launched for the same task mid-walk is visited). It points at the
@@ -174,9 +174,8 @@ class TaskAttempts {
   class iterator {
    public:
     iterator() = default;
-    iterator(const std::vector<AttemptRecord>* attempts, int id,
-             bool active_only)
-        : attempts_(attempts), id_(id), active_only_(active_only) {
+    iterator(const std::vector<AttemptRecord>* attempts, int id)
+        : attempts_(attempts), id_(id) {
       skip_ended();
     }
     int operator*() const { return id_; }
@@ -192,20 +191,18 @@ class TaskAttempts {
       return (*attempts_)[static_cast<std::size_t>(id)];
     }
     void skip_ended() {
-      while (active_only_ && id_ >= 0 && at(id_).ended()) {
+      while (id_ >= 0 && at(id_).ended()) {
         id_ = at(id_).next_sibling;
       }
     }
     const std::vector<AttemptRecord>* attempts_ = nullptr;
     int id_ = -1;
-    bool active_only_ = false;
   };
 
-  TaskAttempts(const std::vector<AttemptRecord>& attempts, int first,
-               bool active_only)
-      : attempts_(&attempts), first_(first), active_only_(active_only) {}
+  TaskAttempts(const std::vector<AttemptRecord>& attempts, int first)
+      : attempts_(&attempts), first_(first) {}
 
-  iterator begin() const { return {attempts_, first_, active_only_}; }
+  iterator begin() const { return {attempts_, first_}; }
   iterator end() const { return {}; }
   bool empty() const { return begin() == end(); }
   /// Lowest attempt id in the walk. Requires !empty().
@@ -222,7 +219,6 @@ class TaskAttempts {
  private:
   const std::vector<AttemptRecord>* attempts_;
   int first_;
-  bool active_only_;
 };
 
 /// One task (one input split).
@@ -325,15 +321,9 @@ struct JobRecord {
     return tasks_completed == static_cast<int>(tasks.size());
   }
 
-  /// Every attempt of `task`, ascending.
-  TaskAttempts attempts_of(int task) const {
-    return {attempts, tasks[static_cast<std::size_t>(task)].first_attempt,
-            false};
-  }
   /// The waiting or running attempts of `task`, ascending.
-  TaskAttempts active_attempts_of(int task) const {
-    return {attempts, tasks[static_cast<std::size_t>(task)].first_attempt,
-            true};
+  TaskAttempts active_attempts(int task) const {
+    return {attempts, tasks[static_cast<std::size_t>(task)].first_attempt};
   }
   /// Incomplete tasks among [first, last), ascending.
   IncompleteTasks incomplete_tasks(int first, int last) const {

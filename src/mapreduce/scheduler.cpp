@@ -257,7 +257,7 @@ void Scheduler::on_attempt_failed(int job, int attempt_id) {
   if (record.tasks[static_cast<std::size_t>(task)].completed) {
     return;
   }
-  if (record.active_attempts_of(task).empty()) {
+  if (record.active_attempts(task).empty()) {
     launch_attempt(job, task, offset);
   }
 }
@@ -317,7 +317,7 @@ void Scheduler::complete_task(int job, int task, int winner_attempt) {
   const bool stage_finished = record.stage_done(stage);
   // Hadoop kills the remaining attempts of a completed task (the winner
   // has ended, so the active walk skips it).
-  for (const int sibling : record.active_attempts_of(task)) {
+  for (const int sibling : record.active_attempts(task)) {
     kill_attempt(job, sibling);
   }
   record.policy->on_task_completed(job, task, *api_);
@@ -389,7 +389,7 @@ TaskAttempts SchedulerApi::active_attempts(int job, int task) const {
   const auto& record = scheduler_.job(job);
   CHRONOS_EXPECTS(task >= 0 && task < record.spec.total_tasks(),
                   "task index out of range");
-  return record.active_attempts_of(task);
+  return record.active_attempts(task);
 }
 
 const AttemptRecord& SchedulerApi::attempt(int job, int attempt_id) const {

@@ -55,7 +55,6 @@ class Cluster {
 
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   int total_containers() const { return total_containers_; }
-  int busy_containers() const { return busy_; }
   int idle_containers() const { return total_containers_ - busy_; }
   bool has_idle_container() const { return idle_containers() > 0; }
   std::size_t pending_requests() const { return waiting_.size(); }

@@ -103,11 +103,7 @@ class OpenEngine {
     const obs::ScopedTimer run_timer(t_run);
     c_runs.add();
     schedule_arrival_after(0.0);
-    if (config_.drain) {
-      simulator_.run();
-    } else {
-      simulator_.run_until(config_.duration);
-    }
+    simulator_.run();
     return finalize(span);
   }
 
@@ -224,17 +220,14 @@ class OpenEngine {
   }
 
   AdmissionDecision admit_decision(const mapreduce::JobSpec& spec) const {
-    return admission_decide(config_.admission, spec,
-                            static_cast<double>(cluster_.pending_requests()),
-                            static_cast<double>(cluster_.idle_containers()),
-                            static_cast<double>(cluster_.total_containers()));
+    return admission_decide(
+        spec, static_cast<double>(cluster_.pending_requests()),
+        static_cast<double>(cluster_.idle_containers()),
+        static_cast<double>(cluster_.total_containers()));
   }
 
   OpenSystemResult finalize(obs::TraceSpan& span) {
     result_.window = config_.duration - config_.warm_up;
-    result_.in_flight_at_end = static_cast<std::uint64_t>(in_flight_);
-    result_.live_jobs_at_end =
-        static_cast<std::uint64_t>(scheduler_.live_jobs());
     result_.offered_rate =
         static_cast<double>(result_.window_arrivals) / result_.window;
     result_.admitted_rate =
@@ -258,16 +251,16 @@ class OpenEngine {
     result_.plan_cache_hits = planner_stats.hits;
     result_.plan_cache_misses = planner_stats.misses;
     result_.events_executed = simulator_.events_executed();
-    // Without drain the clock hard-stops at the horizon even when the last
-    // executed event lies before it; with drain the queue runs dry and the
-    // last completion may lie past the horizon.
+    // The queue runs dry, so the last completion may lie past the horizon;
+    // when it lies before, the run still spans the whole horizon.
     result_.end_time = std::max(simulator_.now(), config_.duration);
 
     CHRONOS_ENSURES(result_.arrivals == result_.admitted + result_.rejected,
                     "arrival conservation violated");
-    CHRONOS_ENSURES(
-        result_.admitted == result_.completed + result_.in_flight_at_end,
-        "admitted-job conservation violated");
+    CHRONOS_ENSURES(result_.admitted == result_.completed,
+                    "admitted-job conservation violated");
+    CHRONOS_ENSURES(scheduler_.live_jobs() == 0,
+                    "completed jobs left a scheduler record");
 
     span.note("arrivals", static_cast<double>(result_.arrivals));
     span.note("events", static_cast<double>(result_.events_executed));
@@ -303,13 +296,9 @@ class OpenEngine {
 
 }  // namespace
 
-AdmissionDecision admission_decide(const AdmissionConfig& config,
-                                   const mapreduce::JobSpec& spec,
+AdmissionDecision admission_decide(const mapreduce::JobSpec& spec,
                                    double backlog, double idle_containers,
                                    double total_containers) {
-  if (!config.enabled) {
-    return AdmissionDecision::kAdmit;
-  }
   if (backlog + static_cast<double>(spec.total_tasks()) >
       4.0 * total_containers) {
     return AdmissionDecision::kReject;

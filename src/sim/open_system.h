@@ -18,6 +18,9 @@
 //            Hadoop-NS with r = 0 instead of its planned strategy;
 //   admit    otherwise, under the planned strategy.
 //
+// Arrivals stop at the horizon (`duration`); the event loop then runs dry,
+// so every admitted job completes and the run ends with no job in flight.
+//
 // Metrics are warm-up aware: time-weighted utilization, jobs-in-system and
 // container-queue depth are integrated over [warm_up, duration] only, and
 // per-job statistics (sojourn, deadline-miss rate, cost) cover jobs that
@@ -53,13 +56,6 @@ struct ArrivalSpec {
   double rate = 0.1;  ///< mean arrivals per second; positive and finite
 };
 
-/// Capacity-aware admission control (the rule is admission_decide's).
-struct AdmissionConfig {
-  /// Off: every arrival is admitted under its planned strategy (the
-  /// controller rejects nothing and degrades nothing).
-  bool enabled = true;
-};
-
 /// Outcome of admission control for one planned arrival.
 enum class AdmissionDecision { kAdmit, kDegrade, kReject };
 
@@ -72,8 +68,7 @@ enum class AdmissionDecision { kAdmit, kDegrade, kReject };
 /// demand counts EVERY stage by construction: sum over stages of
 /// stage.r * stage.num_tasks (a reduce- or tail-stage-heavy job must not
 /// slip past the headroom check on the strength of a tiny root stage).
-AdmissionDecision admission_decide(const AdmissionConfig& config,
-                                   const mapreduce::JobSpec& spec,
+AdmissionDecision admission_decide(const mapreduce::JobSpec& spec,
                                    double backlog, double idle_containers,
                                    double total_containers);
 
@@ -92,8 +87,6 @@ struct OpenSystemConfig {
 
   /// Spot-price process used for spec.price at each arrival.
   trace::SpotPriceConfig prices;
-
-  AdmissionConfig admission;
 
   /// Plan-cache mode of the per-run serve::PlannerService. kOff and kExact
   /// are byte-identical to uncached planning; kQuantized shares plans
@@ -117,11 +110,6 @@ struct OpenSystemConfig {
   double duration = 3600.0;  ///< arrival horizon (simulated seconds)
   double warm_up = 0.0;      ///< measurement starts here (< duration)
 
-  /// On: run the event loop dry after the horizon so every admitted job
-  /// completes. Off: hard-stop the clock at `duration` and report the
-  /// in-flight jobs as such.
-  bool drain = true;
-
   std::uint64_t seed = 1;
 
   void validate() const;
@@ -141,19 +129,18 @@ struct StrategyMix {
 
 /// Steady-state view of one open-system run.
 struct OpenSystemResult {
-  // Conservation counters over the whole horizon. Invariants:
+  // Conservation counters over the whole run. The event loop runs dry
+  // after the horizon, so every admitted job completes. Invariants:
   //   arrivals == admitted + rejected
-  //   admitted == completed + in_flight_at_end
+  //   admitted == completed
   std::uint64_t arrivals = 0;
   std::uint64_t admitted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t degraded = 0;  ///< admitted under forced Hadoop-NS
   std::uint64_t completed = 0;
-  std::uint64_t in_flight_at_end = 0;
   std::uint64_t in_flight_max = 0;
-  /// Scheduler::live_jobs at the end and at its high-water: completed jobs
-  /// are retired, so these equal in_flight_at_end and in_flight_max.
-  std::uint64_t live_jobs_at_end = 0;
+  /// Scheduler::live_jobs at its high-water: completed jobs are retired,
+  /// so this equals in_flight_max.
   std::uint64_t live_jobs_max = 0;
 
   /// Measurement window [warm_up, duration] in seconds.
@@ -191,11 +178,12 @@ struct OpenSystemResult {
   std::uint64_t plan_cache_misses = 0;
 
   std::uint64_t events_executed = 0;
-  double end_time = 0.0;  ///< simulated clock when the run stopped
+  /// The later of the horizon and the last completion.
+  double end_time = 0.0;
 };
 
-/// Runs one open-system simulation to completion (or to the hard stop when
-/// drain is off). Deterministic given config.seed.
+/// Runs one open-system simulation until every admitted job has completed.
+/// Deterministic given config.seed.
 OpenSystemResult run_open_system(const OpenSystemConfig& config);
 
 }  // namespace chronos::sim

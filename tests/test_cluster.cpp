@@ -25,7 +25,6 @@ TEST(Cluster, GrantsImmediatelyWhenIdle) {
   int granted_node = -1;
   cluster.request_container([&](int node) { granted_node = node; });
   EXPECT_GE(granted_node, 0);
-  EXPECT_EQ(cluster.busy_containers(), 1);
   EXPECT_EQ(cluster.idle_containers(), 3);
 }
 
@@ -71,9 +70,8 @@ TEST(Cluster, CountsStayConsistent) {
   for (int i = 0; i < 3; ++i) {
     cluster.request_container([&](int n) { nodes.push_back(n); });
   }
-  EXPECT_EQ(cluster.busy_containers(), 3);
+  EXPECT_EQ(cluster.idle_containers(), 1);
   cluster.release_container(nodes[0]);
-  EXPECT_EQ(cluster.busy_containers(), 2);
   EXPECT_EQ(cluster.idle_containers(), 2);
 }
 
@@ -219,7 +217,8 @@ TEST(Cluster, PlacementMatchesLinearScanUnderRandomRequestsAndReleases) {
       }
       ASSERT_EQ(cluster.pending_requests(), scan.waiting())
           << num_nodes << " nodes, op " << op;
-      ASSERT_EQ(cluster.busy_containers(), static_cast<int>(held.size()));
+      ASSERT_EQ(cluster.total_containers() - cluster.idle_containers(),
+                static_cast<int>(held.size()));
       waiting_max = std::max(waiting_max, scan.waiting());
     }
     EXPECT_EQ(got, want) << num_nodes << " nodes";

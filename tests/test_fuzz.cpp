@@ -173,7 +173,6 @@ seed = 7
 
 [axis.theta]
 values = 1e-5, 1e-4, 1e-3
-labels = "lo, w", mid, hi
 
 [adaptive]
 metric = pocd

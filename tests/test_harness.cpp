@@ -100,7 +100,7 @@ TEST(Harness, DifferentSeedsProduceDifferentRuns) {
 struct Replay {
   sim::RunMetrics metrics;
   std::uint64_t events_executed = 0;
-  int live_jobs_at_end = 0;
+  int live_jobs_left = 0;
   int live_jobs_max = 0;  ///< peak records held, sampled at each retirement
 };
 
@@ -126,7 +126,7 @@ Replay replay(const std::vector<TracedJob>& jobs,
   simulator.run();
   out.metrics = scheduler.metrics();
   out.events_executed = simulator.events_executed();
-  out.live_jobs_at_end = scheduler.live_jobs();
+  out.live_jobs_left = scheduler.live_jobs();
   return out;
 }
 
@@ -208,9 +208,9 @@ TEST(ClosedReplayRetirement, ChangesNoResult) {
 
       // Not vacuous: the kept replay holds every record, the retiring one
       // none at the end and never all of them at once.
-      EXPECT_EQ(kept.live_jobs_at_end, static_cast<int>(jobs.size()))
+      EXPECT_EQ(kept.live_jobs_left, static_cast<int>(jobs.size()))
           << label;
-      EXPECT_EQ(retired.live_jobs_at_end, 0) << label;
+      EXPECT_EQ(retired.live_jobs_left, 0) << label;
       EXPECT_GT(retired.live_jobs_max, 0) << label;
       EXPECT_LT(retired.live_jobs_max, static_cast<int>(jobs.size()))
           << label;

@@ -1,15 +1,19 @@
-// Sweep manifests: INI-subset parsing (sections, lists, quotes, comments,
-// line-numbered errors), semantic validation (axis bindings, policies,
+// Sweep manifests: INI-subset parsing (sections, lists, comments,
+// line-numbered errors), journal-fingerprint pins of the committed
+// manifests, semantic validation (axis bindings, policies,
 // adaptive config), and an end-to-end run of manifest-built hooks through
 // the engine.
 #include "exp/manifest.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "exp/checkpoint.h"
 #include "exp/report.h"
 #include "exp/sweep.h"
 
@@ -78,15 +82,14 @@ TEST(Manifest, ParsesTheFig3Grid) {
   EXPECT_EQ(manifest.outputs.journal, "out.journal");
 }
 
-TEST(Manifest, ParsesAdaptiveAndQuotedLabels) {
+TEST(Manifest, ParsesAdaptive) {
   const Manifest manifest = parse_manifest(R"(
 [sweep]
 policies = s-resume
 replications = 2
 
 [axis.workload]
-values = 0, 1
-labels = "Sort, heavy", WordCount
+values = 0, 1,
 
 [adaptive]
 metric = cost
@@ -95,9 +98,9 @@ batch = 3
 max_replications = 12
 )");
   ASSERT_EQ(manifest.spec.axes.size(), 1u);
-  ASSERT_EQ(manifest.spec.axes[0].labels.size(), 2u);
-  EXPECT_EQ(manifest.spec.axes[0].labels[0], "Sort, heavy");
-  EXPECT_EQ(manifest.spec.axes[0].labels[1], "WordCount");
+  // One trailing comma is allowed.
+  EXPECT_EQ(manifest.spec.axes[0].values, (std::vector<double>{0.0, 1.0}));
+  EXPECT_TRUE(manifest.spec.axes[0].labels.empty());
   EXPECT_TRUE(manifest.spec.adaptive.enabled());
   EXPECT_EQ(manifest.spec.adaptive.metric, "cost");
   EXPECT_DOUBLE_EQ(manifest.spec.adaptive.target_ci95, 0.5);
@@ -156,9 +159,10 @@ TEST(Manifest, RejectsBadInput) {
   expect_parse_error(
       "[sweep]\npolicies = clone\n[axis.x]\nvalues = 1, banana\n",
       "not a number");
-  expect_parse_error(
-      "[sweep]\npolicies = clone\n[axis.x]\nvalues = 1, 2\nlabels = a\n",
-      "2 values but 1 labels");
+  expect_parse_error("[sweep]\npolicies = clone\n[axis.x]\nvalues = 1,,2\n",
+                     "manifest line 4: empty list item");
+  expect_parse_error("[sweep]\npolicies = clone\n[axis.x]\nvalues = ,\n",
+                     "manifest line 4: empty list item");
   expect_parse_error(
       "[sweep]\npolicies = clone\n[planner]\ntheta = @missing\n",
       "binds to an axis that does not exist");
@@ -304,11 +308,64 @@ TEST(Manifest, SeedsParseExactlyAbove2Pow53) {
                      "not an integer");
 }
 
-TEST(Manifest, RejectsStrayTextAfterClosingQuote) {
+TEST(Manifest, RejectsModesAndGrammarNoWorkloadSets) {
+  // Every open-system run drains and applies admission control, axis
+  // labels are set only in code, and list items are never quoted. Each
+  // fails at its own line.
+  const std::string open =
+      "[sweep]\npolicies = clone\n[arrivals]\nrate = 0.1\n";
+  expect_parse_error(open + "drain = off\n",
+                     "manifest line 5: arrivals drain must be on, got 'off'");
   expect_parse_error(
-      "[sweep]\npolicies = clone\n[axis.x]\nvalues = 1, 2\n"
-      "labels = \"a\"junk, b\n",
-      "after closing quote");
+      open + "admission = off\n",
+      "manifest line 5: arrivals admission must be on, got 'off'");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[axis.x]\nvalues = 1, 2\nlabels = a, b\n",
+      "manifest line 5: unknown key 'labels' in [axis.x]");
+  // A quote is an ordinary character: the item keeps it and fails its
+  // key's own parse, and a '#' inside quotes still starts a comment.
+  expect_parse_error("[sweep]\npolicies = \"clone\", mantri\n",
+                     "manifest line 2: unknown policy '\"clone\"'");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[axis.x]\nvalues = \"1\", 2\n",
+      "manifest line 4: axis value '\"1\"' is not a number");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[axis.x]\nvalues = 1\n"
+      "[stage.1]\ntasks = 2\nt_min = 3\nbeta = 1.5\ndeps = \"0\"\n",
+      "manifest line 9: stage dep '\"0\"' is not an integer");
+  expect_parse_error("[sweep]\npolicies = \"clone # x\"\n",
+                     "manifest line 2: unknown policy '\"clone'");
+  // `on` still parses, and so does an absent key.
+  EXPECT_TRUE(parse_manifest(open + "drain = on\nadmission = on\n")
+                  .arrivals.has_value());
+  EXPECT_TRUE(parse_manifest(open).arrivals.has_value());
+}
+
+TEST(Manifest, CommittedManifestFingerprintsArePinned) {
+  // spec_fingerprint(spec, journal_salt) of every committed manifest. A
+  // row that moves invalidates every journal written for that manifest,
+  // so a change to the parser or its salt must keep these.
+  const std::map<std::string, std::string> pinned = {
+      {"dag_pipeline.ini", "743c2f22fbde76d"},
+      {"fig3_theta.ini", "9f269dfd5f02c4e9"},
+      {"fig4_beta.ini", "7e4fb99bbba6f983"},
+      {"open_system.ini", "fbe4724d23307794"},
+      {"open_system_cached.ini", "305fd5cb96f5aace"},
+      {"sweep_scaling.ini", "585715d94c1bf01a"},
+      {"table1_tau_est.ini", "c8ff2db873667853"},
+      {"table2_tau_kill.ini", "4d17e8618c67b688"},
+      {"tiny.ini", "34fd7905d942131f"}};
+  std::map<std::string, std::string> actual;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CHRONOS_MANIFEST_DIR)) {
+    if (entry.path().extension() == ".ini") {
+      const Manifest manifest = load_manifest(entry.path().string());
+      actual[entry.path().filename().string()] =
+          spec_fingerprint(manifest.spec, manifest.journal_salt);
+    }
+  }
+  // A new manifest needs its own row here.
+  EXPECT_EQ(actual, pinned);
 }
 
 TEST(Manifest, ParsesAndValidatesTheShardSection) {
@@ -422,10 +479,8 @@ r_min = 0.1
 rate = 0.05
 duration_hours = 0.5
 warm_up_hours = 0.1
-drain = off
 plan = auto
 plan_cache = quantized:0.05
-admission = off
 nodes = @nodes
 containers = 4
 
@@ -537,10 +592,8 @@ TEST_F(ManifestSalt, EveryOpenTemplateKeyChangesTheSalt) {
        {"rate = 0.05", "rate = 0.06"},
        {"duration_hours = 0.5", "duration_hours = 0.6"},
        {"warm_up_hours = 0.1", "warm_up_hours = 0.2"},
-       {"drain = off", "drain = on"},
        {"plan = auto", "plan = policy"},
        {"plan_cache = quantized:0.05", "plan_cache = quantized:0.1"},
-       {"admission = off", "admission = on"},
        {"nodes = @nodes", "nodes = 6"},
        {"containers = 4", "containers = 5"}});
   // A bound rate, and the other plan_cache modes.
@@ -622,8 +675,6 @@ TEST_F(ManifestSalt, IgnoresOutputsShardsKeyOrderAndComments) {
 }
 
 TEST_F(ManifestSalt, ExplicitDefaultsMatchAbsentKeys) {
-  EXPECT_EQ(salt_of(apply(open_, {"drain = off", "drain = on"})),
-            salt_of(apply(open_, {"drain = off", ""})));
   const std::string bare = "[sweep]\npolicies = clone\n";
   EXPECT_EQ(salt_of(bare + "[planner]\ntheta = 1e-4\ntau_est_factor = 0.3\n"
                            "tau_kill_factor = 0.8\n"

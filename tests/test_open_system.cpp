@@ -53,7 +53,6 @@ OpenSystemConfig base_config(double rate, int nodes, int containers) {
   config.workload.jvm_jitter = 0.0;
   config.policy = strategies::PolicyKind::kHadoopNS;
   config.planner.r_min_from_baseline = false;
-  config.admission.enabled = false;
   config.cluster = sim::ClusterConfig::uniform(
       nodes, sim::NodeConfig{.speed = 1.0, .containers = containers});
   config.duration = 4000.0;
@@ -109,7 +108,17 @@ TEST(OpenSystemLaws, LittlesLaw) {
 TEST(OpenSystemLaws, MissRateMonotoneInArrivalRate) {
   // Same seed, same 16-container cluster, increasing offered rate: queueing
   // delay grows with rho, so the deadline-miss rate must not decrease
-  // (small slack for sampling noise between independent runs).
+  // (small slack for sampling noise between independent runs). Each job's
+  // deadline is 2 x 20/3 = 13.3 s; a task overruns it with probability
+  // 0.3^2.5 = 0.049, so an unqueued 8-task job misses with probability
+  // 1 - 0.951^8 = 0.33 (0.38 and 0.39 measured at 0.02/s and 0.1/s). At
+  // 0.4/s the offered load is 0.4 x 53.3 / 16 = 1.33 times capacity.
+  // Admission control rejects a job once the backlog plus its 8 tasks
+  // would pass 4 x 16 = 64, so the queue stays near that cap (45 pending
+  // requests on average at seed 7) instead of growing without bound. A job
+  // admitted behind ~50 tasks drained at 16 / (20/3) = 2.4 tasks/s waits
+  // about 20 s, past its deadline, so the miss rate rises towards 1 (0.97
+  // measured), far above the slack.
   double previous = -1.0;
   for (const double rate : {0.02, 0.1, 0.4}) {
     auto config = base_config(rate, 4, 4);
@@ -122,39 +131,23 @@ TEST(OpenSystemLaws, MissRateMonotoneInArrivalRate) {
 
 TEST(OpenSystemLaws, ConservationWithDrain) {
   auto config = base_config(0.4, 4, 4);
-  config.admission.enabled = true;
   const auto result = sim::run_open_system(config);
+  EXPECT_GT(result.rejected, 0u);
   EXPECT_EQ(result.arrivals, result.admitted + result.rejected);
-  EXPECT_EQ(result.admitted, result.completed + result.in_flight_at_end);
-  // drain = true runs the event loop dry: nothing may remain in flight.
-  EXPECT_EQ(result.in_flight_at_end, 0u);
+  // The event loop runs dry: every admitted job completes.
+  EXPECT_EQ(result.admitted, result.completed);
   EXPECT_GE(result.end_time, config.duration);
-}
-
-TEST(OpenSystemLaws, ConservationWithHardStop) {
-  // Overloaded and hard-stopped: jobs must be cut off mid-flight and still
-  // balance exactly.
-  auto config = base_config(1.0, 2, 4);
-  config.drain = false;
-  const auto result = sim::run_open_system(config);
-  EXPECT_EQ(result.arrivals, result.admitted + result.rejected);
-  EXPECT_EQ(result.admitted, result.completed + result.in_flight_at_end);
-  EXPECT_GT(result.in_flight_at_end, 0u);
-  EXPECT_DOUBLE_EQ(result.end_time, config.duration);
 }
 
 // --- bounded memory ---------------------------------------------------------
 
 TEST(OpenSystemMemory, CompletedJobsLeaveNoSchedulerRecord) {
-  auto config = base_config(1.0, 2, 4);
-  const auto drained = sim::run_open_system(config);
-  EXPECT_GT(drained.completed, 100u);
-  EXPECT_EQ(drained.live_jobs_at_end, 0u);
-  // Hard stop: exactly the jobs still in flight hold a record.
-  config.drain = false;
-  const auto stopped = sim::run_open_system(config);
-  EXPECT_GT(stopped.in_flight_at_end, 0u);
-  EXPECT_EQ(stopped.live_jobs_at_end, stopped.in_flight_at_end);
+  // run_open_system ensures on return that the scheduler holds no live
+  // record; an overloaded run must get there too.
+  const auto result = sim::run_open_system(base_config(1.0, 2, 4));
+  EXPECT_GT(result.completed, 100u);
+  EXPECT_GT(result.live_jobs_max, 0u);
+  EXPECT_LE(result.live_jobs_max, result.in_flight_max);
 }
 
 TEST(OpenSystemMemory, LiveRecordsTrackInFlightNotHorizon) {
@@ -163,7 +156,6 @@ TEST(OpenSystemMemory, LiveRecordsTrackInFlightNotHorizon) {
   for (const double horizon : {2000.0, 8000.0}) {
     auto config = base_config(0.3, 4, 4);
     config.policy = strategies::PolicyKind::kSResume;
-    config.admission.enabled = true;
     config.duration = horizon;
     const auto result = sim::run_open_system(config);
     EXPECT_GT(result.completed, 10 * result.in_flight_max) << horizon;
@@ -179,7 +171,6 @@ TEST(OpenSystemAdmission, OverloadTriggersRejectAndDegrade) {
   // backlog cap must reject and the headroom rule must degrade.
   auto config = base_config(0.8, 2, 4);
   config.policy = strategies::PolicyKind::kSResume;
-  config.admission.enabled = true;
   const auto result = sim::run_open_system(config);
   EXPECT_GT(result.rejected, 0u);
   EXPECT_GT(result.degraded, 0u);
@@ -189,25 +180,20 @@ TEST(OpenSystemAdmission, OverloadTriggersRejectAndDegrade) {
             result.admitted);
 }
 
-TEST(OpenSystemAdmission, DisabledAdmitsEverything) {
-  auto config = base_config(0.8, 2, 4);
-  config.policy = strategies::PolicyKind::kSResume;
-  config.admission.enabled = false;
-  const auto result = sim::run_open_system(config);
-  EXPECT_EQ(result.rejected, 0u);
-  EXPECT_EQ(result.degraded, 0u);
-  EXPECT_EQ(result.admitted, result.arrivals);
-}
-
 TEST(OpenSystemAdmission, ControllerDoesNotPerturbArrivalStream) {
-  // The admission decision must not consume randomness: the same seed sees
-  // the same arrival count whether or not the controller is on.
-  auto on = base_config(0.8, 2, 4);
-  on.admission.enabled = true;
-  auto off = on;
-  off.admission.enabled = false;
-  EXPECT_EQ(sim::run_open_system(on).arrivals,
-            sim::run_open_system(off).arrivals);
+  // The admission decision must not consume randomness: with the same seed,
+  // a small and a larger cluster reject different numbers of jobs yet see
+  // the same arrival stream.
+  auto small = base_config(0.8, 2, 4);
+  small.policy = strategies::PolicyKind::kSResume;
+  auto large = small;
+  large.cluster = sim::ClusterConfig::uniform(
+      4, sim::NodeConfig{.speed = 1.0, .containers = 4});
+  const auto a = sim::run_open_system(small);
+  const auto b = sim::run_open_system(large);
+  EXPECT_NE(a.rejected, b.rejected);
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.window_arrivals, b.window_arrivals);
 }
 
 TEST(OpenSystemAdmission, DegradeCountsEveryStagesSpeculation) {
@@ -216,25 +202,23 @@ TEST(OpenSystemAdmission, DegradeCountsEveryStagesSpeculation) {
   // with heavy speculation sailed through undegraded. One map task with
   // r = 0 but 100 reduce tasks at r = 5 demands 500 speculative
   // containers — far beyond any headroom — and must degrade.
-  sim::AdmissionConfig admission;
-  admission.enabled = true;
   mapreduce::JobSpec spec;
   spec.stage(0).num_tasks = 1;
   spec.stage(0).r = 0;
   spec.stages.push_back({.num_tasks = 100, .r = 5, .deps = {}});
-  EXPECT_EQ(sim::admission_decide(admission, spec, /*backlog=*/0.0,
+  EXPECT_EQ(sim::admission_decide(spec, /*backlog=*/0.0,
                                   /*idle_containers=*/8.0,
                                   /*total_containers=*/1000.0),
             sim::AdmissionDecision::kDegrade);
   // The same job with the reduce stage's speculation turned off fits.
   spec.stage(1).r = 0;
-  EXPECT_EQ(sim::admission_decide(admission, spec, 0.0, 8.0, 1000.0),
+  EXPECT_EQ(sim::admission_decide(spec, 0.0, 8.0, 1000.0),
             sim::AdmissionDecision::kAdmit);
   // Map-only jobs behave exactly as before the fix.
   mapreduce::JobSpec map_only;
   map_only.stage(0).num_tasks = 1;
   map_only.stage(0).r = 3;
-  EXPECT_EQ(sim::admission_decide(admission, map_only, 0.0, 8.0, 1000.0),
+  EXPECT_EQ(sim::admission_decide(map_only, 0.0, 8.0, 1000.0),
             sim::AdmissionDecision::kAdmit);
 }
 
@@ -243,7 +227,6 @@ TEST(OpenSystemAdmission, DegradeCountsEveryStagesSpeculation) {
 TEST(OpenSystemDeterminism, SameSeedSameResult) {
   auto config = base_config(0.3, 4, 4);
   config.policy = strategies::PolicyKind::kSResume;
-  config.admission.enabled = true;
   const auto a = sim::run_open_system(config);
   const auto b = sim::run_open_system(config);
   EXPECT_EQ(a.arrivals, b.arrivals);
@@ -321,7 +304,6 @@ TEST(OpenSystemPlanCache, ExactModeIsBitIdenticalToOff) {
   off.auto_strategy = true;
   off.workload.t_min_lo = 2.0;
   off.workload.t_min_hi = 12.0;
-  off.admission.enabled = true;
   auto exact = off;
   exact.plan_cache.mode = serve::CacheMode::kExact;
   const auto a = sim::run_open_system(off);
@@ -345,7 +327,7 @@ TEST(OpenSystemPlanCache, QuantizedModeHitsAndConserves) {
   EXPECT_GT(result.plan_cache_hits, 0u);
   EXPECT_EQ(result.plan_cache_hits + result.plan_cache_misses,
             result.arrivals);
-  EXPECT_EQ(result.admitted, result.completed + result.in_flight_at_end);
+  EXPECT_EQ(result.admitted, result.completed);
 }
 
 // --- arrival pricing --------------------------------------------------------
@@ -388,7 +370,6 @@ TEST(OpenSystemArrivals, PoissonCountWithinFourSigma) {
   auto config = base_config(1.0, 16, 8);
   config.duration = 2500.0;
   config.warm_up = 1250.0;
-  config.drain = false;
   const auto result = sim::run_open_system(config);
   EXPECT_GT(result.arrivals, 2300u);
   EXPECT_LT(result.arrivals, 2700u);

@@ -104,7 +104,7 @@ TEST(Scheduler, AllContainersReleasedAtEnd) {
   Rig rig;
   rig.scheduler.submit(small_job(16));
   rig.simulator.run();
-  EXPECT_EQ(rig.cluster.busy_containers(), 0);
+  EXPECT_EQ(rig.cluster.idle_containers(), rig.cluster.total_containers());
   EXPECT_EQ(rig.cluster.pending_requests(), 0u);
 }
 
@@ -204,12 +204,11 @@ TEST(Scheduler, SiblingAttemptsKilledOnTaskCompletion) {
   EXPECT_EQ(job.attempts_killed, 6);  // 2 losers per task
   for (int t = 0; t < job.spec.total_tasks(); ++t) {
     int finished = 0;
-    for (const int id : job.attempts_of(t)) {
-      finished +=
-          job.attempts[static_cast<std::size_t>(id)].state ==
-                  AttemptState::kFinished
-              ? 1
-              : 0;
+    for (const auto& attempt : job.attempts) {
+      finished += attempt.task_index == t &&
+                          attempt.state == AttemptState::kFinished
+                      ? 1
+                      : 0;
     }
     EXPECT_EQ(finished, 1);
   }
@@ -317,13 +316,15 @@ TEST(Scheduler, SiblingListsHoldEachTasksAttemptsInIdOrder) {
       }
     }
     std::vector<int> walked;
-    for (const int id : job.attempts_of(t)) {
+    for (int id = job.tasks[static_cast<std::size_t>(t)].first_attempt;
+         id >= 0;
+         id = job.attempts[static_cast<std::size_t>(id)].next_sibling) {
       walked.push_back(id);
     }
     EXPECT_EQ(walked, expected) << "task " << t;
     EXPECT_EQ(job.tasks[static_cast<std::size_t>(t)].last_attempt,
               expected.back());
-    EXPECT_TRUE(job.active_attempts_of(t).empty()) << "task " << t;
+    EXPECT_TRUE(job.active_attempts(t).empty()) << "task " << t;
   }
 }
 

@@ -161,7 +161,9 @@ TEST(Clone, LaunchesRPlusOneCopiesPerTask) {
   const auto& job = run.job();
   EXPECT_EQ(job.attempts_launched, 6 * 3);
   for (int t = 0; t < job.spec.total_tasks(); ++t) {
-    EXPECT_EQ(job.attempts_of(t).size(), 3u);
+    EXPECT_EQ(std::count_if(job.attempts.begin(), job.attempts.end(),
+                            [t](const auto& a) { return a.task_index == t; }),
+              3);
   }
 }
 
@@ -171,9 +173,9 @@ TEST(Clone, ExactlyOneSurvivorPerTask) {
   EXPECT_EQ(job.attempts_killed, 6 * 2);
   for (int t = 0; t < job.spec.total_tasks(); ++t) {
     int finished = 0;
-    for (const int id : job.attempts_of(t)) {
-      finished += job.attempts[static_cast<std::size_t>(id)].state ==
-                          AttemptState::kFinished
+    for (const auto& attempt : job.attempts) {
+      finished += attempt.task_index == t &&
+                          attempt.state == AttemptState::kFinished
                       ? 1
                       : 0;
     }
@@ -349,7 +351,9 @@ TEST(RetiredJobs, TimersFiringAfterRetirementAreNoOps) {
         << to_string(kind);
     EXPECT_EQ(outcome.machine_time, kept.job().machine_time)
         << to_string(kind);
-    EXPECT_EQ(retiring.cluster.busy_containers(), 0) << to_string(kind);
+    EXPECT_EQ(retiring.cluster.idle_containers(),
+              retiring.cluster.total_containers())
+        << to_string(kind);
   }
 }
 
@@ -382,7 +386,7 @@ TEST(RetiredJobs, GrantForKilledQueuedAttemptReturnsTheContainer) {
   run.simulator.run();
 
   EXPECT_EQ(run.scheduler.live_jobs(), 0);
-  EXPECT_EQ(run.cluster.busy_containers(), 0);
+  EXPECT_EQ(run.cluster.idle_containers(), run.cluster.total_containers());
   EXPECT_EQ(run.cluster.pending_requests(), 0u);
   const auto& outcomes = run.scheduler.metrics().outcomes();
   ASSERT_EQ(outcomes.size(), 3u);
