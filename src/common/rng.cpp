@@ -17,10 +17,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -28,23 +24,6 @@ Rng::Rng(std::uint64_t seed) {
   for (auto& word : state_) {
     word = splitmix64(s);
   }
-}
-
-std::uint64_t Rng::operator()() {
-  const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // Top 53 bits -> double in [0, 1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -65,11 +44,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
     v = (*this)();
   }
   return lo + static_cast<std::int64_t>(v % span);
-}
-
-double Rng::uniform_complement() {
-  // 1 - uniform() is in (0, 1], so logs and negative powers stay finite.
-  return 1.0 - uniform();
 }
 
 double Rng::exponential(double rate) {

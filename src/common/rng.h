@@ -26,10 +26,23 @@ class Rng {
   static constexpr result_type max() { return ~std::uint64_t{0}; }
 
   /// Next raw 64-bit output.
-  std::uint64_t operator()();
+  std::uint64_t operator()() {
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double uniform();
+  double uniform() {
+    // Top 53 bits -> double in [0, 1).
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi). Requires lo <= hi.
   double uniform(double lo, double hi);
@@ -68,8 +81,12 @@ class Rng {
 
   /// Uniform in (0, 1]; the complement of uniform(), shared by the
   /// inverse-CDF samplers so their streams match the Rng::* methods bit for
-  /// bit.
-  double uniform_complement();
+  /// bit. Logs and negative powers of it stay finite.
+  double uniform_complement() { return 1.0 - uniform(); }
+
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
 
   std::array<std::uint64_t, 4> state_;
 };

@@ -38,6 +38,19 @@ struct Sample {
   double noise = kInf;
 };
 
+/// The memo's storage, kept per thread across optimize() calls so that a
+/// search allocates only when it outgrows every earlier one on its thread.
+/// At most one Objective uses it at a time: no search nests another.
+struct MemoStorage {
+  std::vector<Sample> dense;
+  std::vector<std::pair<long long, Sample>> probes;
+};
+
+MemoStorage& thread_memo() {
+  thread_local MemoStorage storage;
+  return storage;
+}
+
 /// Memoizing objective over a precomputed AnalyticContext. The guarded
 /// ternary search revisits probe points when the bracket shrinks; the memo
 /// guarantees each distinct r is evaluated exactly once (evaluations()),
@@ -46,14 +59,18 @@ struct Sample {
 /// Two flat stores replace a hash map: `dense_` holds U(0 .. n-1), the
 /// contiguous prefix that the ascending scans fill in order, and `probes_`
 /// holds the few gallop and ternary-search points beyond it (searched
-/// linearly).
+/// linearly). Both live in the thread's MemoStorage.
 class Objective {
  public:
   Objective(const AnalyticContext& context, std::size_t dense_hint)
       : context_(context),
         pocd_noise_(kNoiseUlps * std::numeric_limits<double>::epsilon() *
                     context.params().num_tasks /
-                    (1.0 - kernels::straggler_probability(context.params()))) {
+                    (1.0 - kernels::straggler_probability(context.params()))),
+        dense_(thread_memo().dense),
+        probes_(thread_memo().probes) {
+    dense_.clear();
+    probes_.clear();
     dense_.reserve(dense_hint);
     probes_.reserve(kProbeHint);
   }
@@ -133,8 +150,8 @@ class Objective {
   /// Relative rounding error bound of R: kNoiseUlps * N ulps / (1 - y),
   /// with 1 - y bounded below by 1 - P(T > D).
   const double pocd_noise_;
-  std::vector<Sample> dense_;
-  std::vector<std::pair<long long, Sample>> probes_;
+  std::vector<Sample>& dense_;
+  std::vector<std::pair<long long, Sample>>& probes_;
   UtilityPoint best_{};
   std::int64_t lookups_ = 0;
 };

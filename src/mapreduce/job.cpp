@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <utility>
 
 #include "common/error.h"
 
@@ -43,6 +44,18 @@ void JobSpec::validate() const {
       }
     }
   }
+}
+
+void JobRecord::clear_for_reuse() {
+  // Every field not named here takes its default. Naming the stage list
+  // also keeps a fresh JobSpec from allocating its default StageSpec.
+  JobRecord cleared{.spec = {.stages = std::move(spec.stages)},
+                    .tasks = std::move(tasks),
+                    .attempts = {},
+                    .stage_states = std::move(stage_states)};
+  cleared.tasks.clear();
+  cleared.stage_states.clear();
+  *this = std::move(cleared);
 }
 
 double AttemptRecord::true_progress(double now) const {

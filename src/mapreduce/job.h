@@ -15,7 +15,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -43,6 +43,25 @@ struct StageSpec {
   std::vector<int> deps;
 
   friend bool operator==(const StageSpec&, const StageSpec&) = default;
+};
+
+/// A stage's resolved predecessors (JobSpec::resolved_deps) without a copy:
+/// a view of an explicit deps list, or the barrier chain's one predecessor
+/// held inline. Iterates like a span of ints.
+class StageDeps {
+ public:
+  StageDeps() = default;
+  explicit StageDeps(std::span<const int> list) : list_(list) {}
+  explicit StageDeps(int chain) : chain_(chain), chained_(true) {}
+
+  const int* begin() const { return chained_ ? &chain_ : list_.data(); }
+  const int* end() const { return begin() + size(); }
+  std::size_t size() const { return chained_ ? 1 : list_.size(); }
+
+ private:
+  std::span<const int> list_;
+  int chain_ = 0;
+  bool chained_ = false;
 };
 
 /// Static description of one job, produced by the workload/trace generators.
@@ -95,14 +114,12 @@ struct JobSpec {
 
   /// The stage's predecessors with the barrier-chain default applied:
   /// explicit deps when given, otherwise {s - 1} (and {} for stage 0).
-  std::vector<int> resolved_deps(int s) const {
+  /// A view, not a copy: valid while the spec lives unchanged.
+  StageDeps resolved_deps(int s) const {
     if (!stage(s).deps.empty()) {
-      return stage(s).deps;
+      return StageDeps(stage(s).deps);
     }
-    if (s == 0) {
-      return {};
-    }
-    return {s - 1};
+    return s == 0 ? StageDeps() : StageDeps(s - 1);
   }
 
   void validate() const;
@@ -283,7 +300,20 @@ class IncompleteTasks {
   int last_;
 };
 
-/// Runtime state of a submitted job.
+/// Runtime state of one stage of a submitted job.
+struct StageState {
+  /// Pre-validated duration sampler, built once at submission so the
+  /// per-attempt hot path skips parameter validation and exponent
+  /// derivation (draws stay bit-identical to Rng::pareto).
+  ParetoSampler sampler;
+  double start_time = 0.0;  ///< absolute; valid once started
+  int tasks_completed = 0;
+  bool started = false;
+};
+
+/// Runtime state of a submitted job. The scheduler recycles records: a
+/// retired job's record is cleared (clear_for_reuse) and the next
+/// submission copy-assigns into the storage it kept.
 struct JobRecord {
   JobSpec spec;
   /// The policy the job was submitted under; every hook for the job goes
@@ -295,14 +325,8 @@ struct JobRecord {
   int tasks_completed = 0;
   bool done = false;
 
-  // Per-stage runtime state, parallel to spec.stages.
-  std::vector<std::uint8_t> stage_started;
-  std::vector<double> stage_start_time;  ///< absolute; valid once started
-  std::vector<int> stage_tasks_completed;
-  /// Pre-validated duration samplers, built once at submission so the
-  /// per-attempt hot path skips parameter validation and exponent
-  /// derivation (draws stay bit-identical to Rng::pareto).
-  std::vector<ParetoSampler> stage_samplers;
+  /// Per-stage runtime state, parallel to spec.stages.
+  std::vector<StageState> stage_states;
 
   double completion_time = 0.0;  ///< relative to submission
   double machine_time = 0.0;     ///< accrued VM seconds
@@ -334,9 +358,16 @@ struct JobRecord {
   int stage_of_task(int task) const { return spec.stage_of_task(task); }
 
   bool stage_done(int s) const {
-    return stage_tasks_completed[static_cast<std::size_t>(s)] ==
+    return stage_states[static_cast<std::size_t>(s)].tasks_completed ==
            spec.stage(s).num_tasks;
   }
+
+  /// Returns every field to its default for a later submission, keeping
+  /// the storage of spec.stages (the StageSpec elements themselves, so
+  /// their deps lists keep theirs too; their values are stale until the
+  /// next copy-assign), tasks and stage_states. The attempt table is
+  /// released: the largest a slot ever held would otherwise stay pinned.
+  void clear_for_reuse();
 };
 
 }  // namespace chronos::mapreduce

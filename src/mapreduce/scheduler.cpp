@@ -34,7 +34,7 @@ void Scheduler::retire_completed_jobs(RetireObserver on_retire) {
 void Scheduler::compact_job(int job) {
   CHRONOS_EXPECTS(job_mut(job).done, "compact_job requires a completed job");
   std::uint32_t& slot = slot_of_[static_cast<std::size_t>(job)];
-  records_[slot] = JobRecord{};
+  records_[slot].clear_for_reuse();
   free_slots_.push_back(slot);
   slot = kRetired;
 }
@@ -77,21 +77,6 @@ int Scheduler::submit(const JobSpec& spec) {
 int Scheduler::submit(const JobSpec& spec, SpeculationPolicy& policy) {
   spec.validate();
   const int job_index = num_jobs();
-  JobRecord record;
-  record.spec = spec;
-  record.policy = &policy;
-  record.submit_time = simulator_.now();
-  // Tasks are laid out stage-major: stage s owns
-  // [first_task(s), first_task(s) + stage(s).num_tasks).
-  record.tasks.resize(static_cast<std::size_t>(spec.total_tasks()));
-  const auto stages = static_cast<std::size_t>(spec.num_stages());
-  record.stage_started.assign(stages, 0);
-  record.stage_start_time.assign(stages, 0.0);
-  record.stage_tasks_completed.assign(stages, 0);
-  record.stage_samplers.reserve(stages);
-  for (const StageSpec& st : spec.stages) {
-    record.stage_samplers.emplace_back(st.t_min, st.beta);
-  }
   // Capacity hint: every task gets its stage's initial attempts (one
   // finish/crash event each) plus up to its stage's r speculative ones.
   // Crash retries can still exceed this; both containers grow
@@ -102,15 +87,29 @@ int Scheduler::submit(const JobSpec& spec, SpeculationPolicy& policy) {
     event_hint += static_cast<std::size_t>(spec.stage(s).num_tasks) *
                   static_cast<std::size_t>(copies + spec.stage(s).r);
   }
-  record.attempts.reserve(event_hint);
+  std::uint32_t slot;
   if (free_slots_.empty()) {
-    slot_of_.push_back(static_cast<std::uint32_t>(records_.size()));
-    records_.push_back(std::move(record));
+    slot = static_cast<std::uint32_t>(records_.size());
+    records_.emplace_back();
   } else {
-    slot_of_.push_back(free_slots_.back());
+    slot = free_slots_.back();
     free_slots_.pop_back();
-    records_[slot_of_.back()] = std::move(record);
   }
+  slot_of_.push_back(slot);
+  // A recycled record was cleared at retirement and kept its storage, so
+  // the copy-assign and the fills below allocate only what outgrows it.
+  JobRecord& record = records_[slot];
+  record.spec = spec;
+  record.policy = &policy;
+  record.submit_time = simulator_.now();
+  // Tasks are laid out stage-major: stage s owns
+  // [first_task(s), first_task(s) + stage(s).num_tasks).
+  record.tasks.resize(static_cast<std::size_t>(spec.total_tasks()));
+  for (const StageSpec& st : spec.stages) {
+    record.stage_states.push_back(
+        StageState{.sampler = ParetoSampler(st.t_min, st.beta)});
+  }
+  record.attempts.reserve(event_hint);
 
   simulator_.reserve_events(event_hint);
   start_stage(job_index, 0);
@@ -120,8 +119,9 @@ int Scheduler::submit(const JobSpec& spec, SpeculationPolicy& policy) {
 
 void Scheduler::start_stage(int job, int stage) {
   auto& record = job_mut(job);
-  record.stage_started[static_cast<std::size_t>(stage)] = 1;
-  record.stage_start_time[static_cast<std::size_t>(stage)] = simulator_.now();
+  StageState& state = record.stage_states[static_cast<std::size_t>(stage)];
+  state.started = true;
+  state.start_time = simulator_.now();
   SpeculationPolicy& policy = *record.policy;
   const int copies = std::max(1, policy.initial_attempts(record.spec, stage));
   const int first = record.spec.first_task(stage);
@@ -142,7 +142,7 @@ void Scheduler::start_stage(int job, int stage) {
 void Scheduler::maybe_start_stages(int job) {
   auto& record = job_mut(job);
   for (int s = 1; s < record.spec.num_stages(); ++s) {
-    if (record.stage_started[static_cast<std::size_t>(s)]) {
+    if (record.stage_states[static_cast<std::size_t>(s)].started) {
       continue;
     }
     bool ready = true;
@@ -210,8 +210,10 @@ void Scheduler::on_container_granted(int job, int attempt_id, int node) {
   // Total execution time of a full-split attempt follows the stage's Pareto
   // law, scaled by the node's contention slowdown (§VII-A observed the
   // combined distribution is Pareto with beta < 2).
-  const ParetoSampler& stage = record.stage_samplers[static_cast<std::size_t>(
-      record.stage_of_task(attempt.task_index))];
+  const ParetoSampler& stage =
+      record.stage_states[static_cast<std::size_t>(
+                              record.stage_of_task(attempt.task_index))]
+          .sampler;
   const double slowdown = cluster_.sample_slowdown(node, rng_);
   const double total = stage(rng_) * slowdown;
   double jvm = 0.0;
@@ -312,7 +314,7 @@ void Scheduler::complete_task(int job, int task, int winner_attempt) {
   task_record.completion_time = simulator_.now() - record.submit_time;
   ++record.tasks_completed;
   const int stage = record.stage_of_task(task);
-  ++record.stage_tasks_completed[static_cast<std::size_t>(stage)];
+  ++record.stage_states[static_cast<std::size_t>(stage)].tasks_completed;
   // A barrier can only clear when one of its predecessor stages finishes.
   const bool stage_finished = record.stage_done(stage);
   // Hadoop kills the remaining attempts of a completed task (the winner

@@ -1,9 +1,9 @@
 #include "serve/planner.h"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
-#include <utility>
+#include <limits>
+#include <string_view>
 
 #include "common/error.h"
 #include "common/numeric.h"
@@ -33,6 +33,21 @@ CachedPlan cached_plan(const mapreduce::JobSpec& spec,
   return cached;
 }
 
+/// quantize_bucket with log1p(grid) given as `log_ratio`, so a key of
+/// several values takes that logarithm once; the same bits either way.
+std::int64_t bucket_on_log_grid(double value, double log_ratio) {
+  if (value > 0.0 && std::isfinite(value)) {
+    return static_cast<std::int64_t>(std::floor(std::log(value) / log_ratio));
+  }
+  // The bit patterns of positive finite doubles are exactly 1 through
+  // 0x7FEF'FFFF'FFFF'FFFF, so this value's pattern lies outside that range.
+  // Shifted down by 2^62 (mod 2^64), it lies outside [1 - 2^62, 2^62 - 2^52),
+  // which holds every bucket index (below 2^50 in magnitude at any grid
+  // validate() accepts).
+  return static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value) -
+                                   (std::uint64_t{1} << 62));
+}
+
 }  // namespace
 
 void PlanCacheConfig::validate() const {
@@ -44,36 +59,41 @@ void PlanCacheConfig::validate() const {
 }
 
 std::int64_t quantize_bucket(double value, double grid) {
-  if (value > 0.0 && std::isfinite(value)) {
-    return static_cast<std::int64_t>(
-        std::floor(std::log(value) / std::log1p(grid)));
-  }
-  // The bit patterns of positive finite doubles are exactly 1 through
-  // 0x7FEF'FFFF'FFFF'FFFF, so this value's pattern lies outside that range.
-  // Shifted down by 2^62 (mod 2^64), it lies outside [1 - 2^62, 2^62 - 2^52),
-  // which holds every bucket index (below 2^50 in magnitude at any grid
-  // validate() accepts).
-  return static_cast<std::int64_t>(std::bit_cast<std::uint64_t>(value) -
-                                   (std::uint64_t{1} << 62));
+  return bucket_on_log_grid(value, std::log1p(grid));
 }
 
 PlannerService::PlannerService(PlannerServiceConfig config)
     : config_(config) {
   config_.cache.validate();
+  if (config_.cache.mode != CacheMode::kOff) {
+    // The memo never outgrows its cap, so it never rehashes.
+    memo_.reserve(kMaxCachedPlans);
+  }
 }
 
 PlanKey PlannerService::make_key(const PlanRequest& request) const {
+  PlanKey key;
+  encode_key(request, key);
+  return key;
+}
+
+void PlannerService::encode_key(const PlanRequest& request,
+                                PlanKey& key) const {
   const auto& spec = *request.spec;
   const bool quantized = config_.cache.mode == CacheMode::kQuantized;
-  const double grid = config_.cache.grid;
-  PlanKey key;
-  // Sized for a chain (one dep a stage); wider fan-ins regrow.
-  key.reserve(sizeof(std::int64_t) * (4 + 5 * spec.stages.size()));
+  const double log_ratio = std::log1p(config_.cache.grid);
+  key.clear();
   const auto word = [&key](std::int64_t value) {
-    key.append(reinterpret_cast<const char*>(&value), sizeof value);
+    // Zigzag maps small magnitudes of either sign to small codes.
+    auto code = (static_cast<std::uint64_t>(value) << 1) ^
+                static_cast<std::uint64_t>(value >> 63);
+    for (; code >= 0x80; code >>= 7) {
+      key.push_back(static_cast<char>(code | 0x80));
+    }
+    key.push_back(static_cast<char>(code));
   };
   const auto encode = [&](double value) {
-    word(quantized ? quantize_bucket(value, grid)
+    word(quantized ? bucket_on_log_grid(value, log_ratio)
                    : std::bit_cast<std::int64_t>(value));
   };
   word(request.auto_strategy ? static_cast<std::int64_t>(kAutoMode)
@@ -86,14 +106,23 @@ PlanKey PlannerService::make_key(const PlanRequest& request) const {
     word(st.num_tasks);
     encode(st.t_min);
     encode(st.beta);
-    auto deps = spec.resolved_deps(s);
-    std::sort(deps.begin(), deps.end());
+    const auto deps = spec.resolved_deps(s);
     word(static_cast<std::int64_t>(deps.size()));
-    for (const int dep : deps) {
-      word(dep);
+    // Ascending without a sorted copy: each pass takes the least dep above
+    // the last one written. Deps never repeat (JobSpec::validate), and a
+    // stage has few of them.
+    int last = -1;
+    for (std::size_t i = 0; i < deps.size(); ++i) {
+      int next = std::numeric_limits<int>::max();
+      for (const int dep : deps) {
+        if (dep > last && dep < next) {
+          next = dep;
+        }
+      }
+      word(next);
+      last = next;
     }
   }
-  return key;
 }
 
 PlanReply PlannerService::plan(const PlanRequest& request) {
@@ -103,10 +132,10 @@ PlanReply PlannerService::plan(const PlanRequest& request) {
   ++stats_.requests;
   auto& spec = *request.spec;
   const bool cached = config_.cache.mode != CacheMode::kOff;
-  PlanKey key;
   if (cached) {
-    key = make_key(request);
-    if (const auto hit = memo_.find(key); hit != memo_.end()) {
+    encode_key(request, key_);
+    if (const auto hit = memo_.find(std::string_view(key_));
+        hit != memo_.end()) {
       const CachedPlan& plan = hit->second;
       c_hits.add();
       ++stats_.hits;
@@ -121,7 +150,7 @@ PlanReply PlannerService::plan(const PlanRequest& request) {
                    config_.planner, request.price, scratch_);
   if (cached) {
     if (memo_.size() < kMaxCachedPlans) {
-      memo_.emplace(std::move(key), cached_plan(spec, scratch_));
+      memo_.emplace(key_, cached_plan(spec, scratch_));
       c_inserts.add();
       ++stats_.inserts;
       stats_.cache_size = memo_.size();

@@ -24,7 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -70,15 +72,19 @@ struct PlanCacheConfig {
 /// such value. Requires grid >= kMinQuantizeGrid.
 std::int64_t quantize_bucket(double value, double grid);
 
-/// Canonical key: one byte string of 8-byte words holding the planning
-/// mode plus every request field the plan depends on — stage count,
-/// deadline and price, then per stage num_tasks, t_min, beta, the number of
-/// resolved deps and those deps in ascending order. Continuous fields are
-/// bit patterns in kExact mode and quantize_bucket indices in kQuantized
-/// mode. The stage and dep counts make the encoding unambiguous, so two
-/// specs differing in any stage — shape or wiring — never share a key, at
-/// any width. PlannerConfig knobs (theta among them) are deliberately
-/// absent: they are fixed for the lifetime of a PlannerService.
+/// Canonical key: one byte string of words holding the planning mode plus
+/// every request field the plan depends on — stage count, deadline and
+/// price, then per stage num_tasks, t_min, beta, the number of resolved
+/// deps and those deps in ascending order. Continuous fields are bit
+/// patterns in kExact mode and quantize_bucket indices in kQuantized mode.
+/// Each word is a zigzag varint (7 bits a byte, high bit set on all but the
+/// last byte), so small words take one byte and a quantized single-stage
+/// key, about 12 bytes, fits std::string's inline buffer. Varints are
+/// self-delimiting and the stage and dep counts make the word sequence
+/// unambiguous, so two specs differing in any stage — shape or wiring —
+/// never share a key, at any width. PlannerConfig knobs (theta among them)
+/// are deliberately absent: they are fixed for the lifetime of a
+/// PlannerService.
 using PlanKey = std::string;
 
 /// Mode word of the key for auto-strategy (optimize_all) requests; fixed
@@ -157,8 +163,23 @@ class PlannerService {
   PlanKey make_key(const PlanRequest& request) const;
 
  private:
+  /// Hashes keys and their views alike, so a lookup by std::string_view
+  /// builds no PlanKey.
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+
+  /// Writes the request's key into `key`, replacing its contents.
+  void encode_key(const PlanRequest& request, PlanKey& key) const;
+
   PlannerServiceConfig config_;
-  std::unordered_map<PlanKey, CachedPlan> memo_;
+  std::unordered_map<PlanKey, CachedPlan, KeyHash, std::equal_to<>> memo_;
+  /// The current request's key; its storage is reused across requests, so
+  /// a memo hit allocates nothing.
+  PlanKey key_;
   PlannerServiceStats stats_;
   /// Scratch plan: its per-stage vectors keep their storage across
   /// requests, so plan_into allocates nothing per request.

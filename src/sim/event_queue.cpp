@@ -10,10 +10,11 @@ namespace chronos::sim {
 
 namespace {
 
-// Registered once at load; each update is a thread-local relaxed increment,
-// cheap enough for the schedule/pop fast paths (BM_EventQueueScheduleFire
-// guards the budget). Strictly observational: nothing here feeds back into
-// event order or timing.
+// Registered once at load. A queue counts its own traffic (Traffic) and
+// adds it here once, from its destructor, so the schedule/pop fast paths
+// never touch the registry, and the totals are read after the run that
+// owned the queue has ended. Strictly observational: nothing here feeds
+// back into event order or timing.
 const obs::Counter c_scheduled = obs::counter("sim.events_scheduled");
 const obs::Counter c_fired = obs::counter("sim.events_fired");
 const obs::Counter c_cancelled = obs::counter("sim.events_cancelled");
@@ -23,16 +24,25 @@ const obs::Gauge g_depth = obs::gauge("sim.queue_depth");
 
 }  // namespace
 
+EventQueue::~EventQueue() {
+  c_scheduled.add(traffic_.scheduled);
+  c_fired.add(traffic_.fired);
+  c_cancelled.add(traffic_.cancelled);
+  c_slots_new.add(traffic_.slots_new);
+  c_slots_reused.add(traffic_.slots_reused);
+  g_depth.update(traffic_.max_depth);
+}
+
 std::uint32_t EventQueue::acquire_slot(std::function<void()> fn) {
   std::uint32_t slot;
   if (free_head_ != 0) {
     slot = free_head_ - 1;
     free_head_ = slots_[slot].next_free;
-    c_slots_reused.add();
+    ++traffic_.slots_reused;
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
-    c_slots_new.add();
+    ++traffic_.slots_new;
   }
   slots_[slot].fn = std::move(fn);
   return slot;
@@ -101,8 +111,8 @@ EventId EventQueue::push(Time at, std::uint64_t seq,
   const std::uint32_t slot = acquire_slot(std::move(fn));
   heap_.emplace_back();
   sift_up(heap_.size() - 1, Entry{at, seq, slot});
-  c_scheduled.add();
-  g_depth.update(heap_.size());
+  ++traffic_.scheduled;
+  traffic_.max_depth = std::max(traffic_.max_depth, heap_.size());
   return EventId{static_cast<std::uint64_t>(slot) + 1,
                  slots_[slot].generation};
 }
@@ -125,7 +135,7 @@ bool EventQueue::cancel(EventId id) {
   }
   remove_at(slots_[slot].heap_pos);
   release_slot(static_cast<std::uint32_t>(slot));
-  c_cancelled.add();
+  ++traffic_.cancelled;
   return true;
 }
 
@@ -161,7 +171,7 @@ EventQueue::Fired EventQueue::pop() {
   CHRONOS_ENSURES(static_cast<bool>(slot.fn), "live event lost its callback");
   Fired fired{top.time, std::move(slot.fn)};
   release_slot(top.slot);
-  c_fired.add();
+  ++traffic_.fired;
   return fired;
 }
 

@@ -48,6 +48,13 @@ struct EventId {
 
 class EventQueue {
  public:
+  EventQueue() = default;
+  /// Adds the queue's traffic counts to the sim.* metrics (see Traffic).
+  ~EventQueue();
+  // A copy would report its source's traffic a second time.
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+
   /// Schedules `fn` to run at absolute time `at`. Requires at >= 0.
   EventId schedule(Time at, std::function<void()> fn);
 
@@ -129,10 +136,23 @@ class EventQueue {
   /// and is sifted whichever way restores the order.
   void remove_at(std::size_t pos);
 
+  /// What the queue reports to the metrics registry, counted in plain
+  /// members and added to the sim.* metrics once, when the queue is
+  /// destroyed, so no event pays for a registry update.
+  struct Traffic {
+    std::uint64_t scheduled = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t cancelled = 0;
+    std::uint64_t slots_new = 0;
+    std::uint64_t slots_reused = 0;
+    std::size_t max_depth = 0;
+  };
+
   std::vector<Entry> heap_;  ///< 4-ary min-heap on (time, class, seq)
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = 0;  ///< head of the free list (index + 1)
   std::uint64_t next_seq_ = 0;
+  Traffic traffic_;
 };
 
 }  // namespace chronos::sim

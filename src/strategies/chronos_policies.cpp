@@ -40,13 +40,12 @@ void Clone::on_stage_start(int job, int stage, SchedulerApi& api) {
 
 void StragglerSpeculation::on_stage_start(int job, int stage,
                                           SchedulerApi& api) {
+  api_ = &api;
   const auto& st = api.spec(job).stage(stage);
-  api.schedule_after(st.tau_est, [this, job, stage, &api] {
-    detect(job, stage, api);
-  });
-  api.schedule_after(st.tau_kill, [this, job, stage, &api] {
-    reap(job, stage, api);
-  });
+  api.schedule_after(st.tau_est,
+                     [this, job, stage] { detect(job, stage, *api_); });
+  api.schedule_after(st.tau_kill,
+                     [this, job, stage] { reap(job, stage, *api_); });
 }
 
 void StragglerSpeculation::detect(int job, int stage, SchedulerApi& api) {

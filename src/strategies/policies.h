@@ -162,6 +162,8 @@ class StragglerSpeculation : public mapreduce::SpeculationPolicy {
  private:
   void detect(int job, int stage, mapreduce::SchedulerApi& api);
   void reap(int job, int stage, mapreduce::SchedulerApi& api);
+
+  mapreduce::SchedulerApi* api_ = nullptr;  ///< as HadoopSpeculation::api_
 };
 
 class SpeculativeRestart final : public StragglerSpeculation {

@@ -123,35 +123,35 @@ double expected_stage_makespan(int num_tasks, double t_min, double beta) {
 
 namespace {
 
-/// critical_path_split into `deadlines`, reusing its storage.
-void split_into(const mapreduce::JobSpec& spec,
-                std::vector<double>& deadlines) {
+/// critical_path_split into `deadlines`, reusing its storage and that of
+/// `finish` (expected finish times, scratch). Each stage's expected
+/// makespan is kept in `deadlines` until the critical path is known.
+void split_into(const mapreduce::JobSpec& spec, std::vector<double>& deadlines,
+                std::vector<double>& finish) {
   const int stages = spec.num_stages();
   if (stages == 1) {
     deadlines.assign(1, spec.deadline);
     return;
   }
-  std::vector<double> span(static_cast<std::size_t>(stages));
-  std::vector<double> finish(static_cast<std::size_t>(stages));
+  deadlines.resize(static_cast<std::size_t>(stages));
+  finish.resize(static_cast<std::size_t>(stages));
   double longest = 0.0;
   for (int s = 0; s < stages; ++s) {
     const auto& st = spec.stage(s);
-    span[static_cast<std::size_t>(s)] =
+    const double span =
         expected_stage_makespan(st.num_tasks, st.t_min, st.beta);
+    deadlines[static_cast<std::size_t>(s)] = span;
     // Stage indices are a topological order (deps reference earlier
     // stages), so one forward pass chains expected finish times.
     double start = 0.0;
     for (const int dep : spec.resolved_deps(s)) {
       start = std::max(start, finish[static_cast<std::size_t>(dep)]);
     }
-    finish[static_cast<std::size_t>(s)] =
-        start + span[static_cast<std::size_t>(s)];
+    finish[static_cast<std::size_t>(s)] = start + span;
     longest = std::max(longest, finish[static_cast<std::size_t>(s)]);
   }
-  deadlines.resize(static_cast<std::size_t>(stages));
-  for (int s = 0; s < stages; ++s) {
-    deadlines[static_cast<std::size_t>(s)] =
-        spec.deadline * (span[static_cast<std::size_t>(s)] / longest);
+  for (double& deadline : deadlines) {
+    deadline = spec.deadline * (deadline / longest);
   }
 }
 
@@ -178,7 +178,8 @@ void clamp_to_floor(std::vector<double>& deadlines,
 
 std::vector<double> critical_path_split(const mapreduce::JobSpec& spec) {
   std::vector<double> deadlines;
-  split_into(spec, deadlines);
+  std::vector<double> finish;
+  split_into(spec, deadlines, finish);
   return deadlines;
 }
 
@@ -211,7 +212,7 @@ void plan_into(mapreduce::JobSpec& spec, bool auto_strategy,
   CHRONOS_EXPECTS(!spec.stages.empty(), "cannot plan a job with no stages");
   const std::size_t stages = spec.stages.size();
   plan.kind = policy;
-  split_into(spec, plan.stage_deadlines);
+  split_into(spec, plan.stage_deadlines, plan.finish_scratch);
   plan.stages.assign(stages, core::OptimizationResult{});
   plan.r.assign(stages, 0);
   std::size_t first = 0;  // first stage still to optimize

@@ -87,6 +87,9 @@ struct StagedPlan {
   std::vector<double> stage_deadlines;
   std::vector<core::OptimizationResult> stages;
   std::vector<long long> r;
+  /// The deadline split's expected stage finish times, kept only so that
+  /// replanning into this plan reuses their storage.
+  std::vector<double> finish_scratch;
 
   /// Every stage's optimizer run was feasible (never, for a baseline).
   bool feasible() const;

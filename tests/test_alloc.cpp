@@ -1,8 +1,11 @@
 // Allocation regression: the simulator's per-attempt hot path (event queue,
-// attempt bookkeeping, policy queries) must not allocate per attempt, and a
-// cluster's placement state must stay linear in its node count. This binary
-// replaces the global operator new/delete with counting versions and
-// replays fixed S-Resume and Mantri traces through run_experiment.
+// attempt bookkeeping, policy queries) must not allocate per attempt, a
+// steady-state job (recycled record, plan-memo key, optimizer memo) must
+// cost a bounded handful, and a cluster's placement state must stay linear
+// in its node count. This binary replaces the global operator new/delete
+// with counting versions and replays fixed S-Resume, Mantri and 4-stage
+// traces through run_experiment and an auto-planned open system through
+// run_open_system.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,9 +13,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "sim/cluster.h"
+#include "sim/open_system.h"
 #include "trace/google_trace.h"
 #include "trace/harness.h"
 #include "trace/planner.h"
@@ -49,15 +55,22 @@ namespace {
 
 using strategies::PolicyKind;
 
-/// Replays a fixed 200-job trace, planned for `kind`, under `kind` and
-/// returns the allocations per launched attempt. The trace is generated
-/// and planned before counting starts; only the replay is measured.
-double allocations_per_attempt(PolicyKind kind) {
+/// A fixed 200-job trace: 20 tasks a job on average, at most 100.
+TraceConfig small_trace() {
   TraceConfig trace_config;
   trace_config.num_jobs = 200;
   trace_config.mean_tasks = 20.0;
   trace_config.max_tasks = 100;
   trace_config.seed = 7;
+  return trace_config;
+}
+
+/// Replays the trace of `trace_config`, planned for `kind`, under `kind`
+/// and returns the run's metrics and its allocation count. The trace is
+/// generated and planned before counting starts; only the replay is
+/// measured.
+std::pair<sim::RunMetrics, std::uint64_t> counted_replay(
+    const TraceConfig& trace_config, PolicyKind kind) {
   auto jobs = generate_trace(trace_config);
   const SpotPriceModel prices;
   plan_trace(jobs, kind, PlannerConfig{}, prices);
@@ -67,31 +80,148 @@ double allocations_per_attempt(PolicyKind kind) {
   g_counting = true;
   const auto result = run_experiment(jobs, config);
   g_counting = false;
+  return {result.metrics, g_allocations.load()};
+}
 
-  const auto launched = result.metrics.attempts_launched();
-  EXPECT_GT(launched, result.metrics.jobs());
-  const double per_attempt = static_cast<double>(g_allocations.load()) /
-                             static_cast<double>(launched);
+/// Allocations per launched attempt of the small trace's replay.
+double allocations_per_attempt(PolicyKind kind) {
+  const auto [metrics, allocations] = counted_replay(small_trace(), kind);
+  const auto launched = metrics.attempts_launched();
+  EXPECT_GT(launched, metrics.jobs());
+  const double per_attempt =
+      static_cast<double>(allocations) / static_cast<double>(launched);
   std::printf("%s: %llu allocations for %llu launched attempts: %.3f each\n",
               strategies::to_string(kind).c_str(),
-              static_cast<unsigned long long>(g_allocations.load()),
+              static_cast<unsigned long long>(allocations),
               static_cast<unsigned long long>(launched), per_attempt);
   return per_attempt;
 }
 
+/// An open system shaped like the perf ledger's open_auto_small: small
+/// jobs planned per arrival by optimize_all through a quantized plan memo,
+/// on a 16 x 16 cluster, for `hours` of arrivals.
+sim::OpenSystemConfig auto_planned_open_system(double hours) {
+  sim::OpenSystemConfig config;
+  config.arrivals.rate = 1.5;
+  config.workload.mean_tasks = 4.0;
+  config.workload.max_tasks = 16;
+  config.workload.t_min_lo = 2.0;
+  config.workload.t_min_hi = 8.0;
+  config.planner.theta = 1e-4;
+  config.planner.r_min_from_baseline = false;
+  config.planner.r_min = 0.1;
+  config.plan_cache = {serve::CacheMode::kQuantized, 0.05};
+  config.auto_strategy = true;
+  config.cluster = sim::ClusterConfig::uniform(
+      16, sim::NodeConfig{.speed = 1.0, .containers = 16});
+  config.duration = hours * 3600.0;
+  config.warm_up = 0.0;
+  config.seed = 3;
+  return config;
+}
+
+/// Aggregated registry value of `name` (0 when never registered).
+std::uint64_t registry_value(const std::string& name) {
+  for (const auto& metric : obs::snapshot()) {
+    if (metric.name == name) {
+      return metric.value;
+    }
+  }
+  return 0;
+}
+
 TEST(Allocations, SResumeTraceStaysBelowBoundPerLaunchedAttempt) {
-  // Measured 0.43: about 10 allocations per job and none per attempt.
-  // Returning each policy query as a fresh vector and growing a per-task
+  // Measured 0.054: about one allocation per job (its attempt table) and
+  // none per attempt. Fresh job records and tau_est / tau_kill timers that
+  // captured 24 bytes (past std::function's inline buffer) measured 0.43;
+  // returning each policy query as a fresh vector and growing a per-task
   // attempt-id vector measured 3.7 on this trace.
-  EXPECT_LT(allocations_per_attempt(PolicyKind::kSResume), 0.75);
+  EXPECT_LT(allocations_per_attempt(PolicyKind::kSResume), 0.1);
 }
 
 TEST(Allocations, MantriTraceStaysBelowBoundPerLaunchedAttempt) {
-  // Measured 0.29: about 12 allocations per job, among them the candidate
-  // list, and none per check. Timers that captured 24 bytes (past
-  // std::function's inline buffer) plus a fresh vector per pruned task
-  // measured 3.9 on this trace.
-  EXPECT_LT(allocations_per_attempt(PolicyKind::kMantri), 0.5);
+  // Measured 0.119: about 5 allocations per job, among them the candidate
+  // list and the attempt table, and none per check. Fresh job records
+  // measured 0.29; timers that captured 24 bytes (past std::function's
+  // inline buffer) plus a fresh vector per pruned task measured 3.9 on
+  // this trace.
+  EXPECT_LT(allocations_per_attempt(PolicyKind::kMantri), 0.2);
+}
+
+TEST(Allocations, StagedDagReplayStaysBelowBoundPerJob) {
+  // 4-stage jobs shaped like manifests/dag_pipeline.ini: the sampled root
+  // feeds a 4-task stage, then a 2-task chain stage, and the last stage
+  // fans in from the root and that chain.
+  auto trace_config = small_trace();
+  trace_config.mean_tasks = 6.0;
+  trace_config.max_tasks = 24;
+  trace_config.extra_stages = {
+      mapreduce::StageSpec{.num_tasks = 4, .t_min = 8.0, .beta = 1.5},
+      mapreduce::StageSpec{
+          .num_tasks = 2, .t_min = 6.0, .beta = 1.6, .deps = {1}},
+      mapreduce::StageSpec{
+          .num_tasks = 2, .t_min = 5.0, .beta = 1.4, .deps = {0, 2}}};
+  const auto [metrics, allocations] =
+      counted_replay(trace_config, PolicyKind::kSResume);
+  ASSERT_EQ(metrics.jobs(), 200u);
+  const double per_job =
+      static_cast<double>(allocations) / static_cast<double>(metrics.jobs());
+  std::printf("4-stage DAG: %llu allocations for %llu jobs: %.2f each\n",
+              static_cast<unsigned long long>(allocations),
+              static_cast<unsigned long long>(metrics.jobs()), per_job);
+  // Measured 1.37: about one attempt table a job, plus the growth of the
+  // recycled job slots up to the peak live jobs. A fresh dependency vector
+  // per stage and barrier check, fresh job records and per-stage timers
+  // past std::function's inline buffer measured 25.2 on this trace.
+  EXPECT_LT(per_job, 2.5);
+}
+
+TEST(Allocations, AutoPlannedOpenSystemStaysBelowBoundPerAdmittedJob) {
+  const auto config = auto_planned_open_system(2.0);
+  g_allocations = 0;
+  g_counting = true;
+  const auto result = sim::run_open_system(config);
+  g_counting = false;
+  ASSERT_GT(result.admitted, 1000u);
+  ASSERT_GT(result.plan_cache_hits, result.plan_cache_misses);
+  // Every miss is memoized (the run stays far below kMaxCachedPlans), and
+  // an insert allocates the memo's node and the plan's r vector; those
+  // are the memo's growth, not the per-job path.
+  const std::uint64_t inserts = result.plan_cache_misses;
+  ASSERT_GT(g_allocations.load(), 2 * inserts);
+  const double per_job =
+      static_cast<double>(g_allocations.load() - 2 * inserts) /
+      static_cast<double>(result.admitted);
+  std::printf(
+      "open system: %llu allocations, %llu memo inserts, %llu admitted "
+      "jobs: %.2f each\n",
+      static_cast<unsigned long long>(g_allocations.load()),
+      static_cast<unsigned long long>(inserts),
+      static_cast<unsigned long long>(result.admitted), per_job);
+  // Measured 2.76: the arrival's sampled spec and the job's attempt table,
+  // which an S-Resume job can outgrow once. Plan keys on the heap, a fresh
+  // optimizer memo per strategy, fresh job records and S-Restart /
+  // S-Resume timers past std::function's inline buffer measured 15.5.
+  EXPECT_LT(per_job, 4.0);
+}
+
+TEST(EventQueueCounters, ReachTheRegistryWhenTheQueueIsDestroyed) {
+  if (!obs::compiled_in()) {
+    GTEST_SKIP() << "observability layer compiled out";
+  }
+  const std::uint64_t scheduled = registry_value("sim.events_scheduled");
+  const std::uint64_t fired = registry_value("sim.events_fired");
+  const std::uint64_t cancelled = registry_value("sim.events_cancelled");
+  const auto result = sim::run_open_system(auto_planned_open_system(0.5));
+  ASSERT_GT(result.events_executed, 0u);
+  // The run drained its queue: every scheduled event fired or was
+  // cancelled, and the queue handed its counts over when it was destroyed.
+  const std::uint64_t fired_delta = registry_value("sim.events_fired") - fired;
+  const std::uint64_t cancelled_delta =
+      registry_value("sim.events_cancelled") - cancelled;
+  EXPECT_EQ(fired_delta, result.events_executed);
+  EXPECT_EQ(registry_value("sim.events_scheduled") - scheduled,
+            fired_delta + cancelled_delta);
 }
 
 TEST(Allocations, ClusterPlacementStateIsLinearInNodes) {

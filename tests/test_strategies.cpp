@@ -454,8 +454,9 @@ class FullScanMantri final : public mapreduce::SpeculationPolicy {
         }
         if (!std::isfinite(best_remaining)) {
           best_remaining =
-              now - record.stage_start_time[static_cast<std::size_t>(
-                        record.stage_of_task(task))];
+              now - record.stage_states[static_cast<std::size_t>(
+                      record.stage_of_task(task))]
+                .start_time;
         }
         if (best_remaining > average + options_.mantri_threshold) {
           api.launch_extra_attempt(job, task, 0.0);

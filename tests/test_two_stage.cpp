@@ -115,12 +115,14 @@ TEST(StagedJobs, ReduceStartsOnlyAfterAllMapsComplete) {
   StageRun run(strategies::PolicyKind::kHadoopNS, two_stage_job());
   const auto& job = run.job();
   EXPECT_TRUE(job.done);
-  EXPECT_TRUE(job.stage_started[1]);
-  EXPECT_NEAR(job.stage_start_time[1], stage_finish_abs(job, 0), 1e-9);
+  EXPECT_TRUE(job.stage_states[1].started);
+  EXPECT_NEAR(job.stage_states[1].start_time, stage_finish_abs(job, 0),
+              1e-9);
   // Every reduce attempt was requested at or after the barrier.
   for (const auto& attempt : job.attempts) {
     if (job.stage_of_task(attempt.task_index) == 1) {
-      EXPECT_GE(attempt.request_time, job.stage_start_time[1] - 1e-9);
+      EXPECT_GE(attempt.request_time,
+                job.stage_states[1].start_time - 1e-9);
     }
   }
 }
@@ -138,8 +140,8 @@ TEST(StagedJobs, ShuffleBarrierHoldsInEventStream) {
       for (const int dep : job.spec.resolved_deps(s)) {
         barrier = std::max(barrier, stage_finish_abs(job, dep));
       }
-      EXPECT_NEAR(job.stage_start_time[static_cast<std::size_t>(s)], barrier,
-                  1e-9)
+      EXPECT_NEAR(job.stage_states[static_cast<std::size_t>(s)].start_time,
+                  barrier, 1e-9)
           << "stage " << s << " seed " << seed;
       for (const auto& attempt : job.attempts) {
         if (job.stage_of_task(attempt.task_index) == s) {
@@ -157,12 +159,12 @@ TEST(StagedJobs, FanInWaitsForEveryPredecessor) {
   ASSERT_TRUE(job.done);
   // Both middle branches launch at stage 0's barrier, not chained.
   const double root_done = stage_finish_abs(job, 0);
-  EXPECT_NEAR(job.stage_start_time[1], root_done, 1e-9);
-  EXPECT_NEAR(job.stage_start_time[2], root_done, 1e-9);
+  EXPECT_NEAR(job.stage_states[1].start_time, root_done, 1e-9);
+  EXPECT_NEAR(job.stage_states[2].start_time, root_done, 1e-9);
   // The sink waits for the LAST of its two predecessors.
   const double fan_in =
       std::max(stage_finish_abs(job, 1), stage_finish_abs(job, 2));
-  EXPECT_NEAR(job.stage_start_time[3], fan_in, 1e-9);
+  EXPECT_NEAR(job.stage_states[3].start_time, fan_in, 1e-9);
   EXPECT_EQ(job.tasks_completed, job.spec.total_tasks());
 }
 
