@@ -12,20 +12,10 @@
 
 namespace chronos::bench {
 
-/// The fixed-width table printer now lives in exp/report.h so that sweep
-/// reports and the bench binaries share one implementation.
-using Table = exp::Table;
-
-/// Formats a utility that may be -infinity.
-inline std::string fmt_utility(double u) {
-  return numeric::format_double_fixed(u, 3);
-}
-
+/// Fixed-point text of `v`; -infinity prints as "-inf".
 inline std::string fmt(double v, int precision = 3) {
   return numeric::format_double_fixed(v, precision);
 }
-
-inline std::string fmt_int(long long v) { return std::to_string(v); }
 
 /// Flags of the sweep-engine bench binary (fig2_testbed):
 ///   --threads N     worker threads (0 = all hardware threads)

@@ -146,8 +146,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::Table table({"Benchmark", "Strategy", "PoCD", "Cost", "Utility",
-                      "mean r"});
+  exp::Table table({"Benchmark", "Strategy", "PoCD", "Cost", "Utility",
+                    "mean r"});
   for (std::size_t b = 0; b < suite.size(); ++b) {
     for (const auto& cell : result.cells) {
       if (cell.point.index("benchmark") != b) {
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
       table.add_row({suite[b].name, cell.policy_name,
                      bench::fmt(agg.pocd.mean),
                      bench::fmt(agg.cost.mean, 1),
-                     bench::fmt_utility(utility_of(agg, r_min[b])),
+                     bench::fmt(utility_of(agg, r_min[b])),
                      bench::fmt(agg.mean_r.mean, 2)});
     }
   }

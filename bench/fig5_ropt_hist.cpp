@@ -7,9 +7,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "exp/report.h"
 #include "trace/planner.h"
 
 namespace {
@@ -75,14 +76,14 @@ int main() {
     }
   }
 
-  bench::Table table({"r", "Clone-1e-4", "Clone-1e-5", "S-Resume-1e-4",
-                      "S-Resume-1e-5"});
+  exp::Table table({"r", "Clone-1e-4", "Clone-1e-5", "S-Resume-1e-4",
+                    "S-Resume-1e-5"});
   for (long long r = 0; r <= max_r; ++r) {
-    table.add_row({bench::fmt_int(r),
-                   bench::fmt_int(count_of(histograms[0], r)),
-                   bench::fmt_int(count_of(histograms[1], r)),
-                   bench::fmt_int(count_of(histograms[2], r)),
-                   bench::fmt_int(count_of(histograms[3], r))});
+    table.add_row({std::to_string(r),
+                   std::to_string(count_of(histograms[0], r)),
+                   std::to_string(count_of(histograms[1], r)),
+                   std::to_string(count_of(histograms[2], r)),
+                   std::to_string(count_of(histograms[3], r))});
   }
   table.print();
 

@@ -4,34 +4,12 @@
 #include <chrono>
 #include <cstdio>
 #include <ctime>
-#include <mutex>
 
 namespace chronos::log {
 
 namespace {
 
-std::atomic<Level> g_level{Level::kInfo};
-std::atomic<bool> g_prefix{false};
-std::mutex g_mutex;
-
-const char* name(Level level) {
-  switch (level) {
-    case Level::kDebug:
-      return "DEBUG";
-    case Level::kInfo:
-      return "INFO";
-    case Level::kWarn:
-      return "WARN";
-    case Level::kError:
-      return "ERROR";
-    case Level::kOff:
-      return "OFF";
-  }
-  return "?";
-}
-
-/// Small sequential thread id (1, 2, ...) in thread-creation-first-log
-/// order; std::thread::id values are opaque and noisy in a log line.
+/// std::thread::id values are opaque and noisy in a log line.
 unsigned thread_ordinal() {
   static std::atomic<unsigned> next{1};
   thread_local const unsigned ordinal =
@@ -39,9 +17,9 @@ unsigned thread_ordinal() {
   return ordinal;
 }
 
-/// "[2026-08-08T12:34:56.789Z t3] " — UTC, millisecond precision.
-/// gmtime_r + snprintf, so the result is locale-independent.
-void format_prefix(char* out, std::size_t out_size) {
+}  // namespace
+
+std::string stamp() {
   const auto now = std::chrono::system_clock::now();
   const std::time_t seconds = std::chrono::system_clock::to_time_t(now);
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -50,35 +28,13 @@ void format_prefix(char* out, std::size_t out_size) {
                   1000;
   std::tm utc{};
   gmtime_r(&seconds, &utc);
-  std::snprintf(out, out_size, "[%04d-%02d-%02dT%02d:%02d:%02d.%03dZ t%u] ",
+  // gmtime_r + snprintf, so the result is locale-independent.
+  char out[48];
+  std::snprintf(out, sizeof(out), "[%04d-%02d-%02dT%02d:%02d:%02d.%03dZ t%u]",
                 utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday, utc.tm_hour,
                 utc.tm_min, utc.tm_sec, static_cast<int>(ms),
                 thread_ordinal());
-}
-
-}  // namespace
-
-void set_level(Level level) { g_level.store(level, std::memory_order_relaxed); }
-
-Level level() { return g_level.load(std::memory_order_relaxed); }
-
-void set_prefix(bool enabled) {
-  g_prefix.store(enabled, std::memory_order_relaxed);
-}
-
-bool prefix() { return g_prefix.load(std::memory_order_relaxed); }
-
-void write(Level lvl, const std::string& message) {
-  if (lvl < level()) {
-    return;
-  }
-  char stamp[48];
-  stamp[0] = '\0';
-  if (prefix()) {
-    format_prefix(stamp, sizeof(stamp));
-  }
-  std::lock_guard<std::mutex> lock(g_mutex);
-  std::fprintf(stderr, "%s[%s] %s\n", stamp, name(lvl), message.c_str());
+  return out;
 }
 
 }  // namespace chronos::log

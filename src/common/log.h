@@ -1,58 +1,14 @@
-// Minimal leveled logger. Simulation and bench binaries log progress at
-// Info; tests run with the logger silenced.
+// Line stamp for `sweeprun --progress`: when and on which thread a progress
+// line was written.
 #pragma once
 
-#include <sstream>
 #include <string>
 
 namespace chronos::log {
 
-enum class Level { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Sets the global minimum level; messages below it are dropped.
-void set_level(Level level);
-
-/// Current global minimum level.
-Level level();
-
-/// Enables (or disables) a per-line context prefix: a UTC ISO-8601
-/// millisecond timestamp plus a small sequential thread id, e.g.
-///   [2026-08-08T12:34:56.789Z t1] [INFO] sweep: 4/6 cells
-/// Off by default — the bare `[INFO] message` format is unchanged unless a
-/// binary opts in (sweeprun --progress does).
-void set_prefix(bool enabled);
-
-/// Whether the timestamp/thread prefix is currently enabled.
-bool prefix();
-
-/// Emits one line at `level` (thread-safe, single write to stderr).
-void write(Level level, const std::string& message);
-
-namespace detail {
-
-class LineStream {
- public:
-  explicit LineStream(Level level) : level_(level) {}
-  LineStream(const LineStream&) = delete;
-  LineStream& operator=(const LineStream&) = delete;
-  ~LineStream() { write(level_, os_.str()); }
-
-  template <typename T>
-  LineStream& operator<<(const T& value) {
-    os_ << value;
-    return *this;
-  }
-
- private:
-  Level level_;
-  std::ostringstream os_;
-};
-
-}  // namespace detail
+/// "[2026-08-08T12:34:56.789Z t3]": the current UTC time, ISO-8601 with
+/// milliseconds, and a small sequential id of the calling thread (1, 2, ...
+/// in order of each thread's first stamp; stable for the thread's life).
+std::string stamp();
 
 }  // namespace chronos::log
-
-#define CHRONOS_LOG(lvl)                                      \
-  if (::chronos::log::Level::lvl < ::chronos::log::level()) { \
-  } else                                                      \
-    ::chronos::log::detail::LineStream(::chronos::log::Level::lvl)

@@ -59,11 +59,6 @@ double Rng::normal() {
          std::cos(2.0 * std::numbers::pi * u2);
 }
 
-double Rng::normal(double mean, double sigma) {
-  CHRONOS_EXPECTS(sigma >= 0.0, "normal sigma must be non-negative");
-  return mean + sigma * normal();
-}
-
 double Rng::pareto(double t_min, double beta) {
   CHRONOS_EXPECTS(t_min > 0.0, "pareto t_min must be positive");
   CHRONOS_EXPECTS(beta > 0.0, "pareto beta must be positive");
@@ -84,7 +79,7 @@ Rng Rng::split() {
 std::uint64_t Rng::split_seed() { return (*this)(); }
 
 ParetoSampler::ParetoSampler(double t_min, double beta)
-    : t_min_(t_min), beta_(beta), neg_inv_beta_(-1.0 / beta) {
+    : t_min_(t_min), neg_inv_beta_(-1.0 / beta) {
   CHRONOS_EXPECTS(t_min > 0.0, "pareto t_min must be positive");
   CHRONOS_EXPECTS(beta > 0.0, "pareto beta must be positive");
 }

@@ -56,9 +56,6 @@ class Rng {
   /// Standard normal variate (Box–Muller, one value per call).
   double normal();
 
-  /// Normal variate with the given mean and standard deviation (sigma >= 0).
-  double normal(double mean, double sigma);
-
   /// Pareto(t_min, beta) variate via inverse CDF. Requires t_min > 0, beta > 0.
   double pareto(double t_min, double beta);
 
@@ -103,9 +100,6 @@ class ParetoSampler {
   /// Requires t_min > 0 and beta > 0 (checked once, here).
   ParetoSampler(double t_min, double beta);
 
-  double t_min() const { return t_min_; }
-  double beta() const { return beta_; }
-
   /// One Pareto(t_min, beta) variate via inverse CDF.
   double operator()(Rng& rng) const {
     return t_min_ * std::pow(rng.uniform_complement(), neg_inv_beta_);
@@ -113,7 +107,6 @@ class ParetoSampler {
 
  private:
   double t_min_;
-  double beta_;
   double neg_inv_beta_;  ///< -1/beta, derived once at construction
 };
 
@@ -124,8 +117,6 @@ class ExponentialSampler {
  public:
   /// Requires rate > 0 (checked once, here).
   explicit ExponentialSampler(double rate);
-
-  double rate() const { return rate_; }
 
   double operator()(Rng& rng) const {
     return -std::log(rng.uniform_complement()) / rate_;

@@ -1,7 +1,6 @@
 #include "exp/aggregate.h"
 
 #include <cmath>
-#include <vector>
 
 #include "common/error.h"
 #include "stats/summary.h"
@@ -52,14 +51,6 @@ double run_mean_r(const trace::ExperimentResult& result) {
 
 }  // namespace
 
-MetricSummary summarize(std::span<const double> values) {
-  stats::RunningStats stats;
-  for (const double v : values) {
-    stats.add(v);
-  }
-  return from_stats(stats);
-}
-
 CellAggregate aggregate_runs(std::span<const RunRecord> runs) {
   CHRONOS_EXPECTS(!runs.empty(), "cannot aggregate an empty cell");
   CellAggregate aggregate;
@@ -87,15 +78,6 @@ CellAggregate aggregate_runs(std::span<const RunRecord> runs) {
   aggregate.utility = from_stats(utility);
   return aggregate;
 }
-
-namespace {
-
-constexpr const char* kMetricNames[] = {"pocd", "cost", "machine_time",
-                                        "mean_r", "utility"};
-
-}  // namespace
-
-std::span<const char* const> metric_names() { return kMetricNames; }
 
 const MetricSummary* find_metric(const CellAggregate& aggregate,
                                  const std::string& name) {

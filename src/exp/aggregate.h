@@ -20,10 +20,6 @@ struct MetricSummary {
   double max = 0.0;
 };
 
-/// Summarizes a sample; an empty span yields an all-zero summary. Non-finite
-/// values (e.g. -inf utilities) propagate into mean/min/max as IEEE demands.
-MetricSummary summarize(std::span<const double> values);
-
 /// What one replication of a cell produced. `utility` is only meaningful
 /// when `has_utility` is set (the cell's run hook supplied theta and R_min).
 struct RunRecord {
@@ -49,10 +45,6 @@ struct CellAggregate {
 
 /// Reduces one cell's replications. Requires a non-empty span.
 CellAggregate aggregate_runs(std::span<const RunRecord> runs);
-
-/// Names of the per-cell summary metrics, in report order: "pocd", "cost",
-/// "machine_time", "mean_r", "utility".
-std::span<const char* const> metric_names();
 
 /// The named summary of `aggregate`, or nullptr for an unknown name.
 const MetricSummary* find_metric(const CellAggregate& aggregate,

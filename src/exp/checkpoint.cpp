@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <charconv>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <limits>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "common/numeric.h"
 #include "exp/sweep.h"
 #include "obs/metrics.h"
@@ -349,8 +349,10 @@ ResumedJournal resume_journal(const std::string& path,
                               std::size_t num_cells) {
   JournalContents contents = read_journal(path, fingerprint);
   if (contents.found && !contents.compatible) {
-    CHRONOS_LOG(kWarn) << "journal '" << path
-                       << "' belongs to a different sweep; starting fresh";
+    std::fprintf(stderr,
+                 "[WARN] journal '%s' belongs to a different sweep; "
+                 "starting fresh\n",
+                 path.c_str());
   }
   ResumedJournal resumed;
   for (auto& [cell, aggregate] : contents.cells) {

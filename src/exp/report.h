@@ -13,8 +13,7 @@
 
 namespace chronos::exp {
 
-/// Simple fixed-width table printer (previously bench/bench_util.h; moved
-/// here so sweep reports and the bench binaries share one implementation).
+/// Simple fixed-width table printer.
 class Table {
  public:
   explicit Table(std::vector<std::string> headers)

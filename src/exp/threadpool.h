@@ -32,8 +32,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
   /// Enqueues a task. Tasks must not call submit() or wait() on this pool.
   void submit(std::function<void()> task);
 

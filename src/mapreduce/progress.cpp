@@ -36,11 +36,13 @@ ProgressReport observe_progress(const AttemptRecord& attempt, double now,
   return report;
 }
 
+namespace {
+
+/// Sentinel returned when an estimator cannot produce a finite estimate
+/// (no progress yet); treated as "will not finish".
 double unknown_completion_time() {
   return std::numeric_limits<double>::infinity();
 }
-
-namespace {
 
 /// Progress within the attempt's own assigned work range, in [0, 1].
 double within_work(double progress_score, double start_offset) {

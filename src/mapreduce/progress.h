@@ -47,14 +47,10 @@ struct ProgressReport {
 ProgressReport observe_progress(const AttemptRecord& attempt, double now,
                                 const ProgressNoiseConfig& noise, Rng& rng);
 
-/// Sentinel returned when an estimator cannot produce a finite estimate
-/// (no progress yet); treated as "will not finish".
-double unknown_completion_time();
-
 /// Estimates the absolute completion time of a running attempt at `now`.
 /// `report` must be an observation taken at `now`; the Chronos estimator
 /// needs `attempt.reported` and anchors Eq. 30 at its first_report_time().
-/// Returns unknown_completion_time() when no estimate is possible.
+/// Returns +infinity ("will not finish") when no estimate is possible.
 double estimate_completion_time(const AttemptRecord& attempt,
                                 const ProgressReport& report,
                                 EstimatorKind kind);

@@ -208,14 +208,13 @@ void Scheduler::on_container_granted(int job, int attempt_id, int node) {
 
   const auto& spec = record.spec;
   // Total execution time of a full-split attempt follows the stage's Pareto
-  // law, scaled by the node's contention slowdown (§VII-A observed the
-  // combined distribution is Pareto with beta < 2).
+  // law (§VII-A observed it is Pareto with beta < 2), scaled by the node's
+  // slowdown.
   const ParetoSampler& stage =
       record.stage_states[static_cast<std::size_t>(
                               record.stage_of_task(attempt.task_index))]
           .sampler;
-  const double slowdown = cluster_.sample_slowdown(node, rng_);
-  const double total = stage(rng_) * slowdown;
+  const double total = stage(rng_) * cluster_.slowdown(node);
   double jvm = 0.0;
   if (spec.jvm_mean > 0.0) {
     jvm = std::max(0.0, rng_.uniform(spec.jvm_mean - spec.jvm_jitter,

@@ -18,18 +18,13 @@ Cluster::Cluster(ClusterConfig config) {
   CHRONOS_EXPECTS(!config.nodes.empty(), "cluster needs at least one node");
   nodes_.reserve(config.nodes.size());
   for (const auto& node : config.nodes) {
-    // The comparisons alone reject NaN (every comparison with NaN is
-    // false), but an infinite speed or noise mean would sail through and
-    // produce zero-length or infinite attempt durations downstream — guard
-    // for finiteness explicitly.
+    // The comparison alone rejects NaN (every comparison with NaN is
+    // false), but an infinite speed would sail through and produce
+    // zero-length attempt durations downstream — guard for finiteness
+    // explicitly.
     CHRONOS_EXPECTS(std::isfinite(node.speed) && node.speed > 0.0,
                     "node speed must be positive and finite");
     CHRONOS_EXPECTS(node.containers >= 1, "node needs >= 1 container");
-    CHRONOS_EXPECTS(std::isfinite(node.noise_mean) && node.noise_mean >= 0.0,
-                    "node noise mean must be non-negative and finite");
-    CHRONOS_EXPECTS(std::isfinite(node.noise_sigma) &&
-                        node.noise_sigma >= 0.0,
-                    "node noise sigma must be non-negative and finite");
     nodes_.push_back(NodeState{node, 0});
     total_containers_ += node.containers;
   }
@@ -80,23 +75,9 @@ void Cluster::release_container(int node) {
   }
 }
 
-double Cluster::node_speed(int node) const {
+double Cluster::slowdown(int node) const {
   CHRONOS_EXPECTS(node >= 0 && node < num_nodes(), "node index out of range");
-  return nodes_[static_cast<std::size_t>(node)].config.speed;
-}
-
-double Cluster::sample_slowdown(int node, Rng& rng) const {
-  CHRONOS_EXPECTS(node >= 0 && node < num_nodes(), "node index out of range");
-  const auto& config = nodes_[static_cast<std::size_t>(node)].config;
-  double slowdown = 1.0 / config.speed;
-  if (config.noise_mean > 0.0) {
-    // Lognormal contention factor with the requested mean: exp(mu + s Z)
-    // has mean exp(mu + s^2/2), so mu = ln(mean) - s^2/2.
-    const double s = config.noise_sigma;
-    const double mu = std::log(config.noise_mean) - 0.5 * s * s;
-    slowdown *= 1.0 + std::exp(mu + s * rng.normal());
-  }
-  return slowdown;
+  return 1.0 / nodes_[static_cast<std::size_t>(node)].config.speed;
 }
 
 }  // namespace chronos::sim

@@ -1,7 +1,6 @@
 // Cluster model: a set of nodes, each with a fixed number of containers
-// (YARN-style execution slots), a relative speed factor, and a stochastic
-// background-noise process that inflates attempt durations (emulating the
-// Stress-generated contention of §VII-A).
+// (YARN-style execution slots) and a relative speed factor that scales the
+// duration of every attempt placed on it.
 //
 // Placement: a request goes to the node with the most free containers, the
 // lowest index on ties. A max-tree over one packed key per node,
@@ -18,15 +17,11 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.h"
-
 namespace chronos::sim {
 
 struct NodeConfig {
-  double speed = 1.0;        ///< relative processing speed (> 0)
-  int containers = 8;        ///< execution slots (>= 1)
-  double noise_mean = 0.0;   ///< mean extra slowdown from contention (>= 0)
-  double noise_sigma = 0.0;  ///< lognormal sigma of the contention factor
+  double speed = 1.0;  ///< relative processing speed (> 0)
+  int containers = 8;  ///< execution slots (>= 1)
 };
 
 struct ClusterConfig {
@@ -67,13 +62,8 @@ class Cluster {
   /// granted synchronously. Requires a container on `node` to be busy.
   void release_container(int node);
 
-  /// Speed factor of `node` (>0).
-  double node_speed(int node) const;
-
-  /// Samples a multiplicative slowdown (>= 1) for an attempt placed on
-  /// `node`, combining the node's deterministic speed with its stochastic
-  /// contention factor.
-  double sample_slowdown(int node, Rng& rng) const;
+  /// Multiplicative slowdown of an attempt placed on `node`: 1 / speed.
+  double slowdown(int node) const;
 
  private:
   struct NodeState {

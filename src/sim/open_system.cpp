@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/planner.h"
@@ -264,10 +263,6 @@ class OpenEngine {
 
     span.note("arrivals", static_cast<double>(result_.arrivals));
     span.note("events", static_cast<double>(result_.events_executed));
-    CHRONOS_LOG(kDebug) << "open system: " << result_.arrivals
-                        << " arrivals, " << result_.completed
-                        << " completed, " << result_.events_executed
-                        << " events";
     return result_;
   }
 

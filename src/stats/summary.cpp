@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/error.h"
 
@@ -17,7 +16,6 @@ void RunningStats::add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
@@ -38,54 +36,12 @@ double RunningStats::min() const { return count_ == 0 ? 0.0 : min_; }
 
 double RunningStats::max() const { return count_ == 0 ? 0.0 : max_; }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double total = static_cast<double>(count_ + other.count_);
-  const double delta = other.mean_ - mean_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) / total;
-  mean_ = (mean_ * static_cast<double>(count_) +
-           other.mean_ * static_cast<double>(other.count_)) /
-          total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
-  count_ += other.count_;
-}
-
-double percentile(std::span<const double> values, double p) {
-  CHRONOS_EXPECTS(!values.empty(), "percentile needs a non-empty sample");
-  CHRONOS_EXPECTS(p >= 0.0 && p <= 100.0, "percentile p must be in [0, 100]");
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) {
-    return sorted.front();
-  }
-  const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const auto hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
 double proportion_ci_halfwidth(std::uint64_t successes, std::uint64_t trials) {
   CHRONOS_EXPECTS(trials > 0, "proportion CI needs at least one trial");
   CHRONOS_EXPECTS(successes <= trials, "successes cannot exceed trials");
   const double n = static_cast<double>(trials);
   const double p = static_cast<double>(successes) / n;
   return 1.96 * std::sqrt(std::max(p * (1.0 - p), 1e-12) / n);
-}
-
-double mean_of(std::span<const double> values) {
-  CHRONOS_EXPECTS(!values.empty(), "mean_of needs a non-empty sample");
-  return std::accumulate(values.begin(), values.end(), 0.0) /
-         static_cast<double>(values.size());
 }
 
 }  // namespace chronos::stats

@@ -1,9 +1,7 @@
-// Streaming and batch summary statistics for simulation metrics.
+// Streaming summary statistics for simulation metrics.
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 namespace chronos::stats {
 
@@ -19,10 +17,6 @@ class RunningStats {
   double stddev() const;
   double min() const;
   double max() const;
-  double sum() const { return sum_; }
-
-  /// Merges another accumulator into this one (parallel reduction).
-  void merge(const RunningStats& other);
 
  private:
   std::uint64_t count_ = 0;
@@ -30,18 +24,10 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-  double sum_ = 0.0;
 };
-
-/// Percentile of a sample using linear interpolation between order
-/// statistics. `p` in [0, 100]. Requires a non-empty sample.
-double percentile(std::span<const double> values, double p);
 
 /// Normal-approximation confidence half-width for a Bernoulli proportion
 /// with `successes` out of `trials` at ~95% confidence.
 double proportion_ci_halfwidth(std::uint64_t successes, std::uint64_t trials);
-
-/// Mean of a non-empty span.
-double mean_of(std::span<const double> values);
 
 }  // namespace chronos::stats

@@ -9,11 +9,17 @@
 
 namespace chronos::trace {
 
+namespace {
+
+/// Log-space standard deviation of the lognormal task count.
+constexpr double kTasksLogSigma = 1.0;
+
+}  // namespace
+
 void TraceConfig::validate() const {
   CHRONOS_EXPECTS(num_jobs >= 1, "trace needs at least one job");
   CHRONOS_EXPECTS(duration_hours > 0.0, "duration must be positive");
   CHRONOS_EXPECTS(mean_tasks >= 1.0, "mean_tasks must be >= 1");
-  CHRONOS_EXPECTS(tasks_log_sigma >= 0.0, "tasks_log_sigma must be >= 0");
   CHRONOS_EXPECTS(min_tasks >= 1 && max_tasks >= min_tasks,
                   "invalid task-count clamp range");
   CHRONOS_EXPECTS(t_min_lo > 0.0 && t_min_hi >= t_min_lo,
@@ -48,7 +54,7 @@ mapreduce::JobSpec sample_job_spec(const TraceConfig& config, int job_id,
 
   // Lognormal task count with the requested mean:
   // E[exp(mu + sigma Z)] = exp(mu + sigma^2/2) = mean_tasks.
-  const double sigma = config.tasks_log_sigma;
+  const double sigma = kTasksLogSigma;
   const double mu = std::log(config.mean_tasks) - 0.5 * sigma * sigma;
   const auto tasks =
       static_cast<int>(std::llround(std::exp(mu + sigma * rng.normal())));

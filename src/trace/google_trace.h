@@ -27,9 +27,9 @@ struct TraceConfig {
   int num_jobs = 2700;
   double duration_hours = 30.0;
 
-  // Task counts: lognormal, heavy-tailed like the Google trace, clamped.
+  // Task counts: lognormal (log-sigma 1), heavy-tailed like the Google
+  // trace, clamped.
   double mean_tasks = 370.0;  ///< ~1M tasks / 2700 jobs
-  double tasks_log_sigma = 1.0;
   int min_tasks = 1;
   int max_tasks = 5000;
 

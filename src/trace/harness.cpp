@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/error.h"
-#include "common/log.h"
 #include "mapreduce/scheduler.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -120,8 +119,6 @@ ExperimentResult run_experiment(const std::vector<TracedJob>& jobs,
   result.metrics = scheduler.metrics();
   result.events_executed = simulator.events_executed();
   span.note("events", static_cast<double>(result.events_executed));
-  CHRONOS_LOG(kDebug) << result.policy_name << ": " << jobs.size()
-                      << " jobs, " << result.events_executed << " events";
   return result;
 }
 

@@ -29,9 +29,6 @@ class SpotPriceModel {
   /// Price at absolute time t (clamped to the modelled horizon).
   double price_at(double t) const;
 
-  /// Long-run mean price.
-  double base_price() const { return config_.base_price; }
-
  private:
   SpotPriceConfig config_;
   std::vector<double> path_;

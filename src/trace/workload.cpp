@@ -32,15 +32,15 @@ mapreduce::JobSpec WorkloadProfile::make_job(int job_id, int num_tasks) const {
 const std::vector<WorkloadProfile>& benchmark_suite() {
   // t_min / beta calibrated so the no-speculation PoCD of a 10-task job
   // lands in the 0.15 - 0.30 band the paper's Figure 2(a) shows, with the
-  // I/O-bound benchmarks carrying heavier tails (more contention).
+  // I/O-bound Sort and SecondarySort (§VII-A) carrying heavier tails.
   static const std::vector<WorkloadProfile> kSuite = {
-      {"Sort", /*io_bound=*/true, /*t_min=*/30.0, /*beta=*/1.50,
+      {"Sort", /*t_min=*/30.0, /*beta=*/1.50,
        /*jvm_mean=*/2.5, /*jvm_jitter=*/1.5, /*deadline=*/100.0},
-      {"SecondarySort", /*io_bound=*/true, /*t_min=*/40.0, /*beta=*/1.45,
+      {"SecondarySort", /*t_min=*/40.0, /*beta=*/1.45,
        /*jvm_mean=*/2.5, /*jvm_jitter=*/1.5, /*deadline=*/150.0},
-      {"TeraSort", /*io_bound=*/false, /*t_min=*/28.0, /*beta=*/1.40,
+      {"TeraSort", /*t_min=*/28.0, /*beta=*/1.40,
        /*jvm_mean=*/2.0, /*jvm_jitter=*/1.0, /*deadline=*/100.0},
-      {"WordCount", /*io_bound=*/false, /*t_min=*/45.0, /*beta=*/1.75,
+      {"WordCount", /*t_min=*/45.0, /*beta=*/1.75,
        /*jvm_mean=*/2.0, /*jvm_jitter=*/1.0, /*deadline=*/150.0},
   };
   return kSuite;

@@ -16,7 +16,6 @@ namespace chronos::trace {
 
 struct WorkloadProfile {
   std::string name;
-  bool io_bound = false;   ///< Sort/SecondarySort are I/O bound (§VII-A)
   double t_min = 30.0;     ///< Pareto scale of task execution time (s)
   double beta = 1.5;       ///< Pareto tail index (< 2 on the noisy testbed)
   double jvm_mean = 2.0;   ///< mean JVM startup (s)

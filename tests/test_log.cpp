@@ -4,125 +4,31 @@
 
 #include <regex>
 #include <string>
-#include <vector>
+#include <thread>
 
 namespace chronos::log {
 namespace {
 
-class LogLevelGuard {
- public:
-  LogLevelGuard() : saved_(level()) {}
-  ~LogLevelGuard() { set_level(saved_); }
-
- private:
-  Level saved_;
-};
-
-class LogPrefixGuard {
- public:
-  LogPrefixGuard() : saved_(prefix()) {}
-  ~LogPrefixGuard() { set_prefix(saved_); }
-
- private:
-  bool saved_;
-};
-
-TEST(Log, LevelRoundTrips) {
-  LogLevelGuard guard;
-  set_level(Level::kWarn);
-  EXPECT_EQ(level(), Level::kWarn);
-  set_level(Level::kDebug);
-  EXPECT_EQ(level(), Level::kDebug);
+TEST(Log, StampIsIso8601TimestampAndThreadId) {
+  // [2026-08-08T12:34:56.789Z t1]
+  const std::regex stamp_re(
+      "^\\[\\d{4}-\\d{2}-\\d{2}T\\d{2}:\\d{2}:\\d{2}\\.\\d{3}Z t\\d+\\]$");
+  const std::string line = stamp();
+  EXPECT_TRUE(std::regex_match(line, stamp_re)) << line;
 }
 
-TEST(Log, OffSuppressesEverything) {
-  LogLevelGuard guard;
-  set_level(Level::kOff);
-  // Nothing observable to assert beyond "does not crash"; the level gate
-  // is the contract.
-  CHRONOS_LOG(kError) << "suppressed";
-  write(Level::kError, "also suppressed");
-  SUCCEED();
-}
-
-TEST(Log, MacroShortCircuitsBelowLevel) {
-  LogLevelGuard guard;
-  set_level(Level::kError);
-  int evaluations = 0;
-  const auto expensive = [&] {
-    ++evaluations;
-    return "payload";
+TEST(Log, StampThreadIdsAreStablePerThread) {
+  const std::regex tid_re("Z (t\\d+)\\]$");
+  const auto tid = [&](const std::string& line) {
+    std::smatch match;
+    EXPECT_TRUE(std::regex_search(line, match, tid_re)) << line;
+    return match[1].str();
   };
-  CHRONOS_LOG(kDebug) << expensive();
-  EXPECT_EQ(evaluations, 0);  // argument not evaluated below the level
-  set_level(Level::kOff);
-  CHRONOS_LOG(kError) << expensive();
-  EXPECT_EQ(evaluations, 0);
-}
-
-TEST(Log, MacroEvaluatesAtOrAboveLevel) {
-  LogLevelGuard guard;
-  set_level(Level::kOff);  // gate the actual write
-  // Re-enable to Debug but write to a level >= current: evaluated.
-  set_level(Level::kDebug);
-  int evaluations = 0;
-  // Temporarily silence output by restoring Off right after; the statement
-  // below must still evaluate its stream arguments.
-  const auto counted = [&] {
-    ++evaluations;
-    return 42;
-  };
-  set_level(Level::kDebug);
-  CHRONOS_LOG(kDebug) << counted();
-  EXPECT_EQ(evaluations, 1);
-}
-
-TEST(Log, PrefixIsOffByDefaultAndLinesKeepTheBareFormat) {
-  LogLevelGuard level_guard;
-  LogPrefixGuard prefix_guard;
-  set_level(Level::kInfo);
-  set_prefix(false);
-  EXPECT_FALSE(prefix());
-  ::testing::internal::CaptureStderr();
-  write(Level::kInfo, "hello");
-  const std::string captured = ::testing::internal::GetCapturedStderr();
-  EXPECT_EQ(captured, "[INFO] hello\n");
-}
-
-TEST(Log, PrefixAddsIso8601TimestampAndThreadId) {
-  LogLevelGuard level_guard;
-  LogPrefixGuard prefix_guard;
-  set_level(Level::kInfo);
-  set_prefix(true);
-  EXPECT_TRUE(prefix());
-  ::testing::internal::CaptureStderr();
-  write(Level::kWarn, "spaced message");
-  const std::string captured = ::testing::internal::GetCapturedStderr();
-  // [2026-08-08T12:34:56.789Z t1] [WARN] spaced message
-  const std::regex line_re(
-      "^\\[\\d{4}-\\d{2}-\\d{2}T\\d{2}:\\d{2}:\\d{2}\\.\\d{3}Z t\\d+\\] "
-      "\\[WARN\\] spaced message\n$");
-  EXPECT_TRUE(std::regex_match(captured, line_re)) << captured;
-}
-
-TEST(Log, PrefixThreadIdsAreStablePerThread) {
-  LogLevelGuard level_guard;
-  LogPrefixGuard prefix_guard;
-  set_level(Level::kInfo);
-  set_prefix(true);
-  ::testing::internal::CaptureStderr();
-  write(Level::kInfo, "first");
-  write(Level::kInfo, "second");
-  const std::string captured = ::testing::internal::GetCapturedStderr();
-  const std::regex tid_re("Z (t\\d+)\\]");
-  std::vector<std::string> tids;
-  for (auto it = std::sregex_iterator(captured.begin(), captured.end(),
-                                      tid_re);
-       it != std::sregex_iterator(); ++it) {
-    tids.push_back((*it)[1].str());
-  }
-  ASSERT_EQ(tids.size(), 2u) << captured;
-  EXPECT_EQ(tids[0], tids[1]) << captured;
+  const std::string first = tid(stamp());
+  EXPECT_EQ(tid(stamp()), first);
+  std::string other;
+  std::thread([&] { other = tid(stamp()); }).join();
+  EXPECT_NE(other, first);
 }
 
 }  // namespace

@@ -510,8 +510,8 @@ TEST(ObsIntegration, InstrumentedTinySweepMatchesCommittedGoldenBytes) {
   EXPECT_EQ(slurp(outfile("obs.json")), read_golden("tiny.json"));
   EXPECT_EQ(slurp(outfile("plain.journal")), slurp(outfile("obs.journal")));
 
-  // --progress routes through the log layer with the timestamp/thread-id
-  // prefix, ending on a final "all cells done" line.
+  // --progress lines carry the timestamp/thread-id stamp, ending on a final
+  // "all cells done" line.
   const std::regex progress_re(
       "\\[\\d{4}-\\d{2}-\\d{2}T\\d{2}:\\d{2}:\\d{2}\\.\\d{3}Z t\\d+\\] "
       "\\[INFO\\] sweep: ");

@@ -433,10 +433,7 @@ TEST(ValidationHardening, ClusterRejectsNonFiniteNodeParameters) {
   EXPECT_THROW(make({.speed = inf}), PreconditionError);
   EXPECT_THROW(make({.speed = nan}), PreconditionError);
   EXPECT_THROW(make({.containers = 0}), PreconditionError);
-  EXPECT_THROW(make({.noise_mean = inf}), PreconditionError);
-  EXPECT_THROW(make({.noise_mean = -0.5}), PreconditionError);
-  EXPECT_THROW(make({.noise_sigma = nan}), PreconditionError);
-  EXPECT_NO_THROW(make({.speed = 2.0, .noise_mean = 0.3, .noise_sigma = 0.2}));
+  EXPECT_NO_THROW(make({.speed = 2.0}));
 }
 
 TEST(ValidationHardening, RunMetricsRetentionToggle) {

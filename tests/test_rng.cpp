@@ -105,16 +105,6 @@ TEST(Rng, NormalMomentsMatch) {
   EXPECT_NEAR(sq / n, 1.0, 0.02);
 }
 
-TEST(Rng, NormalScaledMoments) {
-  Rng rng(29);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    sum += rng.normal(10.0, 3.0);
-  }
-  EXPECT_NEAR(sum / n, 10.0, 0.05);
-}
-
 TEST(Rng, ParetoNeverBelowScale) {
   Rng rng(31);
   for (int i = 0; i < 10000; ++i) {

@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <vector>
 
 #include "common/error.h"
-#include "common/rng.h"
 
 namespace chronos::stats {
 namespace {
@@ -16,7 +14,6 @@ TEST(RunningStats, EmptyDefaults) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.sum(), 0.0);
 }
 
 TEST(RunningStats, MeanVarianceMinMax) {
@@ -29,7 +26,6 @@ TEST(RunningStats, MeanVarianceMinMax) {
   EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.sum(), 40.0, 1e-12);
 }
 
 TEST(RunningStats, SingleValueVarianceZero) {
@@ -37,62 +33,6 @@ TEST(RunningStats, SingleValueVarianceZero) {
   s.add(3.0);
   EXPECT_EQ(s.variance(), 0.0);
   EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(RunningStats, MergeEquivalentToCombinedStream) {
-  Rng rng(5);
-  RunningStats all;
-  RunningStats a;
-  RunningStats b;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(3.0, 2.0);
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a;
-  a.add(1.0);
-  RunningStats empty;
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  RunningStats b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_EQ(b.mean(), 1.0);
-}
-
-TEST(Percentile, InterpolatesLinearly) {
-  const std::vector<double> xs{10.0, 20.0, 30.0, 40.0};
-  EXPECT_NEAR(percentile(xs, 0.0), 10.0, 1e-12);
-  EXPECT_NEAR(percentile(xs, 100.0), 40.0, 1e-12);
-  EXPECT_NEAR(percentile(xs, 50.0), 25.0, 1e-12);
-  EXPECT_NEAR(percentile(xs, 25.0), 17.5, 1e-12);
-}
-
-TEST(Percentile, UnsortedInputHandled) {
-  const std::vector<double> xs{40.0, 10.0, 30.0, 20.0};
-  EXPECT_NEAR(percentile(xs, 50.0), 25.0, 1e-12);
-}
-
-TEST(Percentile, SingleElement) {
-  const std::vector<double> xs{7.0};
-  EXPECT_EQ(percentile(xs, 0.0), 7.0);
-  EXPECT_EQ(percentile(xs, 100.0), 7.0);
-}
-
-TEST(Percentile, RejectsBadArguments) {
-  EXPECT_THROW(percentile(std::vector<double>{}, 50.0), PreconditionError);
-  const std::vector<double> xs{1.0};
-  EXPECT_THROW(percentile(xs, -1.0), PreconditionError);
-  EXPECT_THROW(percentile(xs, 101.0), PreconditionError);
 }
 
 TEST(ProportionCi, ShrinksWithTrials) {
@@ -105,12 +45,6 @@ TEST(ProportionCi, ShrinksWithTrials) {
 TEST(ProportionCi, RejectsInvalid) {
   EXPECT_THROW(proportion_ci_halfwidth(1, 0), PreconditionError);
   EXPECT_THROW(proportion_ci_halfwidth(5, 4), PreconditionError);
-}
-
-TEST(MeanOf, SimpleAverage) {
-  const std::vector<double> xs{1.0, 2.0, 6.0};
-  EXPECT_NEAR(mean_of(xs), 3.0, 1e-12);
-  EXPECT_THROW(mean_of(std::vector<double>{}), PreconditionError);
 }
 
 }  // namespace

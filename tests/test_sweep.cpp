@@ -125,28 +125,7 @@ TEST(ThreadPoolStress, DestructorSwallowsPendingTaskError) {
   EXPECT_EQ(ran.load(), 8);
 }
 
-// --- summarize / aggregate ------------------------------------------------
-
-TEST(Aggregate, SummarizeMatchesClosedForm) {
-  const std::vector<double> values = {1.0, 2.0, 3.0};
-  const MetricSummary summary = summarize(values);
-  EXPECT_EQ(summary.count, 3u);
-  EXPECT_DOUBLE_EQ(summary.mean, 2.0);
-  EXPECT_DOUBLE_EQ(summary.stddev, 1.0);
-  // Student-t interval: t_{0.975, 2} * s / sqrt(n).
-  EXPECT_NEAR(summary.ci95, 4.3027 / std::sqrt(3.0), 1e-12);
-  EXPECT_DOUBLE_EQ(summary.min, 1.0);
-  EXPECT_DOUBLE_EQ(summary.max, 3.0);
-}
-
-TEST(Aggregate, SummarizeEdgeCases) {
-  EXPECT_EQ(summarize({}).count, 0u);
-  const std::vector<double> one = {7.0};
-  const MetricSummary summary = summarize(one);
-  EXPECT_EQ(summary.count, 1u);
-  EXPECT_DOUBLE_EQ(summary.mean, 7.0);
-  EXPECT_DOUBLE_EQ(summary.ci95, 0.0);  // no spread estimate from one run
-}
+// --- aggregate ------------------------------------------------------------
 
 RunRecord synthetic_run(int met, int missed, double cost_per_job) {
   RunRecord run;
@@ -162,6 +141,38 @@ RunRecord synthetic_run(int met, int missed, double cost_per_job) {
     run.result.metrics.record(outcome);
   }
   return run;
+}
+
+TEST(Aggregate, StudentTIntervalOfKnownSamples) {
+  std::vector<RunRecord> runs;
+  for (const double utility : {1.0, 2.0, 3.0}) {
+    runs.push_back(synthetic_run(3, 1, 10.0));
+    runs.back().has_utility = true;
+    runs.back().utility = utility;
+  }
+  const MetricSummary summary = aggregate_runs(runs).utility;
+  EXPECT_EQ(summary.count, 3u);
+  EXPECT_DOUBLE_EQ(summary.mean, 2.0);
+  EXPECT_DOUBLE_EQ(summary.stddev, 1.0);
+  // Student-t interval: t_{0.975, 2} * s / sqrt(n).
+  EXPECT_NEAR(summary.ci95, 4.3027 / std::sqrt(3.0), 1e-12);
+  EXPECT_DOUBLE_EQ(summary.min, 1.0);
+  EXPECT_DOUBLE_EQ(summary.max, 3.0);
+}
+
+TEST(Aggregate, OneRunAndUnreportedUtilityEdgeCases) {
+  const std::vector<RunRecord> runs = {synthetic_run(3, 1, 7.0)};
+  const CellAggregate aggregate = aggregate_runs(runs);
+  EXPECT_EQ(aggregate.cost.count, 1u);
+  EXPECT_DOUBLE_EQ(aggregate.cost.mean, 7.0);
+  // No spread estimate from one run.
+  EXPECT_DOUBLE_EQ(aggregate.cost.ci95, 0.0);
+  // No run reported a utility: an all-zero summary.
+  EXPECT_EQ(aggregate.utility.count, 0u);
+  EXPECT_DOUBLE_EQ(aggregate.utility.mean, 0.0);
+  EXPECT_DOUBLE_EQ(aggregate.utility.ci95, 0.0);
+  EXPECT_DOUBLE_EQ(aggregate.utility.min, 0.0);
+  EXPECT_DOUBLE_EQ(aggregate.utility.max, 0.0);
 }
 
 TEST(Aggregate, AggregatesReplicationsOfACell) {

@@ -27,13 +27,6 @@ TEST(Workload, DeadlinesMatchPaper) {
   EXPECT_EQ(benchmark("WordCount").deadline, 150.0);
 }
 
-TEST(Workload, IoBoundFlagsMatchPaper) {
-  EXPECT_TRUE(benchmark("Sort").io_bound);
-  EXPECT_TRUE(benchmark("SecondarySort").io_bound);
-  EXPECT_FALSE(benchmark("TeraSort").io_bound);
-  EXPECT_FALSE(benchmark("WordCount").io_bound);
-}
-
 TEST(Workload, HeavyTailRegime) {
   // §VII-A: testbed execution times are Pareto with beta < 2.
   for (const auto& profile : benchmark_suite()) {
@@ -83,7 +76,7 @@ TEST(SpotPrice, MeanNearBase) {
     sum += model.price_at(t);
     ++steps;
   }
-  EXPECT_NEAR(sum / steps, model.base_price(), 0.2 * model.base_price());
+  EXPECT_NEAR(sum / steps, config.base_price, 0.2 * config.base_price);
 }
 
 TEST(SpotPrice, ClampsBeyondHorizon) {

@@ -211,9 +211,9 @@ Cli parse_cli(int argc, char** argv) {
   return cli;
 }
 
-/// --progress reporter: one throttled stderr line through the log layer.
-/// The final line (every owned cell done) always prints; intermediate
-/// updates are rate-limited to one per ~250 ms.
+/// --progress reporter: one throttled, stamped stderr line, written under
+/// the printer's mutex. The final line (every owned cell done) always
+/// prints; intermediate updates are rate-limited to one per ~250 ms.
 class ProgressPrinter {
  public:
   void report(const exp::SweepProgress& progress) {
@@ -248,7 +248,8 @@ class ProgressPrinter {
           static_cast<double>(remaining);
       line += ", eta ~" + numeric::format_double_fixed(eta, 1) + "s";
     }
-    log::write(log::Level::kInfo, line);
+    std::fprintf(stderr, "%s [INFO] %s\n", log::stamp().c_str(),
+                 line.c_str());
   }
 
  private:
@@ -350,9 +351,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "sweeprun: %s: %s\n", cli.manifest_path.c_str(),
                  error.what());
     return 1;
-  }
-  if (cli.progress) {
-    log::set_prefix(true);  // progress lines carry timestamp + thread id
   }
   if (!cli.trace_out.empty()) {
     obs::start_tracing();
