@@ -1,5 +1,7 @@
 #include "exp/report.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -267,6 +269,13 @@ Table to_table(const SweepResult& result) {
 }
 
 void write_file(const std::string& path, const std::string& content) {
+  // Unlink, then create: truncating a file whose blocks are still delayed-
+  // allocated makes ext4 (auto_da_alloc) and XFS force them to disk on
+  // close, and so does renaming over it. Only a regular file is unlinked.
+  struct stat info;
+  if (::lstat(path.c_str(), &info) == 0 && S_ISREG(info.st_mode)) {
+    std::remove(path.c_str());
+  }
   std::FILE* file = std::fopen(path.c_str(), "wb");
   CHRONOS_EXPECTS(file != nullptr, "cannot open '" + path + "' for writing");
   const std::size_t written =

@@ -46,6 +46,14 @@ std::string to_json(const SweepResult& result);
 Table to_table(const SweepResult& result);
 
 /// Writes `content` to `path`, throwing PreconditionError on I/O failure.
+/// The one writer of every whole output file (CSV, JSON, metrics, trace).
+/// An existing regular file is replaced, not truncated: it is unlinked and
+/// created anew, because truncating a just-written file makes ext4 and XFS
+/// force its blocks to disk on close (tens of ms per report). So a
+/// rewritten output gets a new inode and default permissions. Symlinks,
+/// devices (/dev/null, /dev/stdout) and FIFOs are opened as given. Reports
+/// are never synced: the fsynced sweep journal is the durable record, and
+/// every report can be rendered again from it.
 void write_file(const std::string& path, const std::string& content);
 
 }  // namespace chronos::exp

@@ -1,14 +1,11 @@
 #include "obs/trace.h"
 
-#include <cstdio>
-
-#include "common/error.h"
-
 #if CHRONOS_OBS_ENABLED
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -258,38 +255,6 @@ void TraceSpan::note(const char* key, double value) {
   keys_[nargs_] = key;
   values_[nargs_] = value;
   ++nargs_;
-}
-
-void write_trace_json(const std::string& path) {
-  const std::string json = stop_tracing_to_json();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  CHRONOS_EXPECTS(file != nullptr,
-                  "cannot open trace file '" + path + "' for writing");
-  const std::size_t written =
-      std::fwrite(json.data(), 1, json.size(), file);
-  const bool ok = written == json.size() && std::fflush(file) == 0;
-  std::fclose(file);
-  CHRONOS_EXPECTS(ok, "short write to trace file '" + path + "'");
-}
-
-}  // namespace chronos::obs
-
-#else  // CHRONOS_OBS_ENABLED == 0
-
-namespace chronos::obs {
-
-// The one non-inline piece of the disabled API: still writes a valid (empty)
-// trace so tooling that always passes --trace-out keeps working.
-void write_trace_json(const std::string& path) {
-  const std::string json = stop_tracing_to_json();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  CHRONOS_EXPECTS(file != nullptr,
-                  "cannot open trace file '" + path + "' for writing");
-  const std::size_t written =
-      std::fwrite(json.data(), 1, json.size(), file);
-  const bool ok = written == json.size() && std::fflush(file) == 0;
-  std::fclose(file);
-  CHRONOS_EXPECTS(ok, "short write to trace file '" + path + "'");
 }
 
 }  // namespace chronos::obs

@@ -14,7 +14,7 @@
 //     span.note("cell", 3);
 //     ...
 //   }
-//   obs::write_trace_json("trace.json");   // stops tracing, writes the file
+//   exp::write_file("trace.json", obs::stop_tracing_to_json());
 //
 // Like the metrics registry, the recorder lives entirely off the numeric
 // path, and compiles out to constexpr no-ops with CHRONOS_OBS_ENABLED == 0.
@@ -40,10 +40,6 @@ void start_tracing();
 /// time). Call after worker threads have quiesced — spans still open on
 /// other threads when tracing stops are dropped.
 std::string stop_tracing_to_json();
-
-/// stop_tracing_to_json() into a file; throws PreconditionError on I/O
-/// failure.
-void write_trace_json(const std::string& path);
 
 /// Names the calling thread's track in the trace ("main", "pool-3", ...).
 /// Idempotent; safe to call whether or not tracing is active.
@@ -80,7 +76,6 @@ inline void start_tracing() {}
 inline std::string stop_tracing_to_json() {
   return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n";
 }
-void write_trace_json(const std::string& path);  // still writes empty JSON
 inline void set_trace_thread_name(const std::string&) {}
 
 class TraceSpan {

@@ -4,7 +4,8 @@
 // optimizer evaluation accounting, and the layer's hard invariant — a
 // sweeprun of manifests/tiny.ini with --metrics-out/--trace-out/--progress
 // produces CSV/JSON reports and journal bytes identical to the committed
-// goldens and to an uninstrumented run.
+// goldens and to an uninstrumented run, also when a second run rewrites
+// the same output paths.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -558,9 +559,40 @@ TEST(ObsIntegration, InstrumentedTinySweepMatchesCommittedGoldenBytes) {
        {"\"displayTimeUnit\":\"ms\"", "\"ph\":\"M\"", "\"ph\":\"X\"",
         "\"name\":\"sweep.run\"", "\"name\":\"sweep.rep\"",
         "\"name\":\"sim.run\"", "\"name\":\"journal.append\"",
-        "\"name\":\"main\"", "\"name\":\"pool-0\""}) {
+        "\"name\":\"report.write\"", "\"name\":\"main\"",
+        "\"name\":\"pool-0\""}) {
     EXPECT_NE(trace.find(needle), std::string::npos)
         << "missing " << needle << "\n" << trace;
+  }
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ObsIntegration, SecondRunIntoTheSameOutputPathsRewritesThemWhole) {
+  SKIP_WHEN_COMPILED_OUT();
+  const std::string dir = temp_path("rerun");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string command =
+      kSweeprun + " " + kTinyManifest + " --threads 4 --no-table --fresh" +
+      " --journal " + dir + "/run.journal --csv " + dir + "/run.csv" +
+      " --json " + dir + "/run.json --metrics-out " + dir +
+      "/metrics.json --trace-out " + dir + "/trace.json";
+
+  // The second run replaces files the first has just written.
+  for (int run = 1; run <= 2; ++run) {
+    const CommandResult result = run_command(command);
+    ASSERT_EQ(result.status, 0) << "run " << run << "\n" << result.output;
+    EXPECT_EQ(slurp(dir + "/run.csv"), read_golden("tiny.csv"))
+        << "run " << run;
+    EXPECT_EQ(slurp(dir + "/run.json"), read_golden("tiny.json"))
+        << "run " << run;
+    for (const char* dump : {"/metrics.json", "/trace.json"}) {
+      const std::string text = slurp(dir + dump);
+      JsonChecker checker(text);
+      EXPECT_TRUE(checker.valid())
+          << "run " << run << " " << dump << ": " << checker.error();
+    }
   }
 
   std::filesystem::remove_all(dir);

@@ -1,17 +1,26 @@
 // Golden-file tests for the report emitters: the CSV/JSON/table renderings
 // of a fixed, hand-built sweep result are compared byte-for-byte against
 // committed expected files, and re-checked under a ','-decimal locale to
-// prove the emitters are locale-independent.
+// prove the emitters are locale-independent. Also the output writer:
+// write_file replaces a regular file (never truncates it in place) and
+// opens symlinks and devices as given.
 //
 // To regenerate the golden files after an intentional format change, run
 // this binary with --gtest_filter=ReportGolden.* and the environment
 // variable CHRONOS_REGOLD=1, then inspect the diff under tests/golden/.
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <clocale>
+#include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <string>
 
+#include "common/error.h"
 #include "exp/report.h"
 #include "exp/sweep.h"
 #include "test_util.h"
@@ -22,6 +31,7 @@ namespace {
 using strategies::PolicyKind;
 using testing::check_or_regold;
 using testing::read_golden;
+using testing::slurp;
 
 /// A fixed two-policy x two-workload result with awkward values: shortest
 /// and long round-trip decimals, a quoted CSV label, and a -inf utility.
@@ -120,6 +130,62 @@ TEST(ReportGolden, OutputIsLocaleIndependent) {
     return;
   }
   GTEST_SKIP() << "no ','-decimal locale installed";
+}
+
+// --- the output writer ------------------------------------------------------
+
+std::string writer_path(const std::string& name) {
+  return ::testing::TempDir() + "chronos_writer_" + name;
+}
+
+TEST(WriteFile, RewriteLeavesTheNewBytesOnANewInode) {
+  const std::string path = writer_path("rewrite.csv");
+  write_file(path, "the previous run's longer report\n");
+  // Holding the old file open keeps its inode allocated, so a replacement
+  // cannot be handed the same inode number again.
+  const int old_fd = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(old_fd, 0);
+  struct stat old_info {};
+  ASSERT_EQ(::fstat(old_fd, &old_info), 0);
+
+  write_file(path, "new\n");
+
+  EXPECT_EQ(slurp(path), "new\n");
+  struct stat new_info {};
+  ASSERT_EQ(::stat(path.c_str(), &new_info), 0);
+  EXPECT_NE(new_info.st_ino, old_info.st_ino);
+  ::close(old_fd);
+  std::remove(path.c_str());
+}
+
+TEST(WriteFile, SymlinkStaysASymlinkAndItsTargetGetsTheBytes) {
+  const std::string target = writer_path("target.json");
+  const std::string link = writer_path("link.json");
+  std::remove(link.c_str());
+  write_file(target, "old target bytes");
+  ASSERT_EQ(::symlink(target.c_str(), link.c_str()), 0);
+
+  write_file(link, "{}");
+
+  struct stat info {};
+  ASSERT_EQ(::lstat(link.c_str(), &info), 0);
+  EXPECT_TRUE(S_ISLNK(info.st_mode));
+  EXPECT_EQ(slurp(target), "{}");
+  std::remove(link.c_str());
+  std::remove(target.c_str());
+}
+
+TEST(WriteFile, DeviceIsWrittenThroughAndNeverUnlinked) {
+  write_file("/dev/null", "discarded");
+  struct stat info {};
+  ASSERT_EQ(::lstat("/dev/null", &info), 0);
+  EXPECT_TRUE(S_ISCHR(info.st_mode));
+}
+
+TEST(WriteFile, PathInAMissingDirectoryThrows) {
+  const std::string dir = writer_path("missing_dir");
+  std::filesystem::remove_all(dir);
+  EXPECT_THROW(write_file(dir + "/out.csv", "x"), PreconditionError);
 }
 
 }  // namespace

@@ -260,14 +260,21 @@ class ProgressPrinter {
   bool reported_once_ = false;
 };
 
+/// Writes one output file, seen in a traced run as a "report.write" span.
+void write_report(const std::string& path, const std::string& content) {
+  obs::TraceSpan span("report.write", "exp");
+  span.note("bytes", static_cast<double>(content.size()));
+  exp::write_file(path, content);
+}
+
 /// Dumps the metrics registry / trace buffer after a successful run.
 void write_obs_outputs(const Cli& cli) {
   if (!cli.metrics_out.empty()) {
-    exp::write_file(cli.metrics_out, obs::metrics_json());
+    write_report(cli.metrics_out, obs::metrics_json());
     std::printf("metrics written to %s\n", cli.metrics_out.c_str());
   }
   if (!cli.trace_out.empty()) {
-    obs::write_trace_json(cli.trace_out);
+    exp::write_file(cli.trace_out, obs::stop_tracing_to_json());
     std::printf("trace written to %s\n", cli.trace_out.c_str());
   }
 }
@@ -278,11 +285,11 @@ void render_reports(const exp::SweepResult& result,
     exp::to_table(result).print();
   }
   if (!outputs.csv.empty()) {
-    exp::write_file(outputs.csv, exp::to_csv(result));
+    write_report(outputs.csv, exp::to_csv(result));
     std::printf("\nCSV written to %s\n", outputs.csv.c_str());
   }
   if (!outputs.json.empty()) {
-    exp::write_file(outputs.json, exp::to_json(result));
+    write_report(outputs.json, exp::to_json(result));
     std::printf("\nJSON written to %s\n", outputs.json.c_str());
   }
 }
