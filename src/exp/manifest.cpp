@@ -649,8 +649,11 @@ Manifest parse_manifest(const std::string& text) {
     require_on("admission");
     arrivals.nodes =
         reader.optional_binding("nodes", manifest.spec, "preset");
+    // The cluster keeps one placement set of N bits per free count 0..C
+    // (sim/cluster.h), so C caps at 127: 16 bytes per node, 17 MB at the
+    // 2^20-node limit.
     arrivals.containers =
-        reader.get_int("containers", arrivals.containers, 1, 1 << 20);
+        reader.get_int("containers", arrivals.containers, 1, 127);
     manifest.arrivals = std::move(arrivals);
     if (manifest.report_utility &&
         manifest.r_min_mode == RMinMode::kBaseline) {

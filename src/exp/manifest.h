@@ -112,7 +112,9 @@ struct ManifestOutputs {
 ///   admission = on          # the only value: capacity-aware admission
 ///                           #   control (the key may be omitted)
 ///   nodes = @nodes          # bindable; uniform cluster of `containers`
-///   containers = 8          #   per node (defaults to the preset cluster)
+///   containers = 8          #   per node, at most 127 (defaults to the
+///                           #   preset cluster); placement keeps
+///                           #   containers + 1 bits per node (sim/cluster.h)
 ///
 /// With [arrivals], `r_min = baseline` is rejected: the baseline PoCD of a
 /// pre-generated trace is a closed-system property; utility sweeps must

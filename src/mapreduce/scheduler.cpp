@@ -78,14 +78,15 @@ int Scheduler::submit(const JobSpec& spec, SpeculationPolicy& policy) {
   spec.validate();
   const int job_index = num_jobs();
   // Capacity hint: every task gets its stage's initial attempts (one
-  // finish/crash event each) plus up to r + 1 speculative ones (S-Resume
-  // kills a straggler and launches r + 1 resumed copies). Crash retries
-  // can still exceed this; both containers grow geometrically.
+  // finish/crash event each) plus as many speculative ones as the policy
+  // can launch. Crash retries can still exceed this; both containers grow
+  // geometrically.
   std::size_t event_hint = 0;
   for (int s = 0; s < spec.num_stages(); ++s) {
     const int copies = std::max(1, policy.initial_attempts(spec, s));
+    const int extra = policy.max_extra_attempts(spec, s);
     event_hint += static_cast<std::size_t>(spec.stage(s).num_tasks) *
-                  static_cast<std::size_t>(copies + spec.stage(s).r + 1);
+                  static_cast<std::size_t>(copies + extra);
   }
   std::uint32_t slot;
   if (free_slots_.empty()) {

@@ -45,6 +45,15 @@ class SpeculationPolicy {
     return 1;
   }
 
+  /// Most speculative attempts the policy launches per task of `stage`
+  /// beyond its initial ones (crash retries aside). The scheduler reserves
+  /// each job's attempt table for the initial plus these. The default,
+  /// r + 1, is the most any Chronos strategy launches (S-Resume's resumed
+  /// copies); every shipped policy overrides it with its own count.
+  virtual int max_extra_attempts(const JobSpec& spec, int stage) const {
+    return static_cast<int>(spec.stage(stage).r) + 1;
+  }
+
   /// Invoked right after a job's stage-0 attempts have been requested (and
   /// after on_stage_start(job, 0)).
   virtual void on_job_start(int job, SchedulerApi& api) {

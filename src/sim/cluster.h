@@ -3,13 +3,23 @@
 // duration of every attempt placed on it.
 //
 // Placement: a request goes to the node with the most free containers, the
-// lowest index on ties. A max-tree over one packed key per node,
-// `free << 32 | ~index`, keeps that node at its root, so a request or a
-// release costs O(log N) and the tree 2N words. Container requests that
-// cannot be satisfied immediately (the root has no free container) queue
-// FIFO and are granted as containers free up.
+// lowest index on ties. For every free count f in [0, C], C the largest
+// node's container count, the cluster keeps the set of nodes with exactly f
+// free containers as a 64-ary bit tree over node indices: leaf words of 64
+// nodes, one summary bit per nonzero word above them, up to a single root
+// word (one word a set for up to 64 nodes, 65 for up to 4,096). With
+// `top_`, the highest non-empty free count, a request takes the lowest set
+// bit of set `top_` by count-trailing-zeros and a release moves one node up
+// one set, so each flips one bit per tree layer: O(log64 N) words. The C + 1
+// sets take C + 1 words up to 64 nodes and about C + 1 bits per node beyond:
+// memory grows with the largest node as well as the node count (one node of
+// 2^20 containers alone takes 8 MB). Manifests cap C at 127, where 2^20
+// nodes take 17 MB of sets.
+// Container requests that cannot be satisfied immediately (`top_` is 0)
+// queue FIFO and are granted as containers free up.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -56,7 +66,7 @@ class Cluster {
 
   /// Requests one container. If one is free the grant runs synchronously;
   /// otherwise the request queues FIFO.
-  void request_container(Grant grant);
+  void request_container(Grant&& grant);
 
   /// Releases a container on `node`; the oldest waiting request (if any) is
   /// granted synchronously. Requires a container on `node` to be busy.
@@ -71,17 +81,19 @@ class Cluster {
     int busy = 0;
   };
 
-  /// Placement key: free containers above the complemented index, so a
-  /// larger key has more free containers or, on a tie, a lower index.
-  std::uint64_t key(int node) const {
-    const auto& state = nodes_[static_cast<std::size_t>(node)];
-    const auto free =
-        static_cast<std::uint64_t>(state.config.containers - state.busy);
-    return free << 32 | ~static_cast<std::uint32_t>(node);
-  }
+  /// Tree layers of a free-count set; 64^6 nodes exceed any int index.
+  static constexpr int kMaxLayers = 6;
 
-  /// Recomputes `node`'s key and the keys on its path to the root.
-  void update_key(int node);
+  /// The words of the set of nodes with `free` free containers.
+  std::uint64_t* set(int free) {
+    return bits_.data() + static_cast<std::size_t>(free) * words_per_set_;
+  }
+  /// Adds `node` to, or removes it from, the set of `free` free containers;
+  /// `erase` returns true when the set is left empty.
+  void insert(int free, int node);
+  bool erase(int free, int node);
+  /// Lowest node index in the non-empty set of `free` free containers.
+  int lowest(int free);
 
   void notify_occupancy() const {
     if (observer_) {
@@ -90,9 +102,18 @@ class Cluster {
   }
 
   std::vector<NodeState> nodes_;
-  /// Max-tree over the nodes' keys: leaves at [N, 2N), node i >= 1 holds
-  /// max(tree_[2i], tree_[2i + 1]), so tree_[1] is the placement pick.
-  std::vector<std::uint64_t> tree_;
+  /// The free-count sets, `words_per_set_` words each, set f at
+  /// [f * words_per_set_, (f + 1) * words_per_set_). Within a set the
+  /// layers lie leaves first: layer k (0 = the leaves, layers_ - 1 = the
+  /// root word, the set's last) takes layer_words_[k] words, and bit b of
+  /// its word w stands for node (or lower-layer word) 64 * w + b.
+  std::vector<std::uint64_t> bits_;
+  // 32-bit, so a store to a 64-bit set word cannot alias them and they stay
+  // in registers across one request's insert and erase.
+  std::uint32_t words_per_set_ = 0;
+  std::array<std::uint32_t, kMaxLayers> layer_words_{};
+  int layers_ = 0;
+  int top_ = 0;  ///< highest free count whose set is non-empty
   std::deque<Grant> waiting_;
   OccupancyObserver observer_;
   int total_containers_ = 0;

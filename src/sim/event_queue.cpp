@@ -33,7 +33,7 @@ EventQueue::~EventQueue() {
   g_depth.update(traffic_.max_depth);
 }
 
-std::uint32_t EventQueue::acquire_slot(std::function<void()> fn) {
+std::uint32_t EventQueue::acquire_slot(std::function<void()>&& fn) {
   std::uint32_t slot;
   if (free_head_ != 0) {
     slot = free_head_ - 1;
@@ -105,7 +105,7 @@ void EventQueue::remove_at(std::size_t pos) {
 }
 
 EventId EventQueue::push(Time at, std::uint64_t seq,
-                         std::function<void()> fn) {
+                         std::function<void()>&& fn) {
   CHRONOS_EXPECTS(at >= 0.0, "cannot schedule an event before time 0");
   CHRONOS_EXPECTS(static_cast<bool>(fn), "event callback must be callable");
   const std::uint32_t slot = acquire_slot(std::move(fn));
@@ -117,11 +117,11 @@ EventId EventQueue::push(Time at, std::uint64_t seq,
                  slots_[slot].generation};
 }
 
-EventId EventQueue::schedule(Time at, std::function<void()> fn) {
+EventId EventQueue::schedule(Time at, std::function<void()>&& fn) {
   return push(at, kEventClass | next_seq_++, std::move(fn));
 }
 
-EventId EventQueue::schedule_arrival(Time at, std::function<void()> fn) {
+EventId EventQueue::schedule_arrival(Time at, std::function<void()>&& fn) {
   return push(at, next_seq_++, std::move(fn));
 }
 

@@ -56,11 +56,11 @@ class EventQueue {
   EventQueue& operator=(const EventQueue&) = delete;
 
   /// Schedules `fn` to run at absolute time `at`. Requires at >= 0.
-  EventId schedule(Time at, std::function<void()> fn);
+  EventId schedule(Time at, std::function<void()>&& fn);
 
   /// Schedules an arrival: like `schedule`, but it fires before every
   /// non-arrival event at the same time `at`. Requires at >= 0.
-  EventId schedule_arrival(Time at, std::function<void()> fn);
+  EventId schedule_arrival(Time at, std::function<void()>&& fn);
 
   /// Cancels a pending event and removes it from the heap; returns false
   /// when the event already fired, was cancelled, or the id is invalid.
@@ -118,8 +118,8 @@ class EventQueue {
     std::uint32_t next_free = 0;   ///< free-list link (index + 1; 0 = end)
   };
 
-  EventId push(Time at, std::uint64_t seq, std::function<void()> fn);
-  std::uint32_t acquire_slot(std::function<void()> fn);
+  EventId push(Time at, std::uint64_t seq, std::function<void()>&& fn);
+  std::uint32_t acquire_slot(std::function<void()>&& fn);
   void release_slot(std::uint32_t slot);
 
   /// Writes `entry` at heap index `pos` and records the position in its

@@ -4,17 +4,17 @@
 
 namespace chronos::sim {
 
-EventId Simulator::at(Time time, std::function<void()> fn) {
+EventId Simulator::at(Time time, std::function<void()>&& fn) {
   CHRONOS_EXPECTS(time >= now_, "cannot schedule an event in the past");
   return queue_.schedule(time, std::move(fn));
 }
 
-EventId Simulator::arrival_at(Time time, std::function<void()> fn) {
+EventId Simulator::arrival_at(Time time, std::function<void()>&& fn) {
   CHRONOS_EXPECTS(time >= now_, "cannot schedule an event in the past");
   return queue_.schedule_arrival(time, std::move(fn));
 }
 
-EventId Simulator::after(double delay, std::function<void()> fn) {
+EventId Simulator::after(double delay, std::function<void()>&& fn) {
   CHRONOS_EXPECTS(delay >= 0.0, "delay must be non-negative");
   return queue_.schedule(now_ + delay, std::move(fn));
 }

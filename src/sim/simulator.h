@@ -15,15 +15,15 @@ class Simulator {
   Time now() const { return now_; }
 
   /// Schedules `fn` at absolute time `at` (>= now()).
-  EventId at(Time at, std::function<void()> fn);
+  EventId at(Time at, std::function<void()>&& fn);
 
   /// Schedules an arrival `fn` at absolute time `at` (>= now()); it fires
   /// before every non-arrival event at that time (EventQueue's arrival
   /// class).
-  EventId arrival_at(Time at, std::function<void()> fn);
+  EventId arrival_at(Time at, std::function<void()>&& fn);
 
   /// Schedules `fn` after `delay` seconds (>= 0).
-  EventId after(double delay, std::function<void()> fn);
+  EventId after(double delay, std::function<void()>&& fn);
 
   /// Cancels a pending event; see EventQueue::cancel.
   bool cancel(EventId id) { return queue_.cancel(id); }

@@ -79,12 +79,20 @@ std::unique_ptr<mapreduce::SpeculationPolicy> make_policy(
 class HadoopNoSpeculation final : public mapreduce::SpeculationPolicy {
  public:
   std::string name() const override { return "Hadoop-NS"; }
+  int max_extra_attempts(const mapreduce::JobSpec& /*spec*/,
+                         int /*stage*/) const override {
+    return 0;
+  }
 };
 
 class HadoopSpeculation final : public mapreduce::SpeculationPolicy {
  public:
   explicit HadoopSpeculation(PolicyOptions options) : options_(options) {}
   std::string name() const override { return "Hadoop-S"; }
+  int max_extra_attempts(const mapreduce::JobSpec& /*spec*/,
+                         int /*stage*/) const override {
+    return 1;
+  }
   void on_task_completed(int job, int task,
                          mapreduce::SchedulerApi& api) override;
 
@@ -114,6 +122,10 @@ class Mantri final : public mapreduce::SpeculationPolicy {
  public:
   explicit Mantri(PolicyOptions options) : options_(options) {}
   std::string name() const override { return "Mantri"; }
+  int max_extra_attempts(const mapreduce::JobSpec& /*spec*/,
+                         int /*stage*/) const override {
+    return options_.mantri_max_extra;
+  }
   void on_job_start(int job, mapreduce::SchedulerApi& api) override;
   void on_job_completed(int job, mapreduce::SchedulerApi& api) override;
 
@@ -138,6 +150,10 @@ class Clone final : public mapreduce::SpeculationPolicy {
   int initial_attempts(const mapreduce::JobSpec& spec,
                        int stage) const override {
     return static_cast<int>(spec.stage(stage).r) + 1;
+  }
+  int max_extra_attempts(const mapreduce::JobSpec& /*spec*/,
+                         int /*stage*/) const override {
+    return 0;
   }
   void on_stage_start(int job, int stage,
                       mapreduce::SchedulerApi& api) override;
@@ -169,6 +185,10 @@ class StragglerSpeculation : public mapreduce::SpeculationPolicy {
 class SpeculativeRestart final : public StragglerSpeculation {
  public:
   std::string name() const override { return "S-Restart"; }
+  int max_extra_attempts(const mapreduce::JobSpec& spec,
+                         int stage) const override {
+    return static_cast<int>(spec.stage(stage).r);
+  }
 
  private:
   void speculate(int job, int task, int original, long long r,
@@ -178,6 +198,10 @@ class SpeculativeRestart final : public StragglerSpeculation {
 class SpeculativeResume final : public StragglerSpeculation {
  public:
   std::string name() const override { return "S-Resume"; }
+  int max_extra_attempts(const mapreduce::JobSpec& spec,
+                         int stage) const override {
+    return static_cast<int>(spec.stage(stage).r) + 1;
+  }
 
  private:
   void speculate(int job, int task, int original, long long r,

@@ -93,6 +93,14 @@ TEST(Cluster, RejectsInvalidConfigs) {
   EXPECT_THROW(ClusterConfig::uniform(0, NodeConfig{}), PreconditionError);
 }
 
+TEST(Cluster, RejectsMoreThanIntMaxContainers) {
+  // 2 x 2^30 = 2^31 containers overflow the int total; the check runs
+  // before any placement set is allocated.
+  NodeConfig huge;
+  huge.containers = 1 << 30;
+  EXPECT_THROW(Cluster(ClusterConfig::uniform(2, huge)), PreconditionError);
+}
+
 TEST(Cluster, NodeIndexValidation) {
   Cluster cluster(two_nodes());
   EXPECT_THROW(cluster.slowdown(-1), PreconditionError);
@@ -150,19 +158,24 @@ class LinearScanCluster {
 };
 
 TEST(Cluster, PlacementMatchesLinearScanUnderRandomRequestsAndReleases) {
-  // Seeded random request/release sequences on mixed capacities (1 to 8
-  // containers per node). Phases alternate between filling past capacity,
-  // so requests queue and releases re-grant them, and draining. Every grant
-  // (which request, which node) must match the scan's, in order.
-  for (const int num_nodes : {1, 3, 64, 65, 1000}) {
+  // Seeded random request/release sequences on mixed capacities (1 to 70
+  // containers per node, so more free counts than a word has bits). Phases
+  // alternate between filling past capacity, so requests queue and releases
+  // re-grant them, and draining. Every grant (which request, which node)
+  // must match the scan's, in order. The node counts straddle the bit
+  // tree's word (64 nodes) and two-layer (4,096 nodes) boundaries; past
+  // 1,000 nodes one fill and one drain keep the scan's O(N) requests
+  // affordable.
+  for (const int num_nodes : {1, 3, 63, 64, 65, 1000, 4095, 4096, 4097}) {
     std::mt19937_64 rng(static_cast<std::uint64_t>(num_nodes));
     std::uniform_real_distribution<double> unit(0.0, 1.0);
     ClusterConfig config;
     for (int i = 0; i < num_nodes; ++i) {
       NodeConfig node;
-      node.containers = std::uniform_int_distribution<int>(1, 8)(rng);
+      node.containers = std::uniform_int_distribution<int>(1, 70)(rng);
       config.nodes.push_back(node);
     }
+    const int phases = num_nodes > 1000 ? 2 : 8;
     Cluster cluster(config);
     LinearScanCluster scan(config);
     LinearScanCluster::Grants got;
@@ -171,7 +184,7 @@ TEST(Cluster, PlacementMatchesLinearScanUnderRandomRequestsAndReleases) {
     std::size_t waiting_max = 0;
     int next_id = 0;
     const int phase = 3 * cluster.total_containers() + 30;
-    for (int op = 0; op < 8 * phase; ++op) {
+    for (int op = 0; op < phases * phase; ++op) {
       const double request_share = (op / phase) % 2 == 0 ? 0.75 : 0.25;
       if (held.empty() || unit(rng) < request_share) {
         const int id = next_id++;
@@ -209,8 +222,9 @@ TEST(Cluster, PlacementMatchesLinearScanUnderRandomRequestsAndReleases) {
 
 TEST(Cluster, MillionNodeClusterPlacesInOrder) {
   // 2^20 one-container nodes. Filling them with a scan of every node per
-  // request would make 2^40 node visits; the placement tree takes
-  // O(N log N) steps over 2N keys. test_alloc bounds its bytes per node.
+  // request would make 2^40 node visits; the placement sets take
+  // O(N log64 N) word operations over two sets of about N / 63 words each.
+  // test_alloc bounds their bytes per node.
   constexpr int kNodes = 1 << 20;
   NodeConfig node;
   node.containers = 1;

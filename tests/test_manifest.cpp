@@ -217,7 +217,11 @@ TEST(Manifest, RejectsBadInput) {
   expect_parse_error(
       "[sweep]\npolicies = clone\n[arrivals]\nrate = 0.1\n"
       "containers = 4294967304\n",
-      "manifest line 5: [arrivals] containers must lie in [1, 1048576]");
+      "manifest line 5: [arrivals] containers must lie in [1, 127]");
+  expect_parse_error(
+      "[sweep]\npolicies = clone\n[arrivals]\nrate = 0.1\n"
+      "containers = 128\n",
+      "manifest line 5: [arrivals] containers must lie in [1, 127]");
   expect_parse_error(
       "[sweep]\npolicies = clone\nreplications = 99999999999999999999\n",
       "[sweep] replications must lie in");

@@ -36,10 +36,11 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   std::function<void()> chain = [&] {
     ++count;
     if (count < 10) {
-      simulator.after(1.0, chain);
+      // The simulator takes its callback by rvalue: re-arm with a copy.
+      simulator.after(1.0, std::function<void()>(chain));
     }
   };
-  simulator.after(1.0, chain);
+  simulator.after(1.0, std::function<void()>(chain));
   simulator.run();
   EXPECT_EQ(count, 10);
   EXPECT_EQ(simulator.now(), 10.0);
