@@ -27,7 +27,6 @@ class AnalyticContext {
   AnalyticContext(Strategy strategy, const JobParams& params,
                   const Economics& econ = {});
 
-  Strategy strategy() const { return strategy_; }
   const JobParams& params() const { return params_; }
   const Economics& econ() const { return econ_; }
 

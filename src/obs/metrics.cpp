@@ -4,9 +4,7 @@
 
 #include <array>
 #include <atomic>
-#include <bit>
 #include <chrono>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -24,23 +22,11 @@ constexpr std::size_t kMaxCounters = 128;
 constexpr std::size_t kMaxGauges = 32;
 constexpr std::size_t kMaxTimers = 32;
 
-constexpr std::uint64_t kNoMin = std::numeric_limits<std::uint64_t>::max();
-
-/// log2 bucket of a duration: bit_width clamps [0,1] ns to bucket 0 and
-/// anything >= 2^47 ns (~39 h) to the last bucket.
-std::size_t bucket_of(std::uint64_t ns) {
-  const std::size_t b = static_cast<std::size_t>(std::bit_width(ns));
-  return b < kTimerBuckets ? b : kTimerBuckets - 1;
-}
-
 /// Per-thread timer state. Only the owning thread writes; other threads
 /// read during aggregation, hence the relaxed atomics.
 struct TimerCell {
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> total_ns{0};
-  std::atomic<std::uint64_t> min_ns{kNoMin};
-  std::atomic<std::uint64_t> max_ns{0};
-  std::array<std::atomic<std::uint64_t>, kTimerBuckets> buckets{};
 };
 
 /// Accumulated totals of exited threads (plain fields; registry-mutex
@@ -48,14 +34,7 @@ struct TimerCell {
 struct RetiredTotals {
   std::array<std::uint64_t, kMaxCounters> counters{};
   std::array<std::uint64_t, kMaxGauges> gauge_max{};
-  struct RetiredTimer {
-    std::uint64_t count = 0;
-    std::uint64_t total_ns = 0;
-    std::uint64_t min_ns = kNoMin;
-    std::uint64_t max_ns = 0;
-    std::array<std::uint64_t, kTimerBuckets> buckets{};
-  };
-  std::array<RetiredTimer, kMaxTimers> timers{};
+  std::array<TimerStats, kMaxTimers> timers{};
 };
 
 struct Shard;
@@ -109,13 +88,6 @@ struct Shard {
       auto& out = reg.retired.timers[i];
       out.count += cell.count.load(std::memory_order_relaxed);
       out.total_ns += cell.total_ns.load(std::memory_order_relaxed);
-      out.min_ns = std::min(out.min_ns,
-                            cell.min_ns.load(std::memory_order_relaxed));
-      out.max_ns = std::max(out.max_ns,
-                            cell.max_ns.load(std::memory_order_relaxed));
-      for (std::size_t b = 0; b < kTimerBuckets; ++b) {
-        out.buckets[b] += cell.buckets[b].load(std::memory_order_relaxed);
-      }
     }
     for (auto it = reg.shards.begin(); it != reg.shards.end(); ++it) {
       if (*it == this) {
@@ -180,11 +152,6 @@ void Timer::record_ns(std::uint64_t ns) const {
   TimerCell& cell = local_shard().timers[slot_];
   bump(cell.count, 1);
   bump(cell.total_ns, ns);
-  if (ns < cell.min_ns.load(std::memory_order_relaxed)) {
-    cell.min_ns.store(ns, std::memory_order_relaxed);
-  }
-  raise_to(cell.max_ns, ns);
-  bump(cell.buckets[bucket_of(ns)], 1);
 }
 
 Counter counter(const std::string& name) {
@@ -245,35 +212,13 @@ std::vector<MetricValue> snapshot() {
         break;
       }
       case MetricKind::kTimer: {
-        TimerStats stats;
-        stats.buckets.assign(kTimerBuckets, 0);
-        std::uint64_t min_ns = kNoMin;
-        const auto& retired = reg.retired.timers[slot];
-        stats.count = retired.count;
-        stats.total_ns = retired.total_ns;
-        stats.max_ns = retired.max_ns;
-        min_ns = retired.min_ns;
-        for (std::size_t b = 0; b < kTimerBuckets; ++b) {
-          stats.buckets[b] = retired.buckets[b];
-        }
+        value.timer = reg.retired.timers[slot];
         for (const Shard* shard : reg.shards) {
           const TimerCell& cell = shard->timers[slot];
-          stats.count += cell.count.load(std::memory_order_relaxed);
-          stats.total_ns += cell.total_ns.load(std::memory_order_relaxed);
-          min_ns = std::min(min_ns,
-                            cell.min_ns.load(std::memory_order_relaxed));
-          stats.max_ns = std::max(
-              stats.max_ns, cell.max_ns.load(std::memory_order_relaxed));
-          for (std::size_t b = 0; b < kTimerBuckets; ++b) {
-            stats.buckets[b] +=
-                cell.buckets[b].load(std::memory_order_relaxed);
-          }
+          value.timer.count += cell.count.load(std::memory_order_relaxed);
+          value.timer.total_ns +=
+              cell.total_ns.load(std::memory_order_relaxed);
         }
-        stats.min_ns = stats.count == 0 ? 0 : min_ns;
-        if (stats.count == 0) {
-          stats.buckets.clear();
-        }
-        value.timer = std::move(stats);
         break;
       }
     }
@@ -312,26 +257,6 @@ std::string metrics_json() {
       append_u64(json, t.count);
       json += ",\"total_ns\":";
       append_u64(json, t.total_ns);
-      json += ",\"min_ns\":";
-      append_u64(json, t.min_ns);
-      json += ",\"max_ns\":";
-      append_u64(json, t.max_ns);
-      json += ",\"mean_ns\":";
-      append_u64(json, t.count == 0 ? 0 : t.total_ns / t.count);
-      // Trailing zero buckets are trimmed: the histogram stays compact and
-      // the bucket index is still the log2(ns) exponent.
-      std::size_t last = t.buckets.size();
-      while (last > 0 && t.buckets[last - 1] == 0) {
-        --last;
-      }
-      json += ",\"log2_ns_buckets\":[";
-      for (std::size_t b = 0; b < last; ++b) {
-        if (b > 0) {
-          json += ',';
-        }
-        append_u64(json, t.buckets[b]);
-      }
-      json += ']';
     } else {
       json += ",\"value\":";
       append_u64(json, metric.value);
@@ -356,11 +281,6 @@ void reset_for_test() {
     for (TimerCell& cell : shard->timers) {
       cell.count.store(0, std::memory_order_relaxed);
       cell.total_ns.store(0, std::memory_order_relaxed);
-      cell.min_ns.store(kNoMin, std::memory_order_relaxed);
-      cell.max_ns.store(0, std::memory_order_relaxed);
-      for (auto& b : cell.buckets) {
-        b.store(0, std::memory_order_relaxed);
-      }
     }
   }
 }

@@ -1,5 +1,5 @@
 // Process-wide metrics registry: named counters, high-water gauges and
-// timing histograms for the engine's hot paths.
+// timers (count and total) for the engine's hot paths.
 //
 // Design constraints (the hard invariant of the observability layer):
 //  - recording must live entirely off the numeric path — no metric ever
@@ -39,19 +39,10 @@ namespace chronos::obs {
 
 enum class MetricKind { kCounter, kGauge, kTimer };
 
-/// Number of log2(ns) latency buckets a timer keeps: bucket i counts
-/// recordings whose elapsed ns has bit-width i, i.e. ns in [2^(i-1), 2^i)
-/// (bucket 0 counts exact zeros; the last bucket absorbs the tail).
-inline constexpr std::size_t kTimerBuckets = 48;
-
-/// Aggregated timer state: count/total plus extrema and a log2 histogram.
+/// Aggregated timer state: how many durations were recorded and their sum.
 struct TimerStats {
   std::uint64_t count = 0;
   std::uint64_t total_ns = 0;
-  std::uint64_t min_ns = 0;  ///< 0 when count == 0
-  std::uint64_t max_ns = 0;
-  std::vector<std::uint64_t> buckets;  ///< kTimerBuckets entries; empty when
-                                       ///< count == 0
 };
 
 /// One aggregated metric, as returned by snapshot().
@@ -89,8 +80,8 @@ class Gauge {
   std::uint32_t slot_ = 0;
 };
 
-/// Timing histogram. record_ns() folds one duration into the thread's
-/// shard; pair with Stopwatch or ScopedTimer for measurement.
+/// Duration accumulator. record_ns() adds one duration to the thread's
+/// count and total; pair with Stopwatch or ScopedTimer for measurement.
 class Timer {
  public:
   constexpr Timer() = default;

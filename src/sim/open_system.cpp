@@ -213,7 +213,7 @@ class OpenEngine {
   mapreduce::SpeculationPolicy& backend(strategies::PolicyKind kind) {
     auto& slot = backends_[static_cast<std::size_t>(kind)];
     if (!slot) {
-      slot = strategies::make_policy(kind, config_.policy_options);
+      slot = strategies::make_policy(kind);
     }
     return *slot;
   }
@@ -237,10 +237,6 @@ class OpenEngine {
     result_.mean_queue_depth = queue_area_.mean();
     if (sojourn_.count() > 0) {
       result_.mean_sojourn = sojourn_.mean();
-    }
-    if (measured_.jobs() > 0) {
-      result_.miss_rate = 1.0 - measured_.pocd();
-      result_.mean_cost = measured_.mean_cost();
     }
     if (baseline_pocd_.count() > 0) {
       result_.mean_baseline_pocd = baseline_pocd_.mean();

@@ -101,7 +101,6 @@ struct OpenSystemConfig {
 
   /// Strategy for every admitted job when auto_strategy is off.
   strategies::PolicyKind policy = strategies::PolicyKind::kSResume;
-  strategies::PolicyOptions policy_options;
 
   /// When on, each arrival runs core::optimize_all and is scheduled under
   /// the analytically best of Clone / S-Restart / S-Resume.
@@ -156,10 +155,9 @@ struct OpenSystemResult {
   double mean_jobs_in_system = 0.0; ///< Little's L over admitted jobs
   double mean_queue_depth = 0.0;    ///< pending container requests
 
-  /// Over measured jobs (arrived in-window) that completed.
-  double mean_sojourn = 0.0;  ///< Little's W: completion - arrival
-  double miss_rate = 0.0;     ///< 1 - PoCD
-  double mean_cost = 0.0;
+  /// Little's W over measured jobs (arrived in-window): completion -
+  /// arrival.
+  double mean_sojourn = 0.0;
 
   /// Mean analytic no-speculation PoCD of the in-window offered jobs (the
   /// per-job R_min the planner uses in baseline mode).
@@ -167,8 +165,9 @@ struct OpenSystemResult {
 
   StrategyMix mix;
 
-  /// Aggregate metrics of the measured completed jobs (outcome rows are
-  /// not retained; aggregate accessors only).
+  /// Aggregate metrics of the measured jobs, the in-window arrivals, all
+  /// of which complete: PoCD (1 - miss rate), cost, attempts. Outcome rows
+  /// are not retained; pocd() throws when no job arrived in the window.
   sim::RunMetrics metrics;
 
   /// Plan-cache traffic of the run's PlannerService (0/0 with the cache

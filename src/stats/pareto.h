@@ -14,9 +14,6 @@ class Pareto {
   /// Requires t_min > 0 and beta > 0.
   Pareto(double t_min, double beta);
 
-  double t_min() const { return t_min_; }
-  double beta() const { return beta_; }
-
   /// Probability density at t (0 for t < t_min).
   double pdf(double t) const;
 

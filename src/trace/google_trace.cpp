@@ -20,8 +20,7 @@ void TraceConfig::validate() const {
   CHRONOS_EXPECTS(num_jobs >= 1, "trace needs at least one job");
   CHRONOS_EXPECTS(duration_hours > 0.0, "duration must be positive");
   CHRONOS_EXPECTS(mean_tasks >= 1.0, "mean_tasks must be >= 1");
-  CHRONOS_EXPECTS(min_tasks >= 1 && max_tasks >= min_tasks,
-                  "invalid task-count clamp range");
+  CHRONOS_EXPECTS(max_tasks >= 1, "max_tasks must be >= 1");
   CHRONOS_EXPECTS(t_min_lo > 0.0 && t_min_hi >= t_min_lo,
                   "invalid t_min range");
   CHRONOS_EXPECTS(beta_lo > 1.0 && beta_hi >= beta_lo,
@@ -56,9 +55,11 @@ mapreduce::JobSpec sample_job_spec(const TraceConfig& config, int job_id,
   // E[exp(mu + sigma Z)] = exp(mu + sigma^2/2) = mean_tasks.
   const double sigma = kTasksLogSigma;
   const double mu = std::log(config.mean_tasks) - 0.5 * sigma * sigma;
-  const auto tasks =
-      static_cast<int>(std::llround(std::exp(mu + sigma * rng.normal())));
-  root.num_tasks = std::clamp(tasks, config.min_tasks, config.max_tasks);
+  // Clamped before rounding: a draw past INT_MAX (a large mean_tasks) must
+  // land on max_tasks, not wrap in the narrowing to int.
+  const double tasks = std::clamp(std::exp(mu + sigma * rng.normal()), 1.0,
+                                  static_cast<double>(config.max_tasks));
+  root.num_tasks = static_cast<int>(std::llround(tasks));
 
   // Per-job duration model: log-uniform scale, uniform tail index.
   root.t_min = std::exp(

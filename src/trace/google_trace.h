@@ -28,9 +28,8 @@ struct TraceConfig {
   double duration_hours = 30.0;
 
   // Task counts: lognormal (log-sigma 1), heavy-tailed like the Google
-  // trace, clamped.
+  // trace, clamped to [1, max_tasks].
   double mean_tasks = 370.0;  ///< ~1M tasks / 2700 jobs
-  int min_tasks = 1;
   int max_tasks = 5000;
 
   // Per-job Pareto duration parameters.

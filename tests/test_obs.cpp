@@ -292,7 +292,7 @@ TEST(ObsMetrics, GaugeKeepsTheHighWaterAcrossThreads) {
   EXPECT_EQ(metric->value, 17u);
 }
 
-TEST(ObsMetrics, TimerRecordsCountTotalExtremaAndLog2Buckets) {
+TEST(ObsMetrics, TimerRecordsCountAndTotal) {
   SKIP_WHEN_COMPILED_OUT();
   obs::reset_for_test();
   const obs::Timer latency = obs::timer("test.obs.latency");
@@ -300,27 +300,14 @@ TEST(ObsMetrics, TimerRecordsCountTotalExtremaAndLog2Buckets) {
   latency.record_ns(1);
   latency.record_ns(1);
   latency.record_ns(7);
-  latency.record_ns(1024);
+  std::thread other([latency] { latency.record_ns(1024); });
+  other.join();  // the exited thread's shard folds into the retired totals
   const auto all = obs::snapshot();
   const obs::MetricValue* metric = find_metric(all, "test.obs.latency");
   ASSERT_NE(metric, nullptr);
   EXPECT_EQ(metric->kind, obs::MetricKind::kTimer);
   EXPECT_EQ(metric->timer.count, 5u);
   EXPECT_EQ(metric->timer.total_ns, 1033u);
-  EXPECT_EQ(metric->timer.min_ns, 0u);
-  EXPECT_EQ(metric->timer.max_ns, 1024u);
-  ASSERT_EQ(metric->timer.buckets.size(), obs::kTimerBuckets);
-  // Bucket i counts durations of bit-width i: 0 -> bucket 0, 1 -> bucket 1,
-  // 7 -> bucket 3, 1024 -> bucket 11.
-  EXPECT_EQ(metric->timer.buckets[0], 1u);
-  EXPECT_EQ(metric->timer.buckets[1], 2u);
-  EXPECT_EQ(metric->timer.buckets[3], 1u);
-  EXPECT_EQ(metric->timer.buckets[11], 1u);
-  std::uint64_t total_bucketed = 0;
-  for (const std::uint64_t count : metric->timer.buckets) {
-    total_bucketed += count;
-  }
-  EXPECT_EQ(total_bucketed, 5u);
 }
 
 TEST(ObsMetrics, ScopedTimerRecordsTheEnclosedScope) {
@@ -351,6 +338,11 @@ TEST(ObsMetrics, JsonIsWellFormedAndSortedByName) {
   ASSERT_NE(zeta, std::string::npos);
   EXPECT_LT(alpha, mid);
   EXPECT_LT(mid, zeta);
+  // A timer entry holds exactly its name, kind, count and total.
+  EXPECT_NE(json.find("{\"name\":\"test.obs.mid\",\"kind\":\"timer\","
+                      "\"count\":1,\"total_ns\":3}"),
+            std::string::npos)
+      << json;
 }
 
 TEST(ObsMetrics, ResetClearsEverything) {

@@ -42,8 +42,9 @@ constexpr double kTaskMean = 4.0 * 2.5 / 1.5;
 OpenSystemConfig base_config(double rate, int nodes, int containers) {
   OpenSystemConfig config;
   config.arrivals.rate = rate;
-  config.workload.mean_tasks = 8.0;
-  config.workload.min_tasks = 8;
+  // A lognormal of mean 1e6 never draws below 8 (that is 11 sigma down),
+  // so the clamp gives every job exactly 8 tasks.
+  config.workload.mean_tasks = 1e6;
   config.workload.max_tasks = 8;
   config.workload.t_min_lo = 4.0;
   config.workload.t_min_hi = 4.0;
@@ -124,8 +125,9 @@ TEST(OpenSystemLaws, MissRateMonotoneInArrivalRate) {
     auto config = base_config(rate, 4, 4);
     const auto result = sim::run_open_system(config);
     EXPECT_GT(result.metrics.jobs(), 10u) << "rate " << rate;
-    EXPECT_GE(result.miss_rate, previous - 0.02) << "rate " << rate;
-    previous = result.miss_rate;
+    const double miss_rate = 1.0 - result.metrics.pocd();
+    EXPECT_GE(miss_rate, previous - 0.02) << "rate " << rate;
+    previous = miss_rate;
   }
 }
 
@@ -240,7 +242,7 @@ TEST(OpenSystemDeterminism, SameSeedSameResult) {
   EXPECT_EQ(a.utilization, b.utilization);
   EXPECT_EQ(a.mean_jobs_in_system, b.mean_jobs_in_system);
   EXPECT_EQ(a.mean_sojourn, b.mean_sojourn);
-  EXPECT_EQ(a.mean_cost, b.mean_cost);
+  EXPECT_EQ(a.metrics.mean_cost(), b.metrics.mean_cost());
   EXPECT_EQ(a.end_time, b.end_time);
 }
 
@@ -291,8 +293,8 @@ void expect_same_run(const OpenSystemResult& a, const OpenSystemResult& b) {
   EXPECT_EQ(a.utilization, b.utilization);
   EXPECT_EQ(a.mean_jobs_in_system, b.mean_jobs_in_system);
   EXPECT_EQ(a.mean_sojourn, b.mean_sojourn);
-  EXPECT_EQ(a.miss_rate, b.miss_rate);
-  EXPECT_EQ(a.mean_cost, b.mean_cost);
+  EXPECT_EQ(a.metrics.pocd(), b.metrics.pocd());
+  EXPECT_EQ(a.metrics.mean_cost(), b.metrics.mean_cost());
   EXPECT_EQ(a.end_time, b.end_time);
 }
 

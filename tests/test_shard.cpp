@@ -831,29 +831,30 @@ TEST(SweeprunCli, UnknownFlagsAndBadValuesExitWithUsage) {
 
   // Numeric flags reject garbage, trailing junk, signs and empty values
   // instead of reading a prefix (or nothing) as a number.
-  for (const char* flag : {"--threads", "--reps"}) {
-    for (const char* bad : {"abc", "2x", "-1", ""}) {
-      result = run_command(kSweeprun + " " + manifest + " " + flag + " '" +
-                           bad + "'");
-      EXPECT_EQ(result.status, 2)
-          << flag << " '" << bad << "': " << result.output;
-      EXPECT_NE(result.output.find("usage:"), std::string::npos)
-          << result.output;
-    }
+  for (const char* bad : {"abc", "2x", "-1", ""}) {
+    result = run_command(kSweeprun + " " + manifest + " --threads '" + bad +
+                         "'");
+    EXPECT_EQ(result.status, 2) << "--threads '" << bad << "': "
+                                << result.output;
+    EXPECT_NE(result.output.find("usage:"), std::string::npos)
+        << result.output;
   }
 
-  // The flags of the removed live-lease controller/worker mode and of the
-  // removed journal compaction are gone.
+  // The flags of the removed live-lease controller/worker mode, of the
+  // removed journal compaction and of the removed replication override are
+  // gone.
   for (const char* flag :
        {"--controller", "--worker", "--name", "--lease-cells",
         "--heartbeat-ms", "--lease-timeout-ms", "--progress-timeout-ms",
         "--worker-timeout-ms", "--connect-attempts", "--fault",
-        "--compact"}) {
+        "--compact", "--reps"}) {
     result = run_command(kSweeprun + " " + manifest + " " + flag + " 3");
     EXPECT_EQ(result.status, 2) << flag << ": " << result.output;
     EXPECT_NE(result.output.find("sweeprun: unknown flag '" +
                                  std::string(flag) + "'"),
               std::string::npos)
+        << result.output;
+    EXPECT_NE(result.output.find("usage:"), std::string::npos)
         << result.output;
   }
 

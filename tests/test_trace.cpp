@@ -124,7 +124,7 @@ TEST(GoogleTrace, ParametersWithinConfiguredRanges) {
   for (const auto& job : jobs) {
     EXPECT_GE(job.submit_time, 0.0);
     EXPECT_LT(job.submit_time, horizon);
-    EXPECT_GE(job.spec.stage(0).num_tasks, config.min_tasks);
+    EXPECT_GE(job.spec.stage(0).num_tasks, 1);
     EXPECT_LE(job.spec.stage(0).num_tasks, config.max_tasks);
     EXPECT_GE(job.spec.stage(0).t_min, config.t_min_lo * (1.0 - 1e-9));
     EXPECT_LE(job.spec.stage(0).t_min, config.t_min_hi * (1.0 + 1e-9));
@@ -161,6 +161,19 @@ TEST(GoogleTrace, TaskCountsAreHeavyTailed) {
   EXPECT_GT(large, 0);
 }
 
+TEST(GoogleTrace, HugeMeanTaskCountClampsToMaxTasks) {
+  // Draws around 1e12 lie past INT_MAX; they must clamp to max_tasks, not
+  // wrap when narrowed to int.
+  TraceConfig config;
+  config.num_jobs = 20;
+  config.mean_tasks = 1e12;
+  config.max_tasks = 50;
+  config.seed = 3;
+  for (const auto& job : generate_trace(config)) {
+    EXPECT_EQ(job.spec.stage(0).num_tasks, 50) << job.spec.job_id;
+  }
+}
+
 TEST(GoogleTrace, RejectsInvalidConfig) {
   TraceConfig config;
   config.num_jobs = 0;
@@ -170,6 +183,9 @@ TEST(GoogleTrace, RejectsInvalidConfig) {
   EXPECT_THROW(generate_trace(config), PreconditionError);
   config = TraceConfig{};
   config.deadline_factor_lo = 0.9;
+  EXPECT_THROW(generate_trace(config), PreconditionError);
+  config = TraceConfig{};
+  config.max_tasks = 0;
   EXPECT_THROW(generate_trace(config), PreconditionError);
 }
 

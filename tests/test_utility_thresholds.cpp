@@ -172,7 +172,7 @@ INSTANTIATE_TEST_SUITE_P(
 constexpr double kEps = std::numeric_limits<double>::epsilon();
 constexpr int kLemmaMaxR = 400;
 
-/// Calls `check(context, r_min)` for every job on a grid of strategies,
+/// Calls `check(strategy, context, r_min)` for every job on a grid of strategies,
 /// beta, N, deadlines from the clamp floor t_min (1 + 0.3) upward, and
 /// R_min in {0, the no-speculation PoCD, 0.5}.
 template <typename Check>
@@ -196,7 +196,7 @@ void for_each_lemma_job(Check check) {
                {0.0, pocd_no_speculation(baseline), 0.5}) {
             Economics e = default_econ();
             e.r_min = r_min;
-            check(AnalyticContext(s, p, e), r_min);
+            check(s, AnalyticContext(s, p, e), r_min);
           }
         }
       }
@@ -206,7 +206,8 @@ void for_each_lemma_job(Check check) {
 
 TEST(UtilityConcavity, LogPocdMarginConcaveFromZero) {
   std::int64_t checked = 0;
-  for_each_lemma_job([&](const AnalyticContext& ctx, double r_min) {
+  for_each_lemma_job([&](Strategy strategy, const AnalyticContext& ctx,
+                         double r_min) {
     const double n = ctx.params().num_tasks;
     std::vector<double> log_margin(kLemmaMaxR + 1);
     std::vector<double> noise(kLemmaMaxR + 1);
@@ -228,7 +229,7 @@ TEST(UtilityConcavity, LogPocdMarginConcaveFromZero) {
       const double second =
           log_margin[r + 2] - 2.0 * log_margin[r + 1] + log_margin[r];
       ASSERT_LE(second, noise[r] + 2.0 * noise[r + 1] + noise[r + 2])
-          << to_string(ctx.strategy()) << " N=" << ctx.params().num_tasks
+          << to_string(strategy) << " N=" << ctx.params().num_tasks
           << " beta=" << ctx.params().beta << " D=" << ctx.params().deadline
           << " r_min=" << r_min << " r=" << r;
     }
@@ -238,7 +239,8 @@ TEST(UtilityConcavity, LogPocdMarginConcaveFromZero) {
 
 TEST(UtilityConcavity, MachineTimeConvexFromZero) {
   std::int64_t checked = 0;
-  for_each_lemma_job([&](const AnalyticContext& ctx, double r_min) {
+  for_each_lemma_job([&](Strategy strategy, const AnalyticContext& ctx,
+                         double r_min) {
     if (r_min != 0.0) {
       return;  // E(T) does not depend on R_min
     }
@@ -250,7 +252,7 @@ TEST(UtilityConcavity, MachineTimeConvexFromZero) {
       ++checked;
       const double second = time[r + 2] - 2.0 * time[r + 1] + time[r];
       ASSERT_GE(second, -64.0 * kEps * time[r + 2])
-          << to_string(ctx.strategy()) << " N=" << ctx.params().num_tasks
+          << to_string(strategy) << " N=" << ctx.params().num_tasks
           << " beta=" << ctx.params().beta << " D=" << ctx.params().deadline
           << " r=" << r;
     }

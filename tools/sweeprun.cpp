@@ -5,7 +5,7 @@
 // trace/planner templates and outputs (see src/exp/manifest.h for the
 // format; checked-in examples live under manifests/).
 //
-//   sweeprun MANIFEST [--threads N] [--reps N] [--journal PATH] [--fresh]
+//   sweeprun MANIFEST [--threads N] [--journal PATH] [--fresh]
 //            [--csv PATH] [--json PATH] [--no-table]
 //            [--shard I/N] [--shard-dir DIR] [--merge [N]]
 //            [--metrics-out PATH] [--trace-out PATH] [--progress]
@@ -82,7 +82,6 @@ constexpr int kInterruptedExit = 130;
 struct Cli {
   std::string manifest_path;
   int threads = 0;  ///< 0 = all hardware threads
-  int reps = 0;     ///< 0 = manifest value
   std::string journal;
   std::string csv;
   std::string json;
@@ -100,7 +99,7 @@ struct Cli {
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s MANIFEST [--threads N] [--reps N] "
+               "usage: %s MANIFEST [--threads N] "
                "[--journal PATH] [--fresh] [--csv PATH] [--json PATH] "
                "[--no-table] [--shard I/N] [--shard-dir DIR] [--merge [N]] "
                "[--metrics-out PATH] [--trace-out PATH] [--progress]\n",
@@ -140,8 +139,6 @@ Cli parse_cli(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--threads") {
       number(i, cli.threads);
-    } else if (arg == "--reps") {
-      number(i, cli.reps);
     } else if (arg == "--journal") {
       cli.journal = value(i);
     } else if (arg == "--csv") {
@@ -365,13 +362,6 @@ int main(int argc, char** argv) {
   }
   ProgressPrinter progress_printer;
   try {
-    if (cli.reps > 0) {
-      manifest.spec.replications = cli.reps;
-      if (manifest.spec.adaptive.enabled() &&
-          manifest.spec.adaptive.max_replications < cli.reps) {
-        manifest.spec.adaptive.max_replications = cli.reps;
-      }
-    }
     if (!cli.csv.empty()) manifest.outputs.csv = cli.csv;
     if (!cli.json.empty()) manifest.outputs.json = cli.json;
     if (!cli.journal.empty()) manifest.outputs.journal = cli.journal;
