@@ -188,7 +188,8 @@ std::string to_json(const SweepResult& result) {
   out += ",\"replications\":" + std::to_string(result.replications);
   out += ",\"axes\":[";
   for (std::size_t a = 0; a < result.axis_names.size(); ++a) {
-    out += (a == 0 ? "\"" : ",\"") + json_escape(result.axis_names[a]) + "\"";
+    out += a == 0 ? "\"" : ",\"";
+    out += json_escape(result.axis_names[a]) + "\"";
   }
   out += "],\"cells\":[";
   for (std::size_t c = 0; c < result.cells.size(); ++c) {
@@ -198,8 +199,8 @@ std::string to_json(const SweepResult& result) {
     out += ",\"point\":{";
     for (std::size_t a = 0; a < cell.point.coordinates.size(); ++a) {
       const AxisValue& coordinate = cell.point.coordinates[a];
-      out += (a == 0 ? "\"" : ",\"") + json_escape(coordinate.name) +
-             "\":" + json_num(coordinate.value);
+      out += a == 0 ? "\"" : ",\"";
+      out += json_escape(coordinate.name) + "\":" + json_num(coordinate.value);
     }
     // Labels carry the display text of categorical axes (e.g. benchmark
     // names behind index values); the CSV emitter uses them as the cell
@@ -207,8 +208,9 @@ std::string to_json(const SweepResult& result) {
     out += "},\"point_labels\":{";
     for (std::size_t a = 0; a < cell.point.coordinates.size(); ++a) {
       const AxisValue& coordinate = cell.point.coordinates[a];
-      out += (a == 0 ? "\"" : ",\"") + json_escape(coordinate.name) +
-             "\":\"" + json_escape(coordinate.label) + "\"";
+      out += a == 0 ? "\"" : ",\"";
+      out += json_escape(coordinate.name) + "\":\"" +
+             json_escape(coordinate.label) + "\"";
     }
     out += "},";
     append_metric_json(out, "pocd", cell.aggregate.pocd);

@@ -487,10 +487,6 @@ double SchedulerApi::resume_offset_for(int job, int attempt_id) {
   return resume_offset(attempt(job, attempt_id), progress, now());
 }
 
-void SchedulerApi::schedule_after(double delay, std::function<void()> fn) {
-  scheduler_.simulator_.after(delay, std::move(fn));
-}
-
 bool SchedulerApi::cluster_has_idle_container() const {
   return scheduler_.cluster_.has_idle_container();
 }

@@ -10,9 +10,11 @@
 # through bench/ledger's CMake at -O0 with -ffunction-sections and linked
 # with --gc-sections, so each binary keeps exactly the functions it can
 # reach. At -O0 nothing is inlined, so a function called only from its own
-# file still counts as used. A function is dead when it is a strong
-# (out-of-line, non-inline) `chronos::` symbol of the library that none of
-# the binaries defines.
+# file still counts as used. The build type is RelWithDebInfo with its flags
+# replaced: a Release build is profile-guided and link-time optimised, and
+# LTO would decide what each binary keeps. A function is dead when it is a
+# strong (out-of-line, non-inline) `chronos::` symbol of the library that
+# none of the binaries defines.
 #
 # Exit status: 0 when the dead functions are exactly the allowlist, 1 when a
 # dead function is not allowlisted or an allowlisted one is no longer dead
@@ -40,8 +42,9 @@ for source in "$root"/tools/*.cpp "$root"/examples/*.cpp "$root"/bench/*.cpp; do
   targets+=("$name")
 done
 
-if ! cmake -S "$root/bench/ledger" -B "$build" -DCMAKE_BUILD_TYPE=Release \
-       -DCMAKE_CXX_FLAGS_RELEASE="-O0 -DNDEBUG" \
+if ! cmake -S "$root/bench/ledger" -B "$build" \
+       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+       -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O0 -DNDEBUG" \
        -DCMAKE_CXX_FLAGS=-ffunction-sections \
        -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections > "$build/audit.log" 2>&1 ||
    ! cmake --build "$build" -j "$jobs" --target "${targets[@]}" \
