@@ -1,9 +1,8 @@
 // Microbenchmarks of the planner service (src/serve/): plans per second
 // through the quantized plan cache. Cold = cache off (every request pays a
-// full optimize_all), warm-exact = a pre-warmed exact-key cache replaying
-// the identical request pool (pure hits), warm-quantized = a pre-warmed
-// geometric-grid cache fed jittered shapes that land in warmed buckets.
-// The warm/cold ratio is the headline number in BENCH_PR8.json.
+// full optimize_all), warm-quantized = a pre-warmed geometric-grid cache
+// fed jittered shapes that land in warmed buckets (pure hits). The
+// warm-quantized/cold ratio is the headline number in BENCH_PR8.json.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -16,7 +15,6 @@
 
 namespace {
 
-using chronos::serve::CacheMode;
 using chronos::serve::PlannerService;
 using chronos::serve::PlannerServiceConfig;
 using chronos::serve::PlanRequest;
@@ -54,9 +52,8 @@ struct RequestPool {
   }
 };
 
-PlannerServiceConfig config_for(CacheMode mode, double grid = 0.0) {
+PlannerServiceConfig config_for(double grid) {
   PlannerServiceConfig config;
-  config.cache.mode = mode;
   config.cache.grid = grid;
   return config;
 }
@@ -74,30 +71,17 @@ void drive(benchmark::State& state, PlannerService& service,
 
 // Every request runs the full Algorithm 1 sweep over all three strategies.
 void BM_PlansPerSecondCold(benchmark::State& state) {
-  PlannerService service(config_for(CacheMode::kOff));
+  PlannerService service(config_for(0.0));
   RequestPool pool;
   drive(state, service, pool);
 }
 BENCHMARK(BM_PlansPerSecondCold);
 
-// The same pool replayed against a pre-warmed exact-key cache: pure hits.
-void BM_PlansPerSecondWarmExact(benchmark::State& state) {
-  PlannerService service(config_for(CacheMode::kExact));
-  RequestPool pool;
-  chronos::mapreduce::JobSpec scratch;
-  for (std::size_t i = 0; i < kPoolSize; ++i) {
-    auto request = pool.request(i, scratch);
-    service.plan(request);
-  }
-  drive(state, service, pool);
-}
-BENCHMARK(BM_PlansPerSecondWarmExact);
-
 // A jittered pool against a cache warmed with the unjittered shapes: the
 // jitter (well under one 5% grid step) keeps every request inside a warmed
 // bucket, so this measures quantized hits on near-miss inputs.
 void BM_PlansPerSecondWarmQuantized(benchmark::State& state) {
-  PlannerService service(config_for(CacheMode::kQuantized, 0.05));
+  PlannerService service(config_for(0.05));
   RequestPool warm_pool;
   chronos::mapreduce::JobSpec scratch;
   for (std::size_t i = 0; i < kPoolSize; ++i) {

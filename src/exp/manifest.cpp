@@ -624,24 +624,20 @@ Manifest parse_manifest(const std::string& text) {
     std::string cache_name = "off";
     if (const IniEntry* plan_cache = reader.find("plan_cache")) {
       const std::string& value = plan_cache->value;
-      if (value == "exact") {
-        open.plan_cache.mode = serve::CacheMode::kExact;
-        cache_name = value;
-      } else if (value.rfind("quantized:", 0) == 0) {
-        open.plan_cache.mode = serve::CacheMode::kQuantized;
-        if (!parse_number(value.substr(10), plan_cache->line,
-                          open.plan_cache.grid) ||
-            open.plan_cache.grid < serve::kMinQuantizeGrid) {
+      if (value.rfind("quantized:", 0) == 0) {
+        double grid = 0.0;
+        if (!parse_number(value.substr(10), plan_cache->line, grid) ||
+            grid < serve::kMinQuantizeGrid) {
           fail(plan_cache->line,
                "plan_cache quantization grid must be a number >= " +
                    numeric::format_double(serve::kMinQuantizeGrid) +
                    ", got '" + value.substr(10) + "'");
         }
-        cache_name =
-            "quantized:" + numeric::format_double(open.plan_cache.grid);
+        open.plan_cache.grid = grid;
+        cache_name = "quantized:" + numeric::format_double(grid);
       } else if (value != "off") {
         fail(plan_cache->line,
-             "plan_cache must be off, exact or quantized:<grid>, got '" +
+             "plan_cache must be off or quantized:<grid>, got '" +
                  value + "'");
       }
     }

@@ -105,10 +105,9 @@ struct ManifestOutputs {
 ///   drain = on              # the only value: run to empty after the
 ///                           #   horizon (the key may be omitted)
 ///   plan = policy           # policy | auto (per-job optimize_all)
-///   plan_cache = off        # off | exact | quantized:<grid>; exact serves
-///                           #   bit-identical plans for repeated inputs,
-///                           #   quantized shares plans within geometric
-///                           #   (1+grid)-ratio buckets (serve/planner.h)
+///   plan_cache = off        # off | quantized:<grid>; quantized shares
+///                           #   plans within geometric (1+grid)-ratio
+///                           #   buckets (serve/planner.h)
 ///   admission = on          # the only value: capacity-aware admission
 ///                           #   control (the key may be omitted)
 ///   nodes = @nodes          # bindable; uniform cluster of `containers`

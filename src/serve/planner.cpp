@@ -51,11 +51,10 @@ std::int64_t bucket_on_log_grid(double value, double log_ratio) {
 }  // namespace
 
 void PlanCacheConfig::validate() const {
-  if (mode == CacheMode::kQuantized) {
-    CHRONOS_EXPECTS(std::isfinite(grid) && grid >= kMinQuantizeGrid,
-                    "plan cache quantization grid must be finite and >= " +
-                        numeric::format_double(kMinQuantizeGrid));
-  }
+  CHRONOS_EXPECTS(
+      !enabled() || (std::isfinite(grid) && grid >= kMinQuantizeGrid),
+      "plan cache grid must be 0 (off) or finite and >= " +
+          numeric::format_double(kMinQuantizeGrid));
 }
 
 std::int64_t quantize_bucket(double value, double grid) {
@@ -65,13 +64,14 @@ std::int64_t quantize_bucket(double value, double grid) {
 PlannerService::PlannerService(PlannerServiceConfig config)
     : config_(config) {
   config_.cache.validate();
-  if (config_.cache.mode != CacheMode::kOff) {
+  if (config_.cache.enabled()) {
     // The memo never outgrows its cap, so it never rehashes.
     memo_.reserve(kMaxCachedPlans);
   }
 }
 
 PlanKey PlannerService::make_key(const PlanRequest& request) const {
+  CHRONOS_EXPECTS(config_.cache.enabled(), "plan keys need a nonzero grid");
   PlanKey key;
   encode_key(request, key);
   return key;
@@ -80,7 +80,6 @@ PlanKey PlannerService::make_key(const PlanRequest& request) const {
 void PlannerService::encode_key(const PlanRequest& request,
                                 PlanKey& key) const {
   const auto& spec = *request.spec;
-  const bool quantized = config_.cache.mode == CacheMode::kQuantized;
   const double log_ratio = std::log1p(config_.cache.grid);
   key.clear();
   const auto word = [&key](std::int64_t value) {
@@ -93,8 +92,7 @@ void PlannerService::encode_key(const PlanRequest& request,
     key.push_back(static_cast<char>(code));
   };
   const auto encode = [&](double value) {
-    word(quantized ? bucket_on_log_grid(value, log_ratio)
-                   : std::bit_cast<std::int64_t>(value));
+    word(bucket_on_log_grid(value, log_ratio));
   };
   word(request.auto_strategy ? static_cast<std::int64_t>(kAutoMode)
                              : static_cast<std::int64_t>(request.policy));
@@ -131,7 +129,7 @@ PlanReply PlannerService::plan(const PlanRequest& request) {
   c_requests.add();
   ++stats_.requests;
   auto& spec = *request.spec;
-  const bool cached = config_.cache.mode != CacheMode::kOff;
+  const bool cached = config_.cache.enabled();
   if (cached) {
     encode_key(request, key_);
     if (const auto hit = memo_.find(std::string_view(key_));

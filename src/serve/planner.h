@@ -4,16 +4,16 @@
 // spot price, policy-or-auto) — and the reply is the plan: which policy
 // runs the job and with how many extra attempts r. A plan is a pure
 // function of those inputs under a fixed PlannerConfig, so the service
-// memoizes it. The key is the inputs either bit-exact (kExact: a hit is
-// only ever served for bit-identical inputs, so cached planning is
-// byte-identical to uncached planning) or snapped to a geometric grid
-// (kQuantized: continuous inputs within one relative bucket share a plan,
-// trading optimality slack bounded by the grid width for hit rate).
+// memoizes it under a key whose continuous inputs are snapped to a
+// geometric grid: inputs within one relative bucket share a plan, trading
+// optimality slack bounded by the grid width for hit rate. A hit on
+// bit-identical inputs replays the plan those inputs were planned to, so it
+// is byte-identical to uncached planning.
 //
-// Measured traffic: sampled continuous inputs never repeat bit for bit, so
-// kExact served 0 hits of 941 requests on manifests/open_system_cached.ini,
-// while quantized:0.05 served 109,517 of 172,061 on the perf ledger's
-// open_auto_small at seed 1.
+// Measured traffic: quantized:0.05 served 109,517 of 172,061 requests on
+// the perf ledger's open_auto_small at seed 1. Keys are always quantized:
+// sampled continuous inputs never repeat bit for bit, so a key of raw bit
+// patterns served 0 hits of 941 requests on the open_system grid.
 //
 // Every plan is computed by trace::plan_into and written by
 // trace::write_plan, which recomputes the per-request fields (spot price,
@@ -35,33 +35,27 @@
 
 namespace chronos::serve {
 
-enum class CacheMode {
-  kOff,       ///< no caching: every request is planned from scratch
-  kExact,     ///< keys compare bit-exact: hits are byte-identical plans
-  kQuantized  ///< continuous key fields snapped to a geometric grid
-};
-
-/// Smallest kQuantized grid. Every finite positive double has |ln x| <= 745,
-/// so at this grid its bucket index stays below 2^50 in magnitude: inside
-/// the int64 range, and far from the keys of non-positive and non-finite
-/// values (see quantize_bucket).
+/// Smallest nonzero plan-cache grid. Every finite positive double has
+/// |ln x| <= 745, so at this grid its bucket index stays below 2^50 in
+/// magnitude: inside the int64 range, and far from the keys of non-positive
+/// and non-finite values (see quantize_bucket).
 inline constexpr double kMinQuantizeGrid = 1e-12;
 
 /// The memo's entry cap: past it, distinct keys are planned uncached, so a
 /// long open run keeps bounded memory.
 inline constexpr std::size_t kMaxCachedPlans = std::size_t{1} << 16;
 
-/// Memo mode of a PlannerService.
+/// Memo of a PlannerService.
 struct PlanCacheConfig {
-  CacheMode mode = CacheMode::kOff;
-
-  /// Relative bucket width for kQuantized: values x, y land in the same
-  /// bucket when floor(log(x)/log1p(grid)) == floor(log(y)/log1p(grid)),
-  /// i.e. buckets are powers of (1 + grid) and any two values in one
-  /// bucket differ by less than a factor of (1 + grid). At least
-  /// kMinQuantizeGrid.
+  /// Relative bucket width of the key's continuous fields; 0 turns the memo
+  /// off, so every request is planned from scratch. Values x, y land in the
+  /// same bucket when floor(log(x)/log1p(grid)) ==
+  /// floor(log(y)/log1p(grid)), i.e. buckets are powers of (1 + grid) and
+  /// any two values in one bucket differ by less than a factor of
+  /// (1 + grid). Otherwise at least kMinQuantizeGrid.
   double grid = 0.0;
 
+  bool enabled() const { return grid != 0.0; }
   void validate() const;
 };
 
@@ -75,11 +69,10 @@ std::int64_t quantize_bucket(double value, double grid);
 /// Canonical key: one byte string of words holding the planning mode plus
 /// every request field the plan depends on — stage count, deadline and
 /// price, then per stage num_tasks, t_min, beta, the number of resolved
-/// deps and those deps in ascending order. Continuous fields are bit
-/// patterns in kExact mode and quantize_bucket indices in kQuantized mode.
-/// Each word is a zigzag varint (7 bits a byte, high bit set on all but the
-/// last byte), so small words take one byte and a quantized single-stage
-/// key, about 12 bytes, fits std::string's inline buffer. Varints are
+/// deps and those deps in ascending order. Continuous fields are
+/// quantize_bucket indices. Each word is a zigzag varint (7 bits a byte,
+/// high bit set on all but the last byte), so small words take one byte and
+/// a single-stage key, about 12 bytes, fits std::string's inline buffer. Varints are
 /// self-delimiting and the stage and dep counts make the word sequence
 /// unambiguous, so two specs differing in any stage — shape or wiring —
 /// never share a key, at any width. PlannerConfig knobs (theta among them)
@@ -150,16 +143,17 @@ class PlannerService {
   /// Plans one request in place: fills spec.price / tau_est / tau_kill / r
   /// and returns the decision. With the memo off and on a miss, this is
   /// trace::plan_into on the request's spec; a miss then memoizes the plan
-  /// it wrote while the memo holds fewer than kMaxCachedPlans entries. An
-  /// exact-mode hit replays a plan computed from bit-identical inputs and
-  /// is therefore byte-identical too.
+  /// it wrote while the memo holds fewer than kMaxCachedPlans entries. A
+  /// hit on bit-identical inputs replays the plan computed from them and is
+  /// therefore byte-identical too.
   PlanReply plan(const PlanRequest& request);
 
   const PlannerServiceConfig& config() const { return config_; }
   PlannerServiceStats stats() const { return stats_; }
 
   /// The key a request would be filed under (exposed for tests of the
-  /// quantization-boundary behavior and of stage keying).
+  /// quantization-boundary behavior and of stage keying). Requires the
+  /// memo on.
   PlanKey make_key(const PlanRequest& request) const;
 
  private:

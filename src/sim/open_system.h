@@ -88,12 +88,10 @@ struct OpenSystemConfig {
   /// Spot-price process used for spec.price at each arrival.
   trace::SpotPriceConfig prices;
 
-  /// Plan-cache mode of the per-run serve::PlannerService. kOff and kExact
-  /// are byte-identical to uncached planning; kQuantized shares plans
-  /// within grid buckets (see serve/planner.h). Sampled shapes never
-  /// repeat bit for bit, so kExact served 0 hits of 941 requests on
-  /// manifests/open_system_cached.ini; quantized:0.05 served 109,517 of
-  /// 172,061 on the perf ledger's open_auto_small at seed 1.
+  /// Plan memo of the per-run serve::PlannerService: grid 0 plans every
+  /// arrival from scratch; a nonzero grid shares plans within grid buckets
+  /// (see serve/planner.h). quantized:0.05 served 109,517 of 172,061
+  /// requests on the perf ledger's open_auto_small at seed 1.
   serve::PlanCacheConfig plan_cache;
 
   sim::ClusterConfig cluster;

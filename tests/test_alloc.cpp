@@ -110,7 +110,7 @@ sim::OpenSystemConfig auto_planned_open_system(double hours) {
   config.planner.theta = 1e-4;
   config.planner.r_min_from_baseline = false;
   config.planner.r_min = 0.1;
-  config.plan_cache = {serve::CacheMode::kQuantized, 0.05};
+  config.plan_cache.grid = 0.05;
   config.auto_strategy = true;
   config.cluster = sim::ClusterConfig::uniform(
       16, sim::NodeConfig{.speed = 1.0, .containers = 16});

@@ -242,6 +242,13 @@ TEST(Manifest, RejectsRemovedArrivalsKnobs) {
   expect_parse_error(
       "[sweep]\npolicies = clone\n[arrivals]\nkind = diurnal\nrate = 0.1\n",
       "manifest line 4: arrivals kind must be poisson, got 'diurnal'");
+  // plan_cache takes off or quantized:<grid>; the deleted bit-exact memo's
+  // `exact` is no value.
+  for (const std::string value : {"exact", "on", "quantized"}) {
+    expect_parse_error(open + "plan_cache = " + value + "\n",
+                       "manifest line 6: plan_cache must be off or "
+                       "quantized:<grid>, got '" + value + "'");
+  }
 }
 
 TEST(Manifest, RejectsKeysAndValuesNoWorkloadSets) {
@@ -354,7 +361,6 @@ TEST(Manifest, CommittedManifestFingerprintsArePinned) {
       {"fig3_theta.ini", "9f269dfd5f02c4e9"},
       {"fig4_beta.ini", "7e4fb99bbba6f983"},
       {"open_system.ini", "fbe4724d23307794"},
-      {"open_system_cached.ini", "305fd5cb96f5aace"},
       {"sweep_scaling.ini", "585715d94c1bf01a"},
       {"table1_tau_est.ini", "c8ff2db873667853"},
       {"table2_tau_kill.ini", "4d17e8618c67b688"},
@@ -600,14 +606,14 @@ TEST_F(ManifestSalt, EveryOpenTemplateKeyChangesTheSalt) {
        {"plan_cache = quantized:0.05", "plan_cache = quantized:0.1"},
        {"nodes = @nodes", "nodes = 6"},
        {"containers = 4", "containers = 5"}});
-  // A bound rate, and the other plan_cache modes.
+  // A bound rate, and the plan cache switched off, which salts like an
+  // absent key.
   EXPECT_NE(salt_of(apply(open_, {"rate = 0.05", "rate = @nodes"})),
             salt_of(open_));
-  const std::string exact =
-      apply(open_, {"plan_cache = quantized:0.05", "plan_cache = exact"});
-  EXPECT_NE(salt_of(exact), salt_of(open_));
-  EXPECT_NE(salt_of(apply(exact, {"plan_cache = exact", "plan_cache = off"})),
-            salt_of(exact));
+  const std::string off =
+      apply(open_, {"plan_cache = quantized:0.05", "plan_cache = off"});
+  EXPECT_NE(salt_of(off), salt_of(open_));
+  EXPECT_EQ(salt_of(apply(off, {"plan_cache = off", ""})), salt_of(off));
 }
 
 /// Reverses the key order inside every section.

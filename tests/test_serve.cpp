@@ -1,11 +1,10 @@
 // Planner service and its plan memo (src/serve/).
 //
-// The load-bearing properties: exact-key memoization is bit-identical to
-// uncached planning (a hit is only ever served for bit-identical inputs,
-// and the per-request fields — price, tau timers — are recomputed, never
-// memoized), quantized keys bucket on the geometric grid exactly where
-// quantize_bucket says they do and never alias a non-positive value with a
-// bucket, jobs of any width are memoized under a key of their stage shapes
+// The load-bearing properties: a hit on bit-identical inputs is
+// bit-identical to uncached planning (the per-request fields — price, tau
+// timers — are recomputed, never memoized), keys bucket on the geometric
+// grid exactly where quantize_bucket says they do and never alias a
+// non-positive value with a bucket, jobs of any width are memoized under a key of their stage shapes
 // and dependency sets, auto mode plans staged jobs exactly as the root-view
 // choice plus trace::plan_staged_spec does, and a full memo still plans
 // every request correctly.
@@ -25,7 +24,6 @@
 namespace chronos {
 namespace {
 
-using serve::CacheMode;
 using serve::PlanCacheConfig;
 using serve::PlannerService;
 using serve::PlannerServiceConfig;
@@ -42,9 +40,11 @@ mapreduce::JobSpec make_spec(int num_tasks, double t_min, double beta,
   return spec;
 }
 
-PlannerServiceConfig service_config(CacheMode mode, double grid = 0.0) {
+/// The grid the committed open-system workloads cache at (quantized:0.05).
+constexpr double kGrid = 0.05;
+
+PlannerServiceConfig service_config(double grid) {
   PlannerServiceConfig config;
-  config.cache.mode = mode;
   config.cache.grid = grid;
   return config;
 }
@@ -72,13 +72,14 @@ void expect_same_plan(const mapreduce::JobSpec& a,
   }
 }
 
-// --- exact mode: bit identity with uncached planning ------------------------
+// --- repeated inputs: bit identity with uncached planning --------------------
 
-TEST(PlannerService, ExactHitsAreBitIdenticalToPlanSpec) {
-  // A grid of shapes planned twice through an exact-key service: the second
-  // pass must be all hits and every planned field must equal what the
-  // uncached trace::plan_staged_spec path computes, bit for bit.
-  PlannerService service(service_config(CacheMode::kExact));
+TEST(PlannerService, RepeatHitsAreBitIdenticalToPlanSpec) {
+  // A grid of shapes, each in its own bucket, planned twice through a
+  // caching service: the second pass must be all hits and every planned
+  // field must equal what the uncached trace::plan_staged_spec path
+  // computes, bit for bit.
+  PlannerService service(service_config(kGrid));
   const trace::PlannerConfig planner = service.config().planner;
   for (const auto policy :
        {strategies::PolicyKind::kSResume, strategies::PolicyKind::kSRestart,
@@ -111,7 +112,7 @@ TEST(PlannerService, ExactHitsAreBitIdenticalToPlanSpec) {
 }
 
 TEST(PlannerService, AutoModeMatchesOptimizeAll) {
-  PlannerService service(service_config(CacheMode::kExact));
+  PlannerService service(service_config(kGrid));
   const trace::PlannerConfig planner = service.config().planner;
   auto spec = make_spec(80, 30.0, 1.6, 200.0);
   const double price = 0.45;
@@ -143,7 +144,7 @@ TEST(PlannerService, AutoModeMatchesOptimizeAll) {
 }
 
 TEST(PlannerService, OffModeNeverCaches) {
-  PlannerService service(service_config(CacheMode::kOff));
+  PlannerService service(service_config(0.0));
   auto spec = make_spec(40, 25.0, 2.0, 120.0);
   for (int i = 0; i < 3; ++i) {
     auto copy = spec;
@@ -156,13 +157,17 @@ TEST(PlannerService, OffModeNeverCaches) {
   EXPECT_EQ(stats.hits, 0u);
   EXPECT_EQ(stats.misses, 0u);
   EXPECT_EQ(stats.cache_size, 0u);
+  // With the memo off there is no key to file a request under.
+  EXPECT_THROW(service.make_key(request_for(
+                   spec, 0.5, false, strategies::PolicyKind::kSResume)),
+               PreconditionError);
 }
 
 TEST(PlannerService, RejectsAJobWithNoStages) {
   // JobSpec::validate rejects a stageless spec at submit; planning must not
   // read stage 0 of it first. Both entry points, cached and uncached.
-  for (const CacheMode mode : {CacheMode::kOff, CacheMode::kExact}) {
-    PlannerService service(service_config(mode));
+  for (const double grid : {0.0, kGrid}) {
+    PlannerService service(service_config(grid));
     for (const bool auto_strategy : {false, true}) {
       auto spec = make_spec(40, 25.0, 2.0, 120.0);
       spec.stages.clear();
@@ -185,7 +190,7 @@ TEST(PlannerService, QuantizedHitKeepsTheRequestsOwnPrice) {
   // price field must carry each request's OWN spot price — a cached plan
   // must never leak the first arrival's price clock into a later job.
   const double grid = 0.1;
-  PlannerService service(service_config(CacheMode::kQuantized, grid));
+  PlannerService service(service_config(grid));
   ASSERT_EQ(serve::quantize_bucket(1.0, grid),
             serve::quantize_bucket(1.04, grid));
   auto first = make_spec(50, 20.0, 1.8, 120.0);
@@ -222,7 +227,7 @@ TEST(PlanCacheQuantization, BoundaryValuesLandInTheIntendedBucket) {
 
 TEST(PlanCacheQuantization, ServiceKeysBucketJobsTogether) {
   const double grid = 0.1;
-  PlannerService service(service_config(CacheMode::kQuantized, grid));
+  PlannerService service(service_config(grid));
   auto a = make_spec(50, 20.0, 1.8, 120.0);
   auto b = make_spec(50, 21.0, 1.8, 121.0);   // same buckets as a
   auto c = make_spec(50, 20.0, 1.8, 140.0);   // deadline crosses a boundary
@@ -253,8 +258,7 @@ TEST(PlanCacheQuantization, NonPositivePriceNeverSharesABucket) {
   // its raw bit pattern, and 0.0's pattern is 0, the bucket of
   // [1, 1 + grid). A price-0 request after a price-1 one was then served the
   // price-1 plan (r = 2 where uncached planning gives r = 12).
-  const double grid = 0.05;
-  PlannerService service(service_config(CacheMode::kQuantized, grid));
+  PlannerService service(service_config(kGrid));
   const trace::PlannerConfig planner = service.config().planner;
   auto paid = make_spec(50, 20.0, 1.8, 100.0);
   auto unpaid = paid;
@@ -311,7 +315,7 @@ TEST(PlannerService, KeyCoversEveryStagesFields) {
   // so two jobs differing only in their reduce stage hashed identically and
   // the second arrival was served the first one's plan. Every stage field
   // must enter the key.
-  PlannerService service(service_config(CacheMode::kExact));
+  PlannerService service(service_config(kGrid));
   auto base = make_spec(50, 20.0, 1.8, 240.0);
   base.stages.push_back(
       {.num_tasks = 10, .t_min = 45.0, .beta = 1.7, .deps = {}});
@@ -338,7 +342,7 @@ TEST(PlannerService, KeyCoversEveryStagesFields) {
 TEST(PlannerService, KeyCoversStageWiring) {
   // Two three-stage jobs with identical stage shapes but different DAG
   // edges (chain vs fan-in from the root) must never share a plan.
-  PlannerService service(service_config(CacheMode::kExact));
+  PlannerService service(service_config(kGrid));
   auto chain = make_spec(20, 20.0, 1.8, 300.0);
   chain.stages.push_back(
       {.num_tasks = 10, .t_min = 40.0, .beta = 1.6, .deps = {}});
@@ -353,11 +357,11 @@ TEST(PlannerService, KeyCoversStageWiring) {
   EXPECT_FALSE(service.make_key(req_chain) == service.make_key(req_fan));
 }
 
-TEST(PlannerService, StagedExactHitsMatchStagedPlanning) {
-  // A staged job through an exact-key service twice: the second pass is a
+TEST(PlannerService, StagedHitsMatchStagedPlanning) {
+  // A staged job through a caching service twice: the second pass is a
   // hit and every per-stage planned field equals the uncached
   // trace::plan_staged_spec output, bit for bit.
-  PlannerService service(service_config(CacheMode::kExact));
+  PlannerService service(service_config(kGrid));
   const trace::PlannerConfig planner = service.config().planner;
   auto cold = make_spec(40, 25.0, 1.4, 500.0);
   cold.stages.push_back(
@@ -389,39 +393,34 @@ mapreduce::JobSpec six_stage_chain() {
 
 TEST(PlannerService, WideDagsAreMemoized) {
   // The key has no stage budget: a six-stage job misses once and then hits,
-  // in exact and in quantized mode, and both plans equal the uncached
-  // trace::plan_staged_spec output.
-  for (const PlannerServiceConfig& config :
-       {service_config(CacheMode::kExact),
-        service_config(CacheMode::kQuantized, 0.05)}) {
-    PlannerService service(config);
-    const trace::PlannerConfig planner = service.config().planner;
-    auto cold = six_stage_chain();
-    auto warm = cold;
-    auto reference = cold;
-    const PlanReply miss = service.plan(
-        request_for(cold, 0.4, false, strategies::PolicyKind::kSResume));
-    const PlanReply hit = service.plan(
-        request_for(warm, 0.4, false, strategies::PolicyKind::kSResume));
-    EXPECT_FALSE(miss.cache_hit);
-    EXPECT_TRUE(hit.cache_hit);
-    trace::plan_staged_spec(reference, strategies::PolicyKind::kSResume,
-                            planner, 0.4);
-    expect_same_plan(cold, reference);
-    expect_same_plan(warm, reference);
-    const auto stats = service.stats();
-    EXPECT_EQ(stats.requests, 2u);
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.cache_size, 1u);
-  }
+  // and both plans equal the uncached trace::plan_staged_spec output.
+  PlannerService service(service_config(kGrid));
+  const trace::PlannerConfig planner = service.config().planner;
+  auto cold = six_stage_chain();
+  auto warm = cold;
+  auto reference = cold;
+  const PlanReply miss = service.plan(
+      request_for(cold, 0.4, false, strategies::PolicyKind::kSResume));
+  const PlanReply hit = service.plan(
+      request_for(warm, 0.4, false, strategies::PolicyKind::kSResume));
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_TRUE(hit.cache_hit);
+  trace::plan_staged_spec(reference, strategies::PolicyKind::kSResume,
+                          planner, 0.4);
+  expect_same_plan(cold, reference);
+  expect_same_plan(warm, reference);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.cache_size, 1u);
 }
 
 TEST(PlannerService, KeyIsTheDepSetNotItsListing) {
   // A stage's deps are a set: listing them in another order is the same
   // job and shares its key (and plan), while the same six stage shapes
   // wired as a chain and as a fan-in into the last stage never do.
-  PlannerService service(service_config(CacheMode::kExact));
+  PlannerService service(service_config(kGrid));
   auto fan_in = six_stage_chain();
   fan_in.stage(5).deps = {1, 2, 3, 4};
   auto reordered = fan_in;
@@ -447,15 +446,15 @@ TEST(PlannerService, KeyIsTheDepSetNotItsListing) {
 TEST(PlannerService, StagedAutoMatchesRootViewChoice) {
   // Auto mode on a staged job picks the strategy with optimize_all on the
   // root stage's critical-path view, then plans every stage under the
-  // winner. An off service, an exact-mode miss and an exact-mode hit must
-  // all reproduce that reference, for a 2-stage and for a 6-stage job.
+  // winner. An off service, a caching service's miss and its hit must all
+  // reproduce that reference, for a 2-stage and for a 6-stage job.
   auto two = make_spec(40, 25.0, 1.4, 500.0);
   two.stages.push_back(
       {.num_tasks = 10, .t_min = 45.0, .beta = 1.7, .deps = {}});
   const double price = 0.4;
   for (const mapreduce::JobSpec& shape : {two, six_stage_chain()}) {
-    PlannerService off(service_config(CacheMode::kOff));
-    PlannerService exact(service_config(CacheMode::kExact));
+    PlannerService off(service_config(0.0));
+    PlannerService cached(service_config(kGrid));
     const trace::PlannerConfig planner = off.config().planner;
 
     const auto deadlines = trace::critical_path_split(shape);
@@ -474,10 +473,10 @@ TEST(PlannerService, StagedAutoMatchesRootViewChoice) {
     const PlanReply replies[] = {
         off.plan(request_for(uncached, price, true,
                              strategies::PolicyKind::kSResume)),
-        exact.plan(request_for(miss, price, true,
-                               strategies::PolicyKind::kSResume)),
-        exact.plan(request_for(hit, price, true,
-                               strategies::PolicyKind::kSResume))};
+        cached.plan(request_for(miss, price, true,
+                                strategies::PolicyKind::kSResume)),
+        cached.plan(request_for(hit, price, true,
+                                strategies::PolicyKind::kSResume))};
     for (const auto* planned : {&uncached, &miss, &hit}) {
       expect_same_plan(*planned, reference);
     }
@@ -487,7 +486,7 @@ TEST(PlannerService, StagedAutoMatchesRootViewChoice) {
     }
     EXPECT_FALSE(replies[1].cache_hit);
     EXPECT_TRUE(replies[2].cache_hit);
-    EXPECT_EQ(exact.stats().hits, 1u);
+    EXPECT_EQ(cached.stats().hits, 1u);
   }
 }
 
@@ -495,13 +494,14 @@ TEST(PlannerService, StagedAutoMatchesRootViewChoice) {
 
 TEST(PlannerService, FullMemoPlansFreshAndCountsDrops) {
   // Fill the memo to its cap with cheap distinct keys (Hadoop-NS plans
-  // without optimizing), then plan a new key: it is a miss planned fresh,
-  // equal to the uncached reference, and counted as a drop; the memo stays
-  // at the cap, so the same key misses again.
-  PlannerService service(service_config(CacheMode::kExact));
+  // without optimizing; the task count is keyed unquantized), then plan a
+  // new key: it is a miss planned fresh, equal to the uncached reference,
+  // and counted as a drop; the memo stays at the cap, so the same key
+  // misses again.
+  PlannerService service(service_config(kGrid));
   const trace::PlannerConfig planner = service.config().planner;
   for (std::size_t i = 0; i < serve::kMaxCachedPlans; ++i) {
-    auto spec = make_spec(10, 20.0, 1.8, 100.0 + static_cast<double>(i));
+    auto spec = make_spec(100 + static_cast<int>(i), 20.0, 1.8, 100.0);
     service.plan(
         request_for(spec, 0.4, false, strategies::PolicyKind::kHadoopNS));
   }
@@ -530,8 +530,7 @@ TEST(PlannerService, FullMemoPlansFreshAndCountsDrops) {
 
 TEST(PlanCacheConfigValidation, RejectsBadKnobs) {
   PlanCacheConfig bad_grid;
-  bad_grid.mode = CacheMode::kQuantized;
-  for (const double grid : {0.0, -0.5, std::numeric_limits<double>::infinity(),
+  for (const double grid : {-0.5, std::numeric_limits<double>::infinity(),
                             std::numeric_limits<double>::quiet_NaN()}) {
     bad_grid.grid = grid;
     EXPECT_THROW(bad_grid.validate(), PreconditionError) << grid;
@@ -544,11 +543,10 @@ TEST(PlanCacheConfigValidation, RejectsBadKnobs) {
   bad_grid.grid = serve::kMinQuantizeGrid * 0.5;
   EXPECT_THROW(bad_grid.validate(), PreconditionError);
   PlanCacheConfig smallest;
-  smallest.mode = CacheMode::kQuantized;
   smallest.grid = serve::kMinQuantizeGrid;
   EXPECT_NO_THROW(smallest.validate());
-  PlanCacheConfig off;  // off ignores the grid entirely
-  off.grid = -1.0;
+  const PlanCacheConfig off;  // grid 0: the memo is off
+  EXPECT_FALSE(off.enabled());
   EXPECT_NO_THROW(off.validate());
 }
 

@@ -561,8 +561,7 @@ TEST_P(GoldenShardEquivalence, EveryRunLayoutReproducesTheCommittedBytes) {
   } catch (const std::exception& error) {
     FAIL() << error.what();
   }
-  // A manifest is pinned by the goldens of its [sweep] name, so manifests
-  // that must agree (open_system_cached.ini with open_system.ini) share them.
+  // A manifest is pinned by the goldens of its [sweep] name.
   const std::string stem = manifest.spec.name;
   const std::string tag = "golden_" + file;
   const SweepHooks hooks = make_hooks(manifest);
